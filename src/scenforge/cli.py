@@ -51,7 +51,6 @@ class PipelineConfig:
     endpoint_url: str = ""
     model_name: str = ""
     workers: int = 1
-    keep_traces: bool = True
 
     def __post_init__(self):
         if self.samples < 1:
@@ -95,14 +94,14 @@ def _document_from_input(path: Path, config: PipelineConfig) -> str:
     return dsl.serialize_dsl(spec)
 
 
-def _simulate_one(template_data: dict, seed: int) -> tuple[str, str]:
-    """Worker entry: returns (trace jsonl, report json) for one seed."""
+def _simulate_one(template_data: dict, seed: int) -> tuple[str, rules.ViolationReport]:
+    """Worker entry: returns (trace jsonl, report) for one seed."""
     template = synth.ScenarioTemplate.from_dict(template_data)
     geometry = sim.build_geometry(template)
     instance = sampling.sample_instance(template, seed)
     trace = sim.simulate(instance, geometry)
     report = rules.monitor(trace, template.params.oracle, geometry)
-    return sim.trace_to_jsonl(trace), report.to_json()
+    return sim.trace_to_jsonl(trace), report
 
 
 def run_pipeline(config: PipelineConfig) -> int:
@@ -145,14 +144,13 @@ def run_pipeline(config: PipelineConfig) -> int:
                 for inst in instances:
                     trace = sim.simulate(inst, geometry)
                     report = rules.monitor(trace, template.params.oracle, geometry)
-                    results.append((sim.trace_to_jsonl(trace), report.to_json()))
+                    results.append((sim.trace_to_jsonl(trace), report))
 
-            for seed, (trace_text, report_text) in zip(seeds, results):
-                if config.keep_traces:
-                    _atomic_write(scenario_dir / "traces" / f"trace_{seed:05d}.jsonl", trace_text)
+            for seed, (trace_text, report) in zip(seeds, results):
+                _atomic_write(scenario_dir / "traces" / f"trace_{seed:05d}.jsonl", trace_text)
                 _atomic_write(scenario_dir / "reports" / f"report_{seed:05d}.json",
-                              report_text + "\n")
-                all_reports.append(_report_from_json(report_text))
+                              report.to_json() + "\n")
+                all_reports.append(report)
         except Exception as exc:
             failures.append(f"{input_path}: {exc}")
 

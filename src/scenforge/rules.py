@@ -40,14 +40,16 @@ from typing import Any, Iterable
 from .digests import canonical_json
 from .dsl import KNOWN_RULE_IDS, OracleEntry
 from .sim import (
+    ActorState,
     CollisionEvent,
+    Footprint,
     RoadGeometry,
+    StopLine,
     Trace,
     VEHICLE_DIMS,
     detect_collisions,
+    footprints_overlap,
     normalize_heading,
-    rect_corners,
-    rects_overlap,
 )
 
 SPEED_TOLERANCE = 0.5          # m/s over the limit before a violation
@@ -163,216 +165,16 @@ def _merge(violations: list[Violation], gap: float) -> list[Violation]:
     return sorted(out, key=lambda v: (v.t_start, v.rule_id, v.actor_id))
 
 
-def _front_point(state, length: float) -> tuple[float, float]:
+def _front_point(state: ActorState, length: float) -> tuple[float, float]:
     half = length / 2.0
     return state.x + half * math.cos(state.heading), state.y + half * math.sin(state.heading)
 
 
-def _actor_series(trace: Trace, actor_id: str):
-    return [next(a for a in frame.actors if a.actor_id == actor_id) for frame in trace.frames]
-
-
-def _approach_of_state(state) -> str:
+def _approach_of_state(state: ActorState) -> str:
     hx, hy = math.cos(state.heading), math.sin(state.heading)
     if abs(hx) >= abs(hy):
         return "west" if hx > 0 else "east"
     return "south" if hy > 0 else "north"
-
-
-def _line_crossing_frame(trace: Trace, actor_id: str, stop_line) -> int | None:
-    """Frame index where the actor's front edge first crosses the line inbound."""
-    length, _ = VEHICLE_DIMS[trace.actor_types[actor_id]]
-    series = _actor_series(trace, actor_id)
-    prev_delta = None
-    for k, state in enumerate(series):
-        fx, fy = _front_point(state, length)
-        c = fx if stop_line.axis == "x" else fy
-        other = fy if stop_line.axis == "x" else fx
-        delta = (c - stop_line.coord) * stop_line.inbound
-        if prev_delta is not None and prev_delta < 0 <= delta:
-            if stop_line.lo - 2.0 <= other <= stop_line.hi + 2.0:
-                return k
-        prev_delta = delta
-    return None
-
-
-def _zone_min_speed(trace: Trace, actor_id: str, stop_line, crossing_frame: int) -> float:
-    length, _ = VEHICLE_DIMS[trace.actor_types[actor_id]]
-    series = _actor_series(trace, actor_id)
-    speeds = []
-    for state in series[:crossing_frame + 1]:
-        fx, fy = _front_point(state, length)
-        c = fx if stop_line.axis == "x" else fy
-        dist = (stop_line.coord - c) * stop_line.inbound
-        if 0.0 <= dist <= STOP_ZONE_M:
-            speeds.append(state.speed)
-    if not speeds:
-        return series[crossing_frame].speed
-    return min(speeds)
-
-
-# ---------------------------------------------------------------------------
-# individual checks
-
-
-def _check_speed(trace: Trace, geometry: RoadGeometry, absolute: bool) -> list[Violation]:
-    rule_id = "22349" if absolute else "22350"
-    limit = ABSOLUTE_MAX_SPEED if absolute else geometry.speed_limit
-    times = [f.t for f in trace.frames]
-    out: list[Violation] = []
-    for actor_id in sorted(trace.actor_types):
-        series = _actor_series(trace, actor_id)
-        flags = [s.speed > limit + SPEED_TOLERANCE for s in series]
-        for t0, t1 in _intervals(flags, times):
-            if t1 - t0 + _EPS >= SPEED_SUSTAIN_S:
-                peak = max(s.speed for s in series)
-                out.append(Violation(rule_id, actor_id, t0, t1,
-                                     {"max_speed_mps": peak, "limit_mps": limit}))
-    if not absolute:
-        out.extend(_check_headway(trace))
-    return out
-
-
-def _check_headway(trace: Trace) -> list[Violation]:
-    """Same-lane, same-direction following below 2 s headway (as 22350 evidence)."""
-    times = [f.t for f in trace.frames]
-    ids = sorted(trace.actor_types)
-    out: list[Violation] = []
-    for follower in ids:
-        f_series = _actor_series(trace, follower)
-        for lead in ids:
-            if lead == follower:
-                continue
-            l_series = _actor_series(trace, lead)
-            flags = []
-            for fs, ls in zip(f_series, l_series):
-                same_lane = fs.lane_id == ls.lane_id
-                aligned = math.cos(fs.heading - ls.heading) > 0.5
-                dx, dy = ls.x - fs.x, ls.y - fs.y
-                ahead = dx * math.cos(fs.heading) + dy * math.sin(fs.heading) > 0
-                gap = math.hypot(dx, dy)
-                flags.append(same_lane and aligned and ahead and fs.speed > 0
-                             and gap < HEADWAY_S * fs.speed)
-            for t0, t1 in _intervals(flags, times):
-                if t1 - t0 + _EPS >= HEADWAY_SUSTAIN_S:
-                    out.append(Violation("22350", follower, t0, t1,
-                                         {"kind": "headway", "lead": lead,
-                                          "headway_limit_s": HEADWAY_S}))
-    return out
-
-
-def _controlled_approaches(geometry: RoadGeometry) -> tuple[str, ...]:
-    """Approaches governed by a stop sign: every leg except the ego's."""
-    if "stop_sign" not in geometry.scenario.signs:
-        return ()
-    ego_leg = "south" if geometry.topology == "intersection" else "west"
-    return tuple(sl.approach for sl in geometry.stop_lines if sl.approach != ego_leg)
-
-
-def _check_stop_sign(trace: Trace, geometry: RoadGeometry) -> list[Violation]:
-    controlled = _controlled_approaches(geometry)
-    if not controlled:
-        return []
-    out: list[Violation] = []
-    for actor_id in sorted(trace.actor_types):
-        approach = _approach_of_state(_actor_series(trace, actor_id)[0])
-        if approach not in controlled:
-            continue
-        stop_line = next((sl for sl in geometry.stop_lines if sl.approach == approach), None)
-        if stop_line is None:
-            continue
-        k = _line_crossing_frame(trace, actor_id, stop_line)
-        if k is None:
-            continue
-        min_speed = _zone_min_speed(trace, actor_id, stop_line, k)
-        if min_speed > STOP_SPEED_MAX:
-            t = trace.frames[k].t
-            out.append(Violation("22450", actor_id, t, t,
-                                 {"min_zone_speed_mps": min_speed, "approach": approach}))
-    return out
-
-
-def _check_red_light(trace: Trace, geometry: RoadGeometry) -> list[Violation]:
-    if not geometry.signal_heads:
-        return []
-    out: list[Violation] = []
-    for actor_id in sorted(trace.actor_types):
-        approach = _approach_of_state(_actor_series(trace, actor_id)[0])
-        if geometry.signal_for(approach) is None:
-            continue
-        stop_line = next((sl for sl in geometry.stop_lines if sl.approach == approach), None)
-        if stop_line is None:
-            continue
-        k = _line_crossing_frame(trace, actor_id, stop_line)
-        if k is None:
-            continue
-        states = dict(trace.frames[k].signals)
-        if states.get(approach) == "red":
-            t = trace.frames[k].t
-            out.append(Violation("21453", actor_id, t, t,
-                                 {"signal_state": "red", "approach": approach}))
-    return out
-
-
-def _travel_direction(trace: Trace, geometry: RoadGeometry, actor_id: str) -> int:
-    """+1 with the road axis, -1 against it (taken from the first frame)."""
-    state = _actor_series(trace, actor_id)[0]
-    _, _, axis_heading = geometry.axis.point(geometry.axis.locate(state.x, state.y)[0], 0.0)
-    return 1 if math.cos(state.heading - axis_heading) >= 0 else -1
-
-
-def _crossing_flags(trace: Trace, geometry: RoadGeometry, actor_id: str) -> list[bool]:
-    """Per frame: any footprint corner across the divider into opposing traffic."""
-    direction = _travel_direction(trace, geometry, actor_id)
-    dims = VEHICLE_DIMS[trace.actor_types[actor_id]]
-    flags = []
-    for state in _actor_series(trace, actor_id):
-        crossed = False
-        for cx, cy in rect_corners(state.x, state.y, state.heading, *dims):
-            lat = geometry.axis.locate(cx, cy)[1]
-            if (direction == 1 and lat > 0) or (direction == -1 and lat < 0):
-                crossed = True
-                break
-        flags.append(crossed)
-    return flags
-
-
-def _max_abs_lateral(trace: Trace, geometry: RoadGeometry, actor_id: str) -> float:
-    return max(abs(geometry.axis.locate(s.x, s.y)[1]) for s in _actor_series(trace, actor_id))
-
-
-def _check_divider(trace: Trace, geometry: RoadGeometry, rule_id: str) -> list[Violation]:
-    if geometry.axis is None or geometry.scenario.number_of_ways != 2:
-        return []
-    marker = geometry.scenario.marker
-    if rule_id == "21460" and marker != "solid_line":
-        return []
-    if rule_id == "21461" and marker != "broken_line":
-        return []
-    times = [f.t for f in trace.frames]
-    out: list[Violation] = []
-    for actor_id in sorted(trace.actor_types):
-        flags = _crossing_flags(trace, geometry, actor_id)
-        if rule_id == "21461":
-            flags = [flag and _oncoming_within(trace, actor_id, k, ONCOMING_RANGE_M)
-                     for k, flag in enumerate(flags)]
-        for t0, t1 in _intervals(flags, times):
-            out.append(Violation(rule_id, actor_id, t0, t1,
-                                 {"marker": marker,
-                                  "max_lateral_m": _max_abs_lateral(trace, geometry, actor_id)}))
-    return out
-
-
-def _oncoming_within(trace: Trace, actor_id: str, frame_index: int, range_m: float) -> bool:
-    frame = trace.frames[frame_index]
-    me = next(a for a in frame.actors if a.actor_id == actor_id)
-    for other in frame.actors:
-        if other.actor_id == actor_id:
-            continue
-        if math.cos(me.heading - other.heading) < -0.5:
-            if math.hypot(other.x - me.x, other.y - me.y) <= range_m:
-                return True
-    return False
 
 
 def _parallel_lanes(geometry: RoadGeometry, lane_a: str, lane_b: str) -> bool:
@@ -385,6 +187,296 @@ def _parallel_lanes(geometry: RoadGeometry, lane_a: str, lane_b: str) -> bool:
     return la.direction == lb.direction
 
 
+class TraceView:
+    """What the rule checks read from one trace, each piece computed once.
+
+    `monitor` builds one view per trace and passes it to every check.  The
+    per-actor state columns replace per-check frame scans; derived data
+    (approaches, footprints, stop-line crossings, conflict-region entries,
+    divider flags, lane changes) is computed on first use and kept here,
+    never on the frozen trace.  A view is only valid with the geometry the
+    trace was produced on.
+    """
+
+    def __init__(self, trace: Trace, geometry: RoadGeometry):
+        if trace.geometry_ref != geometry.digest():
+            raise ValueError("trace was produced on a different geometry")
+        self.trace = trace
+        self.geometry = geometry
+        self.geometry_ref = trace.geometry_ref
+        self.frames = trace.frames
+        self.times = [frame.t for frame in trace.frames]
+        self.actor_ids = sorted(trace.actor_types)
+        self.states: dict[str, list[ActorState]] = {actor_id: [] for actor_id in self.actor_ids}
+        for frame in trace.frames:
+            for state in frame.actors:
+                self.states[state.actor_id].append(state)
+        # per actor and frame; the corners are computed on first use
+        self.footprints: dict[str, list[Footprint]] = {}
+        for actor_id, series in self.states.items():
+            length, width = VEHICLE_DIMS[trace.actor_types[actor_id]]
+            self.footprints[actor_id] = [Footprint(s.x, s.y, s.heading, length, width)
+                                         for s in series]
+        self._memo: dict[tuple[str, str], Any] = {}
+
+    def _cached(self, kind: str, actor_id: str, compute):
+        key = (kind, actor_id)
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def approach(self, actor_id: str) -> str:
+        """The approach the actor is on in the first frame."""
+        return self._cached("approach", actor_id,
+                            lambda: _approach_of_state(self.states[actor_id][0]))
+
+    def travel_direction(self, actor_id: str) -> int:
+        """+1 with the road axis, -1 against it (taken from the first frame)."""
+        def compute() -> int:
+            state = self.states[actor_id][0]
+            axis = self.geometry.axis
+            _, _, axis_heading = axis.point(axis.locate(state.x, state.y)[0], 0.0)
+            return 1 if math.cos(state.heading - axis_heading) >= 0 else -1
+        return self._cached("direction", actor_id, compute)
+
+    def stop_line_crossing(self, actor_id: str) -> tuple[StopLine, int] | None:
+        """The actor's approach stop line and the frame its front edge first crosses it inbound."""
+        def compute():
+            approach = self.approach(actor_id)
+            stop_line = next((sl for sl in self.geometry.stop_lines if sl.approach == approach),
+                             None)
+            if stop_line is None:
+                return None
+            length, _ = VEHICLE_DIMS[self.trace.actor_types[actor_id]]
+            prev_delta = None
+            for k, state in enumerate(self.states[actor_id]):
+                fx, fy = _front_point(state, length)
+                c = fx if stop_line.axis == "x" else fy
+                other = fy if stop_line.axis == "x" else fx
+                delta = (c - stop_line.coord) * stop_line.inbound
+                if prev_delta is not None and prev_delta < 0 <= delta:
+                    if stop_line.lo - 2.0 <= other <= stop_line.hi + 2.0:
+                        return stop_line, k
+                prev_delta = delta
+            return None
+        return self._cached("stop_line", actor_id, compute)
+
+    def zone_min_speed(self, actor_id: str, stop_line: StopLine, crossing_frame: int) -> float:
+        length, _ = VEHICLE_DIMS[self.trace.actor_types[actor_id]]
+        series = self.states[actor_id]
+        speeds = []
+        for state in series[:crossing_frame + 1]:
+            fx, fy = _front_point(state, length)
+            c = fx if stop_line.axis == "x" else fy
+            dist = (stop_line.coord - c) * stop_line.inbound
+            if 0.0 <= dist <= STOP_ZONE_M:
+                speeds.append(state.speed)
+        if not speeds:
+            return series[crossing_frame].speed
+        return min(speeds)
+
+    def divider_flags(self, actor_id: str) -> list[bool]:
+        """Per frame: any footprint corner across the divider into opposing traffic."""
+        def compute() -> list[bool]:
+            direction = self.travel_direction(actor_id)
+            locate = self.geometry.axis.locate
+            flags = []
+            for footprint in self.footprints[actor_id]:
+                crossed = False
+                for cx, cy in footprint.corners:
+                    lat = locate(cx, cy)[1]
+                    if (direction == 1 and lat > 0) or (direction == -1 and lat < 0):
+                        crossed = True
+                        break
+                flags.append(crossed)
+            return flags
+        return self._cached("divider", actor_id, compute)
+
+    def max_abs_lateral(self, actor_id: str) -> float:
+        locate = self.geometry.axis.locate
+        return self._cached("max_lateral", actor_id, lambda: max(
+            abs(locate(s.x, s.y)[1]) for s in self.states[actor_id]))
+
+    def oncoming_within(self, actor_id: str, k: int, range_m: float) -> bool:
+        me = self.states[actor_id][k]
+        for other_id in self.actor_ids:
+            if other_id == actor_id:
+                continue
+            other = self.states[other_id][k]
+            if math.cos(me.heading - other.heading) < -0.5:
+                if math.hypot(other.x - me.x, other.y - me.y) <= range_m:
+                    return True
+        return False
+
+    def region_entries(self) -> dict[str, int]:
+        """First frame index where each actor's footprint reaches the conflict region."""
+        def compute() -> dict[str, int]:
+            region = Footprint.of_polygon(self.geometry.conflict_region)
+            entries: dict[str, int] = {}
+            for actor_id in self.actor_ids:
+                for k, footprint in enumerate(self.footprints[actor_id]):
+                    if footprints_overlap(footprint, region):
+                        entries[actor_id] = k
+                        break
+            return entries
+        return self._cached("region_entries", "", compute)
+
+    def turns_left(self, actor_id: str, entry_frame: int) -> bool:
+        series = self.states[actor_id]
+        delta = normalize_heading(series[-1].heading - series[entry_frame].heading)
+        return delta > math.pi / 4
+
+    def lane_changes(self) -> list[tuple[str, int]]:
+        """(actor, frame) for every move between parallel lanes, by actor then frame."""
+        def compute() -> list[tuple[str, int]]:
+            out = []
+            for actor_id in self.actor_ids:
+                series = self.states[actor_id]
+                for k in range(1, len(series)):
+                    prev, cur = series[k - 1].lane_id, series[k].lane_id
+                    if prev != cur and _parallel_lanes(self.geometry, prev, cur):
+                        out.append((actor_id, k))
+            return out
+        return self._cached("lane_changes", "", compute)
+
+
+# ---------------------------------------------------------------------------
+# individual checks: plain functions of (view, geometry)
+
+
+def _speeding(view: TraceView, rule_id: str, limit: float) -> list[Violation]:
+    out: list[Violation] = []
+    for actor_id in view.actor_ids:
+        series = view.states[actor_id]
+        flags = [s.speed > limit + SPEED_TOLERANCE for s in series]
+        for t0, t1 in _intervals(flags, view.times):
+            if t1 - t0 + _EPS >= SPEED_SUSTAIN_S:
+                peak = max(s.speed for s in series)
+                out.append(Violation(rule_id, actor_id, t0, t1,
+                                     {"max_speed_mps": peak, "limit_mps": limit}))
+    return out
+
+
+def _headway(view: TraceView) -> list[Violation]:
+    """Same-lane, same-direction following below 2 s headway (as 22350 evidence)."""
+    out: list[Violation] = []
+    for follower in view.actor_ids:
+        f_series = view.states[follower]
+        for lead in view.actor_ids:
+            if lead == follower:
+                continue
+            flags = [fs.lane_id == ls.lane_id and fs.speed > 0 and _within_headway(fs, ls)
+                     for fs, ls in zip(f_series, view.states[lead])]
+            if True not in flags:
+                continue
+            for t0, t1 in _intervals(flags, view.times):
+                if t1 - t0 + _EPS >= HEADWAY_SUSTAIN_S:
+                    out.append(Violation("22350", follower, t0, t1,
+                                         {"kind": "headway", "lead": lead,
+                                          "headway_limit_s": HEADWAY_S}))
+    return out
+
+
+def _within_headway(fs: ActorState, ls: ActorState) -> bool:
+    """Lead aligned with and ahead of the follower, closer than the headway gap."""
+    if not math.cos(fs.heading - ls.heading) > 0.5:
+        return False
+    dx, dy = ls.x - fs.x, ls.y - fs.y
+    if not dx * math.cos(fs.heading) + dy * math.sin(fs.heading) > 0:
+        return False
+    return math.hypot(dx, dy) < HEADWAY_S * fs.speed
+
+
+def _check_absolute_speed(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+    """22349: above the 65 mph maximum."""
+    return _speeding(view, "22349", ABSOLUTE_MAX_SPEED)
+
+
+def _check_basic_speed(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+    """22350: above the posted limit, or following inside the headway."""
+    return _speeding(view, "22350", geometry.speed_limit) + _headway(view)
+
+
+def _controlled_approaches(geometry: RoadGeometry) -> tuple[str, ...]:
+    """Approaches governed by a stop sign: every leg except the ego's."""
+    if "stop_sign" not in geometry.scenario.signs:
+        return ()
+    ego_leg = "south" if geometry.topology == "intersection" else "west"
+    return tuple(sl.approach for sl in geometry.stop_lines if sl.approach != ego_leg)
+
+
+def _check_stop_sign(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+    """22450: crossing a stop-controlled line without stopping in the zone."""
+    controlled = _controlled_approaches(geometry)
+    if not controlled:
+        return []
+    out: list[Violation] = []
+    for actor_id in view.actor_ids:
+        approach = view.approach(actor_id)
+        if approach not in controlled:
+            continue
+        crossing = view.stop_line_crossing(actor_id)
+        if crossing is None:
+            continue
+        stop_line, k = crossing
+        min_speed = view.zone_min_speed(actor_id, stop_line, k)
+        if min_speed > STOP_SPEED_MAX:
+            t = view.frames[k].t
+            out.append(Violation("22450", actor_id, t, t,
+                                 {"min_zone_speed_mps": min_speed, "approach": approach}))
+    return out
+
+
+def _check_red_light(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+    """21453: crossing the stop line on red."""
+    if not geometry.signal_heads:
+        return []
+    out: list[Violation] = []
+    for actor_id in view.actor_ids:
+        approach = view.approach(actor_id)
+        if geometry.signal_for(approach) is None:
+            continue
+        crossing = view.stop_line_crossing(actor_id)
+        if crossing is None:
+            continue
+        _, k = crossing
+        states = dict(view.frames[k].signals)
+        if states.get(approach) == "red":
+            t = view.frames[k].t
+            out.append(Violation("21453", actor_id, t, t,
+                                 {"signal_state": "red", "approach": approach}))
+    return out
+
+
+def _divider_crossings(view: TraceView, geometry: RoadGeometry, rule_id: str,
+                       marker: str) -> list[Violation]:
+    if geometry.axis is None or geometry.scenario.number_of_ways != 2:
+        return []
+    if geometry.scenario.marker != marker:
+        return []
+    out: list[Violation] = []
+    for actor_id in view.actor_ids:
+        flags = view.divider_flags(actor_id)
+        if rule_id == "21461":
+            flags = [flag and view.oncoming_within(actor_id, k, ONCOMING_RANGE_M)
+                     for k, flag in enumerate(flags)]
+        for t0, t1 in _intervals(flags, view.times):
+            out.append(Violation(rule_id, actor_id, t0, t1,
+                                 {"marker": marker,
+                                  "max_lateral_m": view.max_abs_lateral(actor_id)}))
+    return out
+
+
+def _check_solid_divider(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+    """21460: crossing a solid direction divider."""
+    return _divider_crossings(view, geometry, "21460", "solid_line")
+
+
+def _check_broken_divider(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+    """21461: crossing a broken divider with oncoming traffic in range."""
+    return _divider_crossings(view, geometry, "21461", "broken_line")
+
+
 def _region_distance(geometry: RoadGeometry, x: float, y: float) -> float:
     xs = [p[0] for p in geometry.conflict_region]
     ys = [p[1] for p in geometry.conflict_region]
@@ -393,78 +485,59 @@ def _region_distance(geometry: RoadGeometry, x: float, y: float) -> float:
     return math.hypot(dx, dy)
 
 
-def _check_lane_change(trace: Trace, geometry: RoadGeometry, rule_id: str) -> list[Violation]:
+def _check_unsafe_lane_change(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+    """22107: a lane change with a vehicle inside the headway gap."""
     out: list[Violation] = []
-    for actor_id in sorted(trace.actor_types):
-        series = _actor_series(trace, actor_id)
-        for k in range(1, len(series)):
-            prev, cur = series[k - 1], series[k]
-            if prev.lane_id == cur.lane_id:
+    for actor_id, k in view.lane_changes():
+        cur = view.states[actor_id][k]
+        frame = view.frames[k]
+        for other in frame.actors:
+            if other.actor_id == actor_id:
                 continue
-            if not _parallel_lanes(geometry, prev.lane_id, cur.lane_id):
-                continue
-            t = trace.frames[k].t
-            if rule_id == "22107":
-                frame = trace.frames[k]
-                for other in frame.actors:
-                    if other.actor_id == actor_id:
-                        continue
-                    gap = math.hypot(other.x - cur.x, other.y - cur.y)
-                    if cur.speed > 0 and gap < HEADWAY_S * cur.speed:
-                        out.append(Violation("22107", actor_id, t, t,
-                                             {"gap_m": gap, "nearby": other.actor_id}))
-                        break
-            else:
-                if geometry.conflict_region is not None:
-                    dist = _region_distance(geometry, cur.x, cur.y)
-                    if dist <= JUNCTION_CHANGE_M:
-                        out.append(Violation("22108", actor_id, t, t,
-                                             {"region_distance_m": dist}))
+            gap = math.hypot(other.x - cur.x, other.y - cur.y)
+            if cur.speed > 0 and gap < HEADWAY_S * cur.speed:
+                out.append(Violation("22107", actor_id, frame.t, frame.t,
+                                     {"gap_m": gap, "nearby": other.actor_id}))
+                break
     return out
 
 
-def _region_entries(trace: Trace, geometry: RoadGeometry) -> dict[str, int]:
-    """First frame index where each actor's footprint reaches the region."""
-    entries: dict[str, int] = {}
-    for k, frame in enumerate(trace.frames):
-        for state in frame.actors:
-            if state.actor_id in entries:
-                continue
-            dims = VEHICLE_DIMS[trace.actor_types[state.actor_id]]
-            corners = rect_corners(state.x, state.y, state.heading, *dims)
-            if rects_overlap(corners, geometry.conflict_region):
-                entries[state.actor_id] = k
-    return entries
+def _check_junction_lane_change(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+    """22108: a lane change started near the junction conflict region."""
+    if geometry.conflict_region is None:
+        return []
+    out: list[Violation] = []
+    for actor_id, k in view.lane_changes():
+        cur = view.states[actor_id][k]
+        dist = _region_distance(geometry, cur.x, cur.y)
+        if dist <= JUNCTION_CHANGE_M:
+            t = view.frames[k].t
+            out.append(Violation("22108", actor_id, t, t, {"region_distance_m": dist}))
+    return out
 
 
-def _turns_left(trace: Trace, actor_id: str, entry_frame: int) -> bool:
-    series = _actor_series(trace, actor_id)
-    delta = normalize_heading(series[-1].heading - series[entry_frame].heading)
-    return delta > math.pi / 4
-
-
-def _has_priority(trace: Trace, geometry: RoadGeometry, b_id: str, b_entry: int,
+def _has_priority(view: TraceView, geometry: RoadGeometry, b_id: str, b_entry: int,
                   a_id: str, a_entry: int) -> bool:
     """Does actor B hold priority over actor A for a region entry conflict."""
-    a_approach = _approach_of_state(_actor_series(trace, a_id)[0])
-    b_approach = _approach_of_state(_actor_series(trace, b_id)[0])
+    a_approach = view.approach(a_id)
+    b_approach = view.approach(b_id)
     if geometry.signal_heads:
-        a_state = dict(trace.frames[a_entry].signals).get(a_approach)
-        b_state = dict(trace.frames[b_entry].signals).get(b_approach)
+        a_state = dict(view.frames[a_entry].signals).get(a_approach)
+        b_state = dict(view.frames[b_entry].signals).get(b_approach)
         return b_state == "green" and a_state == "red"
     controlled = _controlled_approaches(geometry)
     if controlled:
         return a_approach in controlled and b_approach not in controlled
     # uncontrolled: a left turner yields to straight-through traffic, then
     # first arrival, then the on-the-right tie-break
-    a_turns = _turns_left(trace, a_id, a_entry)
-    b_turns = _turns_left(trace, b_id, b_entry)
+    a_turns = view.turns_left(a_id, a_entry)
+    b_turns = view.turns_left(b_id, b_entry)
     if b_turns and not a_turns:
         return False
     if a_turns and not b_turns:
         return True
-    t_a = trace.frames[a_entry].t
-    t_b = trace.frames[b_entry].t
+    t_a = view.frames[a_entry].t
+    t_b = view.frames[b_entry].t
     if t_b < t_a - PRIORITY_WINDOW_S:
         return True
     if abs(t_b - t_a) <= PRIORITY_WINDOW_S:
@@ -477,33 +550,34 @@ def _has_priority(trace: Trace, geometry: RoadGeometry, b_id: str, b_entry: int,
 _LEG_VECTORS = {"south": (0.0, 1.0), "west": (1.0, 0.0), "north": (0.0, -1.0), "east": (-1.0, 0.0)}
 
 
-def _right_of_way_section(trace: Trace, geometry: RoadGeometry, actor_id: str, entry: int) -> str:
-    approach = _approach_of_state(_actor_series(trace, actor_id)[0])
+def _right_of_way_section(view: TraceView, geometry: RoadGeometry, actor_id: str,
+                          entry: int) -> str:
+    approach = view.approach(actor_id)
     if geometry.signal_for(approach) is not None:
         return "21800"
     if approach in _controlled_approaches(geometry):
         return "21802"
-    if _turns_left(trace, actor_id, entry):
+    if view.turns_left(actor_id, entry):
         return "21801"
     return "21800"
 
 
-def _check_right_of_way(trace: Trace, geometry: RoadGeometry, rule_id: str) -> list[Violation]:
+def _failures_to_yield(view: TraceView, geometry: RoadGeometry, rule_id: str) -> list[Violation]:
     if geometry.conflict_region is None:
         return []
-    entries = _region_entries(trace, geometry)
+    entries = sorted(view.region_entries().items())
     out: list[Violation] = []
-    for a_id, a_entry in sorted(entries.items()):
-        t_a = trace.frames[a_entry].t
-        for b_id, b_entry in sorted(entries.items()):
+    for a_id, a_entry in entries:
+        t_a = view.frames[a_entry].t
+        for b_id, b_entry in entries:
             if b_id == a_id:
                 continue
-            t_b = trace.frames[b_entry].t
+            t_b = view.frames[b_entry].t
             if t_b > t_a + PRIORITY_WINDOW_S:
                 continue
-            if not _has_priority(trace, geometry, b_id, b_entry, a_id, a_entry):
+            if not _has_priority(view, geometry, b_id, b_entry, a_id, a_entry):
                 continue
-            section = _right_of_way_section(trace, geometry, a_id, a_entry)
+            section = _right_of_way_section(view, geometry, a_id, a_entry)
             if section == rule_id:
                 out.append(Violation(rule_id, a_id, t_a, t_a,
                                      {"priority_actor": b_id, "gap_s": abs(t_b - t_a)}))
@@ -511,31 +585,58 @@ def _check_right_of_way(trace: Trace, geometry: RoadGeometry, rule_id: str) -> l
     return out
 
 
+def _check_signal_or_general_yield(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+    """21800: entering ahead of an actor with priority (signalized or default)."""
+    return _failures_to_yield(view, geometry, "21800")
+
+
+def _check_left_turn_yield(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+    """21801: an uncontrolled left turn into an actor with priority."""
+    return _failures_to_yield(view, geometry, "21801")
+
+
+def _check_stop_controlled_yield(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+    """21802: entering from a stop-controlled approach ahead of an actor with priority."""
+    return _failures_to_yield(view, geometry, "21802")
+
+
+def _check_yield_sign(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+    """21803: no yield signs in the sign vocabulary."""
+    return []
+
+
+def _check_driveway_entry(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+    """21804: no driveway legs in the built topologies."""
+    return []
+
+
 _CHECKS = {
-    "21453": lambda trace, geo: _check_red_light(trace, geo),
-    "21460": lambda trace, geo: _check_divider(trace, geo, "21460"),
-    "21461": lambda trace, geo: _check_divider(trace, geo, "21461"),
-    "21800": lambda trace, geo: _check_right_of_way(trace, geo, "21800"),
-    "21801": lambda trace, geo: _check_right_of_way(trace, geo, "21801"),
-    "21802": lambda trace, geo: _check_right_of_way(trace, geo, "21802"),
-    "21803": lambda trace, geo: [],  # no yield signs in the sign vocabulary
-    "21804": lambda trace, geo: [],  # no driveway legs in the built topologies
-    "22107": lambda trace, geo: _check_lane_change(trace, geo, "22107"),
-    "22108": lambda trace, geo: _check_lane_change(trace, geo, "22108"),
-    "22349": lambda trace, geo: _check_speed(trace, geo, absolute=True),
-    "22350": lambda trace, geo: _check_speed(trace, geo, absolute=False),
-    "22450": lambda trace, geo: _check_stop_sign(trace, geo),
+    "21453": _check_red_light,
+    "21460": _check_solid_divider,
+    "21461": _check_broken_divider,
+    "21800": _check_signal_or_general_yield,
+    "21801": _check_left_turn_yield,
+    "21802": _check_stop_controlled_yield,
+    "21803": _check_yield_sign,
+    "21804": _check_driveway_entry,
+    "22107": _check_unsafe_lane_change,
+    "22108": _check_junction_lane_change,
+    "22349": _check_absolute_speed,
+    "22350": _check_basic_speed,
+    "22450": _check_stop_sign,
 }
 
 
-def evaluate_rule(rule: RuleSpec | str, trace: Trace, geometry: RoadGeometry) -> list[Violation]:
-    """Run one registry rule over a trace, merging adjacent intervals."""
+def evaluate_rule(rule: RuleSpec | str, trace: Trace | TraceView,
+                  geometry: RoadGeometry) -> list[Violation]:
+    """Run one registry rule over a trace (or its view), merging adjacent intervals."""
     rule_id = rule if isinstance(rule, str) else rule.rule_id
     if rule_id not in REGISTRY:
         raise KeyError(f"rule {rule_id!r} is not in the registry")
     if trace.geometry_ref != geometry.digest():
         raise ValueError("trace was produced on a different geometry")
-    return _merge(_CHECKS[rule_id](trace, geometry), trace.timestep_s)
+    view = trace if isinstance(trace, TraceView) else TraceView(trace, geometry)
+    return _merge(_CHECKS[rule_id](view, geometry), view.trace.timestep_s)
 
 
 def monitor(trace: Trace, oracle: Iterable[OracleEntry], geometry: RoadGeometry) -> ViolationReport:
@@ -543,11 +644,12 @@ def monitor(trace: Trace, oracle: Iterable[OracleEntry], geometry: RoadGeometry)
     oracle = tuple(oracle)
     if not oracle:
         raise ValueError("oracle must not be empty")
+    view = TraceView(trace, geometry)
     violations: list[Violation] = []
     for rule_id in sorted(REGISTRY):
-        violations.extend(evaluate_rule(rule_id, trace, geometry))
+        violations.extend(evaluate_rule(rule_id, view, geometry))
     violations = _merge(violations, trace.timestep_s)
-    collisions = detect_collisions(trace)
+    collisions = detect_collisions(trace, view.footprints)
 
     if violations and collisions:
         outcome = "both"

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Mapping, Sequence
 
 from .digests import canonical_json, digest64_json
 from .sampling import ScenarioInstance
@@ -533,10 +533,12 @@ def rect_corners(x: float, y: float, heading: float, length: float, width: float
                  ) -> tuple[tuple[float, float], ...]:
     c, s = math.cos(heading), math.sin(heading)
     hl, hw = length / 2.0, width / 2.0
-    return tuple(
-        (x + c * dx - s * dy, y + s * dx + c * dy)
-        for dx, dy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw))
-    )
+    # (x + c*dx - s*dy, y + s*dx + c*dy) for (dx, dy) = (hl, hw), (hl, -hw),
+    # (-hl, -hw), (-hl, hw), unrolled; negation is exact, so the corners
+    # are the same floats as the rolled form.
+    chl, shl, chw, shw = c * hl, s * hl, c * hw, s * hw
+    return ((x + chl - shw, y + shl + chw), (x + chl + shw, y + shl - chw),
+            (x - chl + shw, y - shl - chw), (x - chl - shw, y - shl + chw))
 
 
 def rects_overlap(a: tuple[tuple[float, float], ...], b: tuple[tuple[float, float], ...]) -> bool:
@@ -553,6 +555,59 @@ def rects_overlap(a: tuple[tuple[float, float], ...], b: tuple[tuple[float, floa
             if max_a < min_b or max_b < min_a:
                 return False
     return True
+
+
+# A pair whose centres are farther apart than the sum of their circumradii
+# plus this margin cannot overlap.  For two disjoint rectangles (or a
+# rectangle and the square conflict region) the separating-axis gap is at
+# least 0.7 times their distance, so the margin dwarfs the rounding in
+# `rect_corners` and `rects_overlap`: the skip never hides an overlap.
+OVERLAP_MARGIN_M = 1e-6
+
+
+class Footprint:
+    """A convex outline with its centre and circumradius.
+
+    Vehicle corners are computed on first use, so pairs that the
+    centre-distance test rejects never compute them.
+    """
+
+    __slots__ = ("x", "y", "heading", "length", "width", "radius", "_corners")
+
+    def __init__(self, x: float, y: float, heading: float, length: float, width: float):
+        self.x, self.y, self.heading = x, y, heading
+        self.length, self.width = length, width
+        self.radius = math.hypot(length / 2.0, width / 2.0)
+        self._corners: tuple[tuple[float, float], ...] | None = None
+
+    @classmethod
+    def of_polygon(cls, points: tuple[tuple[float, float], ...]) -> Footprint:
+        """A fixed convex polygon, such as the junction conflict region."""
+        x = sum(px for px, _ in points) / len(points)
+        y = sum(py for _, py in points) / len(points)
+        footprint = cls.__new__(cls)
+        footprint.x, footprint.y, footprint.heading = x, y, 0.0
+        footprint.length = footprint.width = 0.0
+        footprint.radius = max(math.hypot(px - x, py - y) for px, py in points)
+        footprint._corners = tuple(points)
+        return footprint
+
+    @property
+    def corners(self) -> tuple[tuple[float, float], ...]:
+        if self._corners is None:
+            self._corners = rect_corners(self.x, self.y, self.heading, self.length, self.width)
+        return self._corners
+
+
+def actor_footprint(state: ActorState, actor_type: str) -> Footprint:
+    return Footprint(state.x, state.y, state.heading, *VEHICLE_DIMS[actor_type])
+
+
+def footprints_overlap(a: Footprint, b: Footprint) -> bool:
+    """`rects_overlap` on the corners, skipping pairs too far apart to touch."""
+    if math.hypot(a.x - b.x, a.y - b.y) > a.radius + b.radius + OVERLAP_MARGIN_M:
+        return False
+    return rects_overlap(a.corners, b.corners)
 
 
 # ---------------------------------------------------------------------------
@@ -827,14 +882,10 @@ def simulate(instance: ScenarioInstance, geometry: RoadGeometry) -> Trace:
         frames.append(Frame(t=t, actors=tuple(states), signals=signals))
 
         if not collided and len(movers) > 1:
-            corners = {
-                st.actor_id: rect_corners(st.x, st.y, st.heading, *dims[st.actor_id])
-                for st in states
-            }
-            ids = [m.actor_id for m in movers]
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    if rects_overlap(corners[ids[i]], corners[ids[j]]):
+            prints = [Footprint(st.x, st.y, st.heading, *dims[st.actor_id]) for st in states]
+            for i in range(len(prints)):
+                for j in range(i + 1, len(prints)):
+                    if footprints_overlap(prints[i], prints[j]):
                         collided = True
                         end_frame = min(end_frame, k + int(1.0 / TIMESTEP_S))
                         break
@@ -868,22 +919,26 @@ def simulate(instance: ScenarioInstance, geometry: RoadGeometry) -> Trace:
     )
 
 
-def detect_collisions(trace: Trace) -> list[CollisionEvent]:
-    """First overlapping frame per actor pair (separating-axis test)."""
-    events: list[CollisionEvent] = []
-    seen: set[tuple[str, str]] = set()
-    for frame in trace.frames:
-        corners = {
-            a.actor_id: rect_corners(a.x, a.y, a.heading, *VEHICLE_DIMS[trace.actor_types[a.actor_id]])
-            for a in frame.actors
-        }
-        ids = sorted(corners)
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                pair = (ids[i], ids[j])
-                if pair in seen:
-                    continue
-                if rects_overlap(corners[pair[0]], corners[pair[1]]):
-                    seen.add(pair)
-                    events.append(CollisionEvent(t=frame.t, actor_a=pair[0], actor_b=pair[1]))
-    return events
+def detect_collisions(trace: Trace,
+                      footprints: Mapping[str, Sequence[Footprint]] | None = None
+                      ) -> list[CollisionEvent]:
+    """First overlapping frame per actor pair (separating-axis test).
+
+    `footprints` maps each actor to its footprint per frame; a caller that
+    already holds them passes them in, so their corners are computed once.
+    """
+    if footprints is None:
+        footprints = {actor_id: [] for actor_id in trace.actor_types}
+        for frame in trace.frames:
+            for a in frame.actors:
+                footprints[a.actor_id].append(actor_footprint(a, trace.actor_types[a.actor_id]))
+    ids = sorted(footprints)
+    hits: list[tuple[int, int, CollisionEvent]] = []
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    for n, (a, b) in enumerate(pairs):
+        for k, (print_a, print_b) in enumerate(zip(footprints[a], footprints[b])):
+            if footprints_overlap(print_a, print_b):
+                hits.append((k, n, CollisionEvent(t=trace.frames[k].t, actor_a=a, actor_b=b)))
+                break
+    # frame order, then pair order within a frame
+    return [event for _, _, event in sorted(hits, key=lambda hit: hit[:2])]

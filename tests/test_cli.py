@@ -4,7 +4,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from scenforge import cli
+from scenforge import cli, rules
 
 from .conftest import FIXTURES
 
@@ -168,6 +168,18 @@ def test_workers_flag_matches_serial(tmp_path):
     assert cli.main(["pipeline", str(STRAIGHT1), "--out", str(parallel),
                      "--samples", "6", "--workers", "2"]) == cli.EXIT_OK
     assert _tree_hash(serial) == _tree_hash(parallel)
+
+
+def test_summary_matches_the_written_reports(tmp_path):
+    """The summary built from in-memory reports equals one read back from disk."""
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert cli.main(["pipeline", str(STRAIGHT1), str(CURVE), "--out", str(out),
+                         "--samples", "6", "--workers", workers]) == cli.EXIT_OK
+        written = [cli._report_from_json(path.read_text(encoding="utf-8"))
+                   for path in sorted(out.rglob("report_*.json"))]
+        assert len(written) == 12
+        assert (out / "summary.csv").read_text(encoding="utf-8") == rules.summary_csv(written)
 
 
 def test_unknown_flag_is_config_error():

@@ -6,7 +6,8 @@ import pytest
 
 from scenforge import dsl, normalize, rules, sampling, sim, synth
 
-from .conftest import EXPECTED_RULE_COUNTS, load_spec, load_template
+from .conftest import (EXPECTED_RULE_COUNTS, MULTI_ACTOR_DOCUMENTS, load_document_template,
+                       load_spec, load_template)
 
 
 def _template_from(spec: dsl.ScenarioSpec) -> synth.ScenarioTemplate:
@@ -402,3 +403,52 @@ def test_summary_csv_shape():
     assert len(lines) == 3
     assert lines[1].split(",")[1] == "0"  # ordered by seed
     assert "cvc_21460" in lines[0]
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_RULE_COUNTS) + list(MULTI_ACTOR_DOCUMENTS))
+def test_monitor_matches_standalone_rule_evaluation(name):
+    """The shared trace view gives the verdicts each rule gives on its own."""
+    template = load_document_template(name)
+    geo = sim.build_geometry(template)
+    for seed in range(5):
+        trace = sim.simulate(sampling.sample_instance(template, seed), geo)
+        for replayed in (trace, sim.trace_from_jsonl(sim.trace_to_jsonl(trace))):
+            report = rules.monitor(replayed, template.params.oracle, geo)
+            standalone = [v for rule_id in sorted(rules.REGISTRY)
+                          for v in rules.evaluate_rule(rule_id, replayed, geo)]
+            assert list(report.violations) == rules._merge(standalone, replayed.timestep_s)
+            assert list(report.collisions) == sim.detect_collisions(replayed)
+
+
+def test_monitor_calls_each_rule_and_collisions_once_through_module_names(monkeypatch):
+    template = load_template("intersection-1")
+    geo = sim.build_geometry(template)
+    trace = sim.simulate(sampling.sample_instance(template, 0), geo)
+    calls = []
+    evaluate_rule, detect_collisions = rules.evaluate_rule, rules.detect_collisions
+
+    def counting_evaluate_rule(rule, view, geometry):
+        calls.append((rule, type(view)))
+        return evaluate_rule(rule, view, geometry)
+
+    def counting_detect_collisions(*args):
+        calls.append(("collisions", type(args[0])))
+        return detect_collisions(*args)
+
+    monkeypatch.setattr(rules, "evaluate_rule", counting_evaluate_rule)
+    monkeypatch.setattr(rules, "detect_collisions", counting_detect_collisions)
+    rules.monitor(trace, template.params.oracle, geo)
+    assert calls == [(rule_id, rules.TraceView) for rule_id in sorted(rules.REGISTRY)] + [
+        ("collisions", sim.Trace)]
+
+
+def test_view_rejects_a_different_geometry():
+    template = load_template("straight-1")
+    geo = sim.build_geometry(template)
+    trace = sim.simulate(sampling.sample_instance(template, 0), geo)
+    view = rules.TraceView(trace, geo)
+    other = sim.build_geometry(load_template("curve"))
+    with pytest.raises(ValueError):
+        rules.evaluate_rule("22350", view, other)
+    with pytest.raises(ValueError):
+        rules.TraceView(trace, other)

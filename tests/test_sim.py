@@ -359,3 +359,72 @@ def test_sat_agrees_with_point_sampling_oracle():
     import random
 
     _sat_vs_sampled(random.Random(1234), 200)
+
+
+def test_rect_corners_match_the_rolled_form_bit_for_bit():
+    import random
+
+    def rolled(x, y, heading, length, width):
+        c, s = math.cos(heading), math.sin(heading)
+        hl, hw = length / 2.0, width / 2.0
+        return tuple((x + c * dx - s * dy, y + s * dx + c * dy)
+                     for dx, dy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw)))
+
+    rng = random.Random(99)
+    for _ in range(20000):
+        args = (rng.uniform(-400, 400), rng.uniform(-400, 400), rng.uniform(-7, 7),
+                rng.choice((4.5, 8.0, rng.uniform(0, 10))), rng.choice((2.0, 2.5, 0.0)))
+        assert repr(sim.rect_corners(*args)) == repr(rolled(*args))
+
+
+def _corner_to_corner_pair(rng):
+    """Two car/truck footprints whose centre distance is within 1 cm of the
+    sum of their circumradii, mostly turned so that a corner of each points
+    at the other (the only way such a pair can touch)."""
+    type_a, type_b = rng.choice(("car", "truck")), rng.choice(("car", "truck"))
+    (la, wa), (lb, wb) = sim.VEHICLE_DIMS[type_a], sim.VEHICLE_DIMS[type_b]
+    ra, rb = math.hypot(la / 2, wa / 2), math.hypot(lb / 2, wb / 2)
+    theta = rng.uniform(-math.pi, math.pi)
+    # offsets at three scales, so that a skip too eager by a few micrometres shows
+    gap = ra + rb + rng.choice((1e-2, 1e-5, 1e-7)) * rng.uniform(-1.0, 1.0)
+    if rng.random() < 0.8:
+        jitter = rng.choice((0.02, 1e-6, 0.0))
+        corner_a = rng.choice((1, -1)) * math.atan2(wa, la) + rng.choice((0.0, math.pi))
+        corner_b = rng.choice((1, -1)) * math.atan2(wb, lb) + rng.choice((0.0, math.pi))
+        heading_a = theta - corner_a + rng.uniform(-jitter, jitter)
+        heading_b = theta + math.pi - corner_b + rng.uniform(-jitter, jitter)
+    else:
+        heading_a, heading_b = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
+    xa, ya = rng.uniform(-300, 300), rng.uniform(-300, 300)
+    a = sim.Footprint(xa, ya, heading_a, la, wa)
+    b = sim.Footprint(xa + gap * math.cos(theta), ya + gap * math.sin(theta), heading_b, lb, wb)
+    return a, b
+
+
+def test_overlap_prefilter_agrees_with_rects_overlap_near_the_radius_sum():
+    import random
+
+    rng = random.Random(2024)
+    verdicts = {True: 0, False: 0}
+    skipped = 0
+    for _ in range(20000):
+        a, b = _corner_to_corner_pair(rng)
+        fast = sim.footprints_overlap(a, b)
+        skipped += a._corners is None
+        exact = sim.rects_overlap(
+            sim.rect_corners(a.x, a.y, a.heading, a.length, a.width),
+            sim.rect_corners(b.x, b.y, b.heading, b.length, b.width))
+        assert fast == exact, (a.x, a.y, a.heading, b.x, b.y, b.heading)
+        verdicts[exact] += 1
+    # both verdicts occur, and far pairs never compute their corners
+    assert verdicts[True] > 100 and verdicts[False] > 100
+    assert skipped > 1000
+
+
+def test_region_footprint_encloses_the_polygon():
+    region = ((-3.5, -3.5), (3.5, -3.5), (3.5, 3.5), (-3.5, 3.5))
+    footprint = sim.Footprint.of_polygon(region)
+    assert (footprint.x, footprint.y) == (0.0, 0.0)
+    assert footprint.radius == pytest.approx(3.5 * math.sqrt(2.0))
+    assert footprint.corners == region
+

@@ -43,6 +43,7 @@ from .sim import (
     ActorState,
     CollisionEvent,
     Footprint,
+    OVERLAP_MARGIN_M,
     RoadGeometry,
     StopLine,
     Trace,
@@ -282,13 +283,21 @@ class TraceView:
             locate = self.geometry.axis.locate
             flags = []
             for footprint in self.footprints[actor_id]:
-                crossed = False
-                for cx, cy in footprint.corners:
-                    lat = locate(cx, cy)[1]
-                    if (direction == 1 and lat > 0) or (direction == -1 and lat < 0):
-                        crossed = True
-                        break
-                flags.append(crossed)
+                # Each corner lies half a width from the front or the rear
+                # centre, and lateral offset from a line or an arc changes no
+                # faster than position.  So when both ends are farther than
+                # that on their own side no corner has crossed, and when one
+                # end is that far across, two corners have.
+                hx = math.cos(footprint.heading) * footprint.length / 2.0
+                hy = math.sin(footprint.heading) * footprint.length / 2.0
+                reach = footprint.width / 2.0 + OVERLAP_MARGIN_M
+                ends = max(direction * locate(footprint.x + hx, footprint.y + hy)[1],
+                           direction * locate(footprint.x - hx, footprint.y - hy)[1])
+                if ends < -reach or ends > reach:
+                    flags.append(ends > reach)
+                else:
+                    flags.append(any(direction * locate(cx, cy)[1] > 0
+                                     for cx, cy in footprint.corners))
             return flags
         return self._cached("divider", actor_id, compute)
 

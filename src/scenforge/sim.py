@@ -18,6 +18,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -471,12 +472,23 @@ class CollisionEvent:
     actor_b: str
 
 
-def _sig6(x: float) -> float:
-    return float(f"{x:.6g}")
+def _sig6_json(x: float) -> str:
+    """`canonical_json(float(f"{x:.6g}"))`: `.6g` text, plus ".0" if it has no point.
+
+    Exponent forms, inf and nan go through the float, so `1e+06` is written
+    "1000000.0" and inf and nan raise ValueError.
+    """
+    text = f"{x:.6g}"
+    if "e" in text or "n" in text:
+        return canonical_json(float(text))
+    return text if "." in text else text + ".0"
 
 
 def trace_to_jsonl(trace: Trace) -> str:
-    """Header line then one frame object per line, 6 significant digits."""
+    """Header line then one frame object per line, 6 significant digits.
+
+    Frame lines are written as text with sorted keys, as `canonical_json` would.
+    """
     header = {
         "actor_types": trace.actor_types,
         "geometry_ref": trace.geometry_ref,
@@ -486,17 +498,19 @@ def trace_to_jsonl(trace: Trace) -> str:
         "timestep_s": trace.timestep_s,
     }
     lines = [canonical_json(header)]
+    string = functools.cache(canonical_json)  # each id, lane, approach and state once
+    num = _sig6_json
+    signal_arrays: dict[tuple[tuple[str, str], ...], str] = {}
     for frame in trace.frames:
-        lines.append(canonical_json({
-            "t": _sig6(frame.t),
-            "actors": [
-                {"id": a.actor_id, "x": _sig6(a.x), "y": _sig6(a.y),
-                 "heading": _sig6(a.heading), "speed": _sig6(a.speed),
-                 "lane": a.lane_id, "lat": _sig6(a.lateral)}
-                for a in frame.actors
-            ],
-            "signals": [{"approach": ap, "state": st} for ap, st in frame.signals],
-        }))
+        signals = signal_arrays.get(frame.signals)
+        if signals is None:
+            signals = signal_arrays[frame.signals] = "[" + ",".join(
+                f'{{"approach":{string(ap)},"state":{string(st)}}}' for ap, st in frame.signals) + "]"
+        actors = ",".join(
+            f'{{"heading":{num(a.heading)},"id":{string(a.actor_id)},"lane":{string(a.lane_id)},'
+            f'"lat":{num(a.lateral)},"speed":{num(a.speed)},"x":{num(a.x)},"y":{num(a.y)}}}'
+            for a in frame.actors)
+        lines.append(f'{{"actors":[{actors}],"signals":{signals},"t":{num(frame.t)}}}')
     return "\n".join(lines) + "\n"
 
 
@@ -709,14 +723,20 @@ def _junction_adversary_path(geometry: RoadGeometry, behavior: str) -> tuple[Seg
     return canonical
 
 
-def _locate_lane(geometry: RoadGeometry, x: float, y: float) -> tuple[str, float]:
+def _lane_table(geometry: RoadGeometry) -> tuple[tuple[str, tuple[Segment, ...], float], ...]:
+    """(lane id, path, largest arc length still on the lane) per lane."""
+    return tuple((lane.lane_id, lane.path, path_length(lane.path) + 5.0) for lane in geometry.lanes)
+
+
+def _locate_lane(lanes: tuple[tuple[str, tuple[Segment, ...], float], ...], x: float, y: float
+                 ) -> tuple[str, float]:
     best_id, best_lat = "", math.inf
-    for lane in geometry.lanes:
-        s, lat = lane.path[0].locate(x, y) if len(lane.path) == 1 else _locate_multi(lane.path, x, y)
-        if -5.0 <= s <= path_length(lane.path) + 5.0 and abs(lat) < abs(best_lat):
-            best_id, best_lat = lane.lane_id, lat
+    for lane_id, path, s_max in lanes:
+        s, lat = path[0].locate(x, y) if len(path) == 1 else _locate_multi(path, x, y)
+        if -5.0 <= s <= s_max and abs(lat) < abs(best_lat):
+            best_id, best_lat = lane_id, lat
     if best_id == "":
-        best_id, best_lat = geometry.lanes[0].lane_id, 0.0
+        best_id, best_lat = lanes[0][0], 0.0
     return best_id, best_lat
 
 
@@ -850,6 +870,7 @@ def simulate(instance: ScenarioInstance, geometry: RoadGeometry) -> Trace:
     movers = _build_movers(instance, geometry)
     dims = {m.actor_id: VEHICLE_DIMS[m.actor_type] for m in movers}
     actor_types = {m.actor_id: m.actor_type for m in movers}
+    lanes = _lane_table(geometry)
 
     frames: list[Frame] = []
     total_frames = int(HORIZON_S / TIMESTEP_S) + 1
@@ -876,7 +897,7 @@ def simulate(instance: ScenarioInstance, geometry: RoadGeometry) -> Trace:
         states = []
         for m in movers:
             x, y, heading = m.state()
-            lane_id, lateral = _locate_lane(geometry, x, y)
+            lane_id, lateral = _locate_lane(lanes, x, y)
             states.append(ActorState(m.actor_id, x, y, heading, m.speed, lane_id, lateral))
         signals = tuple((leg, sched.state(t)) for leg, sched in geometry.signal_heads)
         frames.append(Frame(t=t, actors=tuple(states), signals=signals))

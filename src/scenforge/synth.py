@@ -314,8 +314,8 @@ def build_template(normalized: NormalizedSpec) -> ScenarioTemplate:
     relation: opposite_direction on a straight or curve is a head-on,
     same_direction a car-following, from_left/from_right on a junction a
     junction conflict entering on that leg.  Incompatible pairs (for
-    example from_left on a straight road) raise
-    :class:`CompatibilityError` naming both tokens.
+    example from_left on a straight road, or opposite_direction on a
+    one-way road) raise :class:`CompatibilityError` naming both tokens.
     """
     spec = normalized.spec
     road = spec.road_network
@@ -344,6 +344,10 @@ def build_template(normalized: NormalizedSpec) -> ScenarioTemplate:
                     f"heading relation {heading!r} is incompatible with road type {road.road_type!r}")
         else:
             if heading == "opposite_direction":
+                if road.number_of_ways != 2:
+                    raise CompatibilityError(
+                        f"heading relation 'opposite_direction' needs number_of_ways = 2 "
+                        f"on road type {road.road_type!r}, got {road.number_of_ways}")
                 configuration = "head_on"
             elif heading == "same_direction":
                 configuration = "car_following"

@@ -32,11 +32,12 @@ def make_trace(geometry: sim.RoadGeometry, actor_types: dict[str, str],
                scenario_id: str = "synthetic", seed: int = 0) -> sim.Trace:
     """Build a trace from per-frame (actor_id, x, y, heading, speed) tuples."""
     frames = []
+    lanes = sim._lane_table(geometry)
     for k, row in enumerate(rows):
         t = round(k * sim.TIMESTEP_S, 9)
         actors = []
         for actor_id, x, y, heading, speed in row:
-            lane_id, lateral = sim._locate_lane(geometry, x, y)
+            lane_id, lateral = sim._locate_lane(lanes, x, y)
             actors.append(sim.ActorState(actor_id, x, y, heading, speed, lane_id, lateral))
         signals = tuple((leg, sched.state(t)) for leg, sched in geometry.signal_heads)
         frames.append(sim.Frame(t=t, actors=tuple(actors), signals=signals))
@@ -452,3 +453,47 @@ def test_view_rejects_a_different_geometry():
         rules.evaluate_rule("22350", view, other)
     with pytest.raises(ValueError):
         rules.TraceView(trace, other)
+
+
+def _all_corner_divider_flags(view: rules.TraceView, actor_id: str) -> list[bool]:
+    """Divider flags with every corner of every footprint located."""
+    direction = view.travel_direction(actor_id)
+    locate = view.geometry.axis.locate
+    return [any(direction * locate(cx, cy)[1] > 0 for cx, cy in footprint.corners)
+            for footprint in view.footprints[actor_id]]
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_RULE_COUNTS) + list(MULTI_ACTOR_DOCUMENTS))
+def test_divider_flags_match_the_all_corners_computation(name):
+    template = load_document_template(name)
+    geo = sim.build_geometry(template)
+    if geo.axis is None:
+        assert template.params.topology in ("intersection", "t_intersection")
+        return
+    for seed in range(10):
+        view = rules.TraceView(sim.simulate(sampling.sample_instance(template, seed), geo), geo)
+        for actor_id in view.actor_ids:
+            assert view.divider_flags(actor_id) == _all_corner_divider_flags(view, actor_id)
+
+
+def test_divider_flags_at_the_edges_of_the_far_skips():
+    """Footprints 1e-7 m on either side of each skip bound and of the divider itself."""
+    geo = sim.build_geometry(load_template("straight-1"))
+    half_width = sim.VEHICLE_DIMS["car"][1] / 2.0
+    reach = half_width + sim.OVERLAP_MARGIN_M
+    # lateral offset of the centre, across the divider counted positive
+    offsets = (-reach - 1e-7,       # both ends far on their own side: skipped
+               -reach + 1e-7,       # inside the margin: corners located
+               -half_width - 1e-7,  # a corner 1e-7 m short of the divider
+               -half_width + 1e-7,  # a corner 1e-7 m across
+               reach - 1e-7,        # inside the margin: corners located
+               reach + 1e-7)        # an end far across: skipped
+    # the ego drives with the road axis (y = 0), the npc against it
+    rows = [[("ego", 50.0, d, 0.0, 10.0), ("npc_1", 150.0, -d, math.pi, 10.0)]
+            for d in offsets]
+    view = rules.TraceView(make_trace(geo, {"ego": "car", "npc_1": "car"}, rows), geo)
+    assert view.travel_direction("ego") == 1 and view.travel_direction("npc_1") == -1
+    expected = [False, False, False, True, True, True]
+    for actor_id in ("ego", "npc_1"):
+        assert view.divider_flags(actor_id) == expected
+        assert _all_corner_divider_flags(view, actor_id) == expected

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenforge import dsl, normalize, sampling, sim, synth
+from scenforge.digests import canonical_json
 
 from .conftest import load_spec, load_template
 
@@ -228,6 +232,98 @@ def test_trace_jsonl_round_trip():
     assert loaded.instance_seed == trace.instance_seed
     assert len(loaded.frames) == len(trace.frames)
     assert sim.trace_to_jsonl(loaded) == text
+
+
+def _reference_sig6(x: float) -> float:
+    return float(f"{x:.6g}")
+
+
+def _reference_trace_to_jsonl(trace: sim.Trace) -> str:
+    """The dict-per-frame writer that `sim.trace_to_jsonl` replaced."""
+    header = {
+        "actor_types": trace.actor_types,
+        "geometry_ref": trace.geometry_ref,
+        "horizon_s": trace.horizon_s,
+        "instance_seed": trace.instance_seed,
+        "scenario_id": trace.scenario_id,
+        "timestep_s": trace.timestep_s,
+    }
+    lines = [canonical_json(header)]
+    for frame in trace.frames:
+        lines.append(canonical_json({
+            "t": _reference_sig6(frame.t),
+            "actors": [
+                {"id": a.actor_id, "x": _reference_sig6(a.x), "y": _reference_sig6(a.y),
+                 "heading": _reference_sig6(a.heading), "speed": _reference_sig6(a.speed),
+                 "lane": a.lane_id, "lat": _reference_sig6(a.lateral)}
+                for a in frame.actors
+            ],
+            "signals": [{"approach": ap, "state": st} for ap, st in frame.signals],
+        }))
+    return "\n".join(lines) + "\n"
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False) | st.integers())
+@settings(max_examples=2000, deadline=None)
+def test_sig6_json_matches_the_reference_formatter(x):
+    assert sim._sig6_json(x) == canonical_json(_reference_sig6(x))
+
+
+@pytest.mark.parametrize("x", [
+    -0.0, 0.0, 20.0, -20.0, 999999.5, -999999.5, 1e16, -1e16, 1e-4, -1e-4,
+    1.5e-05, -1.5e-05, 5e-324, -5e-324, 123456.7, 0.000123456, 100000.0, 1e300])
+def test_sig6_json_matches_the_reference_formatter_at_edges(x):
+    assert sim._sig6_json(x) == canonical_json(_reference_sig6(x))
+
+
+def test_sig6_json_keeps_the_sign_of_zero_and_writes_rounded_exponents_in_full():
+    assert sim._sig6_json(-0.0) == "-0.0"
+    assert sim._sig6_json(0.0) == "0.0"
+    assert sim._sig6_json(999999.5) == "1000000.0"
+    assert sim._sig6_json(1.5e-05) == "1.5e-05"
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_sig6_json_rejects_non_finite_values(x):
+    with pytest.raises(ValueError):
+        sim._sig6_json(x)
+
+
+def test_trace_writer_matches_the_reference_writer_on_escaped_ids():
+    template = load_template("straight-2")
+    geo = sim.build_geometry(template)
+    trace = sim.simulate(sampling.sample_instance(template, 5), geo)
+    renames = {actor_id: f'{actor_id}"\\\u00e9\u2028' for actor_id in trace.actor_types}
+    frames = tuple(
+        sim.Frame(frame.t, tuple(
+            sim.ActorState(renames[a.actor_id], a.x, -0.0 if k == 0 else a.y, a.heading,
+                           a.speed, f'{a.lane_id}\t"\u00fc', a.lateral)
+            for a in frame.actors), frame.signals)
+        for k, frame in enumerate(trace.frames))
+    escaped = sim.Trace(trace.scenario_id, trace.instance_seed, trace.timestep_s,
+                        trace.horizon_s, trace.geometry_ref,
+                        {renames[a]: kind for a, kind in trace.actor_types.items()}, frames)
+    text = sim.trace_to_jsonl(escaped)
+    assert '\\"' in text and "\\u00e9" in text and '"y":-0.0' in text
+    assert text == _reference_trace_to_jsonl(escaped)
+
+
+def test_trace_writer_matches_the_reference_writer_with_signals():
+    template = load_template("intersection-1")
+    geo = sim.build_geometry(template)
+    assert geo.signal_heads
+    for seed in range(3):
+        trace = sim.simulate(sampling.sample_instance(template, seed), geo)
+        assert sim.trace_to_jsonl(trace) == _reference_trace_to_jsonl(trace)
+    # signal states that change between frames, one of them seen twice
+    cycle = [tuple((leg, sched.state(t)) for leg, sched in geo.signal_heads)
+             for t in (0.0, 13.0, 20.0)]
+    cycle.append(cycle[0])
+    assert len(set(cycle)) > 1
+    switching = dataclasses.replace(trace, frames=tuple(
+        dataclasses.replace(frame, signals=cycle[k % len(cycle)])
+        for k, frame in enumerate(trace.frames)))
+    assert sim.trace_to_jsonl(switching) == _reference_trace_to_jsonl(switching)
 
 
 def _mirrored_specs(road_type: str):

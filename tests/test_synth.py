@@ -124,6 +124,18 @@ def test_build_template_incompatible_pair():
     assert "straight" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("name", ["straight-1", "curve"])
+def test_build_template_rejects_head_on_on_a_one_way_road(name):
+    spec = load_spec(name)
+    assert spec.actors.npcs[0].position.heading_relation == "opposite_direction"
+    one_way = replace(spec, road_network=replace(spec.road_network, number_of_ways=1))
+    assert dsl.validate_spec(one_way) == []
+    with pytest.raises(CompatibilityError) as excinfo:
+        build_template(normalize.apply_defaults(one_way, 0))
+    assert "opposite_direction" in str(excinfo.value)
+    assert "number_of_ways" in str(excinfo.value)
+
+
 def test_template_free_parameters():
     template = load_template("straight-1")
     assert {r.name for r in template.free_parameters} == set(synth.FREE_PARAMETER_NAMES)

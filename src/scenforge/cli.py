@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import dsl, evaluate, extract, normalize, rules, sampling, sim, synth
+from .digests import from_data, to_data
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -94,14 +95,21 @@ def _document_from_input(path: Path, config: PipelineConfig) -> str:
     return dsl.serialize_dsl(spec)
 
 
-def _simulate_one(template_data: dict, seed: int) -> tuple[str, rules.ViolationReport]:
+def _run_instance(template: synth.ScenarioTemplate, geometry: sim.RoadGeometry,
+                  instance: sampling.ScenarioInstance) -> tuple[str, rules.ViolationReport]:
+    """(trace jsonl, report) for one instance; a failure names the seed."""
+    try:
+        trace = sim.simulate(instance, geometry)
+        report = rules.monitor(trace, template.params.oracle, geometry)
+        return sim.trace_to_jsonl(trace), report
+    except Exception as exc:
+        raise RuntimeError(f"seed {instance.instance_seed}: {exc}") from exc
+
+
+def _simulate_one(template: synth.ScenarioTemplate, seed: int) -> tuple[str, rules.ViolationReport]:
     """Worker entry: returns (trace jsonl, report) for one seed."""
-    template = synth.ScenarioTemplate.from_dict(template_data)
-    geometry = sim.build_geometry(template)
-    instance = sampling.sample_instance(template, seed)
-    trace = sim.simulate(instance, geometry)
-    report = rules.monitor(trace, template.params.oracle, geometry)
-    return sim.trace_to_jsonl(trace), report
+    return _run_instance(template, sim.build_geometry(template),
+                         sampling.sample_instance(template, seed))
 
 
 def run_pipeline(config: PipelineConfig) -> int:
@@ -124,7 +132,7 @@ def run_pipeline(config: PipelineConfig) -> int:
             program = synth.render_scenic(template)
             _atomic_write(scenario_dir / f"{scenario_id}.scenic", program.file_text())
             _atomic_write(scenario_dir / f"{scenario_id}.template.json",
-                          json.dumps(template.to_dict(), indent=2, sort_keys=True) + "\n")
+                          json.dumps(to_data(template), indent=2, sort_keys=True) + "\n")
             _atomic_write(scenario_dir / f"{scenario_id}.normalized.yaml", normalized.serialize())
             _atomic_write(scenario_dir / f"{scenario_id}.provenance.json",
                           json.dumps(normalized.provenance, indent=2, sort_keys=True) + "\n")
@@ -134,17 +142,12 @@ def run_pipeline(config: PipelineConfig) -> int:
 
             seeds = [inst.instance_seed for inst in instances]
             if config.workers > 1:
-                template_data = template.to_dict()
                 with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                    results = list(pool.map(_simulate_one, [template_data] * len(seeds), seeds,
+                    results = list(pool.map(_simulate_one, [template] * len(seeds), seeds,
                                             chunksize=64))
             else:
                 geometry = sim.build_geometry(template)
-                results = []
-                for inst in instances:
-                    trace = sim.simulate(inst, geometry)
-                    report = rules.monitor(trace, template.params.oracle, geometry)
-                    results.append((sim.trace_to_jsonl(trace), report))
+                results = [_run_instance(template, geometry, inst) for inst in instances]
 
             for seed, (trace_text, report) in zip(seeds, results):
                 _atomic_write(scenario_dir / "traces" / f"trace_{seed:05d}.jsonl", trace_text)
@@ -161,23 +164,6 @@ def run_pipeline(config: PipelineConfig) -> int:
             print(f"error: {line}", file=sys.stderr)
         return EXIT_PARTIAL
     return EXIT_OK
-
-
-def _report_from_json(text: str) -> rules.ViolationReport:
-    raw = json.loads(text)
-    return rules.ViolationReport(
-        scenario_id=raw["scenario_id"],
-        instance_seed=raw["instance_seed"],
-        violations=tuple(
-            rules.Violation(v["rule_id"], v["actor_id"], v["t_start"], v["t_end"], v["evidence"])
-            for v in raw["violations"]
-        ),
-        collisions=tuple(
-            sim.CollisionEvent(c["t"], c["actor_a"], c["actor_b"]) for c in raw["collisions"]
-        ),
-        outcome=raw["outcome"],
-        targeted_hit=raw["targeted_hit"],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +234,13 @@ def _cmd_synth(args) -> int:
         out_dir = Path(args.out or Path(path).parent)
         _atomic_write(out_dir / f"{scenario_id}.scenic", program.file_text())
         _atomic_write(out_dir / f"{scenario_id}.template.json",
-                      json.dumps(template.to_dict(), indent=2, sort_keys=True) + "\n")
+                      json.dumps(to_data(template), indent=2, sort_keys=True) + "\n")
         print(f"{path}: synthesized -> {scenario_id}.scenic")
     return status
 
 
 def _load_template(path: str) -> synth.ScenarioTemplate:
-    return synth.ScenarioTemplate.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return from_data(synth.ScenarioTemplate, json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def _cmd_sample(args) -> int:
@@ -343,11 +329,8 @@ def _cmd_eval_accuracy(args) -> int:
 
 
 def _cmd_eval_kappa(args) -> int:
-    raw = json.loads(Path(args.matrix).read_text(encoding="utf-8"))
-    matrix = evaluate.RatingsMatrix(
-        ratings=tuple(tuple(int(v) for v in row) for row in raw["ratings"]),
-        categories=tuple(raw["categories"]),
-    )
+    matrix = from_data(evaluate.RatingsMatrix,
+                       json.loads(Path(args.matrix).read_text(encoding="utf-8")))
     kappa, band = evaluate.fleiss_kappa(matrix)
     print(f"kappa: {kappa:.6f} ({band})")
     return EXIT_OK
@@ -358,7 +341,8 @@ def _cmd_eval_counts(args) -> int:
                 json.loads(Path(args.expected).read_text(encoding="utf-8")).items()}
     grouped: dict[str, list[rules.ViolationReport]] = {}
     for report_path in sorted(Path(args.reports_dir).rglob("report_*.json")):
-        report = _report_from_json(report_path.read_text(encoding="utf-8"))
+        report = from_data(rules.ViolationReport,
+                           json.loads(report_path.read_text(encoding="utf-8")))
         grouped.setdefault(report.scenario_id, []).append(report)
     table = evaluate.compare_violation_counts(grouped, expected)
     csv_text = table.to_csv()

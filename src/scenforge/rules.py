@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .digests import canonical_json
+from .digests import canonical_json, to_data
 from .dsl import KNOWN_RULE_IDS, OracleEntry
 from .sim import (
     ActorState,
@@ -95,25 +95,8 @@ class ViolationReport:
     def distinct_rules(self) -> tuple[str, ...]:
         return tuple(sorted({v.rule_id for v in self.violations}))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "scenario_id": self.scenario_id,
-            "instance_seed": self.instance_seed,
-            "outcome": self.outcome,
-            "targeted_hit": self.targeted_hit,
-            "violations": [
-                {"rule_id": v.rule_id, "actor_id": v.actor_id,
-                 "t_start": v.t_start, "t_end": v.t_end, "evidence": v.evidence}
-                for v in self.violations
-            ],
-            "collisions": [
-                {"t": c.t, "actor_a": c.actor_a, "actor_b": c.actor_b}
-                for c in self.collisions
-            ],
-        }
-
     def to_json(self) -> str:
-        return canonical_json(self.to_dict())
+        return canonical_json(to_data(self))
 
 
 REGISTRY: dict[str, RuleSpec] = {

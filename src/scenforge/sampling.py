@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Iterable
 
 from . import prng
-from .digests import canonical_json
+from .digests import canonical_json, from_data, to_data
 from .synth import ScenarioTemplate
 
 DEFAULT_BATCH_SIZE = 2000
@@ -26,23 +26,6 @@ class ScenarioInstance:
     instance_seed: int
     bindings: dict[str, float]
     fixed: dict[str, float]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "template_digest": self.template_digest,
-            "instance_seed": self.instance_seed,
-            "bindings": dict(self.bindings),
-            "fixed": dict(self.fixed),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ScenarioInstance":
-        return cls(
-            template_digest=data["template_digest"],
-            instance_seed=int(data["instance_seed"]),
-            bindings={k: float(v) for k, v in data["bindings"].items()},
-            fixed={k: float(v) for k, v in data["fixed"].items()},
-        )
 
 
 def sample_instance(template: ScenarioTemplate, seed: int) -> ScenarioInstance:
@@ -69,7 +52,7 @@ def sample_batch(template: ScenarioTemplate, n: int = DEFAULT_BATCH_SIZE,
 
 def write_manifest(instances: Iterable[ScenarioInstance]) -> str:
     """One canonical-JSON instance per line."""
-    return "".join(canonical_json(inst.to_dict()) + "\n" for inst in instances)
+    return "".join(canonical_json(to_data(inst)) + "\n" for inst in instances)
 
 
 def read_manifest(text: str) -> list[ScenarioInstance]:
@@ -77,5 +60,5 @@ def read_manifest(text: str) -> list[ScenarioInstance]:
     for line in text.splitlines():
         line = line.strip()
         if line:
-            instances.append(ScenarioInstance.from_dict(json.loads(line)))
+            instances.append(from_data(ScenarioInstance, json.loads(line)))
     return instances

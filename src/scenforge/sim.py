@@ -21,10 +21,10 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
-from .digests import canonical_json, digest64_json
+from .digests import canonical_json, digest64_json, to_data
 from .sampling import ScenarioInstance
 from .synth import ScenarioTemplate, TemplateParams
 
@@ -72,6 +72,7 @@ class LineSeg:
     dx: float  # unit direction
     dy: float
     length: float
+    kind: str = field(default="line", init=False, repr=False)
 
     def point(self, s: float, lat: float) -> tuple[float, float, float]:
         # left normal of (dx, dy) is (-dy, dx)
@@ -85,10 +86,6 @@ class LineSeg:
         px, py = x - self.x0, y - self.y0
         return px * self.dx + py * self.dy, -px * self.dy + py * self.dx
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": "line", "x0": self.x0, "y0": self.y0,
-                "dx": self.dx, "dy": self.dy, "length": self.length}
-
 
 @dataclass(frozen=True)
 class ArcSeg:
@@ -98,6 +95,7 @@ class ArcSeg:
     a0: float     # start angle
     sweep: float  # signed; positive = counterclockwise
     length: float
+    kind: str = field(default="arc", init=False, repr=False)
 
     @property
     def sign(self) -> float:
@@ -117,10 +115,6 @@ class ArcSeg:
         delta = math.remainder(ang - self.a0, TWO_PI) * self.sign
         dist = math.hypot(x - self.cx, y - self.cy)
         return delta * self.radius, self.sign * (self.radius - dist)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": "arc", "cx": self.cx, "cy": self.cy, "radius": self.radius,
-                "a0": self.a0, "sweep": self.sweep, "length": self.length}
 
 
 Segment = LineSeg | ArcSeg
@@ -246,10 +240,6 @@ class SignalSchedule:
             return "yellow"
         return "red"
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"cycle_s": self.cycle_s, "green_s": self.green_s,
-                "yellow_s": self.yellow_s, "offset_s": self.offset_s}
-
 
 @dataclass(frozen=True)
 class Lane:
@@ -260,11 +250,6 @@ class Lane:
     width: float = LANE_WIDTH
     approach: str | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"lane_id": self.lane_id, "direction": self.direction,
-                "marker": self.marker, "width": self.width, "approach": self.approach,
-                "path": [seg.to_dict() for seg in self.path]}
-
 
 @dataclass(frozen=True)
 class StopLine:
@@ -274,10 +259,6 @@ class StopLine:
     lo: float        # segment extent on the other axis
     hi: float
     inbound: int     # travel sign along `axis` that counts as crossing inward
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"approach": self.approach, "axis": self.axis, "coord": self.coord,
-                "lo": self.lo, "hi": self.hi, "inbound": self.inbound}
 
 
 @dataclass(frozen=True)
@@ -293,23 +274,12 @@ class RoadGeometry:
     template_digest: str
     scenario: TemplateParams
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "town": self.town,
-            "topology": self.topology,
-            "lanes": [lane.to_dict() for lane in self.lanes],
-            "stop_lines": [sl.to_dict() for sl in self.stop_lines],
-            "signal_heads": [[a, s.to_dict()] for a, s in self.signal_heads],
-            "conflict_region": [list(p) for p in self.conflict_region] if self.conflict_region else None,
-            "speed_limit": self.speed_limit,
-            "axis": self.axis.to_dict() if self.axis else None,
-            "template_digest": self.template_digest,
-        }
-
     def digest(self) -> str:
         cached = self.__dict__.get("_digest")
         if cached is None:
-            cached = digest64_json(self.to_dict())
+            data = to_data(self)
+            del data["scenario"]  # the template digest already covers it
+            cached = digest64_json(data)
             object.__setattr__(self, "_digest", cached)
         return cached
 

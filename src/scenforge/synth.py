@@ -12,9 +12,8 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Any
 
-from .digests import digest64_json, digest64_text
+from .digests import digest64_json, digest64_text, to_data
 from .dsl import OracleEntry
 from .normalize import DEFAULT_SPEED_MPS, NormalizedSpec
 
@@ -60,13 +59,6 @@ class ParamRange:
             raise ValueError(f"{self.name}: low {self.low} > high {self.high}")
         if self.unit in ("m/s", "m") and self.low < 0:
             raise ValueError(f"{self.name}: negative {self.unit} range")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"name": self.name, "low": self.low, "high": self.high, "unit": self.unit}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ParamRange":
-        return cls(data["name"], float(data["low"]), float(data["high"]), data["unit"])
 
 
 @dataclass(frozen=True)
@@ -131,106 +123,9 @@ class ScenarioTemplate:
     def digest(self) -> str:
         cached = self.__dict__.get("_digest")
         if cached is None:
-            cached = digest64_json(self.to_dict())
+            cached = digest64_json(to_data(self))
             object.__setattr__(self, "_digest", cached)
         return cached
-
-    def to_dict(self) -> dict[str, Any]:
-        p = self.params
-        return {
-            "params": {
-                "scenario_id": p.scenario_id,
-                "ego_id": p.ego_id,
-                "town": p.town,
-                "time_hour": p.time_hour,
-                "weather_preset": p.weather_preset,
-                "topology": p.topology,
-                "configuration": p.configuration,
-                "approach": p.approach,
-                "number_of_ways": p.number_of_ways,
-                "lanes": p.lanes,
-                "marker": p.marker,
-                "signs": list(p.signs),
-                "speed_limit_mps": p.speed_limit_mps,
-                "ego_model": p.ego_model,
-                "ego_behavior": p.ego_behavior,
-                "ego_speed": p.ego_speed.to_dict(),
-                "npc_speed": p.npc_speed.to_dict(),
-                "ego_init_dist": p.ego_init_dist.to_dict(),
-                "npc_init_dist": p.npc_init_dist.to_dict(),
-                "npcs": [
-                    {
-                        "actor_id": n.actor_id,
-                        "actor_type": n.actor_type,
-                        "behavior": n.behavior,
-                        "model_id": n.model_id,
-                        "spatial_relation": n.spatial_relation,
-                        "heading_relation": n.heading_relation,
-                        "speed_mps": n.speed_mps,
-                        "adversary": n.adversary,
-                    }
-                    for n in p.npcs
-                ],
-                "oracle": [
-                    {
-                        "rule_id": o.rule_id,
-                        "violation_type": o.violation_type,
-                        "description": o.description,
-                        "violating_actor": o.violating_actor,
-                    }
-                    for o in p.oracle
-                ],
-            },
-            "free_parameters": [r.to_dict() for r in self.free_parameters],
-            "fixed_parameters": dict(self.fixed_parameters),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ScenarioTemplate":
-        raw = data["params"]
-        params = TemplateParams(
-            scenario_id=raw["scenario_id"],
-            ego_id=raw["ego_id"],
-            town=raw["town"],
-            time_hour=int(raw["time_hour"]),
-            weather_preset=raw["weather_preset"],
-            topology=raw["topology"],
-            configuration=raw["configuration"],
-            approach=raw.get("approach"),
-            number_of_ways=int(raw["number_of_ways"]),
-            lanes=int(raw["lanes"]),
-            marker=raw["marker"],
-            signs=tuple(raw["signs"]),
-            speed_limit_mps=raw.get("speed_limit_mps"),
-            ego_model=raw["ego_model"],
-            ego_behavior=raw["ego_behavior"],
-            ego_speed=ParamRange.from_dict(raw["ego_speed"]),
-            npc_speed=ParamRange.from_dict(raw["npc_speed"]),
-            ego_init_dist=ParamRange.from_dict(raw["ego_init_dist"]),
-            npc_init_dist=ParamRange.from_dict(raw["npc_init_dist"]),
-            npcs=tuple(
-                NpcParams(
-                    actor_id=n["actor_id"],
-                    actor_type=n["actor_type"],
-                    behavior=n["behavior"],
-                    model_id=n["model_id"],
-                    spatial_relation=n["spatial_relation"],
-                    heading_relation=n["heading_relation"],
-                    speed_mps=float(n["speed_mps"]),
-                    adversary=bool(n["adversary"]),
-                )
-                for n in raw["npcs"]
-            ),
-            oracle=tuple(
-                OracleEntry(o["rule_id"], o["violation_type"], o["description"], o["violating_actor"])
-                for o in raw["oracle"]
-            ),
-        )
-        return cls(
-            params=params,
-            free_parameters=tuple(ParamRange.from_dict(r) for r in data["free_parameters"]),
-            fixed_parameters={k: float(v) for k, v in data["fixed_parameters"].items()},
-        )
 
 
 @dataclass(frozen=True)
@@ -314,8 +209,9 @@ def build_template(normalized: NormalizedSpec) -> ScenarioTemplate:
     relation: opposite_direction on a straight or curve is a head-on,
     same_direction a car-following, from_left/from_right on a junction a
     junction conflict entering on that leg.  Incompatible pairs (for
-    example from_left on a straight road, or opposite_direction on a
-    one-way road) raise :class:`CompatibilityError` naming both tokens.
+    example from_left on a straight road, opposite_direction on a one-way
+    road, or a turn_right adversary on a 4-way intersection) raise
+    :class:`CompatibilityError` naming both tokens.
     """
     spec = normalized.spec
     road = spec.road_network
@@ -342,6 +238,11 @@ def build_template(normalized: NormalizedSpec) -> ScenarioTemplate:
             else:
                 raise CompatibilityError(
                     f"heading relation {heading!r} is incompatible with road type {road.road_type!r}")
+            if road.road_type == "intersection" and adversary.behavior == "turn_right":
+                # a right turn from the crossing leg stays clear of the ego's lane
+                raise CompatibilityError(
+                    "adversary behavior 'turn_right' never crosses the ego path "
+                    "on road type 'intersection'")
         else:
             if heading == "opposite_direction":
                 if road.number_of_ways != 2:

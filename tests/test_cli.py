@@ -4,7 +4,8 @@ import hashlib
 import json
 from pathlib import Path
 
-from scenforge import cli, rules
+from scenforge import cli, rules, sim
+from scenforge.digests import from_data
 
 from .conftest import FIXTURES
 
@@ -176,10 +177,26 @@ def test_summary_matches_the_written_reports(tmp_path):
         out = tmp_path / workers
         assert cli.main(["pipeline", str(STRAIGHT1), str(CURVE), "--out", str(out),
                          "--samples", "6", "--workers", workers]) == cli.EXIT_OK
-        written = [cli._report_from_json(path.read_text(encoding="utf-8"))
+        written = [from_data(rules.ViolationReport, json.loads(path.read_text(encoding="utf-8")))
                    for path in sorted(out.rglob("report_*.json"))]
         assert len(written) == 12
         assert (out / "summary.csv").read_text(encoding="utf-8") == rules.summary_csv(written)
+
+
+def test_a_failing_seed_is_named_in_failures(tmp_path, monkeypatch):
+    simulate = sim.simulate
+
+    def fail_on_seed_3(instance, geometry):
+        if instance.instance_seed == 3:
+            raise ValueError("boom")
+        return simulate(instance, geometry)
+
+    monkeypatch.setattr(sim, "simulate", fail_on_seed_3)
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert cli.main(["pipeline", str(STRAIGHT1), "--out", str(out),
+                         "--samples", "6", "--workers", workers]) == cli.EXIT_PARTIAL
+        assert (out / "failures.txt").read_text(encoding="utf-8") == f"{STRAIGHT1}: seed 3: boom\n"
 
 
 def test_unknown_flag_is_config_error():

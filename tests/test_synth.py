@@ -5,7 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from scenforge import dsl, normalize, synth
+from scenforge import dsl, normalize, rules, sampling, sim, synth
+from scenforge.digests import from_data, to_data
 from scenforge.synth import (
     CompatibilityError,
     ParamRange,
@@ -136,6 +137,39 @@ def test_build_template_rejects_head_on_on_a_one_way_road(name):
     assert "number_of_ways" in str(excinfo.value)
 
 
+def _junction_variant(name: str, behavior: str, heading: str) -> dsl.ScenarioSpec:
+    spec = load_spec(name)
+    npcs = tuple(replace(n, behavior=behavior, position=replace(n.position, heading_relation=heading))
+                 for n in spec.actors.npcs)
+    variant = replace(spec, actors=replace(spec.actors, npcs=npcs))
+    assert dsl.validate_spec(variant) == []
+    return variant
+
+
+@pytest.mark.parametrize("name", ["intersection-1", "intersection-2"])
+@pytest.mark.parametrize("heading", ["from_left", "from_right"])
+def test_build_template_rejects_turn_right_on_a_four_way_intersection(name, heading):
+    with pytest.raises(CompatibilityError) as excinfo:
+        build_template(normalize.apply_defaults(_junction_variant(name, "turn_right", heading), 0))
+    assert "turn_right" in str(excinfo.value)
+    assert "intersection" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("name", ["intersection-1", "intersection-2", "t-intersection"])
+def test_every_synthesizable_junction_behavior_simulates(name):
+    for behavior in dsl.BEHAVIOR_TOKENS:
+        for heading in ("from_left", "from_right"):
+            try:
+                template = build_template(
+                    normalize.apply_defaults(_junction_variant(name, behavior, heading), 0))
+            except CompatibilityError:
+                assert behavior == "turn_right" and name != "t-intersection"
+                continue
+            geometry = sim.build_geometry(template)
+            trace = sim.simulate(sampling.sample_instance(template, 0), geometry)
+            rules.monitor(trace, template.params.oracle, geometry)
+
+
 def test_template_free_parameters():
     template = load_template("straight-1")
     assert {r.name for r in template.free_parameters} == set(synth.FREE_PARAMETER_NAMES)
@@ -144,9 +178,9 @@ def test_template_free_parameters():
 
 def test_template_json_round_trip():
     template = load_template("intersection-2")
-    data = json.loads(json.dumps(template.to_dict()))
-    assert synth.ScenarioTemplate.from_dict(data) == template
-    assert synth.ScenarioTemplate.from_dict(data).digest() == template.digest()
+    data = json.loads(json.dumps(to_data(template)))
+    assert from_data(synth.ScenarioTemplate, data) == template
+    assert from_data(synth.ScenarioTemplate, data).digest() == template.digest()
 
 
 def test_template_invariant_rejects_bad_configuration():

@@ -9,9 +9,10 @@ schema or comes back as a precise issue list.
 ``parse_dsl`` returns either a fully populated :class:`ScenarioSpec` or the
 complete list of :class:`ValidationIssue` (never just the first problem).
 ``validate_spec`` covers the cross-field invariants that a structurally
-well-formed document can still break.  ``serialize_dsl`` emits the one
-canonical text form, so ``parse_dsl(serialize_dsl(spec)) == spec`` and
-semantically equal documents serialize byte-identically.
+well-formed document can still break; ``parse_and_validate`` runs both.
+``serialize_dsl`` emits the one canonical text form, so
+``parse_dsl(serialize_dsl(spec)) == spec`` and semantically equal documents
+serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -508,6 +509,18 @@ def validate_spec(spec: ScenarioSpec) -> list[ValidationIssue]:
             ))
 
     return _sorted(issues)
+
+
+def parse_and_validate(source_text: str) -> ParseResult:
+    """``parse_dsl``, then ``validate_spec``: the spec, or the first step's issues.
+
+    Both are looked up as module attributes at call time, so a wrapper
+    installed on either one sees these calls too.
+    """
+    parsed = parse_dsl(source_text)
+    if isinstance(parsed, list):
+        return parsed
+    return validate_spec(parsed) or parsed
 
 
 _BARE_SCALAR_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-")

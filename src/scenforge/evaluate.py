@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Iterable
 
 from .dsl import ActorSpec, ScenarioSpec
 from .rules import ViolationReport
@@ -31,36 +31,22 @@ class ComponentAccuracy:
 
     @classmethod
     def from_fields(cls, per_field: dict[str, bool]) -> "ComponentAccuracy":
-        matched = {c: 0 for c in COMPONENTS}
-        total = {c: 0 for c in COMPONENTS}
-        for path, ok in per_field.items():
-            component = _component_of(path)
-            total[component] += 1
-            if ok:
-                matched[component] += 1
-        fractions = {
-            c: (matched[c] / total[c]) if total[c] else 1.0
-            for c in COMPONENTS
-        }
-        grand_total = sum(total.values())
-        overall = (sum(matched.values()) / grand_total) if grand_total else 1.0
-        return cls(
-            environment=fractions["environment"],
-            road_network=fractions["road_network"],
-            actor=fractions["actor"],
-            oracle=fractions["oracle"],
-            overall=overall,
-            per_field=dict(per_field),
-        )
+        fractions = {key: (matched / total) if total else 1.0
+                     for key, (matched, total) in _tally(per_field).items()}
+        return cls(**fractions, per_field=dict(per_field))
 
     def counts(self) -> dict[str, tuple[int, int]]:
-        matched = {c: 0 for c in COMPONENTS}
-        total = {c: 0 for c in COMPONENTS}
-        for path, ok in self.per_field.items():
-            component = _component_of(path)
-            total[component] += 1
-            matched[component] += int(ok)
-        return {c: (matched[c], total[c]) for c in COMPONENTS}
+        """(matched, total) fields per component, then over all of them as "overall"."""
+        return _tally(self.per_field)
+
+
+def _tally(per_field: dict[str, bool]) -> dict[str, tuple[int, int]]:
+    counts = {key: [0, 0] for key in COMPONENTS + ("overall",)}
+    for path, ok in per_field.items():
+        for key in (_component_of(path), "overall"):
+            counts[key][0] += int(ok)
+            counts[key][1] += 1
+    return {key: (matched, total) for key, (matched, total) in counts.items()}
 
 
 def _component_of(path: str) -> str:
@@ -71,10 +57,6 @@ def _component_of(path: str) -> str:
     if path.startswith("/actors"):
         return "actor"
     return "oracle"
-
-
-def _value_token(value: Any) -> Any:
-    return value
 
 
 def _compare_actor(per_field: dict[str, bool], path: str,
@@ -306,13 +288,6 @@ def accuracy_csv(result: ComponentAccuracy) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["component", "matched", "total", "fraction"])
-    counts = result.counts()
-    for component in COMPONENTS:
-        matched, total = counts[component]
-        fraction = matched / total if total else 1.0
-        writer.writerow([component, matched, total, f"{fraction:.6g}"])
-    grand_matched = sum(m for m, _ in counts.values())
-    grand_total = sum(t for _, t in counts.values())
-    writer.writerow(["overall", grand_matched, grand_total,
-                     f"{(grand_matched / grand_total) if grand_total else 1.0:.6g}"])
+    for key, (matched, total) in result.counts().items():
+        writer.writerow([key, matched, total, f"{getattr(result, key):.6g}"])
     return buffer.getvalue()

@@ -99,6 +99,19 @@ _GROUNDING = (
 )
 
 
+def _report_parts(report: CrashReport) -> list[PromptPart]:
+    """The case's summary, then its sketch and its regulations when present."""
+    parts = [PromptPart("text", text=f"Case {report.case_id} crash summary:\n{report.summary_text}")]
+    if report.sketch is not None:
+        payload, media_type = report.sketch
+        parts.append(PromptPart("image", media_type=media_type,
+                                data_base64=base64.b64encode(payload).decode("ascii")))
+    if report.rule_context:
+        rules = "\n".join(report.rule_context)
+        parts.append(PromptPart("text", text=f"Applicable regulations:\n{rules}"))
+    return parts
+
+
 def build_extraction_prompt(report: CrashReport) -> PromptBundle:
     """Schema, allowed values, grounding instruction, exemplars, then the report."""
     exemplars = load_exemplars()
@@ -114,14 +127,7 @@ def build_extraction_prompt(report: CrashReport) -> PromptBundle:
             "text",
             text=f"Example {i} report:\n{excerpt}\n\nExample {i} document:\n{golden}",
         ))
-    parts.append(PromptPart("text", text=f"Case {report.case_id} crash summary:\n{report.summary_text}"))
-    if report.sketch is not None:
-        payload, media_type = report.sketch
-        parts.append(PromptPart("image", media_type=media_type,
-                                data_base64=base64.b64encode(payload).decode("ascii")))
-    if report.rule_context:
-        rules = "\n".join(report.rule_context)
-        parts.append(PromptPart("text", text=f"Applicable regulations:\n{rules}"))
+    parts += _report_parts(report)
     parts.append(PromptPart("text", text="Produce the scenario document for this case."))
     return PromptBundle(system_text=system, user_parts=tuple(parts), exemplars=exemplars)
 
@@ -153,15 +159,7 @@ def build_validation_prompt(draft: ScenarioSpec, report: CrashReport) -> PromptB
         "corrected YAML document in the same schema, nothing else.\n\n"
         f"{_schema_text()}"
     )
-    parts: list[PromptPart] = [
-        PromptPart("text", text=f"Case {report.case_id} crash summary:\n{report.summary_text}"),
-    ]
-    if report.sketch is not None:
-        payload, media_type = report.sketch
-        parts.append(PromptPart("image", media_type=media_type,
-                                data_base64=base64.b64encode(payload).decode("ascii")))
-    if report.rule_context:
-        parts.append(PromptPart("text", text="Applicable regulations:\n" + "\n".join(report.rule_context)))
+    parts = _report_parts(report)
     parts.append(PromptPart("text", text=f"Draft document:\n{dsl.serialize_dsl(draft)}"))
     parts.append(PromptPart("text", text=f"Field checks:\n{checks}"))
     return PromptBundle(system_text=system, user_parts=tuple(parts))
@@ -251,16 +249,6 @@ class ExtractionOutcome:
     replies: list[str] = field(default_factory=list)
 
 
-def _parse_reply(reply: str) -> ScenarioSpec | list[ValidationIssue]:
-    parsed = dsl.parse_dsl(_strip_fences(reply))
-    if isinstance(parsed, list):
-        return parsed
-    issues = dsl.validate_spec(parsed)
-    if issues:
-        return issues
-    return parsed
-
-
 def _issues_text(issues: list[ValidationIssue]) -> str:
     lines = [f"- {issue.path}: {issue.message}" +
              (f" (allowed: {', '.join(issue.allowed)})" if issue.allowed else "")
@@ -277,7 +265,7 @@ def _converse(transport: ChatTransport, bundle: PromptBundle, case_id: str,
         reply = transport.complete(bundle.system_text, parts)
         outcome.attempts += 1
         outcome.replies.append(reply)
-        result = _parse_reply(reply)
+        result = dsl.parse_and_validate(_strip_fences(reply))
         if isinstance(result, ScenarioSpec):
             return result
         issues = result

@@ -332,12 +332,9 @@ def normalize_document(source_text: str, seed: int,
         doc = _canonicalize_tree(doc, table, normalized_paths)
         source_text = yaml.safe_dump(doc, sort_keys=False, allow_unicode=True)
 
-    parsed = dsl.parse_dsl(source_text)
+    parsed = dsl.parse_and_validate(source_text)
     if isinstance(parsed, list):
         return parsed
-    issues = dsl.validate_spec(parsed)
-    if issues:
-        return issues
 
     result = apply_defaults(parsed, seed)
     provenance = dict(result.provenance)

@@ -43,12 +43,15 @@ from .sim import (
     ActorState,
     CollisionEvent,
     Footprint,
+    LEG_HEADINGS,
     OVERLAP_MARGIN_M,
     RoadGeometry,
     StopLine,
     Trace,
     VEHICLE_DIMS,
+    approach_of,
     detect_collisions,
+    ego_leg,
     footprints_overlap,
     normalize_heading,
 )
@@ -154,13 +157,6 @@ def _front_point(state: ActorState, length: float) -> tuple[float, float]:
     return state.x + half * math.cos(state.heading), state.y + half * math.sin(state.heading)
 
 
-def _approach_of_state(state: ActorState) -> str:
-    hx, hy = math.cos(state.heading), math.sin(state.heading)
-    if abs(hx) >= abs(hy):
-        return "west" if hx > 0 else "east"
-    return "south" if hy > 0 else "north"
-
-
 def _parallel_lanes(geometry: RoadGeometry, lane_a: str, lane_b: str) -> bool:
     la = next((l for l in geometry.lanes if l.lane_id == lane_a), None)
     lb = next((l for l in geometry.lanes if l.lane_id == lane_b), None)
@@ -212,7 +208,7 @@ class TraceView:
     def approach(self, actor_id: str) -> str:
         """The approach the actor is on in the first frame."""
         return self._cached("approach", actor_id,
-                            lambda: _approach_of_state(self.states[actor_id][0]))
+                            lambda: approach_of(self.states[actor_id][0].heading))
 
     def travel_direction(self, actor_id: str) -> int:
         """+1 with the road axis, -1 against it (taken from the first frame)."""
@@ -393,8 +389,8 @@ def _controlled_approaches(geometry: RoadGeometry) -> tuple[str, ...]:
     """Approaches governed by a stop sign: every leg except the ego's."""
     if "stop_sign" not in geometry.scenario.signs:
         return ()
-    ego_leg = "south" if geometry.topology == "intersection" else "west"
-    return tuple(sl.approach for sl in geometry.stop_lines if sl.approach != ego_leg)
+    ego = ego_leg(geometry.topology)
+    return tuple(sl.approach for sl in geometry.stop_lines if sl.approach != ego)
 
 
 def _check_stop_sign(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
@@ -533,13 +529,10 @@ def _has_priority(view: TraceView, geometry: RoadGeometry, b_id: str, b_entry: i
     if t_b < t_a - PRIORITY_WINDOW_S:
         return True
     if abs(t_b - t_a) <= PRIORITY_WINDOW_S:
-        ha = _LEG_VECTORS[a_approach]
-        hb = _LEG_VECTORS[b_approach]
+        ha = LEG_HEADINGS[a_approach]
+        hb = LEG_HEADINGS[b_approach]
         return ha[0] * hb[1] - ha[1] * hb[0] > 0  # B comes from A's right
     return False
-
-
-_LEG_VECTORS = {"south": (0.0, 1.0), "west": (1.0, 0.0), "north": (0.0, -1.0), "east": (-1.0, 0.0)}
 
 
 def _right_of_way_section(view: TraceView, geometry: RoadGeometry, actor_id: str,

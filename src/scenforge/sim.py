@@ -321,14 +321,20 @@ def _curve_lanes(ways: int, lanes_per_dir: int, marker: str) -> list[Lane]:
     return out
 
 
-_LEG_HEADINGS = {"south": (0.0, 1.0), "west": (1.0, 0.0), "north": (0.0, -1.0), "east": (-1.0, 0.0)}
+# unit inbound heading of each junction leg
+LEG_HEADINGS = {"south": (0.0, 1.0), "west": (1.0, 0.0), "north": (0.0, -1.0), "east": (-1.0, 0.0)}
+
+
+def ego_leg(topology: str) -> str:
+    """The leg the ego enters a junction from."""
+    return "south" if topology == "intersection" else "west"
 
 
 def _junction_lanes(legs: tuple[str, ...], half: float, lanes_per_dir: int, marker: str) -> list[Lane]:
     """Incoming corridor lanes for each leg (proper right-hand placement)."""
     out = []
     for leg in legs:
-        hx, hy = _LEG_HEADINGS[leg]
+        hx, hy = LEG_HEADINGS[leg]
         for i in range(lanes_per_dir):
             off = LANE_WIDTH / 2 + LANE_WIDTH * i
             # lane center sits `off` to the right of the inbound heading
@@ -374,7 +380,7 @@ def build_geometry(template: ScenarioTemplate) -> RoadGeometry:
         region = ((-half, -half), (half, -half), (half, half), (-half, half))
         line_coord = half + STOP_LINE_SETBACK
         for leg in legs:
-            hx, hy = _LEG_HEADINGS[leg]
+            hx, hy = LEG_HEADINGS[leg]
             if leg in ("south", "north"):
                 coord = -line_coord if leg == "south" else line_coord
                 stop_lines.append(StopLine(leg, "y", coord, -half, half, int(hy)))
@@ -382,10 +388,10 @@ def build_geometry(template: ScenarioTemplate) -> RoadGeometry:
                 coord = -line_coord if leg == "west" else line_coord
                 stop_lines.append(StopLine(leg, "x", coord, -half, half, int(hx)))
         if "traffic_light" in p.signs:
-            ego_leg = "south" if p.topology == "intersection" else "west"
-            opposite = {"south": "north", "north": "south", "west": "east", "east": "west"}[ego_leg]
+            ego = ego_leg(p.topology)
+            opposite = {"south": "north", "north": "south", "west": "east", "east": "west"}[ego]
             for leg in legs:
-                offset = 0.0 if leg in (ego_leg, opposite) else CROSS_OFFSET_S
+                offset = 0.0 if leg in (ego, opposite) else CROSS_OFFSET_S
                 signal_heads.append((leg, SignalSchedule(offset_s=offset)))
 
     return RoadGeometry(
@@ -806,8 +812,8 @@ def _build_movers(instance: ScenarioInstance, geometry: RoadGeometry) -> list[_M
 
 def _stop_line_s(geometry: RoadGeometry, mover: _Mover) -> float | None:
     """Arc length at which the mover's path crosses its approach stop line."""
-    x0, y0, h0 = path_point(mover.path, mover.s, mover.lateral)
-    approach = _approach_of(x0, y0, h0)
+    _, _, heading = path_point(mover.path, mover.s, mover.lateral)
+    approach = approach_of(heading)
     for sl in geometry.stop_lines:
         if sl.approach != approach:
             continue
@@ -819,7 +825,8 @@ def _stop_line_s(geometry: RoadGeometry, mover: _Mover) -> float | None:
     return None
 
 
-def _approach_of(x: float, y: float, heading: float) -> str:
+def approach_of(heading: float) -> str:
+    """The junction leg whose inbound heading is closest to `heading`."""
     hx, hy = math.cos(heading), math.sin(heading)
     if abs(hx) >= abs(hy):
         return "west" if hx > 0 else "east"

@@ -4,10 +4,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from scenforge import cli, rules, sim
 from scenforge.digests import from_data
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, SCENARIO_FILES
 
 STRAIGHT1 = FIXTURES / "scenarios" / "straight1.yaml"
 CURVE = FIXTURES / "scenarios" / "curve.yaml"
@@ -46,32 +48,58 @@ def test_pipeline_deterministic_across_runs(tmp_path):
     assert _tree_hash(first) == _tree_hash(second)
 
 
-def test_stage_composition_matches_pipeline(tmp_path):
-    piped = tmp_path / "piped"
-    assert cli.main(["pipeline", str(STRAIGHT1), "--out", str(piped),
-                     "--samples", "5"]) == cli.EXIT_OK
+COMPOSITION_SAMPLES = "5"
 
-    staged = tmp_path / "staged"
-    staged.mkdir()
-    assert cli.main(["synth", str(STRAIGHT1), "--out", str(staged), "--seed", "0"]) == cli.EXIT_OK
-    template = staged / "straight-1.template.json"
-    assert cli.main(["sample", str(template), "--samples", "5", "--seed", "0",
-                     "--out", str(staged)]) == cli.EXIT_OK
-    assert cli.main(["simulate", str(template), str(staged / "instances.jsonl"),
-                     "--out", str(staged)]) == cli.EXIT_OK
-    traces = sorted((staged / "traces").glob("trace_*.jsonl"))
-    assert cli.main(["monitor", str(template)] + [str(t) for t in traces]
-                    + ["--out", str(staged)]) == cli.EXIT_OK
 
-    pipe_dir = piped / "straight-1"
-    assert (staged / "straight-1.scenic").read_bytes() == \
-        (pipe_dir / "straight-1.scenic").read_bytes()
-    assert (staged / "instances.jsonl").read_bytes() == \
-        (pipe_dir / "instances.jsonl").read_bytes()
-    for trace in traces:
-        assert trace.read_bytes() == (pipe_dir / "traces" / trace.name).read_bytes()
-    for report in sorted((staged / "reports").glob("report_*.json")):
-        assert report.read_bytes() == (pipe_dir / "reports" / report.name).read_bytes()
+@pytest.fixture(scope="module")
+def composed(tmp_path_factory) -> dict[str, tuple[Path, Path]]:
+    """Per fixture: the scenario directory `pipeline` wrote and the one the stages wrote."""
+    root = tmp_path_factory.mktemp("composition")
+    dirs = {}
+    for sid, document in SCENARIO_FILES.items():
+        piped = root / "piped" / sid
+        assert cli.main(["pipeline", str(document), "--out", str(piped),
+                         "--samples", COMPOSITION_SAMPLES]) == cli.EXIT_OK
+        staged = root / "staged" / sid
+        for stage in ("normalize", "synth"):
+            assert cli.main([stage, str(document), "--out", str(staged),
+                             "--seed", "0"]) == cli.EXIT_OK
+        template = staged / f"{sid}.template.json"
+        assert cli.main(["sample", str(template), "--samples", COMPOSITION_SAMPLES,
+                         "--seed", "0", "--out", str(staged)]) == cli.EXIT_OK
+        assert cli.main(["simulate", str(template), str(staged / "instances.jsonl"),
+                         "--out", str(staged)]) == cli.EXIT_OK
+        traces = sorted((staged / "traces").glob("trace_*.jsonl"))
+        assert cli.main(["monitor", str(template), *map(str, traces),
+                         "--out", str(staged)]) == cli.EXIT_OK
+        dirs[sid] = (piped / sid, staged)
+    return dirs
+
+
+def _assert_same_files(piped: Path, staged: Path, pattern: str) -> None:
+    names = sorted(path.relative_to(staged) for path in staged.glob(pattern))
+    assert names == sorted(path.relative_to(piped) for path in piped.glob(pattern))
+    assert len(names) == int(COMPOSITION_SAMPLES)
+    for name in names:
+        assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
+
+
+def test_stage_composition_matches_pipeline(composed):
+    for sid, (piped, staged) in composed.items():
+        for name in (f"{sid}.normalized.yaml", f"{sid}.provenance.json", f"{sid}.scenic",
+                     f"{sid}.template.json", "instances.jsonl"):
+            assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
+        _assert_same_files(piped, staged, "traces/trace_*.jsonl")
+    _assert_same_files(*composed["straight-1"], "reports/report_*.json")
+
+
+@pytest.mark.parametrize("sid", [
+    pytest.param(sid, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 3: monitoring a trace reloaded from its 6-significant-digit "
+        "JSONL gives other evidence floats than monitoring the in-memory trace")))
+    for sid in SCENARIO_FILES if sid != "straight-1"])
+def test_staged_reports_match_pipeline(composed, sid):
+    _assert_same_files(*composed[sid], "reports/report_*.json")
 
 
 def test_pipeline_partial_failure_exit_code(tmp_path):
@@ -207,3 +235,59 @@ def test_zero_samples_is_config_error(tmp_path):
     status = cli.main(["pipeline", str(STRAIGHT1), "--out", str(tmp_path / "o"),
                        "--samples", "0"])
     assert status == cli.EXIT_CONFIG
+
+
+def test_zero_samples_is_config_error_for_sample(tmp_path):
+    assert cli.main(["synth", str(STRAIGHT1), "--out", str(tmp_path)]) == cli.EXIT_OK
+    status = cli.main(["sample", str(tmp_path / "straight-1.template.json"),
+                       "--samples", "0", "--out", str(tmp_path)])
+    assert status == cli.EXIT_CONFIG
+    assert not (tmp_path / "instances.jsonl").exists()
+
+
+def test_offline_pipeline_requires_transcripts(tmp_path):
+    report = tmp_path / "case.json"
+    report.write_text(json.dumps({"case_id": "case-success", "summary_text": "crash"}),
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", str(report), "--out", str(out), "--offline"]) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+def _fail_on_seed(fn, seed: int):
+    """`fn`, except that it raises ValueError("boom") when its first argument has `seed`."""
+    def failing(first, *rest):
+        if first.instance_seed == seed:
+            raise ValueError("boom")
+        return fn(first, *rest)
+    return failing
+
+
+def _staged_manifest(out: Path) -> tuple[Path, Path]:
+    """(template, manifest of seeds 0-3) for straight-1, written by the stages."""
+    assert cli.main(["synth", str(STRAIGHT1), "--out", str(out)]) == cli.EXIT_OK
+    template = out / "straight-1.template.json"
+    assert cli.main(["sample", str(template), "--samples", "4", "--out", str(out)]) == cli.EXIT_OK
+    return template, out / "instances.jsonl"
+
+
+def test_a_failing_staged_simulate_names_its_seed(tmp_path, monkeypatch, capsys):
+    template, manifest = _staged_manifest(tmp_path)
+    monkeypatch.setattr(sim, "simulate", _fail_on_seed(sim.simulate, 2))
+    capsys.readouterr()
+    assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_PARTIAL
+    assert capsys.readouterr().err == f"error: {manifest}: seed 2: boom\n"
+    assert not (tmp_path / "traces").exists()
+
+
+def test_a_failing_staged_monitor_names_its_seed(tmp_path, monkeypatch, capsys):
+    template, manifest = _staged_manifest(tmp_path)
+    assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_OK
+    traces = sorted((tmp_path / "traces").glob("trace_*.jsonl"))
+    assert len(traces) == 4
+    monkeypatch.setattr(rules, "monitor", _fail_on_seed(rules.monitor, 2))
+    capsys.readouterr()
+    assert cli.main(["monitor", str(template), *map(str, traces)]) == cli.EXIT_PARTIAL
+    assert capsys.readouterr().err == f"error: {traces[2]}: seed 2: boom\n"
+    assert not (tmp_path / "reports").exists()
+    assert not (tmp_path / "summary.csv").exists()

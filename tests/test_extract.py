@@ -166,3 +166,26 @@ def test_http_transport_request_shape(monkeypatch):
     assert body["messages"][0]["role"] == "system"
     kinds = [part["type"] for part in body["messages"][1]["content"]]
     assert kinds.count("image_url") == 1
+
+
+# SHA-256 of the canonical JSON of both prompt bundles for a report with a
+# sketch and regulations; the prompts' wording and part order are pinned.
+PINNED_PROMPT_SHA256 = {
+    "extraction": "12a9e2c227c77bf1e9888325f5dbd0a8489652f37a05454ca559926a458da569",
+    "validation": "b6cdf8384753de714669d75483ca79687a3c7a3c5b775741c1d904f68cf4fd48",
+}
+
+
+def test_prompt_bundles_are_pinned():
+    import hashlib
+
+    from scenforge.digests import canonical_json, to_data
+
+    spec = dsl.parse_dsl((FIXTURES / "scenarios" / "curve.yaml").read_text(encoding="utf-8"))
+    bundles = {
+        "extraction": extract.build_extraction_prompt(_report(sketch=True)),
+        "validation": extract.build_validation_prompt(spec, _report(sketch=True)),
+    }
+    digests = {name: hashlib.sha256(canonical_json(to_data(bundle)).encode("utf-8")).hexdigest()
+               for name, bundle in bundles.items()}
+    assert digests == PINNED_PROMPT_SHA256

@@ -268,7 +268,10 @@ def _cmd_monitor(args) -> int:
     reports = []
     try:
         for trace_path in args.traces:
-            trace = sim.trace_from_jsonl(Path(trace_path).read_text(encoding="utf-8"))
+            try:
+                trace = sim.trace_from_jsonl(Path(trace_path).read_text(encoding="utf-8"))
+            except ValueError as exc:  # a malformed file is a configuration error
+                raise ValueError(f"{trace_path}: {exc}") from exc
             with _seed_named(trace.instance_seed):
                 reports.append(rules.monitor(trace, template.params.oracle, geometry))
     except RuntimeError as exc:
@@ -290,7 +293,9 @@ def _cmd_extract(args) -> int:
             status = _failed(path, exc)
             continue
         parsed = dsl.parse_dsl(document)
-        assert isinstance(parsed, dsl.ScenarioSpec)
+        if isinstance(parsed, list):
+            status = _print_issues(path, parsed)
+            continue
         out = Path(args.out or ".") / f"{parsed.scenario_id}.yaml"
         _atomic_write(out, document)
         print(f"{path}: extracted -> {out}")

@@ -40,7 +40,7 @@ from typing import Any, Iterable
 from .digests import canonical_json, to_data
 from .dsl import KNOWN_RULE_IDS, OracleEntry
 from .sim import (
-    ActorState,
+    ActorTrack,
     CollisionEvent,
     Footprint,
     LEG_HEADINGS,
@@ -54,6 +54,7 @@ from .sim import (
     ego_leg,
     footprints_overlap,
     normalize_heading,
+    track_footprints,
 )
 
 SPEED_TOLERANCE = 0.5          # m/s over the limit before a violation
@@ -152,9 +153,9 @@ def _merge(violations: list[Violation], gap: float) -> list[Violation]:
     return sorted(out, key=lambda v: (v.t_start, v.rule_id, v.actor_id))
 
 
-def _front_point(state: ActorState, length: float) -> tuple[float, float]:
+def _front_point(x: float, y: float, heading: float, length: float) -> tuple[float, float]:
     half = length / 2.0
-    return state.x + half * math.cos(state.heading), state.y + half * math.sin(state.heading)
+    return x + half * math.cos(heading), y + half * math.sin(heading)
 
 
 def _parallel_lanes(geometry: RoadGeometry, lane_a: str, lane_b: str) -> bool:
@@ -171,7 +172,7 @@ class TraceView:
     """What the rule checks read from one trace, each piece computed once.
 
     `monitor` builds one view per trace and passes it to every check.  The
-    per-actor state columns replace per-check frame scans; derived data
+    checks read the trace's per-actor tracks directly; derived data
     (approaches, footprints, stop-line crossings, conflict-region entries,
     divider flags, lane changes) is computed on first use and kept here,
     never on the frozen trace.  A view is only valid with the geometry the
@@ -184,19 +185,14 @@ class TraceView:
         self.trace = trace
         self.geometry = geometry
         self.geometry_ref = trace.geometry_ref
-        self.frames = trace.frames
-        self.times = [frame.t for frame in trace.frames]
+        self.times = trace.times
+        self.signals = trace.signals
         self.actor_ids = sorted(trace.actor_types)
-        self.states: dict[str, list[ActorState]] = {actor_id: [] for actor_id in self.actor_ids}
-        for frame in trace.frames:
-            for state in frame.actors:
-                self.states[state.actor_id].append(state)
+        self.tracks: dict[str, ActorTrack] = {track.actor_id: track for track in trace.tracks}
         # per actor and frame; the corners are computed on first use
-        self.footprints: dict[str, list[Footprint]] = {}
-        for actor_id, series in self.states.items():
-            length, width = VEHICLE_DIMS[trace.actor_types[actor_id]]
-            self.footprints[actor_id] = [Footprint(s.x, s.y, s.heading, length, width)
-                                         for s in series]
+        self.footprints = {
+            track.actor_id: track_footprints(track, trace.actor_types[track.actor_id])
+            for track in trace.tracks}
         self._memo: dict[tuple[str, str], Any] = {}
 
     def _cached(self, kind: str, actor_id: str, compute):
@@ -208,15 +204,15 @@ class TraceView:
     def approach(self, actor_id: str) -> str:
         """The approach the actor is on in the first frame."""
         return self._cached("approach", actor_id,
-                            lambda: approach_of(self.states[actor_id][0].heading))
+                            lambda: approach_of(self.tracks[actor_id].heading[0]))
 
     def travel_direction(self, actor_id: str) -> int:
         """+1 with the road axis, -1 against it (taken from the first frame)."""
         def compute() -> int:
-            state = self.states[actor_id][0]
+            track = self.tracks[actor_id]
             axis = self.geometry.axis
-            _, _, axis_heading = axis.point(axis.locate(state.x, state.y)[0], 0.0)
-            return 1 if math.cos(state.heading - axis_heading) >= 0 else -1
+            _, _, axis_heading = axis.point(axis.locate(track.x[0], track.y[0])[0], 0.0)
+            return 1 if math.cos(track.heading[0] - axis_heading) >= 0 else -1
         return self._cached("direction", actor_id, compute)
 
     def stop_line_crossing(self, actor_id: str) -> tuple[StopLine, int] | None:
@@ -228,9 +224,10 @@ class TraceView:
             if stop_line is None:
                 return None
             length, _ = VEHICLE_DIMS[self.trace.actor_types[actor_id]]
+            track = self.tracks[actor_id]
             prev_delta = None
-            for k, state in enumerate(self.states[actor_id]):
-                fx, fy = _front_point(state, length)
+            for k, (x, y, heading) in enumerate(zip(track.x, track.y, track.heading)):
+                fx, fy = _front_point(x, y, heading, length)
                 c = fx if stop_line.axis == "x" else fy
                 other = fy if stop_line.axis == "x" else fx
                 delta = (c - stop_line.coord) * stop_line.inbound
@@ -243,16 +240,17 @@ class TraceView:
 
     def zone_min_speed(self, actor_id: str, stop_line: StopLine, crossing_frame: int) -> float:
         length, _ = VEHICLE_DIMS[self.trace.actor_types[actor_id]]
-        series = self.states[actor_id]
+        track = self.tracks[actor_id]
         speeds = []
-        for state in series[:crossing_frame + 1]:
-            fx, fy = _front_point(state, length)
+        for _, x, y, heading, speed in zip(range(crossing_frame + 1), track.x, track.y,
+                                           track.heading, track.speed):
+            fx, fy = _front_point(x, y, heading, length)
             c = fx if stop_line.axis == "x" else fy
             dist = (stop_line.coord - c) * stop_line.inbound
             if 0.0 <= dist <= STOP_ZONE_M:
-                speeds.append(state.speed)
+                speeds.append(speed)
         if not speeds:
-            return series[crossing_frame].speed
+            return track.speed[crossing_frame]
         return min(speeds)
 
     def divider_flags(self, actor_id: str) -> list[bool]:
@@ -282,17 +280,18 @@ class TraceView:
 
     def max_abs_lateral(self, actor_id: str) -> float:
         locate = self.geometry.axis.locate
+        track = self.tracks[actor_id]
         return self._cached("max_lateral", actor_id, lambda: max(
-            abs(locate(s.x, s.y)[1]) for s in self.states[actor_id]))
+            abs(locate(x, y)[1]) for x, y in zip(track.x, track.y)))
 
     def oncoming_within(self, actor_id: str, k: int, range_m: float) -> bool:
-        me = self.states[actor_id][k]
+        me = self.tracks[actor_id]
         for other_id in self.actor_ids:
             if other_id == actor_id:
                 continue
-            other = self.states[other_id][k]
-            if math.cos(me.heading - other.heading) < -0.5:
-                if math.hypot(other.x - me.x, other.y - me.y) <= range_m:
+            other = self.tracks[other_id]
+            if math.cos(me.heading[k] - other.heading[k]) < -0.5:
+                if math.hypot(other.x[k] - me.x[k], other.y[k] - me.y[k]) <= range_m:
                     return True
         return False
 
@@ -310,8 +309,8 @@ class TraceView:
         return self._cached("region_entries", "", compute)
 
     def turns_left(self, actor_id: str, entry_frame: int) -> bool:
-        series = self.states[actor_id]
-        delta = normalize_heading(series[-1].heading - series[entry_frame].heading)
+        headings = self.tracks[actor_id].heading
+        delta = normalize_heading(headings[-1] - headings[entry_frame])
         return delta > math.pi / 4
 
     def lane_changes(self) -> list[tuple[str, int]]:
@@ -319,9 +318,9 @@ class TraceView:
         def compute() -> list[tuple[str, int]]:
             out = []
             for actor_id in self.actor_ids:
-                series = self.states[actor_id]
-                for k in range(1, len(series)):
-                    prev, cur = series[k - 1].lane_id, series[k].lane_id
+                lane_ids = self.tracks[actor_id].lane_id
+                for k in range(1, len(lane_ids)):
+                    prev, cur = lane_ids[k - 1], lane_ids[k]
                     if prev != cur and _parallel_lanes(self.geometry, prev, cur):
                         out.append((actor_id, k))
             return out
@@ -335,11 +334,11 @@ class TraceView:
 def _speeding(view: TraceView, rule_id: str, limit: float) -> list[Violation]:
     out: list[Violation] = []
     for actor_id in view.actor_ids:
-        series = view.states[actor_id]
-        flags = [s.speed > limit + SPEED_TOLERANCE for s in series]
+        speeds = view.tracks[actor_id].speed
+        flags = [speed > limit + SPEED_TOLERANCE for speed in speeds]
         for t0, t1 in _intervals(flags, view.times):
             if t1 - t0 + _EPS >= SPEED_SUSTAIN_S:
-                peak = max(s.speed for s in series)
+                peak = max(speeds)
                 out.append(Violation(rule_id, actor_id, t0, t1,
                                      {"max_speed_mps": peak, "limit_mps": limit}))
     return out
@@ -349,12 +348,15 @@ def _headway(view: TraceView) -> list[Violation]:
     """Same-lane, same-direction following below 2 s headway (as 22350 evidence)."""
     out: list[Violation] = []
     for follower in view.actor_ids:
-        f_series = view.states[follower]
+        f = view.tracks[follower]
         for lead in view.actor_ids:
             if lead == follower:
                 continue
-            flags = [fs.lane_id == ls.lane_id and fs.speed > 0 and _within_headway(fs, ls)
-                     for fs, ls in zip(f_series, view.states[lead])]
+            ld = view.tracks[lead]
+            flags = [f_lane == l_lane and fv > 0 and _within_headway(fx, fy, fh, fv, lx, ly, lh)
+                     for f_lane, l_lane, fv, fx, fy, fh, lx, ly, lh in zip(
+                         f.lane_id, ld.lane_id, f.speed, f.x, f.y, f.heading,
+                         ld.x, ld.y, ld.heading)]
             if True not in flags:
                 continue
             for t0, t1 in _intervals(flags, view.times):
@@ -365,14 +367,19 @@ def _headway(view: TraceView) -> list[Violation]:
     return out
 
 
-def _within_headway(fs: ActorState, ls: ActorState) -> bool:
-    """Lead aligned with and ahead of the follower, closer than the headway gap."""
-    if not math.cos(fs.heading - ls.heading) > 0.5:
+def _within_headway(fx: float, fy: float, fh: float, fv: float,
+                    lx: float, ly: float, lh: float) -> bool:
+    """Lead aligned with and ahead of the follower, closer than the headway gap.
+
+    The follower is at (fx, fy) with heading fh and speed fv; the lead is at
+    (lx, ly) with heading lh.
+    """
+    if not math.cos(fh - lh) > 0.5:
         return False
-    dx, dy = ls.x - fs.x, ls.y - fs.y
-    if not dx * math.cos(fs.heading) + dy * math.sin(fs.heading) > 0:
+    dx, dy = lx - fx, ly - fy
+    if not dx * math.cos(fh) + dy * math.sin(fh) > 0:
         return False
-    return math.hypot(dx, dy) < HEADWAY_S * fs.speed
+    return math.hypot(dx, dy) < HEADWAY_S * fv
 
 
 def _check_absolute_speed(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
@@ -409,7 +416,7 @@ def _check_stop_sign(view: TraceView, geometry: RoadGeometry) -> list[Violation]
         stop_line, k = crossing
         min_speed = view.zone_min_speed(actor_id, stop_line, k)
         if min_speed > STOP_SPEED_MAX:
-            t = view.frames[k].t
+            t = view.times[k]
             out.append(Violation("22450", actor_id, t, t,
                                  {"min_zone_speed_mps": min_speed, "approach": approach}))
     return out
@@ -428,9 +435,9 @@ def _check_red_light(view: TraceView, geometry: RoadGeometry) -> list[Violation]
         if crossing is None:
             continue
         _, k = crossing
-        states = dict(view.frames[k].signals)
+        states = dict(view.signals[k])
         if states.get(approach) == "red":
-            t = view.frames[k].t
+            t = view.times[k]
             out.append(Violation("21453", actor_id, t, t,
                                  {"signal_state": "red", "approach": approach}))
     return out
@@ -477,14 +484,14 @@ def _check_unsafe_lane_change(view: TraceView, geometry: RoadGeometry) -> list[V
     """22107: a lane change with a vehicle inside the headway gap."""
     out: list[Violation] = []
     for actor_id, k in view.lane_changes():
-        cur = view.states[actor_id][k]
-        frame = view.frames[k]
-        for other in frame.actors:
+        cur = view.tracks[actor_id]
+        x, y, speed, t = cur.x[k], cur.y[k], cur.speed[k], view.times[k]
+        for other in view.trace.tracks:  # in frame order
             if other.actor_id == actor_id:
                 continue
-            gap = math.hypot(other.x - cur.x, other.y - cur.y)
-            if cur.speed > 0 and gap < HEADWAY_S * cur.speed:
-                out.append(Violation("22107", actor_id, frame.t, frame.t,
+            gap = math.hypot(other.x[k] - x, other.y[k] - y)
+            if speed > 0 and gap < HEADWAY_S * speed:
+                out.append(Violation("22107", actor_id, t, t,
                                      {"gap_m": gap, "nearby": other.actor_id}))
                 break
     return out
@@ -496,10 +503,10 @@ def _check_junction_lane_change(view: TraceView, geometry: RoadGeometry) -> list
         return []
     out: list[Violation] = []
     for actor_id, k in view.lane_changes():
-        cur = view.states[actor_id][k]
-        dist = _region_distance(geometry, cur.x, cur.y)
+        cur = view.tracks[actor_id]
+        dist = _region_distance(geometry, cur.x[k], cur.y[k])
         if dist <= JUNCTION_CHANGE_M:
-            t = view.frames[k].t
+            t = view.times[k]
             out.append(Violation("22108", actor_id, t, t, {"region_distance_m": dist}))
     return out
 
@@ -510,8 +517,8 @@ def _has_priority(view: TraceView, geometry: RoadGeometry, b_id: str, b_entry: i
     a_approach = view.approach(a_id)
     b_approach = view.approach(b_id)
     if geometry.signal_heads:
-        a_state = dict(view.frames[a_entry].signals).get(a_approach)
-        b_state = dict(view.frames[b_entry].signals).get(b_approach)
+        a_state = dict(view.signals[a_entry]).get(a_approach)
+        b_state = dict(view.signals[b_entry]).get(b_approach)
         return b_state == "green" and a_state == "red"
     controlled = _controlled_approaches(geometry)
     if controlled:
@@ -524,8 +531,8 @@ def _has_priority(view: TraceView, geometry: RoadGeometry, b_id: str, b_entry: i
         return False
     if a_turns and not b_turns:
         return True
-    t_a = view.frames[a_entry].t
-    t_b = view.frames[b_entry].t
+    t_a = view.times[a_entry]
+    t_b = view.times[b_entry]
     if t_b < t_a - PRIORITY_WINDOW_S:
         return True
     if abs(t_b - t_a) <= PRIORITY_WINDOW_S:
@@ -553,11 +560,11 @@ def _failures_to_yield(view: TraceView, geometry: RoadGeometry, rule_id: str) ->
     entries = sorted(view.region_entries().items())
     out: list[Violation] = []
     for a_id, a_entry in entries:
-        t_a = view.frames[a_entry].t
+        t_a = view.times[a_entry]
         for b_id, b_entry in entries:
             if b_id == a_id:
                 continue
-            t_b = view.frames[b_entry].t
+            t_b = view.times[b_entry]
             if t_b > t_a + PRIORITY_WINDOW_S:
                 continue
             if not _has_priority(view, geometry, b_id, b_entry, a_id, a_entry):

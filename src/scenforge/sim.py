@@ -21,8 +21,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 from .digests import canonical_json, digest64_json, to_data
 from .sampling import ScenarioInstance
@@ -425,20 +426,68 @@ class ActorState:
 
 @dataclass(frozen=True)
 class Frame:
+    """One row of a trace, built on demand by `Trace.frames`."""
+
     t: float
     actors: tuple[ActorState, ...]
     signals: tuple[tuple[str, str], ...]
 
 
 @dataclass(frozen=True)
+class ActorTrack:
+    """One actor's states over the frames of a trace, one column per field."""
+
+    actor_id: str
+    x: tuple[float, ...]
+    y: tuple[float, ...]
+    heading: tuple[float, ...]
+    speed: tuple[float, ...]
+    lane_id: tuple[str, ...]
+    lateral: tuple[float, ...]
+
+
+@dataclass(frozen=True)
 class Trace:
+    """Header fields, then per frame the time and the signal states, and one
+    track per actor in the order frame lines list the actors.
+    """
+
     scenario_id: str
     instance_seed: int
     timestep_s: float
     horizon_s: float
     geometry_ref: str
     actor_types: dict[str, str]
-    frames: tuple[Frame, ...]
+    times: tuple[float, ...]
+    signals: tuple[tuple[tuple[str, str], ...], ...]
+    tracks: tuple[ActorTrack, ...]
+
+    @property
+    def frames(self) -> FrameRows:
+        """The trace read frame by frame; a `Frame` is built only when indexed."""
+        return FrameRows(self)
+
+
+class FrameRows(Sequence):
+    """Read-only row view of a trace's columns."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: Trace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.times)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        trace = self._trace
+        t = trace.times[k]
+        return Frame(t, tuple(
+            ActorState(a.actor_id, a.x[k], a.y[k], a.heading[k], a.speed[k], a.lane_id[k],
+                       a.lateral[k])
+            for a in trace.tracks), trace.signals[k])
 
 
 @dataclass(frozen=True)
@@ -473,46 +522,112 @@ def trace_to_jsonl(trace: Trace) -> str:
         "scenario_id": trace.scenario_id,
         "timestep_s": trace.timestep_s,
     }
-    lines = [canonical_json(header)]
     string = functools.cache(canonical_json)  # each id, lane, approach and state once
     num = _sig6_json
+    columns = []  # per actor, its state object text in each frame
+    for a in trace.tracks:
+        actor_id = string(a.actor_id)
+        columns.append([
+            f'{{"heading":{heading},"id":{actor_id},"lane":{string(lane)},"lat":{lat},'
+            f'"speed":{speed},"x":{x},"y":{y}}}'
+            for heading, lane, lat, speed, x, y in zip(
+                map(num, a.heading), a.lane_id, map(num, a.lateral), map(num, a.speed),
+                map(num, a.x), map(num, a.y))])
+    lines = [canonical_json(header)]
     signal_arrays: dict[tuple[tuple[str, str], ...], str] = {}
-    for frame in trace.frames:
-        signals = signal_arrays.get(frame.signals)
+    for t, frame_signals, actors in zip(trace.times, trace.signals, zip(*columns)):
+        signals = signal_arrays.get(frame_signals)
         if signals is None:
-            signals = signal_arrays[frame.signals] = "[" + ",".join(
-                f'{{"approach":{string(ap)},"state":{string(st)}}}' for ap, st in frame.signals) + "]"
-        actors = ",".join(
-            f'{{"heading":{num(a.heading)},"id":{string(a.actor_id)},"lane":{string(a.lane_id)},'
-            f'"lat":{num(a.lateral)},"speed":{num(a.speed)},"x":{num(a.x)},"y":{num(a.y)}}}'
-            for a in frame.actors)
-        lines.append(f'{{"actors":[{actors}],"signals":{signals},"t":{num(frame.t)}}}')
+            signals = signal_arrays[frame_signals] = "[" + ",".join(
+                f'{{"approach":{string(ap)},"state":{string(st)}}}'
+                for ap, st in frame_signals) + "]"
+        lines.append(f'{{"actors":[{",".join(actors)}],"signals":{signals},"t":{num(t)}}}')
     return "\n".join(lines) + "\n"
 
 
+_STATE_KEYS = ("x", "y", "heading", "speed", "lane", "lat")  # ActorTrack's column order
+_actor_id = operator.itemgetter("id")
+
+
 def trace_from_jsonl(text: str) -> Trace:
+    """Reads `trace_to_jsonl` output; blank lines are skipped.
+
+    Every frame must list the same actors in the same order, and they must
+    be the actors of the header's `actor_types`.  A malformed trace raises
+    ValueError naming the line at fault.
+    """
     lines = [line for line in text.splitlines() if line.strip()]
-    header = json.loads(lines[0])
-    frames = []
-    for line in lines[1:]:
-        raw = json.loads(line)
-        frames.append(Frame(
-            t=raw["t"],
-            actors=tuple(
-                ActorState(a["id"], a["x"], a["y"], a["heading"], a["speed"], a["lane"], a["lat"])
-                for a in raw["actors"]
-            ),
-            signals=tuple((s["approach"], s["state"]) for s in raw["signals"]),
-        ))
+    try:
+        return _decode_trace(lines[0], lines[1:])
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise _malformed(text, exc) from exc
+
+
+def _decode_header(line: str) -> dict:
+    header = json.loads(line)
+    return {key: header[key] for key in (
+        "scenario_id", "instance_seed", "timestep_s", "horizon_s", "geometry_ref")} | {
+        "actor_types": dict(header["actor_types"])}
+
+
+def _decode_trace(header_line: str, frame_lines: list[str]) -> Trace:
+    """All frame lines in one decode, transposed into tracks."""
+    header = _decode_header(header_line)
+    rows = json.loads("[" + ",".join(frame_lines) + "]")
+    if len(rows) != len(frame_lines):
+        raise ValueError("frame lines do not hold one JSON object each")
+    per_frame = [row["actors"] for row in rows]
+    ids = tuple(map(_actor_id, per_frame[0]))
+    if not ids:
+        raise ValueError("the frame lists no actors")
+    if sorted(ids) != sorted(header["actor_types"]):
+        raise ValueError(f"actors {list(ids)} do not match the header actor_types "
+                         f"{sorted(header['actor_types'])}")
+    for actors in per_frame:
+        if tuple(map(_actor_id, actors)) != ids:
+            raise ValueError(f"actors {list(map(_actor_id, actors))} differ in set or order "
+                             f"from the first frame's {list(ids)}")
+    tracks = tuple(
+        ActorTrack(actor_id, *(tuple(map(operator.itemgetter(key), states))
+                               for key in _STATE_KEYS))
+        for actor_id, states in zip(ids, zip(*per_frame)))
     return Trace(
-        scenario_id=header["scenario_id"],
-        instance_seed=header["instance_seed"],
-        timestep_s=header["timestep_s"],
-        horizon_s=header["horizon_s"],
-        geometry_ref=header["geometry_ref"],
-        actor_types=dict(header["actor_types"]),
-        frames=tuple(frames),
+        **header,
+        times=tuple(row["t"] for row in rows),
+        signals=tuple(tuple((s["approach"], s["state"]) for s in row["signals"])
+                      for row in rows),
+        tracks=tracks,
     )
+
+
+def _malformed(text: str, exc: Exception) -> ValueError:
+    """Finds the line at fault by decoding line by line (the error path only)."""
+    numbered = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if not numbered:
+        return ValueError("empty trace")
+    (n, header), frames = numbered[0], numbered[1:]
+    try:
+        _decode_header(header)
+    except (ValueError, LookupError, TypeError, AttributeError) as header_exc:
+        return ValueError(f"line {n}: {_reason(header_exc)}")
+    if not frames:
+        return ValueError(f"line {n}: no frame lines after the header")
+    first = frames[0][1]
+    for n, line in frames:
+        try:
+            json.loads(line)
+            _decode_trace(header, [first, line])
+        except (ValueError, LookupError, TypeError, AttributeError) as line_exc:
+            return ValueError(f"line {n}: {_reason(line_exc)}")
+    return ValueError(_reason(exc))
+
+
+def _reason(exc: Exception) -> str:
+    if isinstance(exc, json.JSONDecodeError):
+        return f"{exc.msg} at column {exc.colno}"
+    if isinstance(exc, KeyError):
+        return f"missing key {exc}"
+    return str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +704,11 @@ class Footprint:
         return self._corners
 
 
-def actor_footprint(state: ActorState, actor_type: str) -> Footprint:
-    return Footprint(state.x, state.y, state.heading, *VEHICLE_DIMS[actor_type])
+def track_footprints(track: ActorTrack, actor_type: str) -> list[Footprint]:
+    """The actor's footprint in each frame."""
+    length, width = VEHICLE_DIMS[actor_type]
+    return [Footprint(x, y, heading, length, width)
+            for x, y, heading in zip(track.x, track.y, track.heading)]
 
 
 def footprints_overlap(a: Footprint, b: Footprint) -> bool:
@@ -849,7 +967,10 @@ def simulate(instance: ScenarioInstance, geometry: RoadGeometry) -> Trace:
     actor_types = {m.actor_id: m.actor_type for m in movers}
     lanes = _lane_table(geometry)
 
-    frames: list[Frame] = []
+    times: list[float] = []
+    signals: list[tuple[tuple[str, str], ...]] = []
+    # per mover: x, y, heading, speed, lane id and lateral offset per frame
+    columns = [([], [], [], [], [], []) for _ in movers]
     total_frames = int(HORIZON_S / TIMESTEP_S) + 1
     end_frame = total_frames - 1
     collided = False
@@ -871,16 +992,23 @@ def simulate(instance: ScenarioInstance, geometry: RoadGeometry) -> Trace:
                     progress = min((t - m.trigger_t) / RAMP_DURATION_S, 1.0)
                     m.lateral = m.ramp_target * progress
 
-        states = []
-        for m in movers:
+        watching = not collided and len(movers) > 1
+        prints = []
+        for m, (xs, ys, headings, speeds, lane_ids, laterals) in zip(movers, columns):
             x, y, heading = m.state()
             lane_id, lateral = _locate_lane(lanes, x, y)
-            states.append(ActorState(m.actor_id, x, y, heading, m.speed, lane_id, lateral))
-        signals = tuple((leg, sched.state(t)) for leg, sched in geometry.signal_heads)
-        frames.append(Frame(t=t, actors=tuple(states), signals=signals))
+            xs.append(x)
+            ys.append(y)
+            headings.append(heading)
+            speeds.append(m.speed)
+            lane_ids.append(lane_id)
+            laterals.append(lateral)
+            if watching:
+                prints.append(Footprint(x, y, heading, *dims[m.actor_id]))
+        times.append(t)
+        signals.append(tuple((leg, sched.state(t)) for leg, sched in geometry.signal_heads))
 
-        if not collided and len(movers) > 1:
-            prints = [Footprint(st.x, st.y, st.heading, *dims[st.actor_id]) for st in states]
+        if watching:
             for i in range(len(prints)):
                 for j in range(i + 1, len(prints)):
                     if footprints_overlap(prints[i], prints[j]):
@@ -913,7 +1041,10 @@ def simulate(instance: ScenarioInstance, geometry: RoadGeometry) -> Trace:
         horizon_s=HORIZON_S,
         geometry_ref=geometry.digest(),
         actor_types=actor_types,
-        frames=tuple(frames),
+        times=tuple(times),
+        signals=tuple(signals),
+        tracks=tuple(ActorTrack(m.actor_id, *map(tuple, cols))
+                     for m, cols in zip(movers, columns)),
     )
 
 
@@ -926,17 +1057,15 @@ def detect_collisions(trace: Trace,
     already holds them passes them in, so their corners are computed once.
     """
     if footprints is None:
-        footprints = {actor_id: [] for actor_id in trace.actor_types}
-        for frame in trace.frames:
-            for a in frame.actors:
-                footprints[a.actor_id].append(actor_footprint(a, trace.actor_types[a.actor_id]))
+        footprints = {track.actor_id: track_footprints(track, trace.actor_types[track.actor_id])
+                      for track in trace.tracks}
     ids = sorted(footprints)
     hits: list[tuple[int, int, CollisionEvent]] = []
     pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
     for n, (a, b) in enumerate(pairs):
         for k, (print_a, print_b) in enumerate(zip(footprints[a], footprints[b])):
             if footprints_overlap(print_a, print_b):
-                hits.append((k, n, CollisionEvent(t=trace.frames[k].t, actor_a=a, actor_b=b)))
+                hits.append((k, n, CollisionEvent(t=trace.times[k], actor_a=a, actor_b=b)))
                 break
     # frame order, then pair order within a frame
     return [event for _, _, event in sorted(hits, key=lambda hit: hit[:2])]

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -291,3 +294,46 @@ def test_a_failing_staged_monitor_names_its_seed(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: {traces[2]}: seed 2: boom\n"
     assert not (tmp_path / "reports").exists()
     assert not (tmp_path / "summary.csv").exists()
+
+
+def test_a_malformed_trace_is_named_with_its_file_and_line(tmp_path, capsys):
+    template, manifest = _staged_manifest(tmp_path)
+    assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_OK
+    traces = sorted((tmp_path / "traces").glob("trace_*.jsonl"))
+    lines = traces[1].read_text(encoding="utf-8").splitlines()
+    traces[1].write_text("\n".join(lines[:-1] + ['{"actors":[']) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["monitor", str(template), *map(str, traces)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {traces[1]}: line {len(lines)}: Expecting value at column 12\n")
+    assert not (tmp_path / "reports").exists()
+
+
+def _write_unparseable_document(tmp_path: Path) -> Path:
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("environment: {weather: plasma}\n", encoding="utf-8")
+    return bad
+
+
+def test_extract_prints_the_issues_of_a_document_that_does_not_parse(tmp_path, capsys):
+    bad = _write_unparseable_document(tmp_path)
+    assert cli.main(["extract", str(bad), "--out", str(tmp_path / "docs")]) == cli.EXIT_PARTIAL
+    out = capsys.readouterr().out
+    assert f"{bad}: /environment/weather [invalid_enum]" in out
+    assert not (tmp_path / "docs").exists()
+
+
+def test_extract_prints_the_issues_without_asserts(tmp_path):
+    """Under `python -O` too: the check is not an assert."""
+    bad = _write_unparseable_document(tmp_path)
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "scenforge.cli", "extract", str(bad),
+         "--out", str(tmp_path / "docs")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == cli.EXIT_PARTIAL, done.stderr
+    assert f"{bad}: /environment/weather [invalid_enum]" in done.stdout
+    assert done.stderr == ""
+    assert not (tmp_path / "docs").exists()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -30,17 +31,19 @@ def _solo_spec(speed: float = 10.0, limit: float | None = None,
 def make_trace(geometry: sim.RoadGeometry, actor_types: dict[str, str],
                rows: list[list[tuple[str, float, float, float, float]]],
                scenario_id: str = "synthetic", seed: int = 0) -> sim.Trace:
-    """Build a trace from per-frame (actor_id, x, y, heading, speed) tuples."""
-    frames = []
+    """Build a trace from per-frame (actor_id, x, y, heading, speed) tuples.
+
+    Every row lists the same actors in the same order, as simulated frames do.
+    """
     lanes = sim._lane_table(geometry)
-    for k, row in enumerate(rows):
-        t = round(k * sim.TIMESTEP_S, 9)
-        actors = []
-        for actor_id, x, y, heading, speed in row:
-            lane_id, lateral = sim._locate_lane(lanes, x, y)
-            actors.append(sim.ActorState(actor_id, x, y, heading, speed, lane_id, lateral))
-        signals = tuple((leg, sched.state(t)) for leg, sched in geometry.signal_heads)
-        frames.append(sim.Frame(t=t, actors=tuple(actors), signals=signals))
+    times = tuple(round(k * sim.TIMESTEP_S, 9) for k in range(len(rows)))
+    tracks = []
+    for states in zip(*rows):  # one actor's state in each frame
+        actor_id = states[0][0]
+        assert all(state[0] == actor_id for state in states)
+        _, xs, ys, headings, speeds = zip(*states)
+        lane_ids, laterals = zip(*(sim._locate_lane(lanes, x, y) for x, y in zip(xs, ys)))
+        tracks.append(sim.ActorTrack(actor_id, xs, ys, headings, speeds, lane_ids, laterals))
     return sim.Trace(
         scenario_id=scenario_id,
         instance_seed=seed,
@@ -48,7 +51,10 @@ def make_trace(geometry: sim.RoadGeometry, actor_types: dict[str, str],
         horizon_s=sim.HORIZON_S,
         geometry_ref=geometry.digest(),
         actor_types=actor_types,
-        frames=tuple(frames),
+        times=times,
+        signals=tuple(tuple((leg, sched.state(t)) for leg, sched in geometry.signal_heads)
+                      for t in times),
+        tracks=tuple(tracks),
     )
 
 
@@ -301,19 +307,9 @@ def test_yield_and_driveway_sections_are_evaluable_but_vacuous():
 
 
 def _bump_speeds(trace: sim.Trace, delta: float) -> sim.Trace:
-    frames = tuple(
-        sim.Frame(
-            t=f.t,
-            actors=tuple(
-                sim.ActorState(a.actor_id, a.x, a.y, a.heading, a.speed + delta,
-                               a.lane_id, a.lateral)
-                for a in f.actors),
-            signals=f.signals,
-        )
-        for f in trace.frames
-    )
-    return sim.Trace(trace.scenario_id, trace.instance_seed, trace.timestep_s,
-                     trace.horizon_s, trace.geometry_ref, trace.actor_types, frames)
+    return dataclasses.replace(trace, tracks=tuple(
+        dataclasses.replace(track, speed=tuple(speed + delta for speed in track.speed))
+        for track in trace.tracks))
 
 
 def test_speed_rule_monotone_in_speed():

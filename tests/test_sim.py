@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -234,6 +235,72 @@ def test_trace_jsonl_round_trip():
     assert sim.trace_to_jsonl(loaded) == text
 
 
+def _straight1_trace_lines() -> list[str]:
+    template = load_template("straight-1")
+    geo = sim.build_geometry(template)
+    return sim.trace_to_jsonl(sim.simulate(sampling.sample_instance(template, 0), geo)).splitlines()
+
+
+def _with_actors(line: str, edit) -> str:
+    frame = json.loads(line)
+    frame["actors"] = edit(frame["actors"])
+    return canonical_json(frame)
+
+
+def _truncated_last(lines):
+    return lines[:-1] + [lines[-1][:len('{"actors":[')]], len(lines)
+
+
+def _not_json(lines):
+    return lines[:4] + ["", "not json"] + lines[5:], 6  # the blank line is counted
+
+
+def _missing_actor(lines):
+    return lines[:4] + [_with_actors(lines[4], lambda actors: actors[:1])] + lines[5:], 5
+
+
+def _reordered_actors(lines):
+    return lines[:4] + [_with_actors(lines[4], lambda actors: actors[::-1])] + lines[5:], 5
+
+
+def _header_mismatch(lines):
+    header = json.loads(lines[0])
+    header["actor_types"] = {"ego": "car", "npc_2": "car"}
+    return [canonical_json(header)] + lines[1:], 2
+
+
+@pytest.mark.parametrize("malform, reason", [
+    (_truncated_last, r"Expecting value at column 12"),
+    (_not_json, r"Expecting value at column 1"),
+    (_missing_actor, r"actors \['ego'\] differ in set or order from the first frame's"),
+    (_reordered_actors,
+     r"actors \['npc_1', 'ego'\] differ in set or order from the first frame's"),
+    (_header_mismatch, r"actors \['ego', 'npc_1'\] do not match the header actor_types"),
+])
+def test_a_malformed_trace_names_the_line_at_fault(malform, reason):
+    lines, line_number = malform(_straight1_trace_lines())
+    with pytest.raises(ValueError, match=rf"^line {line_number}: {reason}"):
+        sim.trace_from_jsonl("\n".join(lines) + "\n")
+
+
+def test_trace_rows_are_built_from_the_tracks():
+    template = load_template("straight-1")
+    geo = sim.build_geometry(template)
+    trace = sim.simulate(sampling.sample_instance(template, 0), geo)
+    frames = trace.frames
+    assert len(frames) == len(trace.times)
+    assert frames[-1] == frames[len(frames) - 1] == list(frames)[-1]
+    assert frames[1:3] == (frames[1], frames[2])
+    frame = frames[3]
+    assert frame.t == trace.times[3] and frame.signals == trace.signals[3]
+    assert [a.actor_id for a in frame.actors] == [track.actor_id for track in trace.tracks]
+    ego = trace.tracks[0]
+    assert frame.actors[0] == sim.ActorState(ego.actor_id, ego.x[3], ego.y[3], ego.heading[3],
+                                             ego.speed[3], ego.lane_id[3], ego.lateral[3])
+    with pytest.raises(IndexError):
+        frames[len(frames)]
+
+
 def _reference_sig6(x: float) -> float:
     return float(f"{x:.6g}")
 
@@ -294,15 +361,13 @@ def test_trace_writer_matches_the_reference_writer_on_escaped_ids():
     geo = sim.build_geometry(template)
     trace = sim.simulate(sampling.sample_instance(template, 5), geo)
     renames = {actor_id: f'{actor_id}"\\\u00e9\u2028' for actor_id in trace.actor_types}
-    frames = tuple(
-        sim.Frame(frame.t, tuple(
-            sim.ActorState(renames[a.actor_id], a.x, -0.0 if k == 0 else a.y, a.heading,
-                           a.speed, f'{a.lane_id}\t"\u00fc', a.lateral)
-            for a in frame.actors), frame.signals)
-        for k, frame in enumerate(trace.frames))
-    escaped = sim.Trace(trace.scenario_id, trace.instance_seed, trace.timestep_s,
-                        trace.horizon_s, trace.geometry_ref,
-                        {renames[a]: kind for a, kind in trace.actor_types.items()}, frames)
+    tracks = tuple(
+        dataclasses.replace(track, actor_id=renames[track.actor_id], y=(-0.0,) + track.y[1:],
+                            lane_id=tuple(f'{lane}\t"\u00fc' for lane in track.lane_id))
+        for track in trace.tracks)
+    escaped = dataclasses.replace(
+        trace, actor_types={renames[a]: kind for a, kind in trace.actor_types.items()},
+        tracks=tracks)
     text = sim.trace_to_jsonl(escaped)
     assert '\\"' in text and "\\u00e9" in text and '"y":-0.0' in text
     assert text == _reference_trace_to_jsonl(escaped)
@@ -320,9 +385,8 @@ def test_trace_writer_matches_the_reference_writer_with_signals():
              for t in (0.0, 13.0, 20.0)]
     cycle.append(cycle[0])
     assert len(set(cycle)) > 1
-    switching = dataclasses.replace(trace, frames=tuple(
-        dataclasses.replace(frame, signals=cycle[k % len(cycle)])
-        for k, frame in enumerate(trace.frames)))
+    switching = dataclasses.replace(trace, signals=tuple(
+        cycle[k % len(cycle)] for k in range(len(trace.times))))
     assert sim.trace_to_jsonl(switching) == _reference_trace_to_jsonl(switching)
 
 

@@ -2,7 +2,9 @@
 
 All intermediate artifacts are files, written atomically
 (temp-then-rename), so stages compose: running them separately over the
-intermediate files produces exactly what `pipeline` writes in one go.
+intermediate files writes what `pipeline` writes in one go, except that a
+staged `monitor` reads traces back at 6 significant digits, so its report
+evidence floats can differ from the in-memory ones.
 
 Exit codes: 0 success, 1 partial failure (some input failed a stage),
 2 configuration error.
@@ -433,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=sampling.DEFAULT_BATCH_SIZE)
     add_common(p, out=False)
     add_extraction(p)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
 
     return parser
 

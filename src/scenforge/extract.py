@@ -13,7 +13,6 @@ from __future__ import annotations
 import base64
 import json
 import os
-import threading
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -59,7 +58,6 @@ class ClientConfig:
     api_key_source: str = "SCENFORGE_API_KEY"
     max_retries: int = 2
     timeout_s: float = 60.0
-    max_in_flight: int = 4
 
     def __post_init__(self):
         if self.max_retries < 0:
@@ -202,7 +200,6 @@ class HttpTransport:
 
     def __init__(self, config: ClientConfig):
         self._config = config
-        self._gate = threading.Semaphore(config.max_in_flight)
 
     def complete(self, system_text: str, user_parts: tuple[PromptPart, ...]) -> str:
         import requests
@@ -225,9 +222,8 @@ class HttpTransport:
         }
         key = os.environ.get(self._config.api_key_source, "")
         headers = {"Authorization": f"Bearer {key}"} if key else {}
-        with self._gate:
-            response = requests.post(self._config.endpoint_url, json=body,
-                                     headers=headers, timeout=self._config.timeout_s)
+        response = requests.post(self._config.endpoint_url, json=body,
+                                 headers=headers, timeout=self._config.timeout_s)
         response.raise_for_status()
         return response.json()["choices"][0]["message"]["content"]
 

@@ -50,7 +50,6 @@ from .sim import (
     Trace,
     VEHICLE_DIMS,
     approach_of,
-    detect_collisions,
     ego_leg,
     footprints_overlap,
     normalize_heading,
@@ -184,7 +183,6 @@ class TraceView:
             raise ValueError("trace was produced on a different geometry")
         self.trace = trace
         self.geometry = geometry
-        self.geometry_ref = trace.geometry_ref
         self.times = trace.times
         self.signals = trace.signals
         self.actor_ids = sorted(trace.actor_types)
@@ -328,7 +326,7 @@ class TraceView:
 
 
 # ---------------------------------------------------------------------------
-# individual checks: plain functions of (view, geometry)
+# individual checks: plain functions of the view
 
 
 def _speeding(view: TraceView, rule_id: str, limit: float) -> list[Violation]:
@@ -382,14 +380,14 @@ def _within_headway(fx: float, fy: float, fh: float, fv: float,
     return math.hypot(dx, dy) < HEADWAY_S * fv
 
 
-def _check_absolute_speed(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+def _check_absolute_speed(view: TraceView) -> list[Violation]:
     """22349: above the 65 mph maximum."""
     return _speeding(view, "22349", ABSOLUTE_MAX_SPEED)
 
 
-def _check_basic_speed(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+def _check_basic_speed(view: TraceView) -> list[Violation]:
     """22350: above the posted limit, or following inside the headway."""
-    return _speeding(view, "22350", geometry.speed_limit) + _headway(view)
+    return _speeding(view, "22350", view.geometry.speed_limit) + _headway(view)
 
 
 def _controlled_approaches(geometry: RoadGeometry) -> tuple[str, ...]:
@@ -400,9 +398,9 @@ def _controlled_approaches(geometry: RoadGeometry) -> tuple[str, ...]:
     return tuple(sl.approach for sl in geometry.stop_lines if sl.approach != ego)
 
 
-def _check_stop_sign(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+def _check_stop_sign(view: TraceView) -> list[Violation]:
     """22450: crossing a stop-controlled line without stopping in the zone."""
-    controlled = _controlled_approaches(geometry)
+    controlled = _controlled_approaches(view.geometry)
     if not controlled:
         return []
     out: list[Violation] = []
@@ -422,8 +420,9 @@ def _check_stop_sign(view: TraceView, geometry: RoadGeometry) -> list[Violation]
     return out
 
 
-def _check_red_light(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+def _check_red_light(view: TraceView) -> list[Violation]:
     """21453: crossing the stop line on red."""
+    geometry = view.geometry
     if not geometry.signal_heads:
         return []
     out: list[Violation] = []
@@ -443,8 +442,8 @@ def _check_red_light(view: TraceView, geometry: RoadGeometry) -> list[Violation]
     return out
 
 
-def _divider_crossings(view: TraceView, geometry: RoadGeometry, rule_id: str,
-                       marker: str) -> list[Violation]:
+def _divider_crossings(view: TraceView, rule_id: str, marker: str) -> list[Violation]:
+    geometry = view.geometry
     if geometry.axis is None or geometry.scenario.number_of_ways != 2:
         return []
     if geometry.scenario.marker != marker:
@@ -462,14 +461,14 @@ def _divider_crossings(view: TraceView, geometry: RoadGeometry, rule_id: str,
     return out
 
 
-def _check_solid_divider(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+def _check_solid_divider(view: TraceView) -> list[Violation]:
     """21460: crossing a solid direction divider."""
-    return _divider_crossings(view, geometry, "21460", "solid_line")
+    return _divider_crossings(view, "21460", "solid_line")
 
 
-def _check_broken_divider(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+def _check_broken_divider(view: TraceView) -> list[Violation]:
     """21461: crossing a broken divider with oncoming traffic in range."""
-    return _divider_crossings(view, geometry, "21461", "broken_line")
+    return _divider_crossings(view, "21461", "broken_line")
 
 
 def _region_distance(geometry: RoadGeometry, x: float, y: float) -> float:
@@ -480,7 +479,7 @@ def _region_distance(geometry: RoadGeometry, x: float, y: float) -> float:
     return math.hypot(dx, dy)
 
 
-def _check_unsafe_lane_change(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+def _check_unsafe_lane_change(view: TraceView) -> list[Violation]:
     """22107: a lane change with a vehicle inside the headway gap."""
     out: list[Violation] = []
     for actor_id, k in view.lane_changes():
@@ -497,8 +496,9 @@ def _check_unsafe_lane_change(view: TraceView, geometry: RoadGeometry) -> list[V
     return out
 
 
-def _check_junction_lane_change(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+def _check_junction_lane_change(view: TraceView) -> list[Violation]:
     """22108: a lane change started near the junction conflict region."""
+    geometry = view.geometry
     if geometry.conflict_region is None:
         return []
     out: list[Violation] = []
@@ -511,9 +511,9 @@ def _check_junction_lane_change(view: TraceView, geometry: RoadGeometry) -> list
     return out
 
 
-def _has_priority(view: TraceView, geometry: RoadGeometry, b_id: str, b_entry: int,
-                  a_id: str, a_entry: int) -> bool:
+def _has_priority(view: TraceView, b_id: str, b_entry: int, a_id: str, a_entry: int) -> bool:
     """Does actor B hold priority over actor A for a region entry conflict."""
+    geometry = view.geometry
     a_approach = view.approach(a_id)
     b_approach = view.approach(b_id)
     if geometry.signal_heads:
@@ -542,8 +542,8 @@ def _has_priority(view: TraceView, geometry: RoadGeometry, b_id: str, b_entry: i
     return False
 
 
-def _right_of_way_section(view: TraceView, geometry: RoadGeometry, actor_id: str,
-                          entry: int) -> str:
+def _right_of_way_section(view: TraceView, actor_id: str, entry: int) -> str:
+    geometry = view.geometry
     approach = view.approach(actor_id)
     if geometry.signal_for(approach) is not None:
         return "21800"
@@ -554,8 +554,8 @@ def _right_of_way_section(view: TraceView, geometry: RoadGeometry, actor_id: str
     return "21800"
 
 
-def _failures_to_yield(view: TraceView, geometry: RoadGeometry, rule_id: str) -> list[Violation]:
-    if geometry.conflict_region is None:
+def _failures_to_yield(view: TraceView, rule_id: str) -> list[Violation]:
+    if view.geometry.conflict_region is None:
         return []
     entries = sorted(view.region_entries().items())
     out: list[Violation] = []
@@ -567,9 +567,9 @@ def _failures_to_yield(view: TraceView, geometry: RoadGeometry, rule_id: str) ->
             t_b = view.times[b_entry]
             if t_b > t_a + PRIORITY_WINDOW_S:
                 continue
-            if not _has_priority(view, geometry, b_id, b_entry, a_id, a_entry):
+            if not _has_priority(view, b_id, b_entry, a_id, a_entry):
                 continue
-            section = _right_of_way_section(view, geometry, a_id, a_entry)
+            section = _right_of_way_section(view, a_id, a_entry)
             if section == rule_id:
                 out.append(Violation(rule_id, a_id, t_a, t_a,
                                      {"priority_actor": b_id, "gap_s": abs(t_b - t_a)}))
@@ -577,27 +577,27 @@ def _failures_to_yield(view: TraceView, geometry: RoadGeometry, rule_id: str) ->
     return out
 
 
-def _check_signal_or_general_yield(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+def _check_signal_or_general_yield(view: TraceView) -> list[Violation]:
     """21800: entering ahead of an actor with priority (signalized or default)."""
-    return _failures_to_yield(view, geometry, "21800")
+    return _failures_to_yield(view, "21800")
 
 
-def _check_left_turn_yield(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+def _check_left_turn_yield(view: TraceView) -> list[Violation]:
     """21801: an uncontrolled left turn into an actor with priority."""
-    return _failures_to_yield(view, geometry, "21801")
+    return _failures_to_yield(view, "21801")
 
 
-def _check_stop_controlled_yield(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+def _check_stop_controlled_yield(view: TraceView) -> list[Violation]:
     """21802: entering from a stop-controlled approach ahead of an actor with priority."""
-    return _failures_to_yield(view, geometry, "21802")
+    return _failures_to_yield(view, "21802")
 
 
-def _check_yield_sign(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+def _check_yield_sign(view: TraceView) -> list[Violation]:
     """21803: no yield signs in the sign vocabulary."""
     return []
 
 
-def _check_driveway_entry(view: TraceView, geometry: RoadGeometry) -> list[Violation]:
+def _check_driveway_entry(view: TraceView) -> list[Violation]:
     """21804: no driveway legs in the built topologies."""
     return []
 
@@ -619,16 +619,26 @@ _CHECKS = {
 }
 
 
-def evaluate_rule(rule: RuleSpec | str, trace: Trace | TraceView,
-                  geometry: RoadGeometry) -> list[Violation]:
-    """Run one registry rule over a trace (or its view), merging adjacent intervals."""
-    rule_id = rule if isinstance(rule, str) else rule.rule_id
+def evaluate_rule(rule_id: str, view: TraceView) -> list[Violation]:
+    """Run one registry rule over a trace view, merging adjacent intervals."""
     if rule_id not in REGISTRY:
         raise KeyError(f"rule {rule_id!r} is not in the registry")
-    if trace.geometry_ref != geometry.digest():
-        raise ValueError("trace was produced on a different geometry")
-    view = trace if isinstance(trace, TraceView) else TraceView(trace, geometry)
-    return _merge(_CHECKS[rule_id](view, geometry), view.trace.timestep_s)
+    return _merge(_CHECKS[rule_id](view), view.trace.timestep_s)
+
+
+def detect_collisions(view: TraceView) -> list[CollisionEvent]:
+    """First overlapping frame per actor pair (separating-axis test)."""
+    footprints = view.footprints
+    ids = sorted(footprints)
+    hits: list[tuple[int, int, CollisionEvent]] = []
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    for n, (a, b) in enumerate(pairs):
+        for k, (print_a, print_b) in enumerate(zip(footprints[a], footprints[b])):
+            if footprints_overlap(print_a, print_b):
+                hits.append((k, n, CollisionEvent(t=view.times[k], actor_a=a, actor_b=b)))
+                break
+    # frame order, then pair order within a frame
+    return [event for _, _, event in sorted(hits, key=lambda hit: hit[:2])]
 
 
 def monitor(trace: Trace, oracle: Iterable[OracleEntry], geometry: RoadGeometry) -> ViolationReport:
@@ -639,9 +649,10 @@ def monitor(trace: Trace, oracle: Iterable[OracleEntry], geometry: RoadGeometry)
     view = TraceView(trace, geometry)
     violations: list[Violation] = []
     for rule_id in sorted(REGISTRY):
-        violations.extend(evaluate_rule(rule_id, view, geometry))
-    violations = _merge(violations, trace.timestep_s)
-    collisions = detect_collisions(trace, view.footprints)
+        violations.extend(evaluate_rule(rule_id, view))
+    # each rule's list is already merged per (rule, actor); only the order is left
+    violations.sort(key=lambda v: (v.t_start, v.rule_id, v.actor_id))
+    collisions = detect_collisions(view)
 
     if violations and collisions:
         outcome = "both"

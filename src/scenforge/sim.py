@@ -22,7 +22,6 @@ import functools
 import json
 import math
 import operator
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .digests import canonical_json, digest64_json, to_data
@@ -414,26 +413,6 @@ def build_geometry(template: ScenarioTemplate) -> RoadGeometry:
 
 
 @dataclass(frozen=True)
-class ActorState:
-    actor_id: str
-    x: float
-    y: float
-    heading: float
-    speed: float
-    lane_id: str
-    lateral: float
-
-
-@dataclass(frozen=True)
-class Frame:
-    """One row of a trace, built on demand by `Trace.frames`."""
-
-    t: float
-    actors: tuple[ActorState, ...]
-    signals: tuple[tuple[str, str], ...]
-
-
-@dataclass(frozen=True)
 class ActorTrack:
     """One actor's states over the frames of a trace, one column per field."""
 
@@ -463,31 +442,8 @@ class Trace:
     tracks: tuple[ActorTrack, ...]
 
     @property
-    def frames(self) -> FrameRows:
-        """The trace read frame by frame; a `Frame` is built only when indexed."""
-        return FrameRows(self)
-
-
-class FrameRows(Sequence):
-    """Read-only row view of a trace's columns."""
-
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace: Trace):
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace.times)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[i] for i in range(*k.indices(len(self))))
-        trace = self._trace
-        t = trace.times[k]
-        return Frame(t, tuple(
-            ActorState(a.actor_id, a.x[k], a.y[k], a.heading[k], a.speed[k], a.lane_id[k],
-                       a.lateral[k])
-            for a in trace.tracks), trace.signals[k])
+    def frames(self) -> tuple[float, ...]:  # kept only for perfbench/tracer.py's len(trace.frames)
+        return self.times
 
 
 @dataclass(frozen=True)
@@ -1046,26 +1002,3 @@ def simulate(instance: ScenarioInstance, geometry: RoadGeometry) -> Trace:
         tracks=tuple(ActorTrack(m.actor_id, *map(tuple, cols))
                      for m, cols in zip(movers, columns)),
     )
-
-
-def detect_collisions(trace: Trace,
-                      footprints: Mapping[str, Sequence[Footprint]] | None = None
-                      ) -> list[CollisionEvent]:
-    """First overlapping frame per actor pair (separating-axis test).
-
-    `footprints` maps each actor to its footprint per frame; a caller that
-    already holds them passes them in, so their corners are computed once.
-    """
-    if footprints is None:
-        footprints = {track.actor_id: track_footprints(track, trace.actor_types[track.actor_id])
-                      for track in trace.tracks}
-    ids = sorted(footprints)
-    hits: list[tuple[int, int, CollisionEvent]] = []
-    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
-    for n, (a, b) in enumerate(pairs):
-        for k, (print_a, print_b) in enumerate(zip(footprints[a], footprints[b])):
-            if footprints_overlap(print_a, print_b):
-                hits.append((k, n, CollisionEvent(t=trace.times[k], actor_a=a, actor_b=b)))
-                break
-    # frame order, then pair order within a frame
-    return [event for _, _, event in sorted(hits, key=lambda hit: hit[:2])]

@@ -5,14 +5,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from scenforge import cli, rules, sim
+from scenforge import cli, dsl, normalize, rules, sim, synth
 from scenforge.digests import from_data
 
 from .conftest import FIXTURES, SCENARIO_FILES
+from .test_dsl import scenario_specs
 
 STRAIGHT1 = FIXTURES / "scenarios" / "straight1.yaml"
 CURVE = FIXTURES / "scenarios" / "curve.yaml"
@@ -54,51 +57,103 @@ def test_pipeline_deterministic_across_runs(tmp_path):
 COMPOSITION_SAMPLES = "5"
 
 
+def _pipeline_and_stages(document: Path, sid: str, root: Path, samples: str) -> tuple[Path, Path]:
+    """The scenario directory `pipeline` wrote and the one the stages wrote, both at seed 0."""
+    piped = root / "piped"
+    assert cli.main(["pipeline", str(document), "--out", str(piped),
+                     "--samples", samples]) == cli.EXIT_OK
+    staged = root / "staged"
+    for stage in ("normalize", "synth"):
+        assert cli.main([stage, str(document), "--out", str(staged),
+                         "--seed", "0"]) == cli.EXIT_OK
+    template = staged / f"{sid}.template.json"
+    assert cli.main(["sample", str(template), "--samples", samples,
+                     "--seed", "0", "--out", str(staged)]) == cli.EXIT_OK
+    assert cli.main(["simulate", str(template), str(staged / "instances.jsonl"),
+                     "--out", str(staged)]) == cli.EXIT_OK
+    traces = sorted((staged / "traces").glob("trace_*.jsonl"))
+    assert cli.main(["monitor", str(template), *map(str, traces),
+                     "--out", str(staged)]) == cli.EXIT_OK
+    return piped / sid, staged
+
+
 @pytest.fixture(scope="module")
 def composed(tmp_path_factory) -> dict[str, tuple[Path, Path]]:
     """Per fixture: the scenario directory `pipeline` wrote and the one the stages wrote."""
     root = tmp_path_factory.mktemp("composition")
-    dirs = {}
-    for sid, document in SCENARIO_FILES.items():
-        piped = root / "piped" / sid
-        assert cli.main(["pipeline", str(document), "--out", str(piped),
-                         "--samples", COMPOSITION_SAMPLES]) == cli.EXIT_OK
-        staged = root / "staged" / sid
-        for stage in ("normalize", "synth"):
-            assert cli.main([stage, str(document), "--out", str(staged),
-                             "--seed", "0"]) == cli.EXIT_OK
-        template = staged / f"{sid}.template.json"
-        assert cli.main(["sample", str(template), "--samples", COMPOSITION_SAMPLES,
-                         "--seed", "0", "--out", str(staged)]) == cli.EXIT_OK
-        assert cli.main(["simulate", str(template), str(staged / "instances.jsonl"),
-                         "--out", str(staged)]) == cli.EXIT_OK
-        traces = sorted((staged / "traces").glob("trace_*.jsonl"))
-        assert cli.main(["monitor", str(template), *map(str, traces),
-                         "--out", str(staged)]) == cli.EXIT_OK
-        dirs[sid] = (piped / sid, staged)
-    return dirs
+    return {sid: _pipeline_and_stages(document, sid, root / sid, COMPOSITION_SAMPLES)
+            for sid, document in SCENARIO_FILES.items()}
 
 
-def _assert_same_files(piped: Path, staged: Path, pattern: str) -> None:
+def _same_names(piped: Path, staged: Path, pattern: str, count: int) -> list[Path]:
     names = sorted(path.relative_to(staged) for path in staged.glob(pattern))
     assert names == sorted(path.relative_to(piped) for path in piped.glob(pattern))
-    assert len(names) == int(COMPOSITION_SAMPLES)
-    for name in names:
+    assert len(names) == count
+    return names
+
+
+def _assert_same_files(piped: Path, staged: Path, pattern: str,
+                       count: int = int(COMPOSITION_SAMPLES)) -> None:
+    for name in _same_names(piped, staged, pattern, count):
         assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
+
+
+def _assert_same_stage_files(piped: Path, staged: Path, sid: str, count: int) -> None:
+    for name in (f"{sid}.normalized.yaml", f"{sid}.provenance.json", f"{sid}.scenic",
+                 f"{sid}.template.json", "instances.jsonl"):
+        assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
+    _assert_same_files(piped, staged, "traces/trace_*.jsonl", count)
 
 
 def test_stage_composition_matches_pipeline(composed):
     for sid, (piped, staged) in composed.items():
-        for name in (f"{sid}.normalized.yaml", f"{sid}.provenance.json", f"{sid}.scenic",
-                     f"{sid}.template.json", "instances.jsonl"):
-            assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
-        _assert_same_files(piped, staged, "traces/trace_*.jsonl")
+        _assert_same_stage_files(piped, staged, sid, int(COMPOSITION_SAMPLES))
     _assert_same_files(*composed["straight-1"], "reports/report_*.json")
+
+
+def _verdicts(report: Path) -> tuple:
+    """What a report decides: outcome, targeted hit, (rule, actor) pairs and collisions."""
+    data = json.loads(report.read_text(encoding="utf-8"))
+    return (data["outcome"], data["targeted_hit"],
+            sorted({(v["rule_id"], v["actor_id"]) for v in data["violations"]}),
+            data["collisions"])
+
+
+# A larger opt-in run of this gate, with the same derandomized examples first:
+#   SCENFORGE_FUZZ_EXAMPLES=400 PYTHONPATH=src python -m pytest tests/test_cli.py -k fuzz
+@given(scenario_specs())
+@settings(derandomize=True, deadline=None,
+          max_examples=int(os.environ.get("SCENFORGE_FUZZ_EXAMPLES", "70")))
+def test_fuzzed_documents_are_rejected_at_synth_or_compose_end_to_end(spec):
+    """Every valid document either fails synth with a `CompatibilityError`, or runs
+    through `pipeline` and the staged commands without an error, writing the same
+    files; the reports agree on every verdict (their evidence floats may differ,
+    see `test_staged_reports_match_pipeline`)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        text = dsl.serialize_dsl(spec)
+        document = root / "doc.yaml"
+        document.write_text(text, encoding="utf-8")
+        normalized = normalize.normalize_document(text, 0)
+        assert isinstance(normalized, normalize.NormalizedSpec), normalized
+        try:
+            synth.build_template(normalized)
+        except synth.CompatibilityError as exc:
+            out = root / "piped"
+            assert cli.main(["pipeline", str(document), "--out", str(out),
+                             "--samples", "2"]) == cli.EXIT_PARTIAL
+            assert (out / "failures.txt").read_text(encoding="utf-8") == f"{document}: {exc}\n"
+            return
+        sid = normalized.spec.scenario_id
+        piped, staged = _pipeline_and_stages(document, sid, root, "2")
+        _assert_same_stage_files(piped, staged, sid, 2)
+        for name in _same_names(piped, staged, "reports/report_*.json", 2):
+            assert _verdicts(staged / name) == _verdicts(piped / name), name
 
 
 @pytest.mark.parametrize("sid", [
     pytest.param(sid, marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 3: monitoring a trace reloaded from its 6-significant-digit "
+        "ROADMAP item 1: monitoring a trace reloaded from its 6-significant-digit "
         "JSONL gives other evidence floats than monitoring the in-memory trace")))
     for sid in SCENARIO_FILES if sid != "straight-1"])
 def test_staged_reports_match_pipeline(composed, sid):
@@ -238,6 +293,15 @@ def test_zero_samples_is_config_error(tmp_path):
     status = cli.main(["pipeline", str(STRAIGHT1), "--out", str(tmp_path / "o"),
                        "--samples", "0"])
     assert status == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_config_error(tmp_path, workers):
+    out = tmp_path / "o"
+    status = cli.main(["pipeline", str(STRAIGHT1), "--out", str(out),
+                       "--samples", "2", "--workers", workers])
+    assert status == cli.EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_zero_samples_is_config_error_for_sample(tmp_path):

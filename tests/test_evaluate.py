@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from scenforge.evaluate import (
     fleiss_kappa,
 )
 
-from .conftest import load_spec
+from .conftest import FIXTURES, REPO_ROOT, load_spec
 
 
 def test_identity_comparison_is_perfect():
@@ -230,3 +231,19 @@ def test_agreement_table_csv():
     lines = csv_text.strip().splitlines()
     assert lines[0] == "road_type,observed_count,expected_count,exact_match"
     assert lines[1] == "Curve,2,2,true"
+
+
+def test_corpus_script_regenerates_the_committed_accuracy_corpus(tmp_path, monkeypatch, capsys):
+    path = REPO_ROOT / "scripts" / "gen_accuracy_corpus.py"
+    spec = importlib.util.spec_from_file_location("gen_accuracy_corpus", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT_DIR", tmp_path)
+    script.main()
+    assert capsys.readouterr().out == f"wrote 50 pairs to {tmp_path}\n"
+    committed = FIXTURES / "accuracy"
+    names = sorted(p.name for p in committed.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    assert len(names) == 100
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (committed / name).read_bytes(), name

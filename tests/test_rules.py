@@ -58,6 +58,10 @@ def make_trace(geometry: sim.RoadGeometry, actor_types: dict[str, str],
     )
 
 
+def _evaluate(rule_id: str, trace: sim.Trace, geo: sim.RoadGeometry) -> list[rules.Violation]:
+    return rules.evaluate_rule(rule_id, rules.TraceView(trace, geo))
+
+
 def _drive_rows(actor_id: str, x0: float, y: float, speed, n: int):
     """Straight-line frames heading +x; speed may be a constant or per-frame list."""
     rows = []
@@ -82,7 +86,7 @@ def test_unknown_rule_rejected():
     geo = sim.build_geometry(template)
     trace = sim.simulate(sampling.sample_instance(template, 0), geo)
     with pytest.raises(KeyError):
-        rules.evaluate_rule("99999", trace, geo)
+        _evaluate("99999", trace, geo)
 
 
 def test_geometry_mismatch_rejected():
@@ -91,13 +95,13 @@ def test_geometry_mismatch_rejected():
     trace = sim.simulate(sampling.sample_instance(template, 0), geo)
     other = sim.build_geometry(load_template("curve"))
     with pytest.raises(ValueError):
-        rules.evaluate_rule("22350", trace, other)
+        rules.monitor(trace, template.params.oracle, other)
 
 
 def test_speed_violation_spans_whole_trace():
     geo = sim.build_geometry(_template_from(_solo_spec(limit=10.0)))
     trace = make_trace(geo, {"ego": "car"}, _drive_rows("ego", 10.0, -1.75, 15.0, 31))
-    found = rules.evaluate_rule("22350", trace, geo)
+    found = _evaluate("22350", trace, geo)
     assert len(found) == 1
     v = found[0]
     assert v.actor_id == "ego"
@@ -109,23 +113,23 @@ def test_speed_violation_spans_whole_trace():
 def test_speed_within_tolerance_is_clean():
     geo = sim.build_geometry(_template_from(_solo_spec(limit=10.0)))
     trace = make_trace(geo, {"ego": "car"}, _drive_rows("ego", 10.0, -1.75, 10.4, 31))
-    assert rules.evaluate_rule("22350", trace, geo) == []
+    assert _evaluate("22350", trace, geo) == []
 
 
 def test_speed_burst_below_sustain_threshold_is_clean():
     geo = sim.build_geometry(_template_from(_solo_spec(limit=10.0)))
     speeds = [10.0] * 10 + [15.0] * 8 + [10.0] * 10  # 0.7 s burst
     trace = make_trace(geo, {"ego": "car"}, _drive_rows("ego", 10.0, -1.75, speeds, len(speeds)))
-    assert rules.evaluate_rule("22350", trace, geo) == []
+    assert _evaluate("22350", trace, geo) == []
 
 
 def test_absolute_maximum_speed_rule():
     geo = sim.build_geometry(_template_from(_solo_spec()))
     fast = make_trace(geo, {"ego": "car"}, _drive_rows("ego", 10.0, -1.75, 31.0, 31))
-    found = rules.evaluate_rule("22349", fast, geo)
+    found = _evaluate("22349", fast, geo)
     assert len(found) == 1 and found[0].evidence["limit_mps"] == rules.ABSOLUTE_MAX_SPEED
     legal = make_trace(geo, {"ego": "car"}, _drive_rows("ego", 10.0, -1.75, 25.0, 31))
-    assert rules.evaluate_rule("22349", legal, geo) == []
+    assert _evaluate("22349", legal, geo) == []
 
 
 def _stop_sign_rows(min_zone_speed: float):
@@ -149,9 +153,9 @@ def _stop_sign_rows(min_zone_speed: float):
 def test_stop_sign_compliant_and_violating():
     geo = sim.build_geometry(load_template("intersection-2"))
     compliant = make_trace(geo, {"npc_1": "car"}, _stop_sign_rows(0.05))
-    assert rules.evaluate_rule("22450", compliant, geo) == []
+    assert _evaluate("22450", compliant, geo) == []
     violating = make_trace(geo, {"npc_1": "car"}, _stop_sign_rows(2.0))
-    found = rules.evaluate_rule("22450", violating, geo)
+    found = _evaluate("22450", violating, geo)
     assert len(found) == 1
     assert found[0].actor_id == "npc_1"
     assert found[0].evidence["min_zone_speed_mps"] == pytest.approx(2.0)
@@ -166,7 +170,7 @@ def test_red_light_crossing_at_computed_frame():
     v, x0 = 10.0, -30.0
     expected_frame = math.ceil((-4.5 - (x0 + 2.25)) / (v * sim.TIMESTEP_S))
     trace = make_trace(geo, {"npc_1": "car"}, _drive_rows("npc_1", x0, -1.75, v, 40))
-    found = rules.evaluate_rule("21453", trace, geo)
+    found = _evaluate("21453", trace, geo)
     assert len(found) == 1
     assert found[0].t_start == pytest.approx(expected_frame * sim.TIMESTEP_S)
     assert found[0].evidence["signal_state"] == "red"
@@ -181,7 +185,7 @@ def test_green_crossing_is_clean():
         rows.append([("ego", 1.75, y, math.pi / 2.0, 10.0)])
         y += 1.0
     trace = make_trace(geo, {"ego": "car"}, rows)
-    assert rules.evaluate_rule("21453", trace, geo) == []
+    assert _evaluate("21453", trace, geo) == []
 
 
 def test_divider_crossing_interval_matches_closed_form():
@@ -189,7 +193,7 @@ def test_divider_crossing_interval_matches_closed_form():
     geo = sim.build_geometry(template)
     instance = sampling.sample_instance(template, 11)
     trace = sim.simulate(instance, geo)
-    found = rules.evaluate_rule("21460", trace, geo)
+    found = _evaluate("21460", trace, geo)
     assert len(found) == 1
     v = found[0]
     assert v.actor_id == "npc_1"
@@ -201,21 +205,21 @@ def test_divider_crossing_interval_matches_closed_form():
     e0 = instance.bindings["EGO_INIT_DIST"]
     n0 = instance.bindings["NPC_INIT_DIST"]
     trigger_k = next(
-        k for k in range(len(trace.frames))
+        k for k in range(len(trace.times))
         if math.hypot((e0 + n0) - (ve + vn) * k * sim.TIMESTEP_S, 3.5) <= n0)
     cross_k = next(
-        k for k in range(trigger_k, len(trace.frames))
+        k for k in range(trigger_k, len(trace.times))
         if 3.5 * min((k - trigger_k) * sim.TIMESTEP_S / 2.0, 1.0) > 0.75)
     assert v.t_start == pytest.approx(cross_k * sim.TIMESTEP_S)
-    assert v.t_end == pytest.approx(trace.frames[-1].t)
+    assert v.t_end == pytest.approx(trace.times[-1])
 
 
 def test_broken_marker_exempts_21460_but_not_21461():
     template = load_template("straight-2")
     geo = sim.build_geometry(template)
     trace = sim.simulate(sampling.sample_instance(template, 4), geo)
-    assert rules.evaluate_rule("21460", trace, geo) == []
-    passing = rules.evaluate_rule("21461", trace, geo)
+    assert _evaluate("21460", trace, geo) == []
+    passing = _evaluate("21461", trace, geo)
     assert len(passing) == 1 and passing[0].actor_id == "npc_1"
 
 
@@ -226,7 +230,7 @@ def test_headway_reported_under_22350():
         x = 10.0 + k
         rows.append([("ego", x, -1.75, 0.0, 10.0), ("npc_1", x + 10.0, -1.75, 0.0, 10.0)])
     trace = make_trace(geo, {"ego": "car", "npc_1": "car"}, rows)
-    found = rules.evaluate_rule("22350", trace, geo)
+    found = _evaluate("22350", trace, geo)
     assert len(found) == 1
     assert found[0].actor_id == "ego"
     assert found[0].evidence.get("kind") == "headway"
@@ -243,7 +247,7 @@ def test_lane_change_with_close_traffic_22107():
         y = -1.75 if k < 12 else -5.25  # jump to the second forward lane
         rows.append([("ego", x, y, 0.0, 10.0), ("npc_1", x + 8.0, -5.25, 0.0, 10.0)])
     trace = make_trace(geo, {"ego": "car", "npc_1": "car"}, rows)
-    found = rules.evaluate_rule("22107", trace, geo)
+    found = _evaluate("22107", trace, geo)
     assert len(found) == 1
     assert found[0].actor_id == "ego"
 
@@ -260,7 +264,7 @@ def test_lane_change_near_junction_22108():
         rows.append([("npc_1", x, y, 0.0, 8.0)])
         x += 0.8
     trace = make_trace(geo, {"npc_1": "car"}, rows)
-    found = rules.evaluate_rule("22108", trace, geo)
+    found = _evaluate("22108", trace, geo)
     assert len(found) == 1
     assert found[0].evidence["region_distance_m"] <= rules.JUNCTION_CHANGE_M
 
@@ -269,20 +273,20 @@ def test_right_of_way_signalized_attribution():
     template = load_template("intersection-1")
     geo = sim.build_geometry(template)
     trace = sim.simulate(sampling.sample_instance(template, 0), geo)
-    found = rules.evaluate_rule("21800", trace, geo)
+    found = _evaluate("21800", trace, geo)
     assert len(found) == 1 and found[0].actor_id == "npc_1"
-    assert rules.evaluate_rule("21801", trace, geo) == []
-    assert rules.evaluate_rule("21802", trace, geo) == []
+    assert _evaluate("21801", trace, geo) == []
+    assert _evaluate("21802", trace, geo) == []
 
 
 def test_right_of_way_stop_sign_attribution():
     template = load_template("t-intersection")
     geo = sim.build_geometry(template)
     trace = sim.simulate(sampling.sample_instance(template, 0), geo)
-    found = rules.evaluate_rule("21802", trace, geo)
+    found = _evaluate("21802", trace, geo)
     assert len(found) == 1 and found[0].actor_id == "npc_1"
-    assert rules.evaluate_rule("21800", trace, geo) == []
-    assert rules.evaluate_rule("21801", trace, geo) == []
+    assert _evaluate("21800", trace, geo) == []
+    assert _evaluate("21801", trace, geo) == []
 
 
 def test_right_of_way_uncontrolled_left_turn_21801():
@@ -293,17 +297,17 @@ def test_right_of_way_uncontrolled_left_turn_21801():
     template = _template_from(spec)
     geo = sim.build_geometry(template)
     trace = sim.simulate(sampling.sample_instance(template, 0), geo)
-    found = rules.evaluate_rule("21801", trace, geo)
+    found = _evaluate("21801", trace, geo)
     assert len(found) == 1 and found[0].actor_id == "npc_1"
-    assert rules.evaluate_rule("21802", trace, geo) == []
+    assert _evaluate("21802", trace, geo) == []
 
 
 def test_yield_and_driveway_sections_are_evaluable_but_vacuous():
     template = load_template("intersection-1")
     geo = sim.build_geometry(template)
     trace = sim.simulate(sampling.sample_instance(template, 0), geo)
-    assert rules.evaluate_rule("21803", trace, geo) == []
-    assert rules.evaluate_rule("21804", trace, geo) == []
+    assert _evaluate("21803", trace, geo) == []
+    assert _evaluate("21804", trace, geo) == []
 
 
 def _bump_speeds(trace: sim.Trace, delta: float) -> sim.Trace:
@@ -316,10 +320,10 @@ def test_speed_rule_monotone_in_speed():
     template = load_template("straight-2")
     geo = sim.build_geometry(template)
     trace = sim.simulate(sampling.sample_instance(template, 9), geo)
-    base = rules.evaluate_rule("22350", trace, geo)
+    base = _evaluate("22350", trace, geo)
     assert any(v.actor_id == "npc_1" for v in base)
     for delta in (0.5, 2.0, 10.0):
-        bumped = rules.evaluate_rule("22350", _bump_speeds(trace, delta), geo)
+        bumped = _evaluate("22350", _bump_speeds(trace, delta), geo)
         assert any(v.actor_id == "npc_1" for v in bumped)
         # every actor violating before still violates after the bump
         assert {v.actor_id for v in base} <= {v.actor_id for v in bumped}
@@ -412,9 +416,10 @@ def test_monitor_matches_standalone_rule_evaluation(name):
         for replayed in (trace, sim.trace_from_jsonl(sim.trace_to_jsonl(trace))):
             report = rules.monitor(replayed, template.params.oracle, geo)
             standalone = [v for rule_id in sorted(rules.REGISTRY)
-                          for v in rules.evaluate_rule(rule_id, replayed, geo)]
+                          for v in _evaluate(rule_id, replayed, geo)]
             assert list(report.violations) == rules._merge(standalone, replayed.timestep_s)
-            assert list(report.collisions) == sim.detect_collisions(replayed)
+            assert list(report.collisions) == rules.detect_collisions(
+                rules.TraceView(replayed, geo))
 
 
 def test_monitor_calls_each_rule_and_collisions_once_through_module_names(monkeypatch):
@@ -424,30 +429,31 @@ def test_monitor_calls_each_rule_and_collisions_once_through_module_names(monkey
     calls = []
     evaluate_rule, detect_collisions = rules.evaluate_rule, rules.detect_collisions
 
-    def counting_evaluate_rule(rule, view, geometry):
-        calls.append((rule, type(view)))
-        return evaluate_rule(rule, view, geometry)
+    def counting_evaluate_rule(rule_id, view):
+        calls.append((rule_id, view))
+        return evaluate_rule(rule_id, view)
 
-    def counting_detect_collisions(*args):
-        calls.append(("collisions", type(args[0])))
-        return detect_collisions(*args)
+    def counting_detect_collisions(view):
+        calls.append(("collisions", view))
+        return detect_collisions(view)
 
     monkeypatch.setattr(rules, "evaluate_rule", counting_evaluate_rule)
     monkeypatch.setattr(rules, "detect_collisions", counting_detect_collisions)
     rules.monitor(trace, template.params.oracle, geo)
-    assert calls == [(rule_id, rules.TraceView) for rule_id in sorted(rules.REGISTRY)] + [
-        ("collisions", sim.Trace)]
+    view = calls[0][1]
+    assert isinstance(view, rules.TraceView) and view.trace is trace
+    # one view, shared by every rule and by collision detection
+    assert calls == [(rule_id, view) for rule_id in sorted(rules.REGISTRY)] + [
+        ("collisions", view)]
 
 
 def test_view_rejects_a_different_geometry():
     template = load_template("straight-1")
     geo = sim.build_geometry(template)
     trace = sim.simulate(sampling.sample_instance(template, 0), geo)
-    view = rules.TraceView(trace, geo)
+    assert rules.TraceView(trace, geo).geometry is geo
     other = sim.build_geometry(load_template("curve"))
-    with pytest.raises(ValueError):
-        rules.evaluate_rule("22350", view, other)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different geometry"):
         rules.TraceView(trace, other)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenforge import dsl, normalize, sampling, sim, synth
+from scenforge import dsl, normalize, rules, sampling, sim, synth
 from scenforge.digests import canonical_json
 
 from .conftest import load_spec, load_template
@@ -119,9 +119,8 @@ def test_static_actor_fixpoint():
     template = _template_from(spec)
     geo = sim.build_geometry(template)
     trace = sim.simulate(sampling.sample_instance(template, 0), geo)
-    npc_states = [next(a for a in f.actors if a.actor_id == "npc_1") for f in trace.frames]
-    first = npc_states[0]
-    assert all((s.x, s.y, s.speed) == (first.x, first.y, 0.0) for s in npc_states)
+    npc = next(track for track in trace.tracks if track.actor_id == "npc_1")
+    assert set(zip(npc.x, npc.y, npc.speed)) == {(npc.x[0], npc.y[0], 0.0)}
 
 
 def test_go_forward_closed_form_displacement():
@@ -130,28 +129,28 @@ def test_go_forward_closed_form_displacement():
     instance = sampling.sample_instance(template, 4)
     v = instance.bindings["ego_speed"]
     trace = sim.simulate(instance, geo)
-    x0 = trace.frames[0].actors[0].x
-    for k, frame in enumerate(trace.frames):
-        expected = x0 + v * (k * sim.TIMESTEP_S)
-        assert frame.actors[0].x == pytest.approx(expected, abs=1e-9)
-        assert frame.actors[0].speed == v  # exact: constant-speed kinematics
+    ego = trace.tracks[0]
+    for k, x in enumerate(ego.x):
+        expected = ego.x[0] + v * (k * sim.TIMESTEP_S)
+        assert x == pytest.approx(expected, abs=1e-9)
+        assert ego.speed[k] == v  # exact: constant-speed kinematics
 
 
 def test_solo_run_spans_full_horizon():
     template = _template_from(_solo_spec())
     geo = sim.build_geometry(template)
     trace = sim.simulate(sampling.sample_instance(template, 1), geo)
-    assert len(trace.frames) == int(sim.HORIZON_S / sim.TIMESTEP_S) + 1
-    assert trace.frames[-1].t == pytest.approx(60.0)
+    assert len(trace.times) == int(sim.HORIZON_S / sim.TIMESTEP_S) + 1
+    assert trace.times[-1] == pytest.approx(60.0)
 
 
 def test_collision_truncates_one_second_after():
     template = load_template("straight-1")
     geo = sim.build_geometry(template)
     trace = sim.simulate(sampling.sample_instance(template, 0), geo)
-    events = sim.detect_collisions(trace)
+    events = rules.detect_collisions(rules.TraceView(trace, geo))
     assert events, "head-on fixture must collide"
-    assert trace.frames[-1].t == pytest.approx(events[0].t + 1.0, abs=1e-9)
+    assert trace.times[-1] == pytest.approx(events[0].t + 1.0, abs=1e-9)
 
 
 def test_head_on_ramp_matches_closed_form():
@@ -169,26 +168,25 @@ def test_head_on_ramp_matches_closed_form():
     # npc lateral offset ramps linearly over 2 s from +1.75 to -1.75.
     dt = sim.TIMESTEP_S
     trigger_k = None
-    for k in range(len(trace.frames)):
+    for k in range(len(trace.times)):
         dx = (e0 + n0) - (ve + vn) * (k * dt)
         if math.hypot(dx, 3.5) <= n0:
             trigger_k = k
             break
     assert trigger_k is not None
 
-    for k, frame in enumerate(trace.frames):
-        npc = next(a for a in frame.actors if a.actor_id == "npc_1")
+    npc = next(track for track in trace.tracks if track.actor_id == "npc_1")
+    for k, y in enumerate(npc.y):
         if trigger_k is None or k < trigger_k:
             expected_y = 1.75
         else:
             progress = min((k - trigger_k) * dt / 2.0, 1.0)
             expected_y = 1.75 - 3.5 * progress
-        assert npc.y == pytest.approx(expected_y, abs=1e-9)
+        assert y == pytest.approx(expected_y, abs=1e-9)
 
     # the offset relative to the road axis changes sign during the ramp
-    ys = [next(a for a in f.actors if a.actor_id == "npc_1").y for f in trace.frames]
-    assert ys[0] > 0
-    assert min(ys) < 0
+    assert npc.y[0] > 0
+    assert min(npc.y) < 0
 
 
 def test_custom_ego_id_flows_into_traces():
@@ -231,7 +229,7 @@ def test_trace_jsonl_round_trip():
     loaded = sim.trace_from_jsonl(text)
     assert loaded.scenario_id == trace.scenario_id
     assert loaded.instance_seed == trace.instance_seed
-    assert len(loaded.frames) == len(trace.frames)
+    assert len(loaded.times) == len(trace.times)
     assert sim.trace_to_jsonl(loaded) == text
 
 
@@ -283,24 +281,6 @@ def test_a_malformed_trace_names_the_line_at_fault(malform, reason):
         sim.trace_from_jsonl("\n".join(lines) + "\n")
 
 
-def test_trace_rows_are_built_from_the_tracks():
-    template = load_template("straight-1")
-    geo = sim.build_geometry(template)
-    trace = sim.simulate(sampling.sample_instance(template, 0), geo)
-    frames = trace.frames
-    assert len(frames) == len(trace.times)
-    assert frames[-1] == frames[len(frames) - 1] == list(frames)[-1]
-    assert frames[1:3] == (frames[1], frames[2])
-    frame = frames[3]
-    assert frame.t == trace.times[3] and frame.signals == trace.signals[3]
-    assert [a.actor_id for a in frame.actors] == [track.actor_id for track in trace.tracks]
-    ego = trace.tracks[0]
-    assert frame.actors[0] == sim.ActorState(ego.actor_id, ego.x[3], ego.y[3], ego.heading[3],
-                                             ego.speed[3], ego.lane_id[3], ego.lateral[3])
-    with pytest.raises(IndexError):
-        frames[len(frames)]
-
-
 def _reference_sig6(x: float) -> float:
     return float(f"{x:.6g}")
 
@@ -316,16 +296,16 @@ def _reference_trace_to_jsonl(trace: sim.Trace) -> str:
         "timestep_s": trace.timestep_s,
     }
     lines = [canonical_json(header)]
-    for frame in trace.frames:
+    for k, t in enumerate(trace.times):
         lines.append(canonical_json({
-            "t": _reference_sig6(frame.t),
+            "t": _reference_sig6(t),
             "actors": [
-                {"id": a.actor_id, "x": _reference_sig6(a.x), "y": _reference_sig6(a.y),
-                 "heading": _reference_sig6(a.heading), "speed": _reference_sig6(a.speed),
-                 "lane": a.lane_id, "lat": _reference_sig6(a.lateral)}
-                for a in frame.actors
+                {"id": a.actor_id, "x": _reference_sig6(a.x[k]), "y": _reference_sig6(a.y[k]),
+                 "heading": _reference_sig6(a.heading[k]), "speed": _reference_sig6(a.speed[k]),
+                 "lane": a.lane_id[k], "lat": _reference_sig6(a.lateral[k])}
+                for a in trace.tracks
             ],
-            "signals": [{"approach": ap, "state": st} for ap, st in frame.signals],
+            "signals": [{"approach": ap, "state": st} for ap, st in trace.signals[k]],
         }))
     return "\n".join(lines) + "\n"
 
@@ -413,14 +393,14 @@ def test_four_way_mirror_symmetry():
         traces[heading] = sim.simulate(sampling.sample_instance(template, 6), geo)
     left, right = traces["from_left"], traces["from_right"]
     axis_x = sim.LANE_WIDTH / 2.0  # the ego approach line
-    assert len(left.frames) == len(right.frames)
-    for fl, fr in zip(left.frames, right.frames):
-        for al, ar in zip(fl.actors, fr.actors):
-            assert ar.x == pytest.approx(2.0 * axis_x - al.x, abs=1e-9)
-            assert ar.y == pytest.approx(al.y, abs=1e-9)
-            assert ar.speed == pytest.approx(al.speed, abs=1e-9)
-            expected_heading = sim.normalize_heading(math.pi - al.heading)
-            diff = sim.normalize_heading(ar.heading - expected_heading)
+    assert len(left.times) == len(right.times)
+    for al, ar in zip(left.tracks, right.tracks):
+        for k in range(len(left.times)):
+            assert ar.x[k] == pytest.approx(2.0 * axis_x - al.x[k], abs=1e-9)
+            assert ar.y[k] == pytest.approx(al.y[k], abs=1e-9)
+            assert ar.speed[k] == pytest.approx(al.speed[k], abs=1e-9)
+            expected_heading = sim.normalize_heading(math.pi - al.heading[k])
+            diff = sim.normalize_heading(ar.heading[k] - expected_heading)
             assert abs(diff) < 1e-9
 
 
@@ -433,13 +413,13 @@ def test_t_junction_mirror_symmetry():
         traces[heading] = sim.simulate(sampling.sample_instance(template, 2), geo)
     right, left = traces["from_right"], traces["from_left"]
     axis_y = -sim.LANE_WIDTH / 2.0
-    assert len(left.frames) == len(right.frames)
-    for fr, fl in zip(right.frames, left.frames):
-        for ar, al in zip(fr.actors, fl.actors):
-            assert al.x == pytest.approx(ar.x, abs=1e-9)
-            assert al.y == pytest.approx(2.0 * axis_y - ar.y, abs=1e-9)
-            expected_heading = sim.normalize_heading(-ar.heading)
-            diff = sim.normalize_heading(al.heading - expected_heading)
+    assert len(left.times) == len(right.times)
+    for ar, al in zip(right.tracks, left.tracks):
+        for k in range(len(right.times)):
+            assert al.x[k] == pytest.approx(ar.x[k], abs=1e-9)
+            assert al.y[k] == pytest.approx(2.0 * axis_y - ar.y[k], abs=1e-9)
+            expected_heading = sim.normalize_heading(-ar.heading[k])
+            diff = sim.normalize_heading(al.heading[k] - expected_heading)
             assert abs(diff) < 1e-9
 
 
@@ -461,16 +441,15 @@ def test_collision_reports_first_frame_per_pair():
     template = load_template("straight-1")
     geo = sim.build_geometry(template)
     trace = sim.simulate(sampling.sample_instance(template, 5), geo)
-    events = sim.detect_collisions(trace)
+    events = rules.detect_collisions(rules.TraceView(trace, geo))
     assert len(events) == 1
     assert events[0].actor_a == "ego" and events[0].actor_b == "npc_1"
     # the pair overlaps at the event frame and not in the frame before
     k = round(events[0].t / sim.TIMESTEP_S)
-    prev = trace.frames[k - 1]
     corners = {
-        a.actor_id: sim.rect_corners(a.x, a.y, a.heading,
+        a.actor_id: sim.rect_corners(a.x[k - 1], a.y[k - 1], a.heading[k - 1],
                                      *sim.VEHICLE_DIMS[trace.actor_types[a.actor_id]])
-        for a in prev.actors
+        for a in trace.tracks
     }
     assert not sim.rects_overlap(corners["ego"], corners["npc_1"])
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -73,6 +74,12 @@ def _write_report(out_dir: Path, report: rules.ViolationReport) -> None:
                   report.to_json() + "\n")
 
 
+def _clear(directory: Path, pattern: str) -> None:
+    """Removes an earlier run's traces or reports, so a rerun leaves no stale seed."""
+    for path in directory.glob(pattern):
+        path.unlink()
+
+
 def _write_summary(out_dir: Path, reports: list[rules.ViolationReport]) -> None:
     _atomic_write(out_dir / "summary.csv", rules.summary_csv(reports))
 
@@ -127,6 +134,11 @@ def _run_instance(template: synth.ScenarioTemplate, geometry: sim.RoadGeometry,
         return sim.trace_to_jsonl(trace), report
 
 
+def _chunksize(seeds: int, workers: int) -> int:
+    """Four chunks per worker, at most 64 seeds each."""
+    return min(64, math.ceil(seeds / (4 * workers)))
+
+
 def _simulate_one(template: synth.ScenarioTemplate, seed: int) -> tuple[str, rules.ViolationReport]:
     """Worker entry: returns (trace jsonl, report) for one seed."""
     return _run_instance(template, sim.build_geometry(template),
@@ -157,11 +169,13 @@ def run_pipeline(args) -> int:
             if args.workers > 1:
                 with ProcessPoolExecutor(max_workers=args.workers) as pool:
                     results = list(pool.map(_simulate_one, [template] * len(seeds), seeds,
-                                            chunksize=64))
+                                            chunksize=_chunksize(len(seeds), args.workers)))
             else:
                 geometry = sim.build_geometry(template)
                 results = [_run_instance(template, geometry, inst) for inst in instances]
 
+            _clear(scenario_dir / "traces", "trace_*.jsonl")
+            _clear(scenario_dir / "reports", "report_*.json")
             for seed, (trace_text, report) in zip(seeds, results):
                 _write_trace(scenario_dir, seed, trace_text)
                 _write_report(scenario_dir, report)
@@ -258,6 +272,7 @@ def _cmd_simulate(args) -> int:
     except RuntimeError as exc:
         return _failed(args.instances, exc)
     out_dir = args.out or Path(args.instances).parent
+    _clear(out_dir / "traces", "trace_*.jsonl")
     for instance, trace_text in zip(instances, traces):
         _write_trace(out_dir, instance.instance_seed, trace_text)
     print(f"{args.instances}: {len(instances)} traces -> {out_dir}")
@@ -279,6 +294,7 @@ def _cmd_monitor(args) -> int:
     except RuntimeError as exc:
         return _failed(trace_path, exc)
     out_dir = args.out or Path(args.traces[0]).parent.parent
+    _clear(out_dir / "reports", "report_*.json")
     for report in reports:
         _write_report(out_dir, report)
     _write_summary(out_dir, reports)

@@ -32,6 +32,7 @@ scenario fixtures).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -42,7 +43,6 @@ from .dsl import KNOWN_RULE_IDS, OracleEntry
 from .sim import (
     ActorTrack,
     CollisionEvent,
-    Footprint,
     LEG_HEADINGS,
     OVERLAP_MARGIN_M,
     RoadGeometry,
@@ -50,10 +50,13 @@ from .sim import (
     Trace,
     VEHICLE_DIMS,
     approach_of,
+    circumradius,
     ego_leg,
-    footprints_overlap,
+    first_overlap,
+    lateral_function,
     normalize_heading,
-    track_footprints,
+    polygon_outline,
+    rect_corners,
 )
 
 SPEED_TOLERANCE = 0.5          # m/s over the limit before a violation
@@ -172,7 +175,7 @@ class TraceView:
 
     `monitor` builds one view per trace and passes it to every check.  The
     checks read the trace's per-actor tracks directly; derived data
-    (approaches, footprints, stop-line crossings, conflict-region entries,
+    (approaches, footprint corners, stop-line crossings, conflict-region entries,
     divider flags, lane changes) is computed on first use and kept here,
     never on the frozen trace.  A view is only valid with the geometry the
     trace was produced on.
@@ -187,10 +190,9 @@ class TraceView:
         self.signals = trace.signals
         self.actor_ids = sorted(trace.actor_types)
         self.tracks: dict[str, ActorTrack] = {track.actor_id: track for track in trace.tracks}
-        # per actor and frame; the corners are computed on first use
-        self.footprints = {
-            track.actor_id: track_footprints(track, trace.actor_types[track.actor_id])
-            for track in trace.tracks}
+        self.dims = {actor_id: VEHICLE_DIMS[kind] for actor_id, kind in trace.actor_types.items()}
+        self.radii = {actor_id: circumradius(*dims) for actor_id, dims in self.dims.items()}
+        self._corners: dict[tuple[str, int], tuple[tuple[float, float], ...]] = {}
         self._memo: dict[tuple[str, str], Any] = {}
 
     def _cached(self, kind: str, actor_id: str, compute):
@@ -198,6 +200,20 @@ class TraceView:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+    def outline(self, actor_id: str):
+        """The actor's footprints as a `sim.first_overlap` outline."""
+        track = self.tracks[actor_id]
+        return track.x, track.y, self.radii[actor_id], functools.partial(self.corners, actor_id)
+
+    def corners(self, actor_id: str, k: int) -> tuple[tuple[float, float], ...]:
+        """The corners of the actor's footprint in frame k, computed on first use."""
+        corners = self._corners.get((actor_id, k))
+        if corners is None:
+            track = self.tracks[actor_id]
+            corners = self._corners[actor_id, k] = rect_corners(
+                track.x[k], track.y[k], track.heading[k], *self.dims[actor_id])
+        return corners
 
     def approach(self, actor_id: str) -> str:
         """The approach the actor is on in the first frame."""
@@ -255,32 +271,34 @@ class TraceView:
         """Per frame: any footprint corner across the divider into opposing traffic."""
         def compute() -> list[bool]:
             direction = self.travel_direction(actor_id)
-            locate = self.geometry.axis.locate
+            lateral = lateral_function(self.geometry.axis)
+            track = self.tracks[actor_id]
+            length, width = self.dims[actor_id]
+            # Each corner lies half a width from the front or the rear centre,
+            # and lateral offset from a line or an arc changes no faster than
+            # position.  So when both ends are farther than that on their own
+            # side no corner has crossed, and when one end is that far across,
+            # two corners have.
+            reach = width / 2.0 + OVERLAP_MARGIN_M
             flags = []
-            for footprint in self.footprints[actor_id]:
-                # Each corner lies half a width from the front or the rear
-                # centre, and lateral offset from a line or an arc changes no
-                # faster than position.  So when both ends are farther than
-                # that on their own side no corner has crossed, and when one
-                # end is that far across, two corners have.
-                hx = math.cos(footprint.heading) * footprint.length / 2.0
-                hy = math.sin(footprint.heading) * footprint.length / 2.0
-                reach = footprint.width / 2.0 + OVERLAP_MARGIN_M
-                ends = max(direction * locate(footprint.x + hx, footprint.y + hy)[1],
-                           direction * locate(footprint.x - hx, footprint.y - hy)[1])
+            for k, (x, y, heading) in enumerate(zip(track.x, track.y, track.heading)):
+                hx = math.cos(heading) * length / 2.0
+                hy = math.sin(heading) * length / 2.0
+                ends = max(direction * lateral(x + hx, y + hy),
+                           direction * lateral(x - hx, y - hy))
                 if ends < -reach or ends > reach:
                     flags.append(ends > reach)
                 else:
-                    flags.append(any(direction * locate(cx, cy)[1] > 0
-                                     for cx, cy in footprint.corners))
+                    flags.append(any(direction * lateral(cx, cy) > 0
+                                     for cx, cy in self.corners(actor_id, k)))
             return flags
         return self._cached("divider", actor_id, compute)
 
     def max_abs_lateral(self, actor_id: str) -> float:
-        locate = self.geometry.axis.locate
+        lateral = lateral_function(self.geometry.axis)
         track = self.tracks[actor_id]
         return self._cached("max_lateral", actor_id, lambda: max(
-            abs(locate(x, y)[1]) for x, y in zip(track.x, track.y)))
+            abs(lateral(x, y)) for x, y in zip(track.x, track.y)))
 
     def oncoming_within(self, actor_id: str, k: int, range_m: float) -> bool:
         me = self.tracks[actor_id]
@@ -296,14 +314,10 @@ class TraceView:
     def region_entries(self) -> dict[str, int]:
         """First frame index where each actor's footprint reaches the conflict region."""
         def compute() -> dict[str, int]:
-            region = Footprint.of_polygon(self.geometry.conflict_region)
-            entries: dict[str, int] = {}
-            for actor_id in self.actor_ids:
-                for k, footprint in enumerate(self.footprints[actor_id]):
-                    if footprints_overlap(footprint, region):
-                        entries[actor_id] = k
-                        break
-            return entries
+            region = polygon_outline(self.geometry.conflict_region, len(self.times))
+            entries = {actor_id: first_overlap(self.outline(actor_id), region)
+                       for actor_id in self.actor_ids}
+            return {actor_id: k for actor_id, k in entries.items() if k is not None}
         return self._cached("region_entries", "", compute)
 
     def turns_left(self, actor_id: str, entry_frame: int) -> bool:
@@ -628,15 +642,13 @@ def evaluate_rule(rule_id: str, view: TraceView) -> list[Violation]:
 
 def detect_collisions(view: TraceView) -> list[CollisionEvent]:
     """First overlapping frame per actor pair (separating-axis test)."""
-    footprints = view.footprints
-    ids = sorted(footprints)
+    ids = view.actor_ids
     hits: list[tuple[int, int, CollisionEvent]] = []
     pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
     for n, (a, b) in enumerate(pairs):
-        for k, (print_a, print_b) in enumerate(zip(footprints[a], footprints[b])):
-            if footprints_overlap(print_a, print_b):
-                hits.append((k, n, CollisionEvent(t=view.times[k], actor_a=a, actor_b=b)))
-                break
+        k = first_overlap(view.outline(a), view.outline(b))
+        if k is not None:
+            hits.append((k, n, CollisionEvent(t=view.times[k], actor_a=a, actor_b=b)))
     # frame order, then pair order within a frame
     return [event for _, _, event in sorted(hits, key=lambda hit: hit[:2])]
 

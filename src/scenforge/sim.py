@@ -120,6 +120,15 @@ class ArcSeg:
 Segment = LineSeg | ArcSeg
 
 
+def lateral_function(seg: Segment):
+    """`seg.locate(x, y)[1]` alone, as a closure for hot loops."""
+    if isinstance(seg, ArcSeg):
+        cx, cy, radius, sign = seg.cx, seg.cy, seg.radius, seg.sign
+        return lambda x, y: sign * (radius - math.hypot(x - cx, y - cy))
+    x0, y0, dx, dy = seg.x0, seg.y0, seg.dx, seg.dy
+    return lambda x, y: -(x - x0) * dy + (y - y0) * dx
+
+
 def _line(p0: tuple[float, float], p1: tuple[float, float]) -> LineSeg:
     dx, dy = p1[0] - p0[0], p1[1] - p0[1]
     length = math.hypot(dx, dy)
@@ -139,6 +148,15 @@ def path_point(path: tuple[Segment, ...], s: float, lat: float = 0.0) -> tuple[f
             return seg.point(remaining, lat)
         remaining -= seg.length
     raise ValueError("empty path")
+
+
+def _point_function(path: tuple[Segment, ...]):
+    """`path_point` bound to one path; a single line's heading is computed once."""
+    seg = path[0]
+    if len(path) > 1 or isinstance(seg, ArcSeg):
+        return functools.partial(path_point, path)
+    x0, y0, dx, dy, heading = seg.x0, seg.y0, seg.dx, seg.dy, math.atan2(seg.dy, seg.dx)
+    return lambda s, lat: (x0 + dx * s - dy * lat, y0 + dy * s + dx * lat, heading)
 
 
 def mirror_path_x(path: tuple[Segment, ...], axis_x: float) -> tuple[Segment, ...]:
@@ -465,6 +483,20 @@ def _sig6_json(x: float) -> str:
     return text if "." in text else text + ".0"
 
 
+def _sig6_texts(column) -> list[str]:
+    """`_sig6_json` of each value, formatted again only where the value changes.
+
+    Zeros are always formatted, so -0.0 keeps its sign; nan never equals
+    itself and inf is formatted where it first appears, so both still raise.
+    """
+    texts, last, text = [], None, ""
+    for x in column:
+        if x != last or not x:
+            text, last = _sig6_json(x), x
+        texts.append(text)
+    return texts
+
+
 def trace_to_jsonl(trace: Trace) -> str:
     """Header line then one frame object per line, 6 significant digits.
 
@@ -479,7 +511,7 @@ def trace_to_jsonl(trace: Trace) -> str:
         "timestep_s": trace.timestep_s,
     }
     string = functools.cache(canonical_json)  # each id, lane, approach and state once
-    num = _sig6_json
+    num = _sig6_texts
     columns = []  # per actor, its state object text in each frame
     for a in trace.tracks:
         actor_id = string(a.actor_id)
@@ -487,17 +519,16 @@ def trace_to_jsonl(trace: Trace) -> str:
             f'{{"heading":{heading},"id":{actor_id},"lane":{string(lane)},"lat":{lat},'
             f'"speed":{speed},"x":{x},"y":{y}}}'
             for heading, lane, lat, speed, x, y in zip(
-                map(num, a.heading), a.lane_id, map(num, a.lateral), map(num, a.speed),
-                map(num, a.x), map(num, a.y))])
+                num(a.heading), a.lane_id, num(a.lateral), num(a.speed), num(a.x), num(a.y))])
     lines = [canonical_json(header)]
     signal_arrays: dict[tuple[tuple[str, str], ...], str] = {}
-    for t, frame_signals, actors in zip(trace.times, trace.signals, zip(*columns)):
+    for t, frame_signals, actors in zip(num(trace.times), trace.signals, zip(*columns)):
         signals = signal_arrays.get(frame_signals)
         if signals is None:
             signals = signal_arrays[frame_signals] = "[" + ",".join(
                 f'{{"approach":{string(ap)},"state":{string(st)}}}'
                 for ap, st in frame_signals) + "]"
-        lines.append(f'{{"actors":[{",".join(actors)}],"signals":{signals},"t":{num(t)}}}')
+        lines.append(f'{{"actors":[{",".join(actors)}],"signals":{signals},"t":{t}}}')
     return "\n".join(lines) + "\n"
 
 
@@ -626,52 +657,33 @@ def rects_overlap(a: tuple[tuple[float, float], ...], b: tuple[tuple[float, floa
 OVERLAP_MARGIN_M = 1e-6
 
 
-class Footprint:
-    """A convex outline with its centre and circumradius.
-
-    Vehicle corners are computed on first use, so pairs that the
-    centre-distance test rejects never compute them.
-    """
-
-    __slots__ = ("x", "y", "heading", "length", "width", "radius", "_corners")
-
-    def __init__(self, x: float, y: float, heading: float, length: float, width: float):
-        self.x, self.y, self.heading = x, y, heading
-        self.length, self.width = length, width
-        self.radius = math.hypot(length / 2.0, width / 2.0)
-        self._corners: tuple[tuple[float, float], ...] | None = None
-
-    @classmethod
-    def of_polygon(cls, points: tuple[tuple[float, float], ...]) -> Footprint:
-        """A fixed convex polygon, such as the junction conflict region."""
-        x = sum(px for px, _ in points) / len(points)
-        y = sum(py for _, py in points) / len(points)
-        footprint = cls.__new__(cls)
-        footprint.x, footprint.y, footprint.heading = x, y, 0.0
-        footprint.length = footprint.width = 0.0
-        footprint.radius = max(math.hypot(px - x, py - y) for px, py in points)
-        footprint._corners = tuple(points)
-        return footprint
-
-    @property
-    def corners(self) -> tuple[tuple[float, float], ...]:
-        if self._corners is None:
-            self._corners = rect_corners(self.x, self.y, self.heading, self.length, self.width)
-        return self._corners
+def circumradius(length: float, width: float) -> float:
+    """Distance from the centre of a vehicle's rectangle to its corners."""
+    return math.hypot(length / 2.0, width / 2.0)
 
 
-def track_footprints(track: ActorTrack, actor_type: str) -> list[Footprint]:
-    """The actor's footprint in each frame."""
-    length, width = VEHICLE_DIMS[actor_type]
-    return [Footprint(x, y, heading, length, width)
-            for x, y, heading in zip(track.x, track.y, track.heading)]
+def polygon_outline(points: tuple[tuple[float, float], ...], frames: int):
+    """A fixed convex polygon, such as the conflict region, as a `first_overlap`
+    outline: its centroid and the distance to its farthest corner."""
+    x = sum(px for px, _ in points) / len(points)
+    y = sum(py for _, py in points) / len(points)
+    radius = max(math.hypot(px - x, py - y) for px, py in points)
+    return (x,) * frames, (y,) * frames, radius, lambda _: points
 
 
-def footprints_overlap(a: Footprint, b: Footprint) -> bool:
-    """`rects_overlap` on the corners, skipping pairs too far apart to touch."""
-    if math.hypot(a.x - b.x, a.y - b.y) > a.radius + b.radius + OVERLAP_MARGIN_M:
-        return False
-    return rects_overlap(a.corners, b.corners)
+def first_overlap(a, b) -> int | None:
+    """The first frame in which two outlines overlap, or None.  An outline is
+    (xs, ys, circumradius, k -> corners in frame k); corners are asked for
+    only where the centres are within reach."""
+    (xa, ya, ra, corners_a), (xb, yb, rb, corners_b) = a, b
+    reach = ra + rb + OVERLAP_MARGIN_M
+    hypot = math.hypot
+    for k, (ax, ay, bx, by) in enumerate(zip(xa, ya, xb, yb)):
+        if hypot(ax - bx, ay - by) > reach:
+            continue
+        if rects_overlap(corners_a(k), corners_b(k)):
+            return k
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -698,9 +710,6 @@ class _Mover:
     ramp_target: float = LANE_WIDTH
     # stop behavior
     stop_s: float | None = None
-
-    def state(self) -> tuple[float, float, float]:
-        return path_point(self.path, self.s, self.lateral)
 
 
 def _ego_path(geometry: RoadGeometry) -> tuple[Segment, ...]:
@@ -779,25 +788,50 @@ def _lane_table(geometry: RoadGeometry) -> tuple[tuple[str, tuple[Segment, ...],
 
 
 def _locate_lane(lanes: tuple[tuple[str, tuple[Segment, ...], float], ...], x: float, y: float
-                 ) -> tuple[str, float]:
-    best_id, best_lat = "", math.inf
-    for lane_id, path, s_max in lanes:
-        s, lat = path[0].locate(x, y) if len(path) == 1 else _locate_multi(path, x, y)
+                 ) -> tuple[int, float]:
+    """Index and lateral offset of the nearest lane (one segment each) whose range
+    holds the point, the first in order on a tie; (0, 0.0) off every lane."""
+    best, best_lat = 0, math.inf
+    for i, (_, path, s_max) in enumerate(lanes):
+        s, lat = path[0].locate(x, y)
         if -5.0 <= s <= s_max and abs(lat) < abs(best_lat):
-            best_id, best_lat = lane_id, lat
-    if best_id == "":
-        best_id, best_lat = lanes[0][0], 0.0
-    return best_id, best_lat
+            best, best_lat = i, lat
+    return (best, best_lat) if best_lat != math.inf else (0, 0.0)
 
 
-def _locate_multi(path: tuple[Segment, ...], x: float, y: float) -> tuple[float, float]:
-    offset, best = 0.0, (0.0, math.inf)
-    for seg in path:
-        s, lat = seg.locate(x, y)
-        if -1.0 <= s <= seg.length + 1.0 and abs(lat) < abs(best[1]):
-            best = (offset + s, lat)
-        offset += seg.length
-    return best
+LANE_BOUND_MARGIN_M = 1e-9  # room for rounding in `locate`, about 1e-13 m here
+
+
+def _lane_finder(geometry: RoadGeometry):
+    """`find(x, y, hint)` gives what `_locate_lane` gives, trying the hint
+    (the actor's lane in the previous frame) first.
+
+    On straight and curve roads a point nearer than LANE_WIDTH / 2 to the
+    hinted lane is nearest to it, and one far enough beyond an end of the
+    hinted lane is off every lane; docs/rules.md gives the proof.  Junction
+    lanes cross, so they always get the full search.
+    """
+    lanes = _lane_table(geometry)
+    if geometry.topology not in ("straight", "curve"):
+        return lambda x, y, hint: _locate_lane(lanes, x, y)
+    near = LANE_WIDTH / 2.0 - LANE_BOUND_MARGIN_M
+    radii = [path[0].radius if isinstance(path[0], ArcSeg) else 1.0 for _, path, _ in lanes]
+    # per lane: locate, s_max and how far past either end every lane is left behind
+    beyond = [5.0 * radius / min(radii) + LANE_BOUND_MARGIN_M for radius in radii]
+    ends = [(path[0].locate, s_max, -past, path[0].length + past)
+            for (_, path, s_max), past in zip(lanes, beyond)]
+
+    def find(x: float, y: float, hint: int) -> tuple[int, float]:
+        locate, s_max, lo, hi = ends[hint]
+        s, lat = locate(x, y)
+        if -5.0 <= s <= s_max:
+            if abs(lat) < near:
+                return hint, lat
+        elif s < lo or s > hi:
+            return 0, 0.0
+        return _locate_lane(lanes, x, y)
+
+    return find
 
 
 def _build_movers(instance: ScenarioInstance, geometry: RoadGeometry) -> list[_Mover]:
@@ -907,6 +941,10 @@ def approach_of(heading: float) -> str:
     return "south" if hy > 0 else "north"
 
 
+# the frame times, snapped to the decimal grid so serialized times reload identically
+_FRAME_TIMES = tuple(round(k * TIMESTEP_S, 9) for k in range(int(HORIZON_S / TIMESTEP_S) + 1))
+
+
 def simulate(instance: ScenarioInstance, geometry: RoadGeometry) -> Trace:
     """Fixed-timestep scripted simulation.
 
@@ -919,59 +957,57 @@ def simulate(instance: ScenarioInstance, geometry: RoadGeometry) -> Trace:
 
     p = geometry.scenario
     movers = _build_movers(instance, geometry)
-    dims = {m.actor_id: VEHICLE_DIMS[m.actor_type] for m in movers}
     actor_types = {m.actor_id: m.actor_type for m in movers}
-    lanes = _lane_table(geometry)
+    dims = [VEHICLE_DIMS[m.actor_type] for m in movers]
+    points = [_point_function(m.path) for m in movers]
+    find_lane = _lane_finder(geometry)
+    lane_names = [lane.lane_id for lane in geometry.lanes]
+    hints = [0] * len(movers)
+    # actor pairs (i, j) with the centre distance beyond which they cannot touch
+    pairs = [(i, j, circumradius(*dims[i]) + circumradius(*dims[j]) + OVERLAP_MARGIN_M)
+             for i in range(len(movers)) for j in range(i + 1, len(movers))]
 
-    times: list[float] = []
-    signals: list[tuple[tuple[str, str], ...]] = []
     # per mover: x, y, heading, speed, lane id and lateral offset per frame
     columns = [([], [], [], [], [], []) for _ in movers]
-    total_frames = int(HORIZON_S / TIMESTEP_S) + 1
-    end_frame = total_frames - 1
+    end_frame = len(_FRAME_TIMES) - 1
     collided = False
 
-    ego = movers[0]
-    for k in range(total_frames):
-        # snap to the decimal grid so serialized times reload identically
-        t = round(k * TIMESTEP_S, 9)
-
+    ego, ego_point = movers[0], points[0]
+    for k, t in enumerate(_FRAME_TIMES):
         # head-on incursion trigger and lateral ramp
-        for m in movers[1:]:
+        for m, point in zip(movers[1:], points[1:]):
             if m.incursion:
                 if m.trigger_t is None:
-                    ex, ey, _ = ego.state()
-                    mx, my, _ = m.state()
+                    ex, ey, _ = ego_point(ego.s, ego.lateral)
+                    mx, my, _ = point(m.s, m.lateral)
                     if math.hypot(ex - mx, ey - my) <= m.trigger_gap:
                         m.trigger_t = t
                 if m.trigger_t is not None:
                     progress = min((t - m.trigger_t) / RAMP_DURATION_S, 1.0)
                     m.lateral = m.ramp_target * progress
 
-        watching = not collided and len(movers) > 1
-        prints = []
-        for m, (xs, ys, headings, speeds, lane_ids, laterals) in zip(movers, columns):
-            x, y, heading = m.state()
-            lane_id, lateral = _locate_lane(lanes, x, y)
+        frame = []
+        for n, (m, point, (xs, ys, headings, speeds, lane_ids, laterals)) in enumerate(
+                zip(movers, points, columns)):
+            x, y, heading = state = point(m.s, m.lateral)
+            hints[n], lateral = find_lane(x, y, hints[n])
             xs.append(x)
             ys.append(y)
             headings.append(heading)
             speeds.append(m.speed)
-            lane_ids.append(lane_id)
+            lane_ids.append(lane_names[hints[n]])
             laterals.append(lateral)
-            if watching:
-                prints.append(Footprint(x, y, heading, *dims[m.actor_id]))
-        times.append(t)
-        signals.append(tuple((leg, sched.state(t)) for leg, sched in geometry.signal_heads))
+            frame.append(state)
 
-        if watching:
-            for i in range(len(prints)):
-                for j in range(i + 1, len(prints)):
-                    if footprints_overlap(prints[i], prints[j]):
-                        collided = True
-                        end_frame = min(end_frame, k + int(1.0 / TIMESTEP_S))
-                        break
-                if collided:
+        if not collided:
+            for i, j, reach in pairs:
+                (xi, yi, hi), (xj, yj, hj) = frame[i], frame[j]
+                if math.hypot(xi - xj, yi - yj) > reach:
+                    continue
+                if rects_overlap(rect_corners(xi, yi, hi, *dims[i]),
+                                 rect_corners(xj, yj, hj, *dims[j])):
+                    collided = True
+                    end_frame = min(end_frame, k + int(1.0 / TIMESTEP_S))
                     break
 
         if k >= end_frame:
@@ -990,6 +1026,7 @@ def simulate(instance: ScenarioInstance, geometry: RoadGeometry) -> Trace:
                 m.s = m.stop_s
                 m.speed = 0.0
 
+    times, heads = _FRAME_TIMES[:len(columns[0][0])], geometry.signal_heads
     return Trace(
         scenario_id=p.scenario_id,
         instance_seed=instance.instance_seed,
@@ -997,8 +1034,9 @@ def simulate(instance: ScenarioInstance, geometry: RoadGeometry) -> Trace:
         horizon_s=HORIZON_S,
         geometry_ref=geometry.digest(),
         actor_types=actor_types,
-        times=tuple(times),
-        signals=tuple(signals),
+        times=times,
+        signals=(tuple(tuple((leg, sched.state(t)) for leg, sched in heads) for t in times)
+                 if heads else ((),) * len(times)),
         tracks=tuple(ActorTrack(m.actor_id, *map(tuple, cols))
                      for m, cols in zip(movers, columns)),
     )

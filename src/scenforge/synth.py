@@ -211,7 +211,8 @@ def build_template(normalized: NormalizedSpec) -> ScenarioTemplate:
     junction conflict entering on that leg.  Incompatible pairs (for
     example from_left on a straight road, opposite_direction on a one-way
     road, or a turn_right adversary on a 4-way intersection) raise
-    :class:`CompatibilityError` naming both tokens.
+    :class:`CompatibilityError` naming both tokens, after the path of the
+    field at fault.
     """
     spec = normalized.spec
     road = spec.road_network
@@ -219,42 +220,35 @@ def build_template(normalized: NormalizedSpec) -> ScenarioTemplate:
 
     adversary_id = _pick_adversary(normalized)
     adversary = None
-    if adversary_id is not None:
-        adversary = next(n for n in spec.actors.npcs if n.actor_id == adversary_id)
-
     approach: str | None = None
-    if adversary is None:
+    if adversary_id is None:
         # Solo-ego template: degenerate configuration chosen by topology.
         configuration = "junction_conflict" if junction else "car_following"
         if junction:
             approach = "left"
     else:
+        index, adversary = next((i, n) for i, n in enumerate(spec.actors.npcs)
+                                if n.actor_id == adversary_id)
+        at = f"/actors/npcs/{index}"
         heading = adversary.position.heading_relation
-        if junction:
-            if heading == "from_left":
-                configuration, approach = "junction_conflict", "left"
-            elif heading == "from_right":
-                configuration, approach = "junction_conflict", "right"
-            else:
-                raise CompatibilityError(
-                    f"heading relation {heading!r} is incompatible with road type {road.road_type!r}")
-            if road.road_type == "intersection" and adversary.behavior == "turn_right":
-                # a right turn from the crossing leg stays clear of the ego's lane
-                raise CompatibilityError(
-                    "adversary behavior 'turn_right' never crosses the ego path "
-                    "on road type 'intersection'")
+        if junction and heading in ("from_left", "from_right"):
+            configuration, approach = "junction_conflict", heading.removeprefix("from_")
+        elif not junction and heading in ("opposite_direction", "same_direction"):
+            configuration = "head_on" if heading == "opposite_direction" else "car_following"
         else:
-            if heading == "opposite_direction":
-                if road.number_of_ways != 2:
-                    raise CompatibilityError(
-                        f"heading relation 'opposite_direction' needs number_of_ways = 2 "
-                        f"on road type {road.road_type!r}, got {road.number_of_ways}")
-                configuration = "head_on"
-            elif heading == "same_direction":
-                configuration = "car_following"
-            else:
-                raise CompatibilityError(
-                    f"heading relation {heading!r} is incompatible with road type {road.road_type!r}")
+            raise CompatibilityError(
+                f"{at}/position/heading_relation: heading relation {heading!r} "
+                f"is incompatible with road type {road.road_type!r}")
+        if configuration == "head_on" and road.number_of_ways != 2:
+            raise CompatibilityError(
+                f"/road_network/number_of_ways: heading relation 'opposite_direction' "
+                f"needs number_of_ways = 2 on road type {road.road_type!r}, "
+                f"got {road.number_of_ways}")
+        if road.road_type == "intersection" and adversary.behavior == "turn_right":
+            # a right turn from the crossing leg stays clear of the ego's lane
+            raise CompatibilityError(
+                f"{at}/behavior: adversary behavior 'turn_right' never crosses the ego path "
+                "on road type 'intersection'")
 
     total_lanes = road.number_of_ways * road.number_of_lanes
     town = select_map(road.road_type, total_lanes)

@@ -142,7 +142,8 @@ def test_fuzzed_documents_are_rejected_at_synth_or_compose_end_to_end(spec):
             out = root / "piped"
             assert cli.main(["pipeline", str(document), "--out", str(out),
                              "--samples", "2"]) == cli.EXIT_PARTIAL
-            assert (out / "failures.txt").read_text(encoding="utf-8") == f"{document}: {exc}\n"
+            failures = (out / "failures.txt").read_text(encoding="utf-8")
+            assert failures == f"{document}: {exc}\n" and failures.startswith(f"{document}: /")
             return
         sid = normalized.spec.scenario_id
         piped, staged = _pipeline_and_stages(document, sid, root, "2")
@@ -245,6 +246,42 @@ def test_eval_counts_subcommand(tmp_path, capsys):
     status = cli.main(["eval", "counts", str(out), str(expected)])
     assert status == cli.EXIT_OK
     assert "straight-1,1,1,true" in capsys.readouterr().out
+
+
+def test_a_rerun_replaces_the_traces_and_reports_of_an_input(tmp_path, capsys):
+    out = tmp_path / "out"
+    for samples in ("6", "3"):
+        assert cli.main(["pipeline", str(STRAIGHT1), "--out", str(out),
+                         "--samples", samples]) == cli.EXIT_OK
+    scenario = out / "straight-1"
+    traces = sorted(path.name for path in (scenario / "traces").iterdir())
+    reports = sorted(path.name for path in (scenario / "reports").iterdir())
+    summary = (out / "summary.csv").read_text(encoding="utf-8").splitlines()[1:]
+    seeds = sorted(int(row.split(",")[1]) for row in summary)
+    assert traces == [f"trace_{seed:05d}.jsonl" for seed in seeds] and len(seeds) == 3
+    assert reports == [f"report_{seed:05d}.json" for seed in seeds]
+    expected = tmp_path / "expected.json"
+    expected.write_text(json.dumps({"straight-1": 1}), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["eval", "counts", str(out), str(expected)]) == cli.EXIT_OK
+    assert "straight-1,1,1,true" in capsys.readouterr().out
+    # the staged commands replace theirs too, and remove nothing else
+    template = scenario / "straight-1.template.json"
+    (scenario / "traces" / "notes.txt").write_text("kept\n", encoding="utf-8")
+    for samples in ("5", "2"):
+        assert cli.main(["sample", str(template), "--samples", samples]) == cli.EXIT_OK
+        assert cli.main(["simulate", str(template), str(scenario / "instances.jsonl")]) == 0
+        traces = sorted((scenario / "traces").glob("trace_*.jsonl"))
+        assert len(traces) == int(samples)
+        assert cli.main(["monitor", str(template), *map(str, traces)]) == cli.EXIT_OK
+        assert len(list((scenario / "reports").iterdir())) == int(samples)
+    assert (scenario / "traces" / "notes.txt").is_file()
+
+
+def test_pool_chunks_are_balanced_and_at_most_64_seeds():
+    assert cli._chunksize(1, 2) == 1
+    assert cli._chunksize(100, 2) == 13  # four chunks per worker, not 64 + 36
+    assert cli._chunksize(2000, 2) == 64
 
 
 def test_workers_flag_matches_serial(tmp_path):

@@ -42,7 +42,8 @@ def make_trace(geometry: sim.RoadGeometry, actor_types: dict[str, str],
         actor_id = states[0][0]
         assert all(state[0] == actor_id for state in states)
         _, xs, ys, headings, speeds = zip(*states)
-        lane_ids, laterals = zip(*(sim._locate_lane(lanes, x, y) for x, y in zip(xs, ys)))
+        lane_indices, laterals = zip(*(sim._locate_lane(lanes, x, y) for x, y in zip(xs, ys)))
+        lane_ids = tuple(lanes[i][0] for i in lane_indices)
         tracks.append(sim.ActorTrack(actor_id, xs, ys, headings, speeds, lane_ids, laterals))
     return sim.Trace(
         scenario_id=scenario_id,
@@ -447,6 +448,33 @@ def test_monitor_calls_each_rule_and_collisions_once_through_module_names(monkey
         ("collisions", view)]
 
 
+@pytest.mark.parametrize("name", ["intersection-1-multi", "curve-multi", "straight-2"])
+def test_monitor_computes_each_footprint_corner_set_at_most_once(monkeypatch, name):
+    """Collisions, conflict-region entries and divider flags share the view's
+    corners: each (actor, frame) is computed at most once per `monitor` call."""
+    template = load_document_template(name)
+    geo = sim.build_geometry(template)
+    views, computed = [], []
+    view_class, rect_corners = rules.TraceView, rules.rect_corners
+
+    class RecordedView(view_class):
+        def __init__(self, *args):
+            super().__init__(*args)
+            views.append(self)
+
+    monkeypatch.setattr(rules, "TraceView", RecordedView)
+    monkeypatch.setattr(rules, "rect_corners",
+                        lambda *args: computed.append(args) or rect_corners(*args))
+    for seed in range(5):
+        trace = sim.simulate(sampling.sample_instance(template, seed), geo)
+        computed.clear()
+        rules.monitor(trace, template.params.oracle, geo)
+        (view,) = views[-1:]
+        assert computed and len(computed) == len(view._corners)
+        # far pairs and frames far from the divider never compute corners
+        assert len(computed) < len(trace.times) * len(trace.tracks)
+
+
 def test_view_rejects_a_different_geometry():
     template = load_template("straight-1")
     geo = sim.build_geometry(template)
@@ -461,8 +489,11 @@ def _all_corner_divider_flags(view: rules.TraceView, actor_id: str) -> list[bool
     """Divider flags with every corner of every footprint located."""
     direction = view.travel_direction(actor_id)
     locate = view.geometry.axis.locate
-    return [any(direction * locate(cx, cy)[1] > 0 for cx, cy in footprint.corners)
-            for footprint in view.footprints[actor_id]]
+    track = view.tracks[actor_id]
+    length, width = sim.VEHICLE_DIMS[view.trace.actor_types[actor_id]]
+    return [any(direction * locate(cx, cy)[1] > 0
+                for cx, cy in sim.rect_corners(x, y, heading, length, width))
+            for x, y, heading in zip(track.x, track.y, track.heading)]
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_RULE_COUNTS) + list(MULTI_ACTOR_DOCUMENTS))

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from scenforge import dsl, normalize, rules, sampling, sim, synth
 from scenforge.digests import canonical_json
 
-from .conftest import load_spec, load_template
+from .conftest import (EXPECTED_RULE_COUNTS, MULTI_ACTOR_DOCUMENTS, load_document_template,
+                       load_spec, load_template)
 
 
 def _template_from(spec: dsl.ScenarioSpec, seed: int = 0) -> synth.ScenarioTemplate:
@@ -370,6 +371,107 @@ def test_trace_writer_matches_the_reference_writer_with_signals():
     assert sim.trace_to_jsonl(switching) == _reference_trace_to_jsonl(switching)
 
 
+def _trace_with_columns(**columns) -> sim.Trace:
+    """A one-actor, one-lane trace whose columns are given, the rest filled in."""
+    frames = len(next(iter(columns.values())))
+    filled = {key: columns.get(key, (1.0,) * frames)
+              for key in ("x", "y", "heading", "speed", "lateral")}
+    template = load_template("straight-1")
+    trace = sim.simulate(sampling.sample_instance(template, 0), sim.build_geometry(template))
+    track = sim.ActorTrack("ego", lane_id=("f0",) * frames, **filled)
+    return dataclasses.replace(trace, actor_types={"ego": "car"}, times=sim._FRAME_TIMES[:frames],
+                               signals=((),) * frames, tracks=(track,))
+
+
+def test_trace_writer_formats_again_only_where_a_column_changes():
+    columns = {
+        "x": (0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0),          # zeros alternate in sign
+        "y": (2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 2.5),              # one value repeated
+        "heading": (1.0, 1.0, 3.25, 3.25, 1.0, 1e-7, 1e-7),    # repeats switch with new values
+        "speed": (5.0, 5, 5.0, 1234567.0, 1234567.0, 5.0, 5),  # ints equal to floats, exponents
+        "lateral": (-0.0, -0.0, 0.1, 0.1, -0.0, 0.0, -0.0),
+    }
+    trace = _trace_with_columns(**columns)
+    text = sim.trace_to_jsonl(trace)
+    assert text == _reference_trace_to_jsonl(trace)
+    assert '"x":-0.0' in text and '"x":0.0' in text and '"lat":-0.0' in text
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("column", ["x", "heading", "lateral"])
+def test_trace_writer_raises_on_non_finite_values_after_repeats(column, bad):
+    with pytest.raises(ValueError):
+        sim.trace_to_jsonl(_trace_with_columns(**{column: (2.0, 2.0, bad, bad, 2.0)}))
+
+
+def _lane_search_geometries() -> list[sim.RoadGeometry]:
+    """Straight and curve roads with one or two ways and one or two lanes each way."""
+    spec = load_spec("straight-2")
+    geometries = []
+    for road_type in ("straight", "curve"):
+        for ways in (1, 2):
+            for lanes in (1, 2):
+                road = dsl.RoadNetwork(road_type, ways, lanes, "solid_line")
+                solo = dataclasses.replace(spec, road_network=road, actors=dsl.ActorSet(
+                    spec.actors.ego))
+                geometries.append(sim.build_geometry(_template_from(solo)))
+    return geometries
+
+
+def _points_at_the_lane_bounds(geo: sim.RoadGeometry, rng) -> list[tuple[float, float]]:
+    """Points within 1e-7 m of every bound `sim._lane_finder` uses, and off the road ends."""
+    lanes = sim._lane_table(geo)
+    radii = [path[0].radius if isinstance(path[0], sim.ArcSeg) else 1.0 for _, path, _ in lanes]
+    half = sim.LANE_WIDTH / 2.0
+    points = []
+    for (_, path, s_max), radius in zip(lanes, radii):
+        seg = path[0]
+        past = 5.0 * radius / min(radii)  # where every lane is left behind
+        for _ in range(40):
+            eps = rng.choice((-1e-7, 1e-7))
+            lat = rng.choice((1, -1)) * (half + eps)
+            points.append(seg.point(rng.uniform(-5.0, s_max), lat))   # near a lane's half-width
+            lat = rng.uniform(-2 * sim.LANE_WIDTH, 2 * sim.LANE_WIDTH)
+            for s in (-5.0 + eps, s_max + eps, -past + eps, seg.length + past + eps,
+                      rng.uniform(-60.0, -5.0), rng.uniform(s_max, s_max + 60.0)):
+                points.append(seg.point(s, lat))
+    return [(x, y) for x, y, _ in points]
+
+
+def test_lane_finder_matches_the_full_search(monkeypatch):
+    """The hinted lane search gives the full search's answer for every hint: on
+    simulated actor positions of every document, and at the edges of its bounds."""
+    import random
+
+    full_searches = []
+    locate_lane = sim._locate_lane
+    monkeypatch.setattr(sim, "_locate_lane", lambda *args: full_searches.append(args) or
+                        locate_lane(*args))
+    rng = random.Random(8)
+    cases = []
+    for name in sorted(EXPECTED_RULE_COUNTS) + list(MULTI_ACTOR_DOCUMENTS):
+        template = load_document_template(name)
+        geo = sim.build_geometry(template)
+        points = [(x, y) for seed in range(20)
+                  for track in sim.simulate(sampling.sample_instance(template, seed), geo).tracks
+                  for x, y in zip(track.x, track.y)]
+        cases.append((geo, points))
+    cases += [(geo, _points_at_the_lane_bounds(geo, rng)) for geo in _lane_search_geometries()]
+    calls = searched = 0
+    for geo, points in cases:
+        lanes = sim._lane_table(geo)
+        find = sim._lane_finder(geo)
+        full_searches.clear()
+        for x, y in points:
+            expected = locate_lane(lanes, x, y)
+            for hint in range(len(lanes)):
+                assert find(x, y, hint) == expected, (geo.topology, x, y, hint)
+        if geo.topology in ("straight", "curve"):
+            calls, searched = calls + len(points) * len(lanes), searched + len(full_searches)
+    # on straight and curve roads the bounds answer most calls without the full search
+    assert calls > 50_000 and searched < 0.3 * calls, (calls, searched)
+
+
 def _mirrored_specs(road_type: str):
     base = "intersection-1" if road_type == "intersection" else "t-intersection"
     spec = load_spec(base)
@@ -535,9 +637,8 @@ def _corner_to_corner_pair(rng):
     else:
         heading_a, heading_b = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
     xa, ya = rng.uniform(-300, 300), rng.uniform(-300, 300)
-    a = sim.Footprint(xa, ya, heading_a, la, wa)
-    b = sim.Footprint(xa + gap * math.cos(theta), ya + gap * math.sin(theta), heading_b, lb, wb)
-    return a, b
+    return ((xa, ya, heading_a, la, wa),
+            (xa + gap * math.cos(theta), ya + gap * math.sin(theta), heading_b, lb, wb))
 
 
 def test_overlap_prefilter_agrees_with_rects_overlap_near_the_radius_sum():
@@ -547,13 +648,20 @@ def test_overlap_prefilter_agrees_with_rects_overlap_near_the_radius_sum():
     verdicts = {True: 0, False: 0}
     skipped = 0
     for _ in range(20000):
-        a, b = _corner_to_corner_pair(rng)
-        fast = sim.footprints_overlap(a, b)
-        skipped += a._corners is None
-        exact = sim.rects_overlap(
-            sim.rect_corners(a.x, a.y, a.heading, a.length, a.width),
-            sim.rect_corners(b.x, b.y, b.heading, b.length, b.width))
-        assert fast == exact, (a.x, a.y, a.heading, b.x, b.y, b.heading)
+        rect_a, rect_b = _corner_to_corner_pair(rng)
+        asked = []
+
+        def outline(x, y, heading, length, width):
+            """A one-frame outline that records each request for its corners."""
+            def corners(k):
+                asked.append(k)
+                return sim.rect_corners(x, y, heading, length, width)
+            return (x,), (y,), sim.circumradius(length, width), corners
+
+        fast = sim.first_overlap(outline(*rect_a), outline(*rect_b)) == 0
+        skipped += not asked
+        exact = sim.rects_overlap(sim.rect_corners(*rect_a), sim.rect_corners(*rect_b))
+        assert fast == exact, (rect_a, rect_b)
         verdicts[exact] += 1
     # both verdicts occur, and far pairs never compute their corners
     assert verdicts[True] > 100 and verdicts[False] > 100
@@ -562,8 +670,8 @@ def test_overlap_prefilter_agrees_with_rects_overlap_near_the_radius_sum():
 
 def test_region_footprint_encloses_the_polygon():
     region = ((-3.5, -3.5), (3.5, -3.5), (3.5, 3.5), (-3.5, 3.5))
-    footprint = sim.Footprint.of_polygon(region)
-    assert (footprint.x, footprint.y) == (0.0, 0.0)
-    assert footprint.radius == pytest.approx(3.5 * math.sqrt(2.0))
-    assert footprint.corners == region
+    xs, ys, radius, corners = sim.polygon_outline(region, 2)
+    assert (xs, ys) == ((0.0, 0.0), (0.0, 0.0))
+    assert radius == pytest.approx(3.5 * math.sqrt(2.0))
+    assert corners(1) == region
 

@@ -121,8 +121,23 @@ def test_build_template_incompatible_pair():
                             dsl.ActorSet(spec.actors.ego, (crossing,)), spec.oracle)
     with pytest.raises(CompatibilityError) as excinfo:
         build_template(normalize.apply_defaults(spec, 0))
+    assert str(excinfo.value).startswith("/actors/npcs/0/position/heading_relation: ")
     assert "from_left" in str(excinfo.value)
     assert "straight" in str(excinfo.value)
+    # the path counts the adversary's place among the npcs
+    follower = dsl.ActorSpec("npc_0", "car", "go_forward", 8.0,
+                             dsl.PositionSpec("ego", "behind", "same_direction"))
+    spec = replace(spec, actors=dsl.ActorSet(spec.actors.ego, (follower, crossing)))
+    with pytest.raises(CompatibilityError, match=r"^/actors/npcs/1/position/heading_relation: "):
+        build_template(normalize.apply_defaults(spec, 0))
+
+
+def test_build_template_rejects_an_open_road_heading_on_a_junction():
+    variant = _junction_variant("t-intersection", "go_forward", "same_direction")
+    with pytest.raises(CompatibilityError) as excinfo:
+        build_template(normalize.apply_defaults(variant, 0))
+    assert str(excinfo.value).startswith("/actors/npcs/0/position/heading_relation: ")
+    assert "same_direction" in str(excinfo.value) and "t_intersection" in str(excinfo.value)
 
 
 @pytest.mark.parametrize("name", ["straight-1", "curve"])
@@ -133,8 +148,8 @@ def test_build_template_rejects_head_on_on_a_one_way_road(name):
     assert dsl.validate_spec(one_way) == []
     with pytest.raises(CompatibilityError) as excinfo:
         build_template(normalize.apply_defaults(one_way, 0))
+    assert str(excinfo.value).startswith("/road_network/number_of_ways: ")
     assert "opposite_direction" in str(excinfo.value)
-    assert "number_of_ways" in str(excinfo.value)
 
 
 def _junction_variant(name: str, behavior: str, heading: str) -> dsl.ScenarioSpec:
@@ -151,6 +166,7 @@ def _junction_variant(name: str, behavior: str, heading: str) -> dsl.ScenarioSpe
 def test_build_template_rejects_turn_right_on_a_four_way_intersection(name, heading):
     with pytest.raises(CompatibilityError) as excinfo:
         build_template(normalize.apply_defaults(_junction_variant(name, "turn_right", heading), 0))
+    assert str(excinfo.value).startswith("/actors/npcs/0/behavior: ")
     assert "turn_right" in str(excinfo.value)
     assert "intersection" in str(excinfo.value)
 

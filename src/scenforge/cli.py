@@ -1,10 +1,16 @@
 """Command line front end: one subcommand per pipeline stage plus `pipeline`.
 
-All intermediate artifacts are files, written atomically
-(temp-then-rename), so stages compose: running them separately over the
-intermediate files writes what `pipeline` writes in one go, except that a
-staged `monitor` reads traces back at 6 significant digits, so its report
-evidence floats can differ from the in-memory ones.
+All intermediate artifacts are files, so stages compose: running them
+separately over the intermediate files writes what `pipeline` writes in one
+go, except that a staged `monitor` reads traces back at 6 significant
+digits, so its report evidence floats can differ from the in-memory ones.
+
+`pipeline` writes each input into a staging directory `--out/.<sid>.partial/`
+with plain writes, chunk by chunk, and on success renames it onto `<sid>/`,
+replacing an earlier run's directory whole; a failing input leaves no
+staging directory and no new `<sid>/`.  Staged `simulate` writes its traces
+into `.traces.partial/` beside `traces/` and moves them in once every seed
+has succeeded.  Other single files are written atomically (temp-then-rename).
 
 Exit codes: 0 success, 1 partial failure (some input failed a stage),
 2 configuration error.
@@ -16,6 +22,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -65,13 +72,34 @@ def _write_manifest(out_dir: Path, instances: list[sampling.ScenarioInstance]) -
     return path
 
 
-def _write_trace(out_dir: Path, seed: int, trace_text: str) -> None:
-    _atomic_write(out_dir / "traces" / f"trace_{seed:05d}.jsonl", trace_text)
+def _trace_name(seed: int) -> str:
+    return f"trace_{seed:05d}.jsonl"
+
+
+def _report_name(seed: int) -> str:
+    return f"report_{seed:05d}.json"
 
 
 def _write_report(out_dir: Path, report: rules.ViolationReport) -> None:
-    _atomic_write(out_dir / "reports" / f"report_{report.instance_seed:05d}.json",
+    _atomic_write(out_dir / "reports" / _report_name(report.instance_seed),
                   report.to_json() + "\n")
+
+
+def _write_staged(path: Path, data: str) -> None:
+    """A plain write: the staging directory it lands in moves into place whole."""
+    path.write_text(data, encoding="utf-8", newline="\n")
+
+
+@contextmanager
+def _staged(staging: Path):
+    """A fresh, empty staging directory that is removed if the body raises."""
+    shutil.rmtree(staging, ignore_errors=True)
+    staging.mkdir(parents=True)
+    try:
+        yield staging
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
 
 
 def _clear(directory: Path, pattern: str) -> None:
@@ -139,10 +167,70 @@ def _chunksize(seeds: int, workers: int) -> int:
     return min(64, math.ceil(seeds / (4 * workers)))
 
 
-def _simulate_one(template: synth.ScenarioTemplate, seed: int) -> tuple[str, rules.ViolationReport]:
-    """Worker entry: returns (trace jsonl, report) for one seed."""
-    return _run_instance(template, sim.build_geometry(template),
-                         sampling.sample_instance(template, seed))
+def _chunks(items: list, workers: int) -> list[list]:
+    """`items` in consecutive runs of `_chunksize(len(items), workers)`."""
+    size = _chunksize(len(items), workers)
+    return [items[start:start + size] for start in range(0, len(items), size)]
+
+
+def _run_chunk(template: synth.ScenarioTemplate, geometry: sim.RoadGeometry, staging: Path,
+               instances: list[sampling.ScenarioInstance]) -> list[rules.ViolationReport]:
+    """Runs a chunk of instances, writes its traces and reports into `staging`
+    once the whole chunk is done, and returns the reports."""
+    results = [_run_instance(template, geometry, instance) for instance in instances]
+    for trace_text, report in results:
+        _write_staged(staging / "traces" / _trace_name(report.instance_seed), trace_text)
+        _write_staged(staging / "reports" / _report_name(report.instance_seed),
+                      report.to_json() + "\n")
+    return [report for _, report in results]
+
+
+def _simulate_one(job: tuple[synth.ScenarioTemplate, Path],
+                  instances: list[sampling.ScenarioInstance]) -> list[rules.ViolationReport]:
+    """Pool entry: `_run_chunk` over one chunk, with the geometry built once per chunk."""
+    template, staging = job
+    return _run_chunk(template, sim.build_geometry(template), staging, instances)
+
+
+def _swap_in(staging: Path, target: Path) -> None:
+    """Renames `staging` onto `target`.  An earlier `target` is renamed aside
+    first, restored if the rename fails, and removed only once the new one is
+    in place."""
+    aside = target.with_name(f".{target.name}.old.partial")
+    if target.exists():
+        target.rename(aside)
+    try:
+        staging.rename(target)
+    except BaseException:
+        if aside.exists():
+            aside.rename(target)
+        raise
+    shutil.rmtree(aside, ignore_errors=True)  # a leftover is swept by the next run
+
+
+def _run_input(args, normalized: normalize.NormalizedSpec,
+               template: synth.ScenarioTemplate) -> list[rules.ViolationReport]:
+    """Writes one input's scenario directory through its staging directory and
+    returns its reports; a failure removes the staging directory and leaves an
+    earlier run's `<sid>/` as it was."""
+    scenario_id = template.params.scenario_id
+    with _staged(args.out / f".{scenario_id}.partial") as staging:
+        _write_normalized(staging, normalized)
+        _write_template(staging, template)
+        instances = sampling.sample_batch(template, args.samples, args.seed)
+        _write_manifest(staging, instances)
+        (staging / "traces").mkdir()
+        (staging / "reports").mkdir()
+        chunks = _chunks(instances, args.workers)
+        if args.workers > 1:
+            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+                per_chunk = list(pool.map(_simulate_one, [(template, staging)] * len(chunks),
+                                          chunks))
+        else:
+            geometry = sim.build_geometry(template)
+            per_chunk = [_run_chunk(template, geometry, staging, chunk) for chunk in chunks]
+        _swap_in(staging, args.out / scenario_id)
+    return [report for reports in per_chunk for report in reports]
 
 
 def run_pipeline(args) -> int:
@@ -150,6 +238,10 @@ def run_pipeline(args) -> int:
     table = normalize.load_synonym_table(args.synonyms) if args.synonyms else None
     failures: list[str] = []
     all_reports: list[rules.ViolationReport] = []
+    written: dict[str, Path] = {}  # scenario id -> the input that wrote it in this run
+    for stale in args.out.glob(".*.partial"):  # left by a run that was killed
+        if stale.is_dir():
+            shutil.rmtree(stale)
 
     for input_path in map(Path, args.inputs):
         try:
@@ -159,27 +251,12 @@ def run_pipeline(args) -> int:
                 details = "; ".join(f"{i.path}: {i.message}" for i in normalized)
                 raise ValueError(f"document rejected: {details}")
             template = synth.build_template(normalized)
-            scenario_dir = args.out / template.params.scenario_id
-            _write_normalized(scenario_dir, normalized)
-            _write_template(scenario_dir, template)
-            instances = sampling.sample_batch(template, args.samples, args.seed)
-            _write_manifest(scenario_dir, instances)
-
-            seeds = [inst.instance_seed for inst in instances]
-            if args.workers > 1:
-                with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                    results = list(pool.map(_simulate_one, [template] * len(seeds), seeds,
-                                            chunksize=_chunksize(len(seeds), args.workers)))
-            else:
-                geometry = sim.build_geometry(template)
-                results = [_run_instance(template, geometry, inst) for inst in instances]
-
-            _clear(scenario_dir / "traces", "trace_*.jsonl")
-            _clear(scenario_dir / "reports", "report_*.json")
-            for seed, (trace_text, report) in zip(seeds, results):
-                _write_trace(scenario_dir, seed, trace_text)
-                _write_report(scenario_dir, report)
-                all_reports.append(report)
+            scenario_id = template.params.scenario_id
+            if scenario_id in written:
+                raise ValueError(f"scenario id {scenario_id!r} was already written by "
+                                 f"{written[scenario_id]}")
+            all_reports += _run_input(args, normalized, template)
+            written[scenario_id] = input_path
         except Exception as exc:
             failures.append(f"{input_path}: {exc}")
 
@@ -189,6 +266,7 @@ def run_pipeline(args) -> int:
         for line in failures:
             print(f"error: {line}", file=sys.stderr)
         return EXIT_PARTIAL
+    (args.out / "failures.txt").unlink(missing_ok=True)
     return EXIT_OK
 
 
@@ -264,17 +342,21 @@ def _cmd_simulate(args) -> int:
     template = _load(synth.ScenarioTemplate, args.template)
     geometry = sim.build_geometry(template)
     instances = sampling.read_manifest(Path(args.instances).read_text(encoding="utf-8"))
-    traces = []
+    out_dir = args.out or Path(args.instances).parent
     try:
-        for instance in instances:
-            with _seed_named(instance.instance_seed):
-                traces.append(sim.trace_to_jsonl(sim.simulate(instance, geometry)))
+        with _staged(out_dir / ".traces.partial") as staging:
+            for instance in instances:
+                with _seed_named(instance.instance_seed):
+                    trace_text = sim.trace_to_jsonl(sim.simulate(instance, geometry))
+                _write_staged(staging / _trace_name(instance.instance_seed), trace_text)
     except RuntimeError as exc:
         return _failed(args.instances, exc)
-    out_dir = args.out or Path(args.instances).parent
-    _clear(out_dir / "traces", "trace_*.jsonl")
-    for instance, trace_text in zip(instances, traces):
-        _write_trace(out_dir, instance.instance_seed, trace_text)
+    traces = out_dir / "traces"
+    _clear(traces, "trace_*.jsonl")
+    traces.mkdir(exist_ok=True)
+    for path in sorted(staging.iterdir()):
+        path.replace(traces / path.name)
+    staging.rmdir()
     print(f"{args.instances}: {len(instances)} traces -> {out_dir}")
     return EXIT_OK
 

@@ -17,6 +17,7 @@ serialize byte-identically.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any, Union
 
@@ -45,6 +46,9 @@ MAX_LANES = 8
 MAX_SPEED_MPS = 45.0
 
 DEFAULT_SCENARIO_ID = "unnamed"
+# The id names the files and the directory a scenario is written to, so it
+# must be one path component that cannot climb out of the output directory.
+SCENARIO_ID_PATTERN = re.compile(r"[A-Za-z0-9_-]+")
 
 # Issue kinds
 MISSING_SECTION = "missing_section"
@@ -406,10 +410,11 @@ def parse_dsl(source_text: str) -> ParseResult:
     scenario_id = DEFAULT_SCENARIO_ID
     if "scenario_id" in doc:
         value = doc["scenario_id"]
-        if isinstance(value, str) and value:
+        if isinstance(value, str) and SCENARIO_ID_PATTERN.fullmatch(value):
             scenario_id = value
         else:
-            w.error("/scenario_id", INCONSISTENT, "expected a non-empty string")
+            w.error("/scenario_id", INCONSISTENT,
+                    "expected a non-empty string of letters, digits, '_' and '-'")
 
     environment = road = actors = oracle = None
     if "environment" not in doc:

@@ -276,6 +276,7 @@ def test_a_rerun_replaces_the_traces_and_reports_of_an_input(tmp_path, capsys):
         assert cli.main(["monitor", str(template), *map(str, traces)]) == cli.EXIT_OK
         assert len(list((scenario / "reports").iterdir())) == int(samples)
     assert (scenario / "traces" / "notes.txt").is_file()
+    assert not (scenario / ".traces.partial").exists()
 
 
 def test_pool_chunks_are_balanced_and_at_most_64_seeds():
@@ -382,6 +383,7 @@ def test_a_failing_staged_simulate_names_its_seed(tmp_path, monkeypatch, capsys)
     assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_PARTIAL
     assert capsys.readouterr().err == f"error: {manifest}: seed 2: boom\n"
     assert not (tmp_path / "traces").exists()
+    assert not (tmp_path / ".traces.partial").exists()
 
 
 def test_a_failing_staged_monitor_names_its_seed(tmp_path, monkeypatch, capsys):
@@ -438,3 +440,140 @@ def test_extract_prints_the_issues_without_asserts(tmp_path):
     assert f"{bad}: /environment/weather [invalid_enum]" in done.stdout
     assert done.stderr == ""
     assert not (tmp_path / "docs").exists()
+
+
+def test_a_clean_rerun_removes_an_old_failures_file(tmp_path):
+    bad = _write_unparseable_document(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", str(bad), str(STRAIGHT1), "--out", str(out),
+                     "--samples", "2"]) == cli.EXIT_PARTIAL
+    assert (out / "failures.txt").is_file()
+    assert cli.main(["pipeline", str(STRAIGHT1), "--out", str(out),
+                     "--samples", "2"]) == cli.EXIT_OK
+    assert not (out / "failures.txt").exists()
+
+
+def test_a_second_input_with_the_same_scenario_id_fails(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", str(STRAIGHT1), str(STRAIGHT1), "--out", str(out),
+                     "--samples", "3"]) == cli.EXIT_PARTIAL
+    assert (out / "failures.txt").read_text(encoding="utf-8") == (
+        f"{STRAIGHT1}: scenario id 'straight-1' was already written by {STRAIGHT1}\n")
+    assert (out / "summary.csv").read_text(encoding="utf-8").count("\n") == 4  # header + 3
+    assert sorted(path.name for path in out.iterdir()) == [
+        "failures.txt", "straight-1", "summary.csv"]
+    assert len(list((out / "straight-1" / "traces").iterdir())) == 3
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("seed", [0, 4, 7])
+def test_a_failing_seed_leaves_no_scenario_or_staging_directory(tmp_path, monkeypatch,
+                                                                 workers, seed):
+    monkeypatch.setattr(sim, "simulate", _fail_on_seed(sim.simulate, seed))
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", str(STRAIGHT1), "--out", str(out), "--samples", "8",
+                     "--workers", workers]) == cli.EXIT_PARTIAL
+    assert (out / "failures.txt").read_text(encoding="utf-8") == f"{STRAIGHT1}: seed {seed}: boom\n"
+    assert sorted(path.name for path in out.iterdir()) == ["failures.txt", "summary.csv"]
+
+
+def test_a_failing_rerun_keeps_the_earlier_scenario_directory(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", str(STRAIGHT1), "--out", str(out), "--samples", "4"]) == 0
+    before = _tree_hash(out / "straight-1")
+    monkeypatch.setattr(sim, "simulate", _fail_on_seed(sim.simulate, 5))
+    assert cli.main(["pipeline", str(STRAIGHT1), "--out", str(out),
+                     "--samples", "6"]) == cli.EXIT_PARTIAL
+    assert _tree_hash(out / "straight-1") == before
+    assert not (out / ".straight-1.partial").exists()
+
+
+def test_earlier_chunks_are_on_disk_when_the_last_chunk_starts(tmp_path, monkeypatch):
+    """Serially, 8 seeds run in chunks of 2; seed 6 starts the last chunk."""
+    assert cli._chunks(list(range(8)), 1) == [[0, 1], [2, 3], [4, 5], [6, 7]]
+    simulate, watched, seen = sim.simulate, [], []
+
+    def listing_simulate(instance, geometry):
+        if instance.instance_seed == 6:
+            seen.append(sorted(path.name for directory in watched for path in directory.iterdir()))
+        return simulate(instance, geometry)
+
+    monkeypatch.setattr(sim, "simulate", listing_simulate)
+    staging = tmp_path / "out" / ".straight-1.partial"
+    watched[:] = [staging / "traces", staging / "reports"]
+    assert cli.main(["pipeline", str(STRAIGHT1), "--out", str(tmp_path / "out"),
+                     "--samples", "8"]) == cli.EXIT_OK
+    traces = [f"trace_{seed:05d}.jsonl" for seed in range(6)]
+    assert seen == [sorted(traces + [f"report_{seed:05d}.json" for seed in range(6)])]
+
+    template = tmp_path / "out" / "straight-1" / "straight-1.template.json"
+    staged = tmp_path / "staged"
+    assert cli.main(["sample", str(template), "--samples", "8", "--out", str(staged)]) == 0
+    watched[:] = [staged / ".traces.partial"]
+    assert cli.main(["simulate", str(template), str(staged / "instances.jsonl")]) == cli.EXIT_OK
+    assert seen[1:] == [traces]
+    assert len(list((staged / "traces").iterdir())) == 8
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_rerun_over_stale_staging_equals_a_fresh_run(tmp_path, workers):
+    """Staging directories a killed run left are removed, and a rerun replaces
+    `<sid>/` whole, files it did not write included."""
+    fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+    args = [str(STRAIGHT1), str(CURVE), "--samples", "5", "--workers", workers]
+    assert cli.main(["pipeline", *args, "--out", str(fresh)]) == cli.EXIT_OK
+    assert cli.main(["pipeline", str(STRAIGHT1), "--out", str(rerun), "--samples", "9"]) == 0
+    (rerun / "straight-1" / "notes.txt").write_text("old\n", encoding="utf-8")
+    for stale in (".straight-1.partial/traces", ".curve.partial", ".gone.partial/reports"):
+        (rerun / stale).mkdir(parents=True, exist_ok=True)
+        (rerun / stale / "trace_00099.jsonl").write_text("{}\n", encoding="utf-8")
+    assert cli.main(["pipeline", *args, "--out", str(rerun)]) == cli.EXIT_OK
+    assert _tree_hash(rerun) == _tree_hash(fresh)
+
+
+def test_an_unsafe_scenario_id_fails_and_removes_nothing(tmp_path):
+    """An id that is not one plain path component never reaches the file system:
+    '.', '..', an absolute path and 'a/../b' would each name a directory that
+    replacing `<sid>/` would delete."""
+    victim = tmp_path / "victim"
+    victim.mkdir()
+    (victim / "keep.txt").write_text("keep\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", str(STRAIGHT1), "--out", str(out), "--samples", "2"]) == 0
+    (tmp_path / "a").mkdir()
+    text = STRAIGHT1.read_text(encoding="utf-8")
+    documents = []
+    for n, scenario_id in enumerate([".", "..", str(victim), "a/../victim"]):
+        document = tmp_path / f"unsafe{n}.yaml"
+        document.write_text(text.replace("scenario_id: straight-1", f"scenario_id: {scenario_id!r}"),
+                            encoding="utf-8")
+        documents.append(document)
+    before = _tree_hash(tmp_path)
+    assert cli.main(["pipeline", *map(str, documents), "--out", str(out),
+                     "--samples", "2"]) == cli.EXIT_PARTIAL
+    failures = (out / "failures.txt").read_text(encoding="utf-8").splitlines()
+    assert [line.split(": ", 1)[0] for line in failures] == list(map(str, documents))
+    assert all("/scenario_id" in line for line in failures)
+    after = _tree_hash(tmp_path)
+    assert sorted(after) == sorted([*before, "out/failures.txt"])
+    del before["out/summary.csv"]  # rewritten with no rows
+    assert {name: after[name] for name in before} == before
+
+
+def test_a_failed_swap_restores_the_earlier_scenario_directory(tmp_path):
+    target = tmp_path / "straight-1"
+    target.mkdir()
+    (target / "old.txt").write_text("old\n", encoding="utf-8")
+    before = _tree_hash(tmp_path)
+    with pytest.raises(FileNotFoundError):
+        cli._swap_in(tmp_path / ".straight-1.partial", target)  # no staging directory
+    assert _tree_hash(tmp_path) == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["straight-1"]
+
+
+def test_the_stale_staging_sweep_keeps_files(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ".notes.partial").write_text("mine\n", encoding="utf-8")
+    assert cli.main(["pipeline", str(STRAIGHT1), "--out", str(out), "--samples", "2"]) == 0
+    assert (out / ".notes.partial").read_text(encoding="utf-8") == "mine\n"

@@ -55,6 +55,20 @@ def test_parse_minimal_document():
     assert spec.oracle[0].violating_actor == "npc_1"
 
 
+
+@pytest.mark.parametrize("scenario_id", [".", "..", "/home/user", "a/../b", ".hidden",
+                                         "a b", "a.b", ""])
+def test_scenario_id_must_be_one_safe_path_component(scenario_id):
+    document = MINIMAL_DOC.replace("scenario_id: demo", f"scenario_id: {scenario_id!r}")
+    issues = dsl.parse_dsl(document)
+    assert [(issue.path, issue.kind) for issue in issues] == [("/scenario_id", dsl.INCONSISTENT)]
+
+
+@pytest.mark.parametrize("scenario_id", ["demo", "straight-1", "acc_case_7", "A-1"])
+def test_scenario_ids_of_letters_digits_dash_and_underscore_parse(scenario_id):
+    document = MINIMAL_DOC.replace("scenario_id: demo", f"scenario_id: {scenario_id}")
+    assert dsl.parse_dsl(document).scenario_id == scenario_id
+
 def test_empty_document_reports_all_missing_sections():
     issues = dsl.parse_dsl("")
     assert isinstance(issues, list)

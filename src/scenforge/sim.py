@@ -7,6 +7,14 @@ lead vehicle, timed junction crossing) is layered on top.  A simulation
 is a pure function of (instance, geometry), so traces serialize
 byte-identically across runs.
 
+`simulate` runs mover by mover over blocks of frames, and its floats are
+those of a loop that steps every mover one frame at a time:
+ - each mover's state depends only on its own past;
+ - the one exception, the head-on incursion trigger, also reads the ego's
+   position in the same frame, and the ego runs first in every block;
+ - collisions only set the end frame, so a scan after each block finds the
+   first one and every column is cut at the end frame.
+
 Conventions:
  - right-hand traffic; the innermost forward lane sits 1.75 m right of
    the road axis
@@ -19,6 +27,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -129,6 +138,26 @@ def lateral_function(seg: Segment):
     return lambda x, y: -(x - x0) * dy + (y - y0) * dx
 
 
+def _locate_function(seg: Segment):
+    """`seg.locate`, as a closure for hot loops."""
+    if isinstance(seg, ArcSeg):
+        cx, cy, radius, a0, sign = seg.cx, seg.cy, seg.radius, seg.a0, seg.sign
+        atan2, hypot, remainder = math.atan2, math.hypot, math.remainder
+
+        def locate_on_arc(x: float, y: float) -> tuple[float, float]:
+            delta = remainder(atan2(y - cy, x - cx) - a0, TWO_PI) * sign
+            return delta * radius, sign * (radius - hypot(x - cx, y - cy))
+
+        return locate_on_arc
+    x0, y0, dx, dy = seg.x0, seg.y0, seg.dx, seg.dy
+
+    def locate_on_line(x: float, y: float) -> tuple[float, float]:
+        px, py = x - x0, y - y0
+        return px * dx + py * dy, -px * dy + py * dx
+
+    return locate_on_line
+
+
 def _line(p0: tuple[float, float], p1: tuple[float, float]) -> LineSeg:
     dx, dy = p1[0] - p0[0], p1[1] - p0[1]
     length = math.hypot(dx, dy)
@@ -151,10 +180,24 @@ def path_point(path: tuple[Segment, ...], s: float, lat: float = 0.0) -> tuple[f
 
 
 def _point_function(path: tuple[Segment, ...]):
-    """`path_point` bound to one path; a single line's heading is computed once."""
+    """`path_point` bound to one path.  A single line's heading is computed once;
+    a single arc keeps `ArcSeg.point`'s arithmetic in the same order."""
     seg = path[0]
-    if len(path) > 1 or isinstance(seg, ArcSeg):
+    if len(path) > 1:
         return functools.partial(path_point, path)
+    if isinstance(seg, ArcSeg):
+        cx, cy, radius, a0, sign = seg.cx, seg.cy, seg.radius, seg.a0, seg.sign
+        turn, cos, sin, remainder = sign * math.pi / 2.0, math.cos, math.sin, math.remainder
+
+        def arc_point(s: float, lat: float) -> tuple[float, float, float]:
+            ang = a0 + sign * s / radius
+            r = radius - sign * lat
+            heading = remainder(ang + turn, TWO_PI)  # normalize_heading, inlined
+            if heading <= -math.pi:
+                heading += TWO_PI
+            return cx + r * cos(ang), cy + r * sin(ang), heading
+
+        return arc_point
     x0, y0, dx, dy, heading = seg.x0, seg.y0, seg.dx, seg.dy, math.atan2(seg.dy, seg.dx)
     return lambda s, lat: (x0 + dx * s - dy * lat, y0 + dy * s + dx * lat, heading)
 
@@ -522,7 +565,11 @@ def trace_to_jsonl(trace: Trace) -> str:
                 num(a.heading), a.lane_id, num(a.lateral), num(a.speed), num(a.x), num(a.y))])
     lines = [canonical_json(header)]
     signal_arrays: dict[tuple[tuple[str, str], ...], str] = {}
-    for t, frame_signals, actors in zip(num(trace.times), trace.signals, zip(*columns)):
+    # `simulate`'s frame times are formatted once; a -0.0 equals 0.0 but keeps its sign
+    times = trace.times
+    off_grid = times != _FRAME_TIMES[:len(times)] or (times and math.copysign(1.0, times[0]) < 0)
+    time_texts = num(times) if off_grid else _frame_time_texts()
+    for t, frame_signals, actors in zip(time_texts, trace.signals, zip(*columns)):
         signals = signal_arrays.get(frame_signals)
         if signals is None:
             signals = signal_arrays[frame_signals] = "[" + ",".join(
@@ -703,13 +750,14 @@ class _Mover:
     s: float
     speed: float
     lateral: float = 0.0
-    # head-on incursion bookkeeping
+    # head-on incursion bookkeeping; `incursion` is cleared once the ramp is done
     incursion: bool = False
     trigger_gap: float | None = None
     trigger_t: float | None = None
     ramp_target: float = LANE_WIDTH
     # stop behavior
     stop_s: float | None = None
+    lane: int = 0  # lane index in the last frame, the hint for the next lane search
 
 
 def _ego_path(geometry: RoadGeometry) -> tuple[Segment, ...]:
@@ -803,33 +851,44 @@ LANE_BOUND_MARGIN_M = 1e-9  # room for rounding in `locate`, about 1e-13 m here
 
 
 def _lane_finder(geometry: RoadGeometry):
-    """`find(x, y, hint)` gives what `_locate_lane` gives, trying the hint
-    (the actor's lane in the previous frame) first.
+    """`find(xs, ys, hint)` gives, for each point in turn, what `_locate_lane`
+    gives, as a list of lane indices and one of lateral offsets.  Each search
+    tries the lane found for the point before first, `hint` for the first.
 
-    On straight and curve roads a point nearer than LANE_WIDTH / 2 to the
-    hinted lane is nearest to it, and one far enough beyond an end of the
-    hinted lane is off every lane; docs/rules.md gives the proof.  Junction
-    lanes cross, so they always get the full search.
+    A point nearer than LANE_WIDTH / 2 to the hinted lane is nearest to it
+    on straight and curve roads, and at junctions when it lies outside the
+    conflict square; on straight and curve roads one far enough beyond an
+    end of the hinted lane is off every lane.  docs/rules.md gives the proofs.
     """
     lanes = _lane_table(geometry)
-    if geometry.topology not in ("straight", "curve"):
-        return lambda x, y, hint: _locate_lane(lanes, x, y)
     near = LANE_WIDTH / 2.0 - LANE_BOUND_MARGIN_M
-    radii = [path[0].radius if isinstance(path[0], ArcSeg) else 1.0 for _, path, _ in lanes]
-    # per lane: locate, s_max and how far past either end every lane is left behind
-    beyond = [5.0 * radius / min(radii) + LANE_BOUND_MARGIN_M for radius in radii]
-    ends = [(path[0].locate, s_max, -past, path[0].length + past)
+    if geometry.topology in ("straight", "curve"):
+        inside = -math.inf  # no square: every point is outside it
+        radii = [path[0].radius if isinstance(path[0], ArcSeg) else 1.0 for _, path, _ in lanes]
+        # how far past either end of each lane every lane is left behind
+        beyond = [5.0 * radius / min(radii) + LANE_BOUND_MARGIN_M for radius in radii]
+    else:
+        inside = LANE_WIDTH * geometry.scenario.lanes + LANE_BOUND_MARGIN_M  # half the square
+        beyond = [math.inf] * len(lanes)  # crossing legs: no point is off every lane
+    # per lane: locate, s_max and the arc lengths beyond which every lane is left behind
+    ends = [(_locate_function(path[0]), s_max, -past, path[0].length + past)
             for (_, path, s_max), past in zip(lanes, beyond)]
 
-    def find(x: float, y: float, hint: int) -> tuple[int, float]:
-        locate, s_max, lo, hi = ends[hint]
-        s, lat = locate(x, y)
-        if -5.0 <= s <= s_max:
-            if abs(lat) < near:
-                return hint, lat
-        elif s < lo or s > hi:
-            return 0, 0.0
-        return _locate_lane(lanes, x, y)
+    def find(xs, ys, hint: int) -> tuple[list[int], list[float]]:
+        found, lats = [], []
+        for x, y in zip(xs, ys):
+            locate, s_max, lo, hi = ends[hint]
+            s, lat = locate(x, y)
+            if -5.0 <= s <= s_max:
+                if abs(lat) >= near or (abs(x) <= inside and abs(y) <= inside):
+                    hint, lat = _locate_lane(lanes, x, y)
+            elif s < lo or s > hi:
+                hint, lat = 0, 0.0
+            else:
+                hint, lat = _locate_lane(lanes, x, y)
+            found.append(hint)
+            lats.append(lat)
+        return found, lats
 
     return find
 
@@ -945,10 +1004,102 @@ def approach_of(heading: float) -> str:
 _FRAME_TIMES = tuple(round(k * TIMESTEP_S, 9) for k in range(int(HORIZON_S / TIMESTEP_S) + 1))
 
 
+@functools.cache
+def _frame_time_texts() -> list[str]:
+    """What `trace_to_jsonl` writes for the frame times, formatted on first use."""
+    return _sig6_texts(_FRAME_TIMES)
+
+
+_BLOCK_FRAMES = 32  # frames every mover runs between two collision scans
+
+
+def _signal_states(geometry: RoadGeometry) -> tuple[tuple[tuple[str, str], ...], ...]:
+    """The signal states at every frame time, computed once per geometry."""
+    cached = geometry.__dict__.get("_signal_states")
+    if cached is None:
+        heads = geometry.signal_heads
+        cached = tuple(tuple((leg, sched.state(t)) for leg, sched in heads) for t in _FRAME_TIMES)
+        object.__setattr__(geometry, "_signal_states", cached)
+    return cached
+
+
+def _step(m: _Mover) -> None:
+    """Advances a braking or ramping mover (never a static one) by one timestep."""
+    if m.stop_s is not None:
+        remaining = m.stop_s - m.s
+        if remaining <= m.speed * m.speed / (2.0 * BRAKE_DECEL):
+            m.speed = max(0.0, m.speed - BRAKE_DECEL * TIMESTEP_S)
+    m.s += m.speed * TIMESTEP_S
+    if m.stop_s is not None and m.s > m.stop_s:
+        m.s = m.stop_s
+        m.speed = 0.0
+
+
+def _run_mover(m: _Mover, point, ego_xs: list[float], ego_ys: list[float], start: int,
+               stop: int) -> tuple[list[tuple[float, float, float]], list[float]]:
+    """Positions (x, y, heading) and speeds of a mover in frames start..stop-1,
+    leaving it in its state of frame `stop`.
+
+    A mover whose speed and lateral offset stay fixed runs the frames in one
+    pass: `accumulate` adds the same step in the same order as the per-frame
+    update.  Stop braking and the incursion ramp step frame by frame.
+    """
+    states: list[tuple[float, float, float]] = []
+    speeds: list[float] = []
+    k = start
+    while k < stop:
+        if m.stop_s is not None or (m.incursion and m.trigger_t is not None):
+            if m.incursion:
+                progress = min((_FRAME_TIMES[k] - m.trigger_t) / RAMP_DURATION_S, 1.0)
+                m.lateral = m.ramp_target * progress
+                m.incursion = progress < 1.0
+            states.append(point(m.s, m.lateral))
+            speeds.append(m.speed)
+            _step(m)
+            k += 1
+            continue
+        n = stop - k
+        if m.behavior == "static":
+            ss = [m.s] * n
+        else:
+            ss = list(itertools.accumulate(itertools.repeat(m.speed * TIMESTEP_S, n),
+                                           initial=m.s))
+            m.s = ss.pop()
+        block = list(map(point, ss, itertools.repeat(m.lateral, n)))
+        if m.incursion:  # waiting for the ego to come within the trigger gap
+            hypot, gap = math.hypot, m.trigger_gap
+            for j, ((x, y, _), ex, ey) in enumerate(zip(block, ego_xs[k:stop], ego_ys[k:stop])):
+                if hypot(ex - x, ey - y) <= gap:
+                    m.trigger_t, m.s, n = _FRAME_TIMES[k + j], ss[j], j
+                    del block[j:]
+                    break
+        states += block
+        speeds += [m.speed] * n
+        k += n
+    return states, speeds
+
+
+def _first_collision(columns, pairs, dims, start: int, stop: int) -> int | None:
+    """The first frame in start..stop-1 in which some pair of actors overlaps."""
+    hypot, first = math.hypot, stop
+    for i, j, reach in pairs:
+        (xi, yi, hi, *_), (xj, yj, hj, *_) = columns[i], columns[j]
+        for k in range(start, first):
+            if hypot(xi[k] - xj[k], yi[k] - yj[k]) > reach:
+                continue
+            if rects_overlap(rect_corners(xi[k], yi[k], hi[k], *dims[i]),
+                             rect_corners(xj[k], yj[k], hj[k], *dims[j])):
+                first = k
+                break
+    return first if first < stop else None
+
+
 def simulate(instance: ScenarioInstance, geometry: RoadGeometry) -> Trace:
     """Fixed-timestep scripted simulation.
 
     Ends at the horizon or one second after the first collision frame.
+    Works mover by mover over blocks of frames, ego first; a scan after each
+    block finds the first collision and so the end frame.
     """
     if instance.template_digest != geometry.template_digest:
         raise DigestMismatchError(
@@ -957,86 +1108,51 @@ def simulate(instance: ScenarioInstance, geometry: RoadGeometry) -> Trace:
 
     p = geometry.scenario
     movers = _build_movers(instance, geometry)
-    actor_types = {m.actor_id: m.actor_type for m in movers}
     dims = [VEHICLE_DIMS[m.actor_type] for m in movers]
     points = [_point_function(m.path) for m in movers]
-    find_lane = _lane_finder(geometry)
+    find_lanes = _lane_finder(geometry)
     lane_names = [lane.lane_id for lane in geometry.lanes]
-    hints = [0] * len(movers)
     # actor pairs (i, j) with the centre distance beyond which they cannot touch
     pairs = [(i, j, circumradius(*dims[i]) + circumradius(*dims[j]) + OVERLAP_MARGIN_M)
              for i in range(len(movers)) for j in range(i + 1, len(movers))]
 
     # per mover: x, y, heading, speed, lane id and lateral offset per frame
     columns = [([], [], [], [], [], []) for _ in movers]
+    ego_xs, ego_ys = columns[0][0], columns[0][1]
     end_frame = len(_FRAME_TIMES) - 1
     collided = False
-
-    ego, ego_point = movers[0], points[0]
-    for k, t in enumerate(_FRAME_TIMES):
-        # head-on incursion trigger and lateral ramp
-        for m, point in zip(movers[1:], points[1:]):
-            if m.incursion:
-                if m.trigger_t is None:
-                    ex, ey, _ = ego_point(ego.s, ego.lateral)
-                    mx, my, _ = point(m.s, m.lateral)
-                    if math.hypot(ex - mx, ey - my) <= m.trigger_gap:
-                        m.trigger_t = t
-                if m.trigger_t is not None:
-                    progress = min((t - m.trigger_t) / RAMP_DURATION_S, 1.0)
-                    m.lateral = m.ramp_target * progress
-
-        frame = []
-        for n, (m, point, (xs, ys, headings, speeds, lane_ids, laterals)) in enumerate(
-                zip(movers, points, columns)):
-            x, y, heading = state = point(m.s, m.lateral)
-            hints[n], lateral = find_lane(x, y, hints[n])
-            xs.append(x)
-            ys.append(y)
-            headings.append(heading)
-            speeds.append(m.speed)
-            lane_ids.append(lane_names[hints[n]])
-            laterals.append(lateral)
-            frame.append(state)
-
+    start = 0
+    while start <= end_frame:
+        stop = min(start + _BLOCK_FRAMES, end_frame + 1)
+        for m, point, (xs, ys, headings, speeds, lane_ids, laterals) in zip(
+                movers, points, columns):
+            states, block_speeds = _run_mover(m, point, ego_xs, ego_ys, start, stop)
+            block_xs, block_ys, block_headings = zip(*states)
+            found, block_laterals = find_lanes(block_xs, block_ys, m.lane)
+            m.lane = found[-1]
+            lane_ids += map(lane_names.__getitem__, found)
+            laterals += block_laterals
+            xs += block_xs
+            ys += block_ys
+            headings += block_headings
+            speeds += block_speeds
         if not collided:
-            for i, j, reach in pairs:
-                (xi, yi, hi), (xj, yj, hj) = frame[i], frame[j]
-                if math.hypot(xi - xj, yi - yj) > reach:
-                    continue
-                if rects_overlap(rect_corners(xi, yi, hi, *dims[i]),
-                                 rect_corners(xj, yj, hj, *dims[j])):
-                    collided = True
-                    end_frame = min(end_frame, k + int(1.0 / TIMESTEP_S))
-                    break
+            hit = _first_collision(columns, pairs, dims, start, stop)
+            if hit is not None:
+                collided = True
+                end_frame = min(end_frame, hit + int(1.0 / TIMESTEP_S))
+        start = stop
 
-        if k >= end_frame:
-            break
-
-        # advance one step
-        for m in movers:
-            if m.behavior == "static":
-                continue
-            if m.behavior == "stop" and m.stop_s is not None:
-                remaining = m.stop_s - m.s
-                if remaining <= m.speed * m.speed / (2.0 * BRAKE_DECEL):
-                    m.speed = max(0.0, m.speed - BRAKE_DECEL * TIMESTEP_S)
-            m.s += m.speed * TIMESTEP_S
-            if m.stop_s is not None and m.s > m.stop_s:
-                m.s = m.stop_s
-                m.speed = 0.0
-
-    times, heads = _FRAME_TIMES[:len(columns[0][0])], geometry.signal_heads
+    n = end_frame + 1
     return Trace(
         scenario_id=p.scenario_id,
         instance_seed=instance.instance_seed,
         timestep_s=TIMESTEP_S,
         horizon_s=HORIZON_S,
         geometry_ref=geometry.digest(),
-        actor_types=actor_types,
-        times=times,
-        signals=(tuple(tuple((leg, sched.state(t)) for leg, sched in heads) for t in times)
-                 if heads else ((),) * len(times)),
-        tracks=tuple(ActorTrack(m.actor_id, *map(tuple, cols))
+        actor_types={m.actor_id: m.actor_type for m in movers},
+        times=_FRAME_TIMES[:n],
+        signals=_signal_states(geometry)[:n],
+        tracks=tuple(ActorTrack(m.actor_id, *(tuple(column[:n]) for column in cols))
                      for m, cols in zip(movers, columns)),
     )

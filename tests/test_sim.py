@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,9 @@ from hypothesis import strategies as st
 from scenforge import dsl, normalize, rules, sampling, sim, synth
 from scenforge.digests import canonical_json
 
-from .conftest import (EXPECTED_RULE_COUNTS, MULTI_ACTOR_DOCUMENTS, load_document_template,
-                       load_spec, load_template)
+from .conftest import (EXPECTED_RULE_COUNTS, FIXTURES, MULTI_ACTOR_DOCUMENTS,
+                       load_document_template, load_spec, load_template)
+from .test_dsl import scenario_specs
 
 
 def _template_from(spec: dsl.ScenarioSpec, seed: int = 0) -> synth.ScenarioTemplate:
@@ -222,6 +225,178 @@ def test_digest_mismatch_rejected():
         sim.simulate(other, geo)
 
 
+def _frame_major_simulate(instance: sampling.ScenarioInstance, geometry: sim.RoadGeometry
+                          ) -> sim.Trace:
+    """The frame-major loop that `sim.simulate` replaced, kept as its reference:
+    every frame, every mover takes one step.  Positions come from `path_point`
+    and lanes from the full search, so neither of `simulate`'s shortcuts is used.
+    """
+    if instance.template_digest != geometry.template_digest:
+        raise sim.DigestMismatchError(
+            f"instance was sampled from template {instance.template_digest}, "
+            f"geometry was built from {geometry.template_digest}")
+
+    p = geometry.scenario
+    movers = sim._build_movers(instance, geometry)
+    actor_types = {m.actor_id: m.actor_type for m in movers}
+    dims = [sim.VEHICLE_DIMS[m.actor_type] for m in movers]
+    points = [functools.partial(sim.path_point, m.path) for m in movers]
+    lanes = sim._lane_table(geometry)
+    lane_names = [lane.lane_id for lane in geometry.lanes]
+    hints = [0] * len(movers)
+    pairs = [(i, j, sim.circumradius(*dims[i]) + sim.circumradius(*dims[j])
+              + sim.OVERLAP_MARGIN_M)
+             for i in range(len(movers)) for j in range(i + 1, len(movers))]
+
+    columns = [([], [], [], [], [], []) for _ in movers]
+    end_frame = len(sim._FRAME_TIMES) - 1
+    collided = False
+
+    ego, ego_point = movers[0], points[0]
+    for k, t in enumerate(sim._FRAME_TIMES):
+        for m, point in zip(movers[1:], points[1:]):
+            if m.incursion:
+                if m.trigger_t is None:
+                    ex, ey, _ = ego_point(ego.s, ego.lateral)
+                    mx, my, _ = point(m.s, m.lateral)
+                    if math.hypot(ex - mx, ey - my) <= m.trigger_gap:
+                        m.trigger_t = t
+                if m.trigger_t is not None:
+                    progress = min((t - m.trigger_t) / sim.RAMP_DURATION_S, 1.0)
+                    m.lateral = m.ramp_target * progress
+
+        frame = []
+        for n, (m, point, (xs, ys, headings, speeds, lane_ids, laterals)) in enumerate(
+                zip(movers, points, columns)):
+            x, y, heading = state = point(m.s, m.lateral)
+            hints[n], lateral = sim._locate_lane(lanes, x, y)
+            xs.append(x)
+            ys.append(y)
+            headings.append(heading)
+            speeds.append(m.speed)
+            lane_ids.append(lane_names[hints[n]])
+            laterals.append(lateral)
+            frame.append(state)
+
+        if not collided:
+            for i, j, reach in pairs:
+                (xi, yi, hi), (xj, yj, hj) = frame[i], frame[j]
+                if math.hypot(xi - xj, yi - yj) > reach:
+                    continue
+                if sim.rects_overlap(sim.rect_corners(xi, yi, hi, *dims[i]),
+                                     sim.rect_corners(xj, yj, hj, *dims[j])):
+                    collided = True
+                    end_frame = min(end_frame, k + int(1.0 / sim.TIMESTEP_S))
+                    break
+
+        if k >= end_frame:
+            break
+
+        for m in movers:
+            if m.behavior == "static":
+                continue
+            if m.behavior == "stop" and m.stop_s is not None:
+                remaining = m.stop_s - m.s
+                if remaining <= m.speed * m.speed / (2.0 * sim.BRAKE_DECEL):
+                    m.speed = max(0.0, m.speed - sim.BRAKE_DECEL * sim.TIMESTEP_S)
+            m.s += m.speed * sim.TIMESTEP_S
+            if m.stop_s is not None and m.s > m.stop_s:
+                m.s = m.stop_s
+                m.speed = 0.0
+
+    times, heads = sim._FRAME_TIMES[:len(columns[0][0])], geometry.signal_heads
+    return sim.Trace(
+        scenario_id=p.scenario_id,
+        instance_seed=instance.instance_seed,
+        timestep_s=sim.TIMESTEP_S,
+        horizon_s=sim.HORIZON_S,
+        geometry_ref=geometry.digest(),
+        actor_types=actor_types,
+        times=times,
+        signals=(tuple(tuple((leg, sched.state(t)) for leg, sched in heads) for t in times)
+                 if heads else ((),) * len(times)),
+        tracks=tuple(sim.ActorTrack(m.actor_id, *map(tuple, cols))
+                     for m, cols in zip(movers, columns)),
+    )
+
+
+def _bits(column) -> bytes:
+    """The floats of a column as bytes, so that the sign of zero counts."""
+    return struct.pack(f"<{len(column)}d", *column)
+
+
+def _assert_same_simulation(template: synth.ScenarioTemplate, seeds) -> int:
+    """`simulate` equals the frame-major reference bit for bit; returns the frames compared."""
+    geo = sim.build_geometry(template)
+    frames = 0
+    for seed in seeds:
+        instance = sampling.sample_instance(template, seed)
+        trace, expected = sim.simulate(instance, geo), _frame_major_simulate(instance, geo)
+        where = (template.params.scenario_id, seed)
+        assert len(trace.times) == len(expected.times), where
+        assert _bits(trace.times) == _bits(expected.times), where
+        assert trace.signals == expected.signals, where
+        assert trace.actor_types == expected.actor_types, where
+        assert [t.actor_id for t in trace.tracks] == [t.actor_id for t in expected.tracks], where
+        for track, reference in zip(trace.tracks, expected.tracks):
+            assert track.lane_id == reference.lane_id, (where, track.actor_id)
+            for key in ("x", "y", "heading", "speed", "lateral"):
+                assert _bits(getattr(track, key)) == _bits(getattr(reference, key)), (
+                    where, track.actor_id, key)
+        assert trace == expected, where
+        frames += len(trace.times)
+    return frames
+
+
+def _corpus_templates() -> list[synth.ScenarioTemplate]:
+    """Every golden accuracy document that synth accepts."""
+    templates = []
+    for path in sorted((FIXTURES / "accuracy").glob("*.golden.yaml")):
+        normalized = normalize.normalize_document(path.read_text(encoding="utf-8"), 0)
+        assert isinstance(normalized, normalize.NormalizedSpec), path
+        try:
+            templates.append(synth.build_template(normalized))
+        except synth.CompatibilityError:
+            continue
+    return templates
+
+
+def test_simulate_matches_the_frame_major_reference():
+    """Mover-major `simulate` gives the frame-major loop's floats, lanes, signals
+    and trace length on every fixture, both multi-actor documents and the
+    accuracy corpus, including static, stop and turning actors."""
+    templates = [load_document_template(name)
+                 for name in sorted(EXPECTED_RULE_COUNTS) + list(MULTI_ACTOR_DOCUMENTS)]
+    corpus = _corpus_templates()
+    behaviors = {behavior for template in corpus for behavior in (
+        template.params.ego_behavior, *(npc.behavior for npc in template.params.npcs))}
+    assert {"static", "stop", "turn_left", "turn_right"} <= behaviors, behaviors
+    frames = sum(_assert_same_simulation(template, range(30))
+                 for template in templates + corpus)
+    assert frames > 100_000, frames
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_simulate_matches_the_frame_major_reference_at_any_block_size(monkeypatch, block):
+    """Block boundaries fall before, during and after the incursion ramp and at
+    collision frames; none of them changes the trace."""
+    monkeypatch.setattr(sim, "_BLOCK_FRAMES", block)
+    for name in sorted(EXPECTED_RULE_COUNTS) + list(MULTI_ACTOR_DOCUMENTS):
+        _assert_same_simulation(load_document_template(name), range(10))
+
+
+@given(scenario_specs())
+@settings(derandomize=True, deadline=None, max_examples=50)
+def test_simulate_matches_the_frame_major_reference_on_fuzzed_documents(spec):
+    normalized = normalize.normalize_document(dsl.serialize_dsl(spec), 0)
+    assert isinstance(normalized, normalize.NormalizedSpec), normalized
+    try:
+        template = synth.build_template(normalized)
+    except synth.CompatibilityError:
+        return
+    _assert_same_simulation(template, range(3))
+
+
 def test_trace_jsonl_round_trip():
     template = load_template("curve")
     geo = sim.build_geometry(template)
@@ -371,6 +546,26 @@ def test_trace_writer_matches_the_reference_writer_with_signals():
     assert sim.trace_to_jsonl(switching) == _reference_trace_to_jsonl(switching)
 
 
+def test_trace_writer_matches_the_reference_writer_off_the_frame_times():
+    """Times other than `simulate`'s, and a reloaded trace's, are written as the
+    reference writer writes them."""
+    template = load_template("curve")
+    trace = sim.simulate(sampling.sample_instance(template, 2), sim.build_geometry(template))
+    reloaded = sim.trace_from_jsonl(sim.trace_to_jsonl(trace))
+    assert reloaded.times == trace.times
+    n = len(trace.times)
+    variants = [reloaded] + [dataclasses.replace(trace, times=times) for times in (
+        (-0.0,) + trace.times[1:],                      # the grid but for the sign of a zero
+        (0,) + trace.times[1:],                         # an int zero
+        tuple(t + 0.05 for t in trace.times),           # off the grid
+        sim._FRAME_TIMES[1:n + 1],                      # on the grid, one frame late
+        tuple(t * (1.0 + 1e-12) for t in trace.times),  # within the 6 digits of the grid
+    )]
+    for variant in variants:
+        assert sim.trace_to_jsonl(variant) == _reference_trace_to_jsonl(variant)
+    assert '"t":-0.0}' in sim.trace_to_jsonl(variants[1]).splitlines()[1]
+
+
 def _trace_with_columns(**columns) -> sim.Trace:
     """A one-actor, one-lane trace whose columns are given, the rest filled in."""
     frames = len(next(iter(columns.values())))
@@ -418,6 +613,17 @@ def _lane_search_geometries() -> list[sim.RoadGeometry]:
     return geometries
 
 
+def _junction_templates() -> list[synth.ScenarioTemplate]:
+    """4-way and T junctions with one and two lanes per direction."""
+    templates = []
+    for name in ("intersection-1", "t-intersection"):
+        spec = load_spec(name)
+        for lanes in (1, 2):
+            road = dataclasses.replace(spec.road_network, number_of_lanes=lanes)
+            templates.append(_template_from(dataclasses.replace(spec, road_network=road)))
+    return templates
+
+
 def _points_at_the_lane_bounds(geo: sim.RoadGeometry, rng) -> list[tuple[float, float]]:
     """Points within 1e-7 m of every bound `sim._lane_finder` uses, and off the road ends."""
     lanes = sim._lane_table(geo)
@@ -438,38 +644,80 @@ def _points_at_the_lane_bounds(geo: sim.RoadGeometry, rng) -> list[tuple[float, 
     return [(x, y) for x, y, _ in points]
 
 
+def _points_at_the_junction_bounds(geo: sim.RoadGeometry, rng) -> list[tuple[float, float]]:
+    """Points within 1e-7 m of the conflict square's edges and of |lat| = LANE_WIDTH / 2
+    on every leg."""
+    square = sim.LANE_WIDTH * geo.scenario.lanes  # half the conflict square's side
+    half = sim.LANE_WIDTH / 2.0
+    points = []
+    for _, path, s_max in sim._lane_table(geo):
+        seg = path[0]
+        # a point's coordinates along and across the lane's axis-parallel line
+        along0, across0 = seg.x0 * seg.dx + seg.y0 * seg.dy, -seg.dy * seg.x0 + seg.dx * seg.y0
+        for _ in range(40):
+            def near(bound):
+                return rng.choice((1, -1)) * (bound + rng.choice((-1e-7, 1e-7)))
+            edge_s = near(square) - along0  # across a square edge that crosses the lane
+            for lat in (near(half), rng.uniform(-2 * sim.LANE_WIDTH, 2 * sim.LANE_WIDTH)):
+                points.append(seg.point(edge_s, lat))
+            s = rng.uniform(-5.0, s_max)
+            points.append(seg.point(s, near(half)))
+            points.append(seg.point(s, near(square) - across0))  # beside a square edge
+            points.append(seg.point(near(square) - along0, near(square) - across0))  # corners
+    return [(x, y) for x, y, _ in points]
+
+
 def test_lane_finder_matches_the_full_search(monkeypatch):
     """The hinted lane search gives the full search's answer for every hint: on
-    simulated actor positions of every document, and at the edges of its bounds."""
+    simulated actor positions of every document, and at the edges of its bounds.
+    Most of `simulate`'s calls, at junctions too, skip the full search."""
     import random
 
-    full_searches = []
-    locate_lane = sim._locate_lane
+    full_searches, finds = [], []
+    locate_lane, lane_finder = sim._locate_lane, sim._lane_finder
     monkeypatch.setattr(sim, "_locate_lane", lambda *args: full_searches.append(args) or
                         locate_lane(*args))
+
+    def counted_finder(geometry):
+        find = lane_finder(geometry)
+        return lambda xs, ys, hint: finds.extend(xs) or find(xs, ys, hint)
+
+    monkeypatch.setattr(sim, "_lane_finder", counted_finder)
     rng = random.Random(8)
     cases = []
-    for name in sorted(EXPECTED_RULE_COUNTS) + list(MULTI_ACTOR_DOCUMENTS):
-        template = load_document_template(name)
+    junction_calls = junction_searched = 0
+    templates = [load_document_template(name)
+                 for name in sorted(EXPECTED_RULE_COUNTS) + list(MULTI_ACTOR_DOCUMENTS)]
+    for template in templates + _junction_templates():
         geo = sim.build_geometry(template)
+        finds.clear()
+        full_searches.clear()
         points = [(x, y) for seed in range(20)
                   for track in sim.simulate(sampling.sample_instance(template, seed), geo).tracks
                   for x, y in zip(track.x, track.y)]
+        if geo.topology not in ("straight", "curve"):
+            junction_calls += len(finds)
+            junction_searched += len(full_searches)
+            points += _points_at_the_junction_bounds(geo, rng)
         cases.append((geo, points))
     cases += [(geo, _points_at_the_lane_bounds(geo, rng)) for geo in _lane_search_geometries()]
     calls = searched = 0
     for geo, points in cases:
         lanes = sim._lane_table(geo)
-        find = sim._lane_finder(geo)
+        find = lane_finder(geo)
         full_searches.clear()
         for x, y in points:
             expected = locate_lane(lanes, x, y)
             for hint in range(len(lanes)):
-                assert find(x, y, hint) == expected, (geo.topology, x, y, hint)
+                assert find([x], [y], hint) == ([expected[0]], [expected[1]]), (
+                    geo.topology, x, y, hint)
         if geo.topology in ("straight", "curve"):
             calls, searched = calls + len(points) * len(lanes), searched + len(full_searches)
     # on straight and curve roads the bounds answer most calls without the full search
     assert calls > 50_000 and searched < 0.3 * calls, (calls, searched)
+    # at junctions the hint answers most of `simulate`'s calls
+    assert junction_calls > 20_000 and junction_searched < 0.3 * junction_calls, (
+        junction_calls, junction_searched)
 
 
 def _mirrored_specs(road_type: str):

@@ -42,6 +42,7 @@ from .digests import canonical_json, to_data
 from .dsl import KNOWN_RULE_IDS, OracleEntry
 from .sim import (
     ActorTrack,
+    ArcSeg,
     CollisionEvent,
     LEG_HEADINGS,
     OVERLAP_MARGIN_M,
@@ -50,7 +51,6 @@ from .sim import (
     Trace,
     VEHICLE_DIMS,
     approach_of,
-    circumradius,
     ego_leg,
     first_overlap,
     lateral_function,
@@ -191,7 +191,6 @@ class TraceView:
         self.actor_ids = sorted(trace.actor_types)
         self.tracks: dict[str, ActorTrack] = {track.actor_id: track for track in trace.tracks}
         self.dims = {actor_id: VEHICLE_DIMS[kind] for actor_id, kind in trace.actor_types.items()}
-        self.radii = {actor_id: circumradius(*dims) for actor_id, dims in self.dims.items()}
         self._corners: dict[tuple[str, int], tuple[tuple[float, float], ...]] = {}
         self._memo: dict[tuple[str, str], Any] = {}
 
@@ -204,7 +203,15 @@ class TraceView:
     def outline(self, actor_id: str):
         """The actor's footprints as a `sim.first_overlap` outline."""
         track = self.tracks[actor_id]
-        return track.x, track.y, self.radii[actor_id], functools.partial(self.corners, actor_id)
+        length, width = self.dims[actor_id]
+        return (track.x, track.y, *self.heading_cos_sin(actor_id), length / 2.0, width / 2.0,
+                functools.partial(self.corners, actor_id))
+
+    def heading_cos_sin(self, actor_id: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The cos and the sin of the actor's heading, per frame."""
+        heading = self.tracks[actor_id].heading
+        return self._cached("cos_sin", actor_id, lambda: (tuple(map(math.cos, heading)),
+                                                          tuple(map(math.sin, heading))))
 
     def corners(self, actor_id: str, k: int) -> tuple[tuple[float, float], ...]:
         """The corners of the actor's footprint in frame k, computed on first use."""
@@ -267,38 +274,58 @@ class TraceView:
             return track.speed[crossing_frame]
         return min(speeds)
 
+    def lateral_offsets(self, actor_id: str) -> tuple[float, ...]:
+        """The lateral offset of the actor's centre from the road axis, per frame."""
+        lateral = lateral_function(self.geometry.axis)
+        track = self.tracks[actor_id]
+        return self._cached("lateral", actor_id,
+                            lambda: tuple(map(lateral, track.x, track.y)))
+
     def divider_flags(self, actor_id: str) -> list[bool]:
         """Per frame: any footprint corner across the divider into opposing traffic."""
         def compute() -> list[bool]:
+            axis = self.geometry.axis
             direction = self.travel_direction(actor_id)
-            lateral = lateral_function(self.geometry.axis)
             track = self.tracks[actor_id]
+            cos, sin = self.heading_cos_sin(actor_id)
             length, width = self.dims[actor_id]
-            # Each corner lies half a width from the front or the rear centre,
-            # and lateral offset from a line or an arc changes no faster than
-            # position.  So when both ends are farther than that on their own
-            # side no corner has crossed, and when one end is that far across,
-            # two corners have.
-            reach = width / 2.0 + OVERLAP_MARGIN_M
+            hl, hw = length / 2.0, width / 2.0
+            offsets = self.lateral_offsets(actor_id)
+            # Per frame a bound on how far across the farthest corner lies, and
+            # the edge beyond which the bound decides: the margin, plus on an arc
+            # the slack of the bound (docs/rules.md).  Only a footprint whose
+            # bound lies within the edge of 0 has its corners located.
+            if isinstance(axis, ArcSeg):
+                cx, cy, radius, sign = axis.cx, axis.cy, axis.radius, axis.sign
+                slack = (hl * hl + hw * hw) / 2.0  # circumradius squared, halved
+                bounds = []
+                for x, y, c, s, lat in zip(track.x, track.y, cos, sin, offsets):
+                    dist = radius - sign * lat  # of the centre from the arc's centre
+                    if dist > 0.0:
+                        qx, qy = x - cx, y - cy
+                        bounds.append((direction * lat + (hl * abs(qx * c + qy * s)
+                                                          + hw * abs(qy * c - qx * s)) / dist,
+                                       OVERLAP_MARGIN_M + slack / dist))
+                    else:
+                        bounds.append((0.0, math.inf))
+            else:
+                ux, uy = axis.dx, axis.dy
+                bounds = [(direction * lat + hl * abs(s * ux - c * uy) + hw * abs(c * ux + s * uy),
+                           OVERLAP_MARGIN_M) for c, s, lat in zip(cos, sin, offsets)]
+            lateral = lateral_function(axis)
             flags = []
-            for k, (x, y, heading) in enumerate(zip(track.x, track.y, track.heading)):
-                hx = math.cos(heading) * length / 2.0
-                hy = math.sin(heading) * length / 2.0
-                ends = max(direction * lateral(x + hx, y + hy),
-                           direction * lateral(x - hx, y - hy))
-                if ends < -reach or ends > reach:
-                    flags.append(ends > reach)
+            for k, (bound, edge) in enumerate(bounds):
+                if bound > edge or bound < -edge:
+                    flags.append(bound > edge)
                 else:
-                    flags.append(any(direction * lateral(cx, cy) > 0
-                                     for cx, cy in self.corners(actor_id, k)))
+                    flags.append(any(direction * lateral(px, py) > 0
+                                     for px, py in self.corners(actor_id, k)))
             return flags
         return self._cached("divider", actor_id, compute)
 
     def max_abs_lateral(self, actor_id: str) -> float:
-        lateral = lateral_function(self.geometry.axis)
-        track = self.tracks[actor_id]
-        return self._cached("max_lateral", actor_id, lambda: max(
-            abs(lateral(x, y)) for x, y in zip(track.x, track.y)))
+        return self._cached("max_lateral", actor_id,
+                            lambda: max(map(abs, self.lateral_offsets(actor_id))))
 
     def oncoming_within(self, actor_id: str, k: int, range_m: float) -> bool:
         me = self.tracks[actor_id]

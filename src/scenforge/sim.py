@@ -696,11 +696,14 @@ def rects_overlap(a: tuple[tuple[float, float], ...], b: tuple[tuple[float, floa
     return True
 
 
-# A pair whose centres are farther apart than the sum of their circumradii
-# plus this margin cannot overlap.  For two disjoint rectangles (or a
-# rectangle and the square conflict region) the separating-axis gap is at
-# least 0.7 times their distance, so the margin dwarfs the rounding in
-# `rect_corners` and `rects_overlap`: the skip never hides an overlap.
+# The one margin of every overlap decision, and of the divider flags in
+# `rules`.  A pair whose centres are farther apart than the sum of their
+# circumradii plus the margin is apart: its separating-axis gap is then at
+# least 0.7 times the margin.  A pair within reach is decided by `gap_verdict`
+# where its largest separating-axis gap lies more than the margin from 0, and
+# by `rects_overlap` on its corners in between.  Rounding in the gaps, the
+# corners and `rects_overlap` stays below 1e-10 m at these coordinates, so the
+# margin dwarfs it; docs/rules.md "How a trace is evaluated" has the proofs.
 OVERLAP_MARGIN_M = 1e-6
 
 
@@ -709,26 +712,61 @@ def circumradius(length: float, width: float) -> float:
     return math.hypot(length / 2.0, width / 2.0)
 
 
+def gap_verdict(dx: float, dy: float, ca: float, sa: float, hla: float, hwa: float,
+                cb: float, sb: float, hlb: float, hwb: float) -> bool | None:
+    """Whether rectangles a and b overlap, decided without their corners.
+
+    (dx, dy) is b's centre minus a's; each rectangle gives the cos and sin of
+    its heading and its half length and half width.  Each of the four gaps is
+    |centre offset . axis| minus both rectangles' half extents on the axis, on
+    a's and b's length and width axes.  False if the largest gap exceeds
+    OVERLAP_MARGIN_M, True if it lies below -OVERLAP_MARGIN_M, else None: only
+    the corners can tell.
+    """
+    c = abs(ca * cb + sa * sb)  # |cos| and |sin| of the heading difference
+    s = abs(ca * sb - sa * cb)
+    gap = max(abs(dx * ca + dy * sa) - hla - hlb * c - hwb * s,
+              abs(dy * ca - dx * sa) - hwa - hlb * s - hwb * c,
+              abs(dx * cb + dy * sb) - hlb - hla * c - hwa * s,
+              abs(dy * cb - dx * sb) - hwb - hla * s - hwa * c)
+    if gap > OVERLAP_MARGIN_M:
+        return False
+    if gap < -OVERLAP_MARGIN_M:
+        return True
+    return None
+
+
 def polygon_outline(points: tuple[tuple[float, float], ...], frames: int):
-    """A fixed convex polygon, such as the conflict region, as a `first_overlap`
-    outline: its centroid and the distance to its farthest corner."""
-    x = sum(px for px, _ in points) / len(points)
-    y = sum(py for _, py in points) / len(points)
-    radius = max(math.hypot(px - x, py - y) for px, py in points)
-    return (x,) * frames, (y,) * frames, radius, lambda _: points
+    """An axis-aligned rectangle given by its four corners, such as the
+    conflict region, as a `first_overlap` outline of heading 0."""
+    xs, ys = sorted({px for px, _ in points}), sorted({py for _, py in points})
+    if (len(points) != 4 or len(xs) != 2 or len(ys) != 2
+            or set(points) != set(itertools.product(xs, ys))):
+        raise ValueError(f"not an axis-aligned rectangle: {points}")
+    x, y = (xs[0] + xs[1]) / 2.0, (ys[0] + ys[1]) / 2.0
+    return ((x,) * frames, (y,) * frames, (1.0,) * frames, (0.0,) * frames,
+            (xs[1] - xs[0]) / 2.0, (ys[1] - ys[0]) / 2.0, lambda _: points)
 
 
 def first_overlap(a, b) -> int | None:
-    """The first frame in which two outlines overlap, or None.  An outline is
-    (xs, ys, circumradius, k -> corners in frame k); corners are asked for
-    only where the centres are within reach."""
-    (xa, ya, ra, corners_a), (xb, yb, rb, corners_b) = a, b
-    reach = ra + rb + OVERLAP_MARGIN_M
+    """The first frame in which two outlines overlap, or None.
+
+    An outline is (xs, ys, cos, sin, half length, half width, k -> corners in
+    frame k): per frame a rectangle's centre and the cos and sin of its
+    heading.  Corners are asked for only where a pair within reach has a
+    largest gap within the margin of 0.
+    """
+    (xa, ya, ca, sa, hla, hwa, corners_a), (xb, yb, cb, sb, hlb, hwb, corners_b) = a, b
     hypot = math.hypot
+    reach = hypot(hla, hwa) + hypot(hlb, hwb) + OVERLAP_MARGIN_M
     for k, (ax, ay, bx, by) in enumerate(zip(xa, ya, xb, yb)):
-        if hypot(ax - bx, ay - by) > reach:
+        dx, dy = bx - ax, by - ay
+        if hypot(dx, dy) > reach:
             continue
-        if rects_overlap(corners_a(k), corners_b(k)):
+        overlap = gap_verdict(dx, dy, ca[k], sa[k], hla, hwa, cb[k], sb[k], hlb, hwb)
+        if overlap is None:
+            overlap = rects_overlap(corners_a(k), corners_b(k))
+        if overlap:
             return k
     return None
 
@@ -1080,15 +1118,23 @@ def _run_mover(m: _Mover, point, ego_xs: list[float], ego_ys: list[float], start
 
 
 def _first_collision(columns, pairs, dims, start: int, stop: int) -> int | None:
-    """The first frame in start..stop-1 in which some pair of actors overlaps."""
-    hypot, first = math.hypot, stop
+    """The first frame in start..stop-1 in which some pair of actors overlaps,
+    decided as in `first_overlap`."""
+    hypot, cos, sin, first = math.hypot, math.cos, math.sin, stop
     for i, j, reach in pairs:
         (xi, yi, hi, *_), (xj, yj, hj, *_) = columns[i], columns[j]
+        (li, wi), (lj, wj) = dims[i], dims[j]
+        halves_i, halves_j = (li / 2.0, wi / 2.0), (lj / 2.0, wj / 2.0)
         for k in range(start, first):
-            if hypot(xi[k] - xj[k], yi[k] - yj[k]) > reach:
+            dx, dy = xj[k] - xi[k], yj[k] - yi[k]
+            if hypot(dx, dy) > reach:
                 continue
-            if rects_overlap(rect_corners(xi[k], yi[k], hi[k], *dims[i]),
-                             rect_corners(xj[k], yj[k], hj[k], *dims[j])):
+            overlap = gap_verdict(dx, dy, cos(hi[k]), sin(hi[k]), *halves_i,
+                                  cos(hj[k]), sin(hj[k]), *halves_j)
+            if overlap is None:
+                overlap = rects_overlap(rect_corners(xi[k], yi[k], hi[k], li, wi),
+                                        rect_corners(xj[k], yj[k], hj[k], lj, wj))
+            if overlap:
                 first = k
                 break
     return first if first < stop else None

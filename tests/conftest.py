@@ -52,28 +52,54 @@ BACKGROUND_NPCS = {
 }
 
 
-def load_multi_actor_spec(name: str) -> dsl.ScenarioSpec:
+# Five-actor documents ("<fixture>-x5"): every fixture plus three background
+# npcs ahead of, behind and abreast of the ego, as the monitor-replay
+# benchmark builds its variants, with the types and the speeds (inside that
+# benchmark's ranges: ahead 13-16, behind 5-7, abreast 6-16 m/s) fixed here.
+# An npc abreast on the left of a two-way road drives in the opposing lane.
+FIVE_ACTOR_NPCS = {
+    "straight-1": (("front", "truck", 14.0), ("behind", "car", 6.0), ("left", "car", 10.0)),
+    "straight-2": (("front", "car", 15.5), ("behind", "truck", 5.5), ("right", "truck", 12.0)),
+    "intersection-1": (("front", "car", 13.5), ("behind", "car", 6.5), ("left", "truck", 8.0)),
+    "intersection-2": (("front", "truck", 16.0), ("behind", "truck", 7.0),
+                       ("right", "car", 15.0)),
+    "t-intersection": (("front", "car", 13.0), ("behind", "car", 5.0), ("left", "car", 6.5)),
+    "curve": (("front", "truck", 14.5), ("behind", "car", 6.0), ("left", "truck", 11.0)),
+}
+
+
+def _with_background(name: str, scenario_id: str, npcs) -> dsl.ScenarioSpec:
     spec = load_spec(name)
     background = tuple(
         dsl.ActorSpec(f"bg_{k}", actor_type, "go_forward", speed,
                       dsl.PositionSpec("ego", relation, "same_direction"))
-        for k, (relation, actor_type, speed) in enumerate(BACKGROUND_NPCS[name], start=1))
+        for k, (relation, actor_type, speed) in enumerate(npcs, start=1))
     spec = dataclasses.replace(
-        spec, scenario_id=f"{name}-multi",
+        spec, scenario_id=scenario_id,
         actors=dataclasses.replace(spec.actors, npcs=spec.actors.npcs + background))
     assert dsl.validate_spec(spec) == []
     return spec
 
 
+def load_multi_actor_spec(name: str) -> dsl.ScenarioSpec:
+    return _with_background(name, f"{name}-multi", BACKGROUND_NPCS[name])
+
+
 MULTI_ACTOR_DOCUMENTS = tuple(f"{name}-multi" for name in BACKGROUND_NPCS)
+FIVE_ACTOR_DOCUMENTS = tuple(f"{name}-x5" for name in FIVE_ACTOR_NPCS)
 
 
 def load_document_template(name: str) -> synth.ScenarioTemplate:
-    """A fixture's template, or a multi-actor document's ("<fixture>-multi")."""
+    """A fixture's template, or a multi-actor ("<fixture>-multi") or five-actor
+    ("<fixture>-x5") document's."""
     if name in MULTI_ACTOR_DOCUMENTS:
         spec = load_multi_actor_spec(name.removesuffix("-multi"))
-        return synth.build_template(normalize.apply_defaults(spec, 0))
-    return load_template(name)
+    elif name in FIVE_ACTOR_DOCUMENTS:
+        fixture = name.removesuffix("-x5")
+        spec = _with_background(fixture, name, FIVE_ACTOR_NPCS[fixture])
+    else:
+        return load_template(name)
+    return synth.build_template(normalize.apply_defaults(spec, 0))
 
 
 @pytest.fixture(scope="session")

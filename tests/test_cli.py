@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from scenforge import cli, dsl, normalize, rules, sim, synth
+from scenforge import cli, dsl, normalize, rules, sampling, sim, synth
 from scenforge.digests import from_data
 
 from .conftest import FIXTURES, SCENARIO_FILES
 from .test_dsl import scenario_specs
+from .test_rules import reference_monitor
 
 STRAIGHT1 = FIXTURES / "scenarios" / "straight1.yaml"
 CURVE = FIXTURES / "scenarios" / "curve.yaml"
@@ -128,7 +129,8 @@ def test_fuzzed_documents_are_rejected_at_synth_or_compose_end_to_end(spec):
     """Every valid document either fails synth with a `CompatibilityError`, or runs
     through `pipeline` and the staged commands without an error, writing the same
     files; the reports agree on every verdict (their evidence floats may differ,
-    see `test_staged_reports_match_pipeline`)."""
+    see `test_staged_reports_match_pipeline`), and each is the shortcut-free
+    reference monitor's report of its trace, in memory or reloaded."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         text = dsl.serialize_dsl(spec)
@@ -137,7 +139,7 @@ def test_fuzzed_documents_are_rejected_at_synth_or_compose_end_to_end(spec):
         normalized = normalize.normalize_document(text, 0)
         assert isinstance(normalized, normalize.NormalizedSpec), normalized
         try:
-            synth.build_template(normalized)
+            template = synth.build_template(normalized)
         except synth.CompatibilityError as exc:
             out = root / "piped"
             assert cli.main(["pipeline", str(document), "--out", str(out),
@@ -150,6 +152,16 @@ def test_fuzzed_documents_are_rejected_at_synth_or_compose_end_to_end(spec):
         _assert_same_stage_files(piped, staged, sid, 2)
         for name in _same_names(piped, staged, "reports/report_*.json", 2):
             assert _verdicts(staged / name) == _verdicts(piped / name), name
+        geometry = sim.build_geometry(template)
+        for seed in range(2):
+            text = (staged / "traces" / f"trace_{seed:05d}.jsonl").read_text(encoding="utf-8")
+            trace = sim.simulate(sampling.sample_instance(template, seed), geometry)
+            assert sim.trace_to_jsonl(trace) == text
+            name = Path("reports") / f"report_{seed:05d}.json"
+            for report, monitored in ((piped / name, trace),
+                                      (staged / name, sim.trace_from_jsonl(text))):
+                expected = reference_monitor(monitored, template.params.oracle, geometry)
+                assert report.read_text(encoding="utf-8") == expected.to_json() + "\n", report
 
 
 @pytest.mark.parametrize("sid", [

@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import pytest
 
 from scenforge import dsl, normalize, rules, sampling, sim, synth
 
-from .conftest import (EXPECTED_RULE_COUNTS, MULTI_ACTOR_DOCUMENTS, load_document_template,
-                       load_spec, load_template)
+from .conftest import (EXPECTED_RULE_COUNTS, FIVE_ACTOR_DOCUMENTS, MULTI_ACTOR_DOCUMENTS,
+                       load_document_template, load_spec, load_template)
 
 
 def _template_from(spec: dsl.ScenarioSpec) -> synth.ScenarioTemplate:
@@ -451,7 +452,9 @@ def test_monitor_calls_each_rule_and_collisions_once_through_module_names(monkey
 @pytest.mark.parametrize("name", ["intersection-1-multi", "curve-multi", "straight-2"])
 def test_monitor_computes_each_footprint_corner_set_at_most_once(monkeypatch, name):
     """Collisions, conflict-region entries and divider flags share the view's
-    corners: each (actor, frame) is computed at most once per `monitor` call."""
+    corners: each (actor, frame) is computed at most once per `monitor` call,
+    also with the gap and divider shortcuts switched off.  With them on, the
+    corners are rarely needed at all."""
     template = load_document_template(name)
     geo = sim.build_geometry(template)
     views, computed = [], []
@@ -465,14 +468,22 @@ def test_monitor_computes_each_footprint_corner_set_at_most_once(monkeypatch, na
     monkeypatch.setattr(rules, "TraceView", RecordedView)
     monkeypatch.setattr(rules, "rect_corners",
                         lambda *args: computed.append(args) or rect_corners(*args))
-    for seed in range(5):
+
+    def corner_sets(seed: int) -> tuple[int, int]:
+        """Corner sets computed by `monitor`, and the trace's actor-frames."""
         trace = sim.simulate(sampling.sample_instance(template, seed), geo)
         computed.clear()
         rules.monitor(trace, template.params.oracle, geo)
         (view,) = views[-1:]
-        assert computed and len(computed) == len(view._corners)
-        # far pairs and frames far from the divider never compute corners
-        assert len(computed) < len(trace.times) * len(trace.tracks)
+        assert len(computed) == len(view._corners)
+        return len(computed), len(trace.times) * len(trace.tracks)
+
+    fallback, actor_frames = map(sum, zip(*map(corner_sets, range(5))))
+    assert fallback * 100 <= actor_frames
+    monkeypatch.setattr(sim, "gap_verdict", lambda *args: None)
+    monkeypatch.setattr(rules, "OVERLAP_MARGIN_M", math.inf)
+    for seed in range(5):
+        assert corner_sets(seed)[0] > 0
 
 
 def test_view_rejects_a_different_geometry():
@@ -509,24 +520,162 @@ def test_divider_flags_match_the_all_corners_computation(name):
             assert view.divider_flags(actor_id) == _all_corner_divider_flags(view, actor_id)
 
 
+def _divider_placements(axis: sim.Segment, kind: str, direction: int, turn: float):
+    """Footprints (x, y, heading) of one actor, and per footprint whether the
+    divider bound decides it: 1e-7 m on either side of both edges where the
+    bound starts to decide (the margin, plus on an arc the slack), then with
+    the farthest corner 1e-7 m short of the divider and 1e-7 m across.
+
+    The actor drives with the axis (direction 1) or against it (-1), turned
+    `turn` radians from the axis tangent, halfway along the axis.
+    """
+    length, width = sim.VEHICLE_DIMS[kind]
+    hl, hw = length / 2.0, width / 2.0
+    reach = hl * abs(math.sin(turn)) + hw * abs(math.cos(turn))
+    arc = isinstance(axis, sim.ArcSeg)
+
+    def offset(bound: float) -> float:
+        """The centre's lateral offset at which the bound takes this value."""
+        return direction * (bound - reach)
+
+    def edge(bound: float) -> float:
+        if not arc:
+            return sim.OVERLAP_MARGIN_M
+        dist = axis.radius - axis.sign * offset(bound)
+        return sim.OVERLAP_MARGIN_M + (hl * hl + hw * hw) / (2.0 * dist)
+
+    offsets, decided = [], []
+    for side, step in ((-1, -1e-7), (-1, 1e-7), (1, -1e-7), (1, 1e-7)):
+        bound = side * edge(0.0)
+        for _ in range(4):  # the arc's slack moves a little with the offset
+            bound = side * edge(bound) + step
+        offsets.append(offset(bound))
+        decided.append(abs(bound) > edge(bound))
+    for across in (-1e-7, 1e-7):
+        if arc:  # solve |centre + corner - arc centre| = radius -+ 1e-7 for the centre
+            sigma = direction * axis.sign
+            dist = sigma * reach + math.sqrt(reach * reach - hl * hl - hw * hw
+                                              + (axis.radius - sigma * across) ** 2)
+            offsets.append(axis.sign * (axis.radius - dist))
+        else:
+            offsets.append(offset(across))
+        decided.append(False)
+    footprints = []
+    for lat in offsets:
+        x, y, tangent = axis.point(axis.length / 2.0, lat)
+        footprints.append((x, y, tangent + turn + (0.0 if direction == 1 else math.pi)))
+    return footprints, decided
+
+
 def test_divider_flags_at_the_edges_of_the_far_skips():
-    """Footprints 1e-7 m on either side of each skip bound and of the divider itself."""
-    geo = sim.build_geometry(load_template("straight-1"))
-    half_width = sim.VEHICLE_DIMS["car"][1] / 2.0
-    reach = half_width + sim.OVERLAP_MARGIN_M
-    # lateral offset of the centre, across the divider counted positive
-    offsets = (-reach - 1e-7,       # both ends far on their own side: skipped
-               -reach + 1e-7,       # inside the margin: corners located
-               -half_width - 1e-7,  # a corner 1e-7 m short of the divider
-               -half_width + 1e-7,  # a corner 1e-7 m across
-               reach - 1e-7,        # inside the margin: corners located
-               reach + 1e-7)        # an end far across: skipped
-    # the ego drives with the road axis (y = 0), the npc against it
-    rows = [[("ego", 50.0, d, 0.0, 10.0), ("npc_1", 150.0, -d, math.pi, 10.0)]
-            for d in offsets]
-    view = rules.TraceView(make_trace(geo, {"ego": "car", "npc_1": "car"}, rows), geo)
-    assert view.travel_direction("ego") == 1 and view.travel_direction("npc_1") == -1
-    expected = [False, False, False, True, True, True]
-    for actor_id in ("ego", "npc_1"):
-        assert view.divider_flags(actor_id) == expected
-        assert _all_corner_divider_flags(view, actor_id) == expected
+    """Footprints 1e-7 m on either side of each edge of the divider bound, on the
+    line axis of a straight road and the arc axis of the curve, and of the
+    divider itself: car and truck, both travel directions, along the tangent
+    and turned from it.  The flags equal the all-corners flags, and exactly the
+    footprints within an edge of 0 have their corners located."""
+    for name in ("straight-1", "curve"):
+        geo = sim.build_geometry(load_template(name))
+        actors = {(kind, direction, turn): _divider_placements(geo.axis, kind, direction, turn)
+                  for kind in ("car", "truck") for direction in (1, -1) for turn in (0.0, 0.4)}
+        ids = {key: "_".join(map(str, key)) for key in actors}
+        rows = [[(ids[key], *footprints[k], 10.0) for key, (footprints, _) in actors.items()]
+                for k in range(6)]
+        trace = make_trace(geo, {ids[key]: key[0] for key in actors}, rows)
+        view = rules.TraceView(trace, geo)
+        for key, (_, decided) in actors.items():
+            actor_id = ids[key]
+            assert view.travel_direction(actor_id) == key[1]
+            flags = view.divider_flags(actor_id)
+            assert flags == _all_corner_divider_flags(view, actor_id), (name, key)
+            # far on its own side, far across, and 1e-7 m short of and across the divider
+            assert [flags[k] for k in (0, 3, 4, 5)] == [False, True, False, True], (name, key)
+            located = [(actor_id, k) in view._corners for k in range(6)]
+            assert located == [not d for d in decided], (name, key)
+            assert decided == [True, False, False, True, False, False], (name, key)
+
+
+class _ReferenceView(rules.TraceView):
+    """A `TraceView` without any shortcut: nothing is cached, every footprint's
+    corners are built wherever they are read, every overlap runs the generic
+    separating-axis test and the divider flags locate every corner."""
+
+    def _cached(self, kind, actor_id, compute):
+        return compute()
+
+    def corners(self, actor_id, k):
+        track = self.tracks[actor_id]
+        return sim.rect_corners(track.x[k], track.y[k], track.heading[k], *self.dims[actor_id])
+
+    def first_overlap(self, actor_id, other) -> int | None:
+        """The first frame in which the actor's footprint overlaps `other(k)`."""
+        return next((k for k in range(len(self.times))
+                     if sim.rects_overlap(self.corners(actor_id, k), other(k))), None)
+
+    def divider_flags(self, actor_id):
+        return _all_corner_divider_flags(self, actor_id)
+
+    def max_abs_lateral(self, actor_id):
+        locate = self.geometry.axis.locate
+        track = self.tracks[actor_id]
+        return max(abs(locate(x, y)[1]) for x, y in zip(track.x, track.y))
+
+    def region_entries(self):
+        region = self.geometry.conflict_region
+        entries = {actor_id: self.first_overlap(actor_id, lambda _: region)
+                   for actor_id in self.actor_ids}
+        return {actor_id: k for actor_id, k in entries.items() if k is not None}
+
+
+def reference_monitor(trace: sim.Trace, oracle, geometry: sim.RoadGeometry
+                      ) -> rules.ViolationReport:
+    """`rules.monitor` on a `_ReferenceView`, with collisions from every pair in
+    every frame: the rule checks are shared, none of the view's shortcuts is."""
+    view = _ReferenceView(trace, geometry)
+    violations = sorted((v for rule_id in sorted(rules.REGISTRY)
+                         for v in rules.evaluate_rule(rule_id, view)),
+                        key=lambda v: (v.t_start, v.rule_id, v.actor_id))
+    ids = view.actor_ids
+    hits = []
+    for n, (a, b) in enumerate((a, b) for i, a in enumerate(ids) for b in ids[i + 1:]):
+        k = view.first_overlap(a, functools.partial(view.corners, b))
+        if k is not None:
+            hits.append((k, n, sim.CollisionEvent(t=view.times[k], actor_a=a, actor_b=b)))
+    collisions = tuple(event for _, _, event in sorted(hits, key=lambda hit: hit[:2]))
+    outcome = {(True, True): "both", (True, False): "rule_violation",
+               (False, True): "collision", (False, False): "clean"}[
+                   bool(violations), bool(collisions)]
+    targeted = all(any(v.rule_id == entry.rule_id and v.actor_id == entry.violating_actor
+                       for v in violations) for entry in oracle)
+    return rules.ViolationReport(trace.scenario_id, trace.instance_seed, tuple(violations),
+                                 collisions, outcome, targeted)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_RULE_COUNTS) + list(MULTI_ACTOR_DOCUMENTS)
+                         + list(FIVE_ACTOR_DOCUMENTS))
+def test_monitor_matches_the_reference_monitor(name):
+    """Every report byte of `monitor`, shortcuts and caches included, equals the
+    shortcut-free reference's on the fixtures, the multi-actor and the five-actor
+    documents, seeds 0-29, in memory and reloaded."""
+    template = load_document_template(name)
+    geometry = sim.build_geometry(template)
+    oracle = template.params.oracle
+    for seed in range(30):
+        trace = sim.simulate(sampling.sample_instance(template, seed), geometry)
+        for monitored in (trace, sim.trace_from_jsonl(sim.trace_to_jsonl(trace))):
+            assert (rules.monitor(monitored, oracle, geometry).to_json()
+                    == reference_monitor(monitored, oracle, geometry).to_json()), (
+                        seed, monitored is trace)
+
+
+def test_monitor_matches_the_reference_monitor_with_the_shortcuts_switched_off(monkeypatch):
+    """With neither the gaps nor the divider bound deciding, every overlap and
+    every divider flag comes from the corners, and the reports stay the same."""
+    monkeypatch.setattr(sim, "gap_verdict", lambda *args: None)
+    monkeypatch.setattr(rules, "OVERLAP_MARGIN_M", math.inf)
+    for name in sorted(EXPECTED_RULE_COUNTS) + list(MULTI_ACTOR_DOCUMENTS):
+        template = load_document_template(name)
+        geometry = sim.build_geometry(template)
+        for seed in range(3):
+            trace = sim.simulate(sampling.sample_instance(template, seed), geometry)
+            assert (rules.monitor(trace, template.params.oracle, geometry).to_json()
+                    == reference_monitor(trace, template.params.oracle, geometry).to_json())

@@ -385,6 +385,14 @@ def test_simulate_matches_the_frame_major_reference_at_any_block_size(monkeypatc
         _assert_same_simulation(load_document_template(name), range(10))
 
 
+def test_simulate_matches_the_frame_major_reference_without_the_gap_decision(monkeypatch):
+    """The corners decide every pair within reach: the fallback of the collision
+    scan, which real traces almost never reach, gives the same traces."""
+    monkeypatch.setattr(sim, "gap_verdict", lambda *args: None)
+    for name in sorted(EXPECTED_RULE_COUNTS) + list(MULTI_ACTOR_DOCUMENTS):
+        _assert_same_simulation(load_document_template(name), range(5))
+
+
 @given(scenario_specs())
 @settings(derandomize=True, deadline=None, max_examples=50)
 def test_simulate_matches_the_frame_major_reference_on_fuzzed_documents(spec):
@@ -904,7 +912,8 @@ def test_overlap_prefilter_agrees_with_rects_overlap_near_the_radius_sum():
             def corners(k):
                 asked.append(k)
                 return sim.rect_corners(x, y, heading, length, width)
-            return (x,), (y,), sim.circumradius(length, width), corners
+            return ((x,), (y,), (math.cos(heading),), (math.sin(heading),),
+                    length / 2.0, width / 2.0, corners)
 
         fast = sim.first_overlap(outline(*rect_a), outline(*rect_b)) == 0
         skipped += not asked
@@ -916,10 +925,94 @@ def test_overlap_prefilter_agrees_with_rects_overlap_near_the_radius_sum():
     assert skipped > 1000
 
 
+def _half_extent(heading: float, length: float, width: float, nx: float, ny: float) -> float:
+    """Half the extent of a rectangle's projection on the unit axis (nx, ny)."""
+    c, s = math.cos(heading), math.sin(heading)
+    return (length * abs(c * nx + s * ny) + width * abs(c * ny - s * nx)) / 2.0
+
+
+def _place_at_gap(rect, heading: float, length: float, width: float,
+                  theta: float, gap: float) -> tuple[float, float]:
+    """The centre of a second rectangle (heading, length, width) on the ray
+    from `rect`'s centre at angle theta at which the pair's largest
+    separating-axis gap equals `gap`.
+
+    Along the ray every gap grows linearly from minus the axis' half extents,
+    so the largest reaches `gap` at the smallest distance at which any does.
+    """
+    x, y, rect_heading, rect_length, rect_width = rect
+    distance = math.inf
+    for h in (rect_heading, heading):
+        for nx, ny in ((math.cos(h), math.sin(h)), (-math.sin(h), math.cos(h))):
+            along = abs(math.cos(theta) * nx + math.sin(theta) * ny)
+            extents = (_half_extent(rect_heading, rect_length, rect_width, nx, ny)
+                       + _half_extent(heading, length, width, nx, ny))
+            if along > 1e-9:
+                distance = min(distance, (gap + extents) / along)
+    return x + distance * math.cos(theta), y + distance * math.sin(theta)
+
+
+def test_gap_verdict_at_the_margins_agrees_with_rects_overlap():
+    """Car/car, car/truck and footprint/conflict-square pairs, parallel,
+    perpendicular, at 45 degrees and at random headings, placed so that their
+    largest separating-axis gap lies 1e-7 m on either side of -margin and of
+    +margin.  Every verdict equals `rects_overlap`'s, and exactly the pairs
+    whose gap lies within the margin of 0 have their corners built."""
+    import random
+
+    rng = random.Random(7)
+    margin = sim.OVERLAP_MARGIN_M
+    gaps = (-margin - 1e-7, -margin + 1e-7, margin - 1e-7, margin + 1e-7)
+    verdicts = {True: 0, False: 0}
+    for pair in ("car/car", "car/truck", "car/region", "truck/region"):
+        kind_a, kind_b = pair.split("/")
+        for turn in (0.0, math.pi / 2.0, math.pi / 4.0, None):
+            for _ in range(40):
+                if kind_b == "region":
+                    half = rng.choice((3.5, 7.0))
+                    region = ((-half, -half), (half, -half), (half, half), (-half, half))
+                    rect_b = (0.0, 0.0, 0.0, 2.0 * half, 2.0 * half)
+                else:
+                    rect_b = (rng.uniform(-300, 300), rng.uniform(-300, 300),
+                              rng.uniform(-math.pi, math.pi), *sim.VEHICLE_DIMS[kind_b])
+                heading_a = rect_b[2] + (rng.uniform(-math.pi, math.pi) if turn is None
+                                         else turn + rng.choice((0.0, math.pi)))
+                # towards a face, towards a corner, or anywhere
+                theta = rng.choice((rect_b[2], rect_b[2] + math.pi / 2.0, heading_a,
+                                    rect_b[2] + math.atan2(rect_b[4], rect_b[3]),
+                                    rng.uniform(-math.pi, math.pi)))
+                for gap in gaps:
+                    asked = []
+                    xa, ya = _place_at_gap(rect_b, heading_a, *sim.VEHICLE_DIMS[kind_a],
+                                           theta, gap)
+                    rect_a = (xa, ya, heading_a, *sim.VEHICLE_DIMS[kind_a])
+                    corners_a = sim.rect_corners(*rect_a)
+                    corners_b = region if kind_b == "region" else sim.rect_corners(*rect_b)
+                    outline_a = ((xa,), (ya,), (math.cos(heading_a),), (math.sin(heading_a),),
+                                 rect_a[3] / 2.0, rect_a[4] / 2.0,
+                                 lambda k: asked.append(k) or corners_a)
+                    if kind_b == "region":
+                        outline_b = sim.polygon_outline(region, 1)
+                    else:
+                        outline_b = ((rect_b[0],), (rect_b[1],), (math.cos(rect_b[2]),),
+                                     (math.sin(rect_b[2]),), rect_b[3] / 2.0, rect_b[4] / 2.0,
+                                     lambda k: corners_b)
+                    exact = sim.rects_overlap(corners_a, corners_b)
+                    where = (pair, rect_a, rect_b, gap)
+                    assert (sim.first_overlap(outline_a, outline_b) == 0) == exact, where
+                    assert bool(asked) == (abs(gap) < margin), where
+                    assert exact == (gap < 0), where
+                    verdicts[exact] += 1
+    assert verdicts[True] == verdicts[False] == 4 * 4 * 40 * 2
+
+
 def test_region_footprint_encloses_the_polygon():
     region = ((-3.5, -3.5), (3.5, -3.5), (3.5, 3.5), (-3.5, 3.5))
-    xs, ys, radius, corners = sim.polygon_outline(region, 2)
+    xs, ys, cos, sin, half_length, half_width, corners = sim.polygon_outline(region, 2)
     assert (xs, ys) == ((0.0, 0.0), (0.0, 0.0))
-    assert radius == pytest.approx(3.5 * math.sqrt(2.0))
+    assert (cos, sin, half_length, half_width) == ((1.0, 1.0), (0.0, 0.0), 3.5, 3.5)
+    assert math.hypot(half_length, half_width) == pytest.approx(3.5 * math.sqrt(2.0))
     assert corners(1) == region
+    with pytest.raises(ValueError, match="axis-aligned rectangle"):
+        sim.polygon_outline(((0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)), 2)
 

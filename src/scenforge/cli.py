@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 partial failure (some input failed a stage),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -454,14 +455,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse fills a fresh namespace.
+
+    A subcommand's `func` is the name of its function, looked up when it
+    runs, so a function wrapped or replaced after the first call still runs.
+    """
     parser = argparse.ArgumentParser(prog="scenforge",
                                      description="scenario compilation and simulation pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(subparsers, name, func, summary):
         p = subparsers.add_parser(name, help=summary)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func.__name__)
         return p
 
     def add_common(p, seed=True, synonyms=True, out=True):
@@ -547,7 +554,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -529,13 +529,16 @@ def _sig6_json(x: float) -> str:
 def _sig6_texts(column) -> list[str]:
     """`_sig6_json` of each value, formatted again only where the value changes.
 
-    Zeros are always formatted, so -0.0 keeps its sign; nan never equals
+    A repeated zero keeps its own sign, since 0.0 == -0.0; nan never equals
     itself and inf is formatted where it first appears, so both still raise.
     """
     texts, last, text = [], None, ""
+    copysign = math.copysign
     for x in column:
-        if x != last or not x:
+        if x != last:
             text, last = _sig6_json(x), x
+        elif not x:
+            text = "-0.0" if copysign(1.0, x) < 0 else "0.0"
         texts.append(text)
     return texts
 
@@ -581,6 +584,11 @@ def trace_to_jsonl(trace: Trace) -> str:
 
 _STATE_KEYS = ("x", "y", "heading", "speed", "lane", "lat")  # ActorTrack's column order
 _actor_id = operator.itemgetter("id")
+_actor_state = operator.itemgetter("id", *_STATE_KEYS)
+_frame_actors = operator.itemgetter("actors")
+_frame_time = operator.itemgetter("t")
+_frame_signals = operator.itemgetter("signals")
+_signal = operator.itemgetter("approach", "state")
 
 
 def trace_from_jsonl(text: str) -> Trace:
@@ -604,33 +612,66 @@ def _decode_header(line: str) -> dict:
         "actor_types": dict(header["actor_types"])}
 
 
+def _decode_frames(text: str) -> list:
+    """`json.loads(text)`, decoded by orjson wherever orjson accepts the text.
+
+    orjson rejects NaN, Infinity, numbers beyond the double range and lone
+    surrogates, all of which `json` reads; such texts, and malformed ones, go
+    to `json.loads`, so they read, or fail with `json`'s message, as before.
+    One difference remains: orjson reads an integer outside the 64-bit range
+    as a float where `json` keeps an int.  The writer puts no integer in a
+    frame line.
+    """
+    # Imported here rather than at the top: `pipeline` never reads a trace, and
+    # a module-level import costs every CLI process start-up time and memory.
+    import orjson
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return json.loads(text)
+
+
+def _track_columns(per_frame: list, ids: tuple) -> list | None:
+    """Per actor, its (id, x, y, heading, speed, lane, lat) columns; None
+    unless every frame lists exactly the actors `ids`, in that order."""
+    if set(map(len, per_frame)) != {len(ids)}:
+        return None
+    columns = [tuple(zip(*map(_actor_state, states))) for states in zip(*per_frame)]
+    frames = len(per_frame)
+    if all(column[0].count(actor_id) == frames for actor_id, column in zip(ids, columns)):
+        return columns
+    return None
+
+
 def _decode_trace(header_line: str, frame_lines: list[str]) -> Trace:
     """All frame lines in one decode, transposed into tracks."""
     header = _decode_header(header_line)
-    rows = json.loads("[" + ",".join(frame_lines) + "]")
+    rows = _decode_frames("[" + ",".join(frame_lines) + "]")
     if len(rows) != len(frame_lines):
         raise ValueError("frame lines do not hold one JSON object each")
-    per_frame = [row["actors"] for row in rows]
+    per_frame = list(map(_frame_actors, rows))
     ids = tuple(map(_actor_id, per_frame[0]))
     if not ids:
         raise ValueError("the frame lists no actors")
     if sorted(ids) != sorted(header["actor_types"]):
         raise ValueError(f"actors {list(ids)} do not match the header actor_types "
                          f"{sorted(header['actor_types'])}")
-    for actors in per_frame:
-        if tuple(map(_actor_id, actors)) != ids:
-            raise ValueError(f"actors {list(map(_actor_id, actors))} differ in set or order "
-                             f"from the first frame's {list(ids)}")
-    tracks = tuple(
-        ActorTrack(actor_id, *(tuple(map(operator.itemgetter(key), states))
-                               for key in _STATE_KEYS))
-        for actor_id, states in zip(ids, zip(*per_frame)))
+    try:
+        columns = _track_columns(per_frame, ids)
+    except (LookupError, TypeError):
+        columns = None
+    if columns is None:  # name the first frame whose actors differ, else the missing key
+        for actors in per_frame:
+            if tuple(map(_actor_id, actors)) != ids:
+                raise ValueError(f"actors {list(map(_actor_id, actors))} differ in set or order "
+                                 f"from the first frame's {list(ids)}")
+        columns = _track_columns(per_frame, ids)
     return Trace(
         **header,
-        times=tuple(row["t"] for row in rows),
-        signals=tuple(tuple((s["approach"], s["state"]) for s in row["signals"])
-                      for row in rows),
-        tracks=tracks,
+        times=tuple(map(_frame_time, rows)),
+        signals=tuple(tuple(map(_signal, signals)) for signals in map(_frame_signals, rows)),
+        tracks=tuple(ActorTrack(actor_id, *column[1:])
+                     for actor_id, column in zip(ids, columns)),
     )
 
 

@@ -307,6 +307,35 @@ def test_workers_flag_matches_serial(tmp_path):
     assert _tree_hash(serial) == _tree_hash(parallel)
 
 
+def test_one_parser_gives_each_call_only_its_own_arguments(tmp_path, monkeypatch):
+    """`main` builds the parser once per process.  A flag of one call does not
+    reach the next, and a command patched after the parser was built still runs."""
+    seen = []
+    for name in ("run_pipeline", "_cmd_monitor"):
+        monkeypatch.setattr(cli, name, lambda args, run=getattr(cli, name): (
+            seen.append(dict(vars(args))) or run(args)))
+    parser = cli.build_parser()
+    parallel, serial = tmp_path / "parallel", tmp_path / "serial"
+    assert cli.main(["pipeline", str(STRAIGHT1), "--out", str(parallel), "--samples", "4",
+                     "--seed", "3", "--workers", "2"]) == cli.EXIT_OK
+    assert cli.main(["pipeline", str(CURVE), "--out", str(serial), "--samples", "2"]) == 0
+    template = parallel / "straight-1" / "straight-1.template.json"
+    traces = sorted(map(str, (parallel / "straight-1" / "traces").glob("trace_*.jsonl")))
+    assert len(traces) == 4
+    assert cli.main(["monitor", str(template), *traces]) == cli.EXIT_OK
+    assert cli.build_parser() is parser
+    pipeline_defaults = {"command": "pipeline", "func": "run_pipeline", "synonyms": None,
+                         "offline": False, "transcripts": None, "endpoint": "", "model": ""}
+    assert seen == [
+        pipeline_defaults | {"inputs": [str(STRAIGHT1)], "out": parallel, "samples": 4,
+                             "seed": 3, "workers": 2},
+        pipeline_defaults | {"inputs": [str(CURVE)], "out": serial, "samples": 2,
+                             "seed": 0, "workers": 1},
+        {"command": "monitor", "func": "_cmd_monitor", "template": str(template),
+         "traces": traces, "out": None},
+    ]
+
+
 def test_summary_matches_the_written_reports(tmp_path):
     """The summary built from in-memory reports equals one read back from disk."""
     for workers in ("1", "2"):

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
+import random
 import struct
 
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +16,8 @@ from hypothesis import strategies as st
 from scenforge import dsl, normalize, rules, sampling, sim, synth
 from scenforge.digests import canonical_json
 
-from .conftest import (EXPECTED_RULE_COUNTS, FIXTURES, MULTI_ACTOR_DOCUMENTS,
-                       load_document_template, load_spec, load_template)
+from .conftest import (EXPECTED_RULE_COUNTS, FIVE_ACTOR_DOCUMENTS, FIXTURES,
+                       MULTI_ACTOR_DOCUMENTS, load_document_template, load_spec, load_template)
 from .test_dsl import scenario_specs
 
 
@@ -465,6 +468,152 @@ def test_a_malformed_trace_names_the_line_at_fault(malform, reason):
         sim.trace_from_jsonl("\n".join(lines) + "\n")
 
 
+def _reference_trace_from_jsonl(text: str) -> sim.Trace:
+    """The `json.loads` decoder with a per-frame actor loop that `sim.trace_from_jsonl`
+    replaced, for well-formed traces."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    header = sim._decode_header(lines[0])
+    rows = json.loads("[" + ",".join(lines[1:]) + "]")
+    per_frame = [row["actors"] for row in rows]
+    ids = tuple(actor["id"] for actor in per_frame[0])
+    assert sorted(ids) == sorted(header["actor_types"])
+    for actors in per_frame:
+        assert tuple(actor["id"] for actor in actors) == ids
+    tracks = tuple(
+        sim.ActorTrack(actor_id, *(tuple(state[key] for state in states)
+                                   for key in sim._STATE_KEYS))
+        for actor_id, states in zip(ids, zip(*per_frame)))
+    return sim.Trace(
+        **header,
+        times=tuple(row["t"] for row in rows),
+        signals=tuple(tuple((s["approach"], s["state"]) for s in row["signals"])
+                      for row in rows),
+        tracks=tracks,
+    )
+
+
+def _exact(value):
+    """`value` with every float replaced by its bits and every leaf tagged with its
+    type, so -0.0, nan, and an int against an equal float all count."""
+    if isinstance(value, float):
+        return float, struct.pack("<d", value)
+    if isinstance(value, (tuple, list)):
+        return type(value), tuple(map(_exact, value))
+    if isinstance(value, dict):
+        return dict, tuple((_exact(key), _exact(item)) for key, item in value.items())
+    if dataclasses.is_dataclass(value):
+        return type(value), tuple(_exact(getattr(value, f.name))
+                                  for f in dataclasses.fields(value))
+    return type(value), value
+
+
+def _assert_reads_as_the_reference(text: str) -> sim.Trace:
+    trace = sim.trace_from_jsonl(text)
+    assert _exact(trace) == _exact(_reference_trace_from_jsonl(text))
+    return trace
+
+
+def test_trace_reader_matches_the_reference_reader_on_simulated_traces():
+    for name in sorted(EXPECTED_RULE_COUNTS) + list(FIVE_ACTOR_DOCUMENTS):
+        template = load_document_template(name)
+        geo = sim.build_geometry(template)
+        for seed in range(30):
+            text = sim.trace_to_jsonl(sim.simulate(sampling.sample_instance(template, seed), geo))
+            _assert_reads_as_the_reference(text)
+
+
+_HEADER_LINE = canonical_json({
+    "actor_types": {}, "geometry_ref": "g", "horizon_s": 10.0, "instance_seed": 0,
+    "scenario_id": "s", "timestep_s": 0.05})
+
+
+def _number_texts():
+    """JSON number texts: finite floats (subnormals included) written as `.6g`,
+    `repr`, `.17g` and exponent forms, plus decimal texts of up to 40 digits
+    whose integers stay inside 64 bits."""
+    formats = st.sampled_from(["{:.6g}", "{!r}", "{:.17g}", "{:e}", "{:.3E}", "{:.20e}"])
+    floats = st.builds(str.format, formats, st.floats(allow_nan=False, allow_infinity=False))
+    decimals = st.builds(
+        "{}{}{}{}".format, st.sampled_from(["", "-"]), st.integers(0, 10**18 - 1),
+        st.just("") | st.text("0123456789", min_size=1, max_size=22).map(".".__add__),
+        st.just("") | st.builds("{}{}".format, st.sampled_from(["e", "E", "e+", "E-"]),
+                                st.integers(0, 999)))
+    return floats | decimals
+
+
+def _string_texts(strings):
+    """JSON string texts, written with `\\u` escapes (surrogate pairs beyond the
+    BMP) or as they are, unless that would break the line."""
+    return st.builds(lambda s, ascii_only: json.dumps(s, ensure_ascii=ascii_only),
+                     strings, st.booleans()).filter(lambda text: len(text.splitlines()) == 1)
+
+
+@st.composite
+def _trace_texts(draw):
+    ids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True))
+    id_texts = [draw(_string_texts(st.just(actor_id))) for actor_id in ids]
+    lines = [_HEADER_LINE.replace('"actor_types":{}', '"actor_types":{' + ",".join(
+        f'{text}:"car"' for text in id_texts) + "}")]
+    num, lane = _number_texts(), _string_texts(st.text(max_size=4))
+    for _ in range(draw(st.integers(1, 4))):
+        actors = ",".join(
+            f'{{"heading":{draw(num)},"id":{id_text},"lane":{draw(lane)},"lat":{draw(num)},'
+            f'"speed":{draw(num)},"x":{draw(num)},"y":{draw(num)}}}' for id_text in id_texts)
+        signals = ",".join(f'{{"approach":{draw(lane)},"state":{draw(lane)}}}'
+                           for _ in range(draw(st.integers(0, 2))))
+        lines.append(f'{{"actors":[{actors}],"signals":[{signals}],"t":{draw(num)}}}')
+    return "\n".join(lines) + "\n"
+
+
+@given(_trace_texts())
+@settings(max_examples=200, deadline=None)
+def test_trace_reader_matches_the_reference_reader_on_generated_frame_lines(text):
+    _assert_reads_as_the_reference(text)
+
+
+def test_trace_reader_matches_the_reference_reader_on_random_float_bits():
+    """Finite doubles drawn uniformly over their bit patterns, one per column
+    value, written as `.6g`, `repr`, `.17g` and `.16e` texts."""
+    rng = random.Random(12)
+    values = [x for x in struct.unpack("<40000d", rng.randbytes(8 * 40000)) if math.isfinite(x)]
+    texts = [form.format(x) for x, form in zip(values, itertools.cycle(
+        ["{:.6g}", "{!r}", "{:.17g}", "{:.16e}"]))]
+    lines = [_HEADER_LINE.replace('"actor_types":{}', '"actor_types":{"a":"car"}')]
+    for k in range(0, len(texts) - 6, 6):
+        t, heading, lat, speed, x, y = texts[k:k + 6]
+        lines.append(f'{{"actors":[{{"heading":{heading},"id":"a","lane":"l","lat":{lat},'
+                     f'"speed":{speed},"x":{x},"y":{y}}}],"signals":[],"t":{t}}}')
+    assert len(lines) > 6000
+    _assert_reads_as_the_reference("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"speed":', '"speed":NaN,"s":'),
+    ('"speed":', '"speed":Infinity,"s":'),
+    ('"speed":', '"speed":-Infinity,"s":'),
+    ('"speed":', '"speed":1e400,"s":'),
+    ('"lane":', '"lane":"\\ud800","l":'),
+    ('"lane":', '"lane":"\\udc00\\ud83d","l":'),
+])
+def test_trace_reader_reads_what_only_json_accepts_as_the_reference_does(old, new):
+    lines = _straight1_trace_lines()
+    lines[3] = lines[3].replace(old, new, 1)
+    with pytest.raises(orjson.JSONDecodeError):
+        orjson.loads(lines[3])
+    _assert_reads_as_the_reference("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("integer", [2**64, 10**30, -2**63 - 1])
+def test_trace_reader_reads_an_integer_outside_64_bits_as_a_float(integer):
+    """The one documented difference from `json`: the writer writes no integer,
+    so nothing it writes is affected."""
+    lines = _straight1_trace_lines()
+    lines[3] = lines[3].replace('"speed":', f'"speed":{integer},"s":', 1)
+    speed = sim.trace_from_jsonl("\n".join(lines) + "\n").tracks[0].speed[2]
+    assert type(speed) is float and speed == float(integer)
+    assert _reference_trace_from_jsonl("\n".join(lines) + "\n").tracks[0].speed[2] == integer
+
+
 def _reference_sig6(x: float) -> float:
     return float(f"{x:.6g}")
 
@@ -598,6 +747,20 @@ def test_trace_writer_formats_again_only_where_a_column_changes():
     text = sim.trace_to_jsonl(trace)
     assert text == _reference_trace_to_jsonl(trace)
     assert '"x":-0.0' in text and '"x":0.0' in text and '"lat":-0.0' in text
+
+
+def test_trace_writer_formats_a_run_of_equal_zeros_once(monkeypatch):
+    """A repeated zero takes its sign's text without another `_sig6_json` call;
+    a zero after another value is formatted again."""
+    calls, sig6_json = [], sim._sig6_json
+    monkeypatch.setattr(sim, "_sig6_json", lambda x: calls.append(x) or sig6_json(x))
+    column = (0.0, 0.0, 0.0, -0.0, -0.0, 0, 0.0, 2.5, 2.5, -0.0, -0.0, 0.0)
+    assert sim._sig6_texts(column) == [
+        "0.0", "0.0", "0.0", "-0.0", "-0.0", "0.0", "0.0", "2.5", "2.5", "-0.0", "-0.0", "0.0"]
+    assert _bits(calls) == _bits([0.0, 2.5, -0.0])
+    calls.clear()
+    assert sim._sig6_texts((-0.0,) * 50) == ["-0.0"] * 50
+    assert _bits(calls) == _bits([-0.0])
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -204,14 +204,8 @@ class TraceView:
         """The actor's footprints as a `sim.first_overlap` outline."""
         track = self.tracks[actor_id]
         length, width = self.dims[actor_id]
-        return (track.x, track.y, *self.heading_cos_sin(actor_id), length / 2.0, width / 2.0,
+        return (track.x, track.y, track.heading, length / 2.0, width / 2.0,
                 functools.partial(self.corners, actor_id))
-
-    def heading_cos_sin(self, actor_id: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """The cos and the sin of the actor's heading, per frame."""
-        heading = self.tracks[actor_id].heading
-        return self._cached("cos_sin", actor_id, lambda: (tuple(map(math.cos, heading)),
-                                                          tuple(map(math.sin, heading))))
 
     def corners(self, actor_id: str, k: int) -> tuple[tuple[float, float], ...]:
         """The corners of the actor's footprint in frame k, computed on first use."""
@@ -287,7 +281,7 @@ class TraceView:
             axis = self.geometry.axis
             direction = self.travel_direction(actor_id)
             track = self.tracks[actor_id]
-            cos, sin = self.heading_cos_sin(actor_id)
+            cos, sin = map(math.cos, track.heading), map(math.sin, track.heading)
             length, width = self.dims[actor_id]
             hl, hw = length / 2.0, width / 2.0
             offsets = self.lateral_offsets(actor_id)

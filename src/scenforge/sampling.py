@@ -57,7 +57,7 @@ def write_manifest(instances: Iterable[ScenarioInstance]) -> str:
 
 def read_manifest(text: str) -> list[ScenarioInstance]:
     instances = []
-    for line in text.splitlines():
+    for line in text.split("\n"):
         line = line.strip()
         if line:
             instances.append(from_data(ScenarioInstance, json.loads(line)))

@@ -594,11 +594,14 @@ _signal = operator.itemgetter("approach", "state")
 def trace_from_jsonl(text: str) -> Trace:
     """Reads `trace_to_jsonl` output; blank lines are skipped.
 
+    Lines break at "\n" only, so a raw U+0085, U+2028 or U+2029 inside a JSON
+    string stays in its line, and the "\r" of a CRLF line is JSON whitespace.
+
     Every frame must list the same actors in the same order, and they must
     be the actors of the header's `actor_types`.  A malformed trace raises
     ValueError naming the line at fault.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [line for line in text.split("\n") if line.strip()]
     try:
         return _decode_trace(lines[0], lines[1:])
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
@@ -677,7 +680,7 @@ def _decode_trace(header_line: str, frame_lines: list[str]) -> Trace:
 
 def _malformed(text: str, exc: Exception) -> ValueError:
     """Finds the line at fault by decoding line by line (the error path only)."""
-    numbered = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    numbered = [(n, line) for n, line in enumerate(text.split("\n"), 1) if line.strip()]
     if not numbered:
         return ValueError("empty trace")
     (n, header), frames = numbered[0], numbered[1:]
@@ -779,32 +782,36 @@ def gap_verdict(dx: float, dy: float, ca: float, sa: float, hla: float, hwa: flo
 
 def polygon_outline(points: tuple[tuple[float, float], ...], frames: int):
     """An axis-aligned rectangle given by its four corners, such as the
-    conflict region, as a `first_overlap` outline of heading 0."""
+    conflict region, as a `first_overlap` outline of heading 0.0 in every
+    frame; cos(0.0) and sin(0.0) are exactly 1.0 and 0.0."""
     xs, ys = sorted({px for px, _ in points}), sorted({py for _, py in points})
     if (len(points) != 4 or len(xs) != 2 or len(ys) != 2
             or set(points) != set(itertools.product(xs, ys))):
         raise ValueError(f"not an axis-aligned rectangle: {points}")
     x, y = (xs[0] + xs[1]) / 2.0, (ys[0] + ys[1]) / 2.0
-    return ((x,) * frames, (y,) * frames, (1.0,) * frames, (0.0,) * frames,
+    return ((x,) * frames, (y,) * frames, (0.0,) * frames,
             (xs[1] - xs[0]) / 2.0, (ys[1] - ys[0]) / 2.0, lambda _: points)
 
 
 def first_overlap(a, b) -> int | None:
     """The first frame in which two outlines overlap, or None.
 
-    An outline is (xs, ys, cos, sin, half length, half width, k -> corners in
-    frame k): per frame a rectangle's centre and the cos and sin of its
-    heading.  Corners are asked for only where a pair within reach has a
+    An outline is (xs, ys, headings, half length, half width, k -> corners in
+    frame k): per frame a rectangle's centre and heading.  The one overlap
+    scan of `simulate`, `rules.detect_collisions` and the conflict-region
+    entries.  The cos and sin of the headings are computed only in frames
+    within reach, and corners are asked for only where such a frame has a
     largest gap within the margin of 0.
     """
-    (xa, ya, ca, sa, hla, hwa, corners_a), (xb, yb, cb, sb, hlb, hwb, corners_b) = a, b
-    hypot = math.hypot
+    (xa, ya, ha, hla, hwa, corners_a), (xb, yb, hb, hlb, hwb, corners_b) = a, b
+    hypot, cos, sin = math.hypot, math.cos, math.sin
     reach = hypot(hla, hwa) + hypot(hlb, hwb) + OVERLAP_MARGIN_M
     for k, (ax, ay, bx, by) in enumerate(zip(xa, ya, xb, yb)):
         dx, dy = bx - ax, by - ay
         if hypot(dx, dy) > reach:
             continue
-        overlap = gap_verdict(dx, dy, ca[k], sa[k], hla, hwa, cb[k], sb[k], hlb, hwb)
+        overlap = gap_verdict(dx, dy, cos(ha[k]), sin(ha[k]), hla, hwa,
+                              cos(hb[k]), sin(hb[k]), hlb, hwb)
         if overlap is None:
             overlap = rects_overlap(corners_a(k), corners_b(k))
         if overlap:
@@ -1158,35 +1165,21 @@ def _run_mover(m: _Mover, point, ego_xs: list[float], ego_ys: list[float], start
     return states, speeds
 
 
-def _first_collision(columns, pairs, dims, start: int, stop: int) -> int | None:
-    """The first frame in start..stop-1 in which some pair of actors overlaps,
-    decided as in `first_overlap`."""
-    hypot, cos, sin, first = math.hypot, math.cos, math.sin, stop
-    for i, j, reach in pairs:
-        (xi, yi, hi, *_), (xj, yj, hj, *_) = columns[i], columns[j]
-        (li, wi), (lj, wj) = dims[i], dims[j]
-        halves_i, halves_j = (li / 2.0, wi / 2.0), (lj / 2.0, wj / 2.0)
-        for k in range(start, first):
-            dx, dy = xj[k] - xi[k], yj[k] - yi[k]
-            if hypot(dx, dy) > reach:
-                continue
-            overlap = gap_verdict(dx, dy, cos(hi[k]), sin(hi[k]), *halves_i,
-                                  cos(hj[k]), sin(hj[k]), *halves_j)
-            if overlap is None:
-                overlap = rects_overlap(rect_corners(xi[k], yi[k], hi[k], li, wi),
-                                        rect_corners(xj[k], yj[k], hj[k], lj, wj))
-            if overlap:
-                first = k
-                break
-    return first if first < stop else None
+def _block_outline(cols, dims: tuple[float, float], start: int, stop: int):
+    """A mover's footprints in frames start..stop-1 as a `first_overlap` outline."""
+    (xs, ys, headings, *_), (length, width) = cols, dims
+    xs, ys, headings = xs[start:stop], ys[start:stop], headings[start:stop]
+    return (xs, ys, headings, length / 2.0, width / 2.0,
+            lambda k: rect_corners(xs[k], ys[k], headings[k], length, width))
 
 
 def simulate(instance: ScenarioInstance, geometry: RoadGeometry) -> Trace:
     """Fixed-timestep scripted simulation.
 
     Ends at the horizon or one second after the first collision frame.
-    Works mover by mover over blocks of frames, ego first; a scan after each
-    block finds the first collision and so the end frame.
+    Works mover by mover over blocks of frames, ego first; after each block,
+    `first_overlap` on every pair of actors finds the first collision and so
+    the end frame.
     """
     if instance.template_digest != geometry.template_digest:
         raise DigestMismatchError(
@@ -1199,9 +1192,6 @@ def simulate(instance: ScenarioInstance, geometry: RoadGeometry) -> Trace:
     points = [_point_function(m.path) for m in movers]
     find_lanes = _lane_finder(geometry)
     lane_names = [lane.lane_id for lane in geometry.lanes]
-    # actor pairs (i, j) with the centre distance beyond which they cannot touch
-    pairs = [(i, j, circumradius(*dims[i]) + circumradius(*dims[j]) + OVERLAP_MARGIN_M)
-             for i in range(len(movers)) for j in range(i + 1, len(movers))]
 
     # per mover: x, y, heading, speed, lane id and lateral offset per frame
     columns = [([], [], [], [], [], []) for _ in movers]
@@ -1224,10 +1214,12 @@ def simulate(instance: ScenarioInstance, geometry: RoadGeometry) -> Trace:
             headings += block_headings
             speeds += block_speeds
         if not collided:
-            hit = _first_collision(columns, pairs, dims, start, stop)
-            if hit is not None:
+            outlines = [_block_outline(cols, d, start, stop) for cols, d in zip(columns, dims)]
+            hits = [k for a, b in itertools.combinations(outlines, 2)
+                    if (k := first_overlap(a, b)) is not None]
+            if hits:
                 collided = True
-                end_frame = min(end_frame, hit + int(1.0 / TIMESTEP_S))
+                end_frame = min(end_frame, start + min(hits) + int(1.0 / TIMESTEP_S))
         start = stop
 
     n = end_frame + 1

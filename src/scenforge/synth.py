@@ -19,11 +19,8 @@ from .normalize import DEFAULT_SPEED_MPS, NormalizedSpec
 
 log = logging.getLogger(__name__)
 
-CONFIGURATIONS = ("head_on", "car_following", "crossing_from_left", "crossing_from_right", "junction_conflict")
-TOWNS = ("Town02", "Town04", "Town05")
 FREE_PARAMETER_NAMES = ("EGO_INIT_DIST", "NPC_INIT_DIST", "ego_speed", "npc_speed")
 
-SPEED_WIDEN_FACTOR = 0.2          # base speed v becomes [0.8 v, 1.2 v]
 INIT_DIST_RANGE = (15.0, 20.0)    # initial-distance parameters in meters
 
 # weather token -> (daytime preset, nighttime preset).  Stock simulator

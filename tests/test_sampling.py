@@ -110,3 +110,12 @@ def test_manifest_round_trip():
     text = sampling.write_manifest(batch)
     assert sampling.read_manifest(text) == batch
     assert text == sampling.write_manifest(batch)
+
+
+def test_manifest_lines_break_at_newline_only():
+    """A binding name holding a raw U+2028 stays in its line; CRLF reads as LF."""
+    instance = sampling.sample_instance(load_template("straight-1"), 0)
+    odd = replace(instance, bindings={"ego\u2028speed": 1.5})
+    text = sampling.write_manifest([odd]).replace("\\u2028", "\u2028")
+    assert "\u2028" in text
+    assert sampling.read_manifest(text + text.replace("\n", "\r\n")) == [odd, odd]

@@ -151,13 +151,26 @@ def test_solo_run_spans_full_horizon():
     assert trace.times[-1] == pytest.approx(60.0)
 
 
-def test_collision_truncates_one_second_after():
-    template = load_template("straight-1")
+@pytest.mark.parametrize(
+    "name", sorted(EXPECTED_RULE_COUNTS) + list(MULTI_ACTOR_DOCUMENTS) + list(FIVE_ACTOR_DOCUMENTS))
+def test_collision_truncates_one_second_after(name):
+    """`simulate` and `rules.detect_collisions` take the same collision
+    decision: a trace whose first event is at frame k ends at frame
+    min(k + 10, 600), and one without events runs the full horizon."""
+    template = load_document_template(name)
     geo = sim.build_geometry(template)
-    trace = sim.simulate(sampling.sample_instance(template, 0), geo)
-    events = rules.detect_collisions(rules.TraceView(trace, geo))
-    assert events, "head-on fixture must collide"
-    assert trace.times[-1] == pytest.approx(events[0].t + 1.0, abs=1e-9)
+    horizon = len(sim._FRAME_TIMES) - 1
+    collided = 0
+    for seed in range(30):
+        trace = sim.simulate(sampling.sample_instance(template, seed), geo)
+        events = rules.detect_collisions(rules.TraceView(trace, geo))
+        if events:
+            k = trace.times.index(events[0].t)
+            assert len(trace.times) == min(k + 10, horizon) + 1, (name, seed)
+            collided += 1
+        else:
+            assert len(trace.times) == horizon + 1, (name, seed)
+    assert collided or name == "straight-2", name  # its npc passes the ego without contact
 
 
 def test_head_on_ramp_matches_closed_form():
@@ -466,6 +479,29 @@ def test_a_malformed_trace_names_the_line_at_fault(malform, reason):
     lines, line_number = malform(_straight1_trace_lines())
     with pytest.raises(ValueError, match=rf"^line {line_number}: {reason}"):
         sim.trace_from_jsonl("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+def test_a_lane_holding_a_raw_unicode_line_break_reads_back(separator):
+    """JSON allows U+0085, U+2028 and U+2029 unescaped inside a string, and
+    the reader breaks lines at "\\n" only, so such a lane stays in its line."""
+    lines = _straight1_trace_lines()
+    frame = json.loads(lines[3])
+    lane = frame["actors"][0]["lane"] = f"lane{separator}1"
+    lines[3] = json.dumps(frame, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    assert separator in lines[3]
+    trace = sim.trace_from_jsonl("\n".join(lines) + "\n")
+    expected = sim.trace_from_jsonl("\n".join(_straight1_trace_lines()) + "\n")
+    lanes = list(expected.tracks[0].lane_id)
+    lanes[2] = lane
+    assert trace.tracks[0].lane_id == tuple(lanes)
+    assert trace.tracks[1:] == expected.tracks[1:]
+
+
+def test_a_crlf_trace_reads_as_its_lf_form():
+    lines = _straight1_trace_lines()
+    lf = sim.trace_from_jsonl("\n".join(lines) + "\n")
+    assert _exact(sim.trace_from_jsonl("\r\n".join(lines) + "\r\n")) == _exact(lf)
 
 
 def _reference_trace_from_jsonl(text: str) -> sim.Trace:
@@ -1075,8 +1111,7 @@ def test_overlap_prefilter_agrees_with_rects_overlap_near_the_radius_sum():
             def corners(k):
                 asked.append(k)
                 return sim.rect_corners(x, y, heading, length, width)
-            return ((x,), (y,), (math.cos(heading),), (math.sin(heading),),
-                    length / 2.0, width / 2.0, corners)
+            return ((x,), (y,), (heading,), length / 2.0, width / 2.0, corners)
 
         fast = sim.first_overlap(outline(*rect_a), outline(*rect_b)) == 0
         skipped += not asked
@@ -1151,15 +1186,13 @@ def test_gap_verdict_at_the_margins_agrees_with_rects_overlap():
                     rect_a = (xa, ya, heading_a, *sim.VEHICLE_DIMS[kind_a])
                     corners_a = sim.rect_corners(*rect_a)
                     corners_b = region if kind_b == "region" else sim.rect_corners(*rect_b)
-                    outline_a = ((xa,), (ya,), (math.cos(heading_a),), (math.sin(heading_a),),
-                                 rect_a[3] / 2.0, rect_a[4] / 2.0,
+                    outline_a = ((xa,), (ya,), (heading_a,), rect_a[3] / 2.0, rect_a[4] / 2.0,
                                  lambda k: asked.append(k) or corners_a)
                     if kind_b == "region":
                         outline_b = sim.polygon_outline(region, 1)
                     else:
-                        outline_b = ((rect_b[0],), (rect_b[1],), (math.cos(rect_b[2]),),
-                                     (math.sin(rect_b[2]),), rect_b[3] / 2.0, rect_b[4] / 2.0,
-                                     lambda k: corners_b)
+                        outline_b = ((rect_b[0],), (rect_b[1],), (rect_b[2],),
+                                     rect_b[3] / 2.0, rect_b[4] / 2.0, lambda k: corners_b)
                     exact = sim.rects_overlap(corners_a, corners_b)
                     where = (pair, rect_a, rect_b, gap)
                     assert (sim.first_overlap(outline_a, outline_b) == 0) == exact, where
@@ -1171,9 +1204,9 @@ def test_gap_verdict_at_the_margins_agrees_with_rects_overlap():
 
 def test_region_footprint_encloses_the_polygon():
     region = ((-3.5, -3.5), (3.5, -3.5), (3.5, 3.5), (-3.5, 3.5))
-    xs, ys, cos, sin, half_length, half_width, corners = sim.polygon_outline(region, 2)
+    xs, ys, headings, half_length, half_width, corners = sim.polygon_outline(region, 2)
     assert (xs, ys) == ((0.0, 0.0), (0.0, 0.0))
-    assert (cos, sin, half_length, half_width) == ((1.0, 1.0), (0.0, 0.0), 3.5, 3.5)
+    assert (headings, half_length, half_width) == ((0.0, 0.0), 3.5, 3.5)
     assert math.hypot(half_length, half_width) == pytest.approx(3.5 * math.sqrt(2.0))
     assert corners(1) == region
     with pytest.raises(ValueError, match="axis-aligned rectangle"):

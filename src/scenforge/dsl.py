@@ -10,8 +10,14 @@ schema or comes back as a precise issue list.
 complete list of :class:`ValidationIssue` (never just the first problem).
 ``validate_spec`` covers the cross-field invariants that a structurally
 well-formed document can still break; ``parse_and_validate`` runs both.
+Both parsers take an optional ``fold(path, allowed, value)``: the walk
+calls it for each enum string outside its vocabulary, and a token it
+returns stands in for the value.  The strict stages pass none; the
+normalizer passes its synonym fold, so a lenient document is still read
+and walked once.
 ``serialize_dsl`` emits the one canonical text form, so
-``parse_dsl(serialize_dsl(spec)) == spec`` and semantically equal documents
+``parse_dsl(serialize_dsl(spec)) == spec`` for every string (characters
+YAML cannot carry raw are escaped) and semantically equal documents
 serialize byte-identically.
 """
 
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import Any, Callable, Union
 
 import yaml
 
@@ -126,6 +132,8 @@ class ScenarioSpec:
 
 
 ParseResult = Union[ScenarioSpec, "list[ValidationIssue]"]
+# fold(path, allowed, value) -> a token from ``allowed``, or None to reject.
+Fold = Callable[[str, tuple[str, ...], str], str | None]
 
 
 def _sorted(issues: list[ValidationIssue]) -> list[ValidationIssue]:
@@ -135,8 +143,9 @@ def _sorted(issues: list[ValidationIssue]) -> list[ValidationIssue]:
 class _Walker:
     """Accumulates issues while pulling typed values out of the YAML tree."""
 
-    def __init__(self) -> None:
+    def __init__(self, fold: Fold | None = None) -> None:
         self.issues: list[ValidationIssue] = []
+        self.fold = fold
 
     def error(self, path: str, kind: str, message: str, allowed: tuple[str, ...] | None = None) -> None:
         self.issues.append(ValidationIssue(path, kind, message, allowed))
@@ -157,11 +166,19 @@ class _Walker:
             if required:
                 self.error(f"{path}/{key}", MISSING_SECTION, f"required field {key!r} absent")
             return None
-        value = node[key]
-        if not isinstance(value, str) or value not in allowed:
-            self.error(f"{path}/{key}", INVALID_ENUM, f"{value!r} is not an accepted token", allowed)
-            return None
-        return value
+        return self.token(node[key], f"{path}/{key}", allowed)
+
+    def token(self, value: Any, path: str, allowed: tuple[str, ...]) -> str | None:
+        """``value`` if it is in ``allowed``, else the token it folds to, else an issue."""
+        if isinstance(value, str):
+            if value in allowed:
+                return value
+            if self.fold is not None:
+                token = self.fold(path, allowed, value)
+                if token is not None:
+                    return token
+        self.error(path, INVALID_ENUM, f"{value!r} is not an accepted token", allowed)
+        return None
 
     def string(self, node: dict, key: str, path: str, required: bool = True) -> str | None:
         if key not in node:
@@ -230,11 +247,9 @@ def _parse_road_network(w: _Walker, node: Any) -> RoadNetwork | None:
             w.error("/road_network/traffic_signs", INCONSISTENT, "expected a sequence of sign tokens")
         else:
             for i, item in enumerate(raw):
-                if isinstance(item, str) and item in SIGN_TOKENS:
-                    signs.append(item)
-                else:
-                    w.error(f"/road_network/traffic_signs/{i}", INVALID_ENUM,
-                            f"{item!r} is not an accepted token", SIGN_TOKENS)
+                sign = w.token(item, f"/road_network/traffic_signs/{i}", SIGN_TOKENS)
+                if sign is not None:
+                    signs.append(sign)
 
     limit = w.speed(mapping, "speed_limit_value", "/road_network")
 
@@ -384,14 +399,16 @@ def _parse_oracle(w: _Walker, node: Any, actors: ActorSet | None) -> tuple[Oracl
     return tuple(entries)
 
 
-def parse_dsl(source_text: str) -> ParseResult:
+def parse_dsl(source_text: str, fold: Fold | None = None) -> ParseResult:
     """Parse a scenario document.
 
     Returns a :class:`ScenarioSpec` when the document conforms to the
     schema, otherwise the full issue list sorted by field path.  Malformed
-    markup yields a single issue at path "/".
+    markup yields a single issue at path "/".  ``fold``, when given, may
+    map an enum string outside its vocabulary onto a token; the tree
+    itself is never modified.
     """
-    w = _Walker()
+    w = _Walker(fold)
     try:
         doc = yaml.safe_load(source_text)
     except yaml.YAMLError as exc:
@@ -516,13 +533,13 @@ def validate_spec(spec: ScenarioSpec) -> list[ValidationIssue]:
     return _sorted(issues)
 
 
-def parse_and_validate(source_text: str) -> ParseResult:
+def parse_and_validate(source_text: str, fold: Fold | None = None) -> ParseResult:
     """``parse_dsl``, then ``validate_spec``: the spec, or the first step's issues.
 
     Both are looked up as module attributes at call time, so a wrapper
     installed on either one sees these calls too.
     """
-    parsed = parse_dsl(source_text)
+    parsed = parse_dsl(source_text, fold)
     if isinstance(parsed, list):
         return parsed
     return validate_spec(parsed) or parsed
@@ -546,13 +563,27 @@ def _scalar(value: Any) -> str:
                 return text
         except yaml.YAMLError:
             pass
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    return f'"{escaped}"'
+    return _quoted(text)
+
+
+# What a double-quoted scalar cannot hold raw: the quote, the backslash, line
+# breaks (the reader folds them) and every character outside YAML's
+# printable set.  Tab is printable and stays raw.
+_ESCAPE = re.compile(r'[\\"\x00-\x08\x0a-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff\ufffe\uffff]')
+
+
+def _escape(match: re.Match) -> str:
+    char = match.group()
+    if char in '\\"':
+        return "\\" + char
+    if char == "\n":
+        return "\\n"
+    code = ord(char)
+    return f"\\x{code:02X}" if code <= 0xFF else f"\\u{code:04X}"
 
 
 def _quoted(value: str) -> str:
-    escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    return f'"{escaped}"'
+    return '"' + _ESCAPE.sub(_escape, value) + '"'
 
 
 def _emit_actor(lines: list[str], actor: ActorSpec, indent: str, lead: str) -> None:

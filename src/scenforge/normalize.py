@@ -7,15 +7,19 @@ defaults so every scenario stays executable.  Every substitution is
 tagged in a per-field provenance map (``explicit`` / ``normalized`` /
 ``defaulted``) so downstream consumers can tell extraction evidence from
 inference.
+
+Folding happens inside the strict parser's walk: ``normalize_document``
+hands ``dsl.parse_and_validate`` a fold for every enum string outside its
+vocabulary, so each document is read once and the schema's enum fields are
+listed only in ``dsl``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-
-import yaml
 
 from . import dsl, prng
 from .dsl import ActorSet, ActorSpec, Environment, PositionSpec, RoadNetwork, ScenarioSpec, ValidationIssue
@@ -51,6 +55,8 @@ VOCABULARIES: dict[str, tuple[str, ...]] = {
     "sign": dsl.SIGN_TOKENS,
     "actor_type": dsl.ACTOR_TYPES,
 }
+# The kind whose synonyms fold onto each vocabulary the parser checks.
+_KIND_OF = {tokens: kind for kind, tokens in VOCABULARIES.items()}
 
 
 @dataclass(frozen=True)
@@ -81,7 +87,7 @@ def load_synonym_table(path: str | Path) -> dict[tuple[str, str], str]:
     """
     table: dict[tuple[str, str], str] = {}
     text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -98,21 +104,14 @@ def load_synonym_table(path: str | Path) -> dict[tuple[str, str], str]:
     return table
 
 
+@functools.cache
 def default_synonym_table() -> dict[tuple[str, str], str]:
     with resources.as_file(resources.files("scenforge").joinpath("data/synonyms.txt")) as path:
         return load_synonym_table(path)
 
 
-_DEFAULT_TABLE: dict[tuple[str, str], str] | None = None
-
-
-def _table(table: dict[tuple[str, str], str] | None) -> dict[tuple[str, str], str]:
-    global _DEFAULT_TABLE
-    if table is not None:
-        return table
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = default_synonym_table()
-    return _DEFAULT_TABLE
+def _fold_spelling(raw_text: str) -> str:
+    return raw_text.strip().lower().replace(" ", "_").replace("-", "_")
 
 
 def normalize_field(field_kind: str, raw_text: str,
@@ -126,10 +125,10 @@ def normalize_field(field_kind: str, raw_text: str,
     if field_kind not in VOCABULARIES:
         raise ValueError(f"unknown field kind {field_kind!r}")
     key = raw_text.strip().lower()
-    folded = key.replace(" ", "_").replace("-", "_")
+    folded = _fold_spelling(key)
     if folded in VOCABULARIES[field_kind]:
         return CanonicalToken(field_kind, folded)
-    synonyms = _table(table)
+    synonyms = default_synonym_table() if table is None else table
     for candidate in (key, folded):
         if (field_kind, candidate) in synonyms:
             return CanonicalToken(field_kind, synonyms[(field_kind, candidate)])
@@ -252,87 +251,33 @@ def apply_defaults(spec: ScenarioSpec, seed: int) -> NormalizedSpec:
     return NormalizedSpec(spec=resolved, provenance=prov)
 
 
-_LENIENT_KINDS = {
-    ("environment", "weather"): "weather",
-    ("environment", "time_of_day"): "time",
-    ("road_network", "road_markers"): "marker",
-}
-
-
-def _canonicalize_tree(doc: dict, table: dict[tuple[str, str], str] | None,
-                       normalized_paths: list[str]) -> dict:
-    """Fold free-text enum values in a raw document tree onto canonical tokens."""
-
-    def fold(node: dict, key: str, kind: str, path: str) -> None:
-        value = node.get(key)
-        if not isinstance(value, str):
-            return
-        token = normalize_field(kind, value, table)
-        if token is not None and token.value != value:
-            node[key] = token.value
-            normalized_paths.append(path)
-
-    for (section, key), kind in _LENIENT_KINDS.items():
-        sub = doc.get(section)
-        if isinstance(sub, dict):
-            fold(sub, key, kind, f"/{section}/{key}")
-
-    road = doc.get("road_network")
-    if isinstance(road, dict):
-        road_type = road.get("road_type")
-        if isinstance(road_type, str):
-            folded = road_type.strip().lower().replace(" ", "_").replace("-", "_")
-            if folded != road_type and folded in dsl.ROAD_TYPES:
-                road["road_type"] = folded
-                normalized_paths.append("/road_network/road_type")
-        signs = road.get("traffic_signs")
-        if isinstance(signs, list):
-            for i, sign in enumerate(signs):
-                if isinstance(sign, str):
-                    token = normalize_field("sign", sign, table)
-                    if token is not None and token.value != sign:
-                        signs[i] = token.value
-                        normalized_paths.append(f"/road_network/traffic_signs/{i}")
-
-    actors = doc.get("actors")
-    if isinstance(actors, dict):
-        def fold_actor(node, path: str) -> None:
-            if not isinstance(node, dict):
-                return
-            fold(node, "actor_type", "actor_type", f"{path}/actor_type")
-            fold(node, "behavior", "behavior", f"{path}/behavior")
-            position = node.get("position")
-            if isinstance(position, dict):
-                fold(position, "spatial_relation", "spatial", f"{path}/position/spatial_relation")
-                fold(position, "heading_relation", "heading", f"{path}/position/heading_relation")
-
-        fold_actor(actors.get("ego"), "/actors/ego")
-        npcs = actors.get("npcs")
-        if isinstance(npcs, list):
-            for i, npc in enumerate(npcs):
-                fold_actor(npc, f"/actors/npcs/{i}")
-    return doc
-
-
 def normalize_document(source_text: str, seed: int,
                        table: dict[tuple[str, str], str] | None = None
                        ) -> NormalizedSpec | list[ValidationIssue]:
-    """Lenient front door: canonicalize tokens, parse strictly, apply defaults.
+    """Lenient front door: parse strictly while folding tokens, apply defaults.
 
-    Fields whose value changed during token folding carry the
-    ``normalized`` provenance tag; fields filled afterwards carry
-    ``defaulted``.
+    Each enum value outside its vocabulary folds through ``normalize_field``
+    (``road_type``, which has no synonyms, folds case, spaces and hyphens
+    only).  Fields whose value folded carry the ``normalized`` provenance
+    tag, every occurrence of an aliased node included; fields filled
+    afterwards carry ``defaulted``.
     """
-    try:
-        doc = yaml.safe_load(source_text)
-    except yaml.YAMLError as exc:
-        return [ValidationIssue("/", dsl.INCONSISTENT, f"malformed document: {exc}")]
     normalized_paths: list[str] = []
-    if isinstance(doc, dict):
-        doc = _canonicalize_tree(doc, table, normalized_paths)
-        source_text = yaml.safe_dump(doc, sort_keys=False, allow_unicode=True)
 
-    parsed = dsl.parse_and_validate(source_text)
+    def fold(path: str, allowed: tuple[str, ...], value: str) -> str | None:
+        kind = _KIND_OF.get(allowed)
+        if kind is not None:
+            token = normalize_field(kind, value, table)
+            folded = token.value if token is not None else None
+        else:
+            folded = _fold_spelling(value)
+            if folded not in allowed:
+                folded = None
+        if folded is not None:
+            normalized_paths.append(path)
+        return folded
+
+    parsed = dsl.parse_and_validate(source_text, fold)
     if isinstance(parsed, list):
         return parsed
 

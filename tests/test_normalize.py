@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import copy
+import random
+
 import pytest
+import yaml
 
 from scenforge import dsl, normalize
 from scenforge.normalize import (
@@ -12,7 +16,7 @@ from scenforge.normalize import (
     resolve_actor_model,
 )
 
-from .conftest import load_spec
+from .conftest import FIXTURES, SCENARIO_FILES, load_spec
 
 
 def _strip_optionals(spec: dsl.ScenarioSpec) -> dsl.ScenarioSpec:
@@ -196,3 +200,238 @@ def test_normalize_document_reports_issues():
     result = normalize.normalize_document("environment: {weather: plasma}", seed=0)
     assert isinstance(result, list)
     assert any(i.kind == dsl.INVALID_ENUM for i in result)
+
+
+def test_synonym_table_lines_break_at_newline_only(tmp_path):
+    table = tmp_path / "syn.txt"
+    table.write_text("weather.clear\u2028sky=sunny\n", encoding="utf-8")
+    assert normalize.load_synonym_table(table) == {("weather", "clear\u2028sky"): "sunny"}
+    table.write_bytes(b"# comment\r\nweather.clear=sunny\r\ntime.noon=daytime\r\n")
+    assert normalize.load_synonym_table(table) == {
+        ("weather", "clear"): "sunny", ("time", "noon"): "daytime"}
+
+
+def test_normalize_document_loads_once_and_walks_once(monkeypatch):
+    calls = {"safe_load": 0, "safe_dump": 0, "parse_dsl": 0, "validate_spec": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((yaml, "safe_load"), (yaml, "safe_dump"),
+                        (dsl, "parse_dsl"), (dsl, "validate_spec")):
+        counted(owner, name)
+    text = SCENARIO_FILES["straight-1"].read_text(encoding="utf-8")
+    result = normalize.normalize_document(text.replace("weather: sunny", "weather: Clear"), seed=0)
+    assert isinstance(result, normalize.NormalizedSpec)
+    assert result.provenance["/environment/weather"] == normalize.NORMALIZED
+    assert calls == {"safe_load": 1, "safe_dump": 0, "parse_dsl": 1, "validate_spec": 1}
+
+
+# -- the fold inside the parse agrees with canonicalize, dump, strict parse --
+
+_REFERENCE_KINDS = {
+    ("environment", "weather"): "weather",
+    ("environment", "time_of_day"): "time",
+    ("road_network", "road_markers"): "marker",
+}
+
+
+def _reference_canonicalize(doc: dict, table, normalized_paths: list[str]) -> None:
+    """Fold free-text enum values of a raw tree in place (the two-pass converter)."""
+
+    def fold(node: dict, key: str, kind: str, path: str) -> None:
+        value = node.get(key)
+        if not isinstance(value, str):
+            return
+        token = normalize_field(kind, value, table)
+        if token is not None and token.value != value:
+            node[key] = token.value
+            normalized_paths.append(path)
+
+    for (section, key), kind in _REFERENCE_KINDS.items():
+        sub = doc.get(section)
+        if isinstance(sub, dict):
+            fold(sub, key, kind, f"/{section}/{key}")
+
+    road = doc.get("road_network")
+    if isinstance(road, dict):
+        road_type = road.get("road_type")
+        if isinstance(road_type, str):
+            folded = road_type.strip().lower().replace(" ", "_").replace("-", "_")
+            if folded != road_type and folded in dsl.ROAD_TYPES:
+                road["road_type"] = folded
+                normalized_paths.append("/road_network/road_type")
+        signs = road.get("traffic_signs")
+        if isinstance(signs, list):
+            for i, sign in enumerate(signs):
+                if isinstance(sign, str):
+                    token = normalize_field("sign", sign, table)
+                    if token is not None and token.value != sign:
+                        signs[i] = token.value
+                        normalized_paths.append(f"/road_network/traffic_signs/{i}")
+
+    def fold_actor(node, path: str) -> None:
+        if not isinstance(node, dict):
+            return
+        fold(node, "actor_type", "actor_type", f"{path}/actor_type")
+        fold(node, "behavior", "behavior", f"{path}/behavior")
+        position = node.get("position")
+        if isinstance(position, dict):
+            fold(position, "spatial_relation", "spatial", f"{path}/position/spatial_relation")
+            fold(position, "heading_relation", "heading", f"{path}/position/heading_relation")
+
+    actors = doc.get("actors")
+    if isinstance(actors, dict):
+        fold_actor(actors.get("ego"), "/actors/ego")
+        npcs = actors.get("npcs")
+        if isinstance(npcs, list):
+            for i, npc in enumerate(npcs):
+                fold_actor(npc, f"/actors/npcs/{i}")
+
+
+def _reference_normalize_document(source_text: str, seed: int, table=None):
+    """Canonicalize the loaded tree, dump it, then parse the dump strictly."""
+    try:
+        doc = yaml.safe_load(source_text)
+    except yaml.YAMLError as exc:
+        return [dsl.ValidationIssue("/", dsl.INCONSISTENT, f"malformed document: {exc}")]
+    normalized_paths: list[str] = []
+    if isinstance(doc, dict):
+        _reference_canonicalize(doc, table, normalized_paths)
+        source_text = yaml.safe_dump(doc, sort_keys=False, allow_unicode=True)
+    parsed = dsl.parse_and_validate(source_text)
+    if isinstance(parsed, list):
+        return parsed
+    result = apply_defaults(parsed, seed)
+    provenance = dict(result.provenance)
+    for path in normalized_paths:
+        if provenance.get(path) == normalize.EXPLICIT:
+            provenance[path] = normalize.NORMALIZED
+    return normalize.NormalizedSpec(spec=result.spec, provenance=provenance)
+
+
+_BASE_FILES = sorted(SCENARIO_FILES.values()) + sorted((FIXTURES / "accuracy").glob("*.yaml"))
+_VARIANT_COUNT = 3000
+
+
+def _spellings(rng: random.Random, token: str, synonyms: list[str]) -> str:
+    text = rng.choice([token] + synonyms) if synonyms and rng.random() < 0.5 else token
+    text = text.replace("_", rng.choice(["_", " ", "-"]))
+    text = rng.choice([text, text.upper(), text.title(), text.capitalize()])
+    return rng.choice(["", " ", "  "]) + text + rng.choice(["", " ", "\t"])
+
+
+def _lenient_value(rng: random.Random, value, kind: str, table) -> object:
+    roll = rng.random()
+    if roll < 0.3 or not isinstance(value, str):
+        return value
+    if roll < 0.97:
+        synonyms = [raw for (k, raw) in table if k == kind]
+        return _spellings(rng, value, synonyms)
+    return rng.choice(["plasma", "volcanic ash", 42, None, True, ["front"], "", "not mentioned"])
+
+
+def _lenient_variant(rng: random.Random, doc: dict, table) -> str:
+    doc = copy.deepcopy(doc)
+    fields = [(doc["environment"], "weather", "weather"),
+              (doc["environment"], "time_of_day", "time"),
+              (doc["road_network"], "road_markers", "marker"),
+              (doc["road_network"], "road_type", "road")]
+    actors = doc["actors"]
+    npcs = actors.get("npcs") or []
+    for actor in [actors["ego"]] + npcs:
+        fields += [(actor, "actor_type", "actor_type"), (actor, "behavior", "behavior")]
+        position = actor.get("position")
+        if position:
+            fields.append((position, "spatial_relation", "spatial"))
+            if "heading_relation" in position:
+                fields.append((position, "heading_relation", "heading"))
+    for node, key, kind in fields:
+        node[key] = _lenient_value(rng, node[key], kind, table)
+    signs = doc["road_network"].get("traffic_signs") or []
+    for i, sign in enumerate(signs):
+        signs[i] = _lenient_value(rng, sign, "sign", table)
+    if rng.random() < 0.2:
+        signs.append(_spellings(rng, "stop", ["stop sign", "red light", "signal"]))
+        doc["road_network"]["traffic_signs"] = signs
+    if rng.random() < 0.05:
+        actors["ego"]["position"] = {"spatial_relation": _spellings(rng, "front", [])}
+    if npcs and rng.random() < 0.05:
+        for extra in range(dsl.MAX_NPCS + 1 - len(npcs)):
+            npc = copy.deepcopy(npcs[0])
+            npc["actor_id"] = f"extra_{extra}"
+            npcs.append(npc)
+    return yaml.safe_dump(doc, sort_keys=rng.random() < 0.2, allow_unicode=True,
+                          default_flow_style=rng.random() < 0.25)
+
+
+def _lenient_corpus() -> list[tuple[str, str]]:
+    table = normalize.default_synonym_table()
+    rng = random.Random(20261019)
+    texts = [(path.name, path.read_text(encoding="utf-8")) for path in _BASE_FILES]
+    bases = [(name, yaml.safe_load(text)) for name, text in texts]
+    variants = []
+    for i in range(_VARIANT_COUNT):
+        name, doc = bases[i % len(bases)]
+        variants.append((f"{name}~{i}", _lenient_variant(rng, doc, table)))
+    return texts + variants
+
+
+def test_normalize_document_matches_the_two_pass_reference():
+    corpus = _lenient_corpus()
+    assert len(corpus) >= _VARIANT_COUNT + len(_BASE_FILES)
+    mismatched, folded, rejected = [], 0, 0
+    for seed, (name, text) in enumerate(corpus):
+        got = normalize.normalize_document(text, seed)
+        if got != _reference_normalize_document(text, seed):
+            mismatched.append(name)
+        elif isinstance(got, list):
+            rejected += 1
+        elif normalize.NORMALIZED in got.provenance.values():
+            folded += 1
+    assert mismatched == []
+    # The corpus exercises both outcomes, and folding for real.
+    assert folded > 1500 and rejected > 1000
+
+
+_ALIASED = """\
+scenario_id: aliased
+environment: {weather: Clear, time_of_day: daytime}
+road_network: {road_type: straight, number_of_ways: 2, number_of_lanes: 1,
+               road_markers: solid_line, traffic_signs: []}
+actors:
+  ego: {actor_type: car, behavior: go_forward}
+  npcs:
+    - actor_id: npc_1
+      actor_type: car
+      behavior: go_forward
+      position: &shared {reference: ego, spatial_relation: In Front}
+    - actor_id: npc_2
+      actor_type: car
+      behavior: go_forward
+      position: *shared
+oracle:
+  - {rule: CVC_21460, violation_type: lane_crossing, description: "crossed"}
+"""
+
+
+def test_an_aliased_node_is_tagged_at_every_occurrence():
+    got = normalize.normalize_document(_ALIASED, seed=0)
+    reference = _reference_normalize_document(_ALIASED, seed=0)
+    assert isinstance(got, normalize.NormalizedSpec)
+    assert got.spec == reference.spec
+    assert got.spec.actors.npcs[1].position.spatial_relation == "front"
+    first = "/actors/npcs/0/position/spatial_relation"
+    second = "/actors/npcs/1/position/spatial_relation"
+    assert got.provenance[first] == reference.provenance[first] == normalize.NORMALIZED
+    # Folding in place rewrote the shared node once, so only its first
+    # occurrence was tagged; the fold in the walk tags each occurrence.
+    assert reference.provenance[second] == normalize.EXPLICIT
+    assert got.provenance[second] == normalize.NORMALIZED
+    assert {p: t for p, t in got.provenance.items() if p != second} == \
+        {p: t for p, t in reference.provenance.items() if p != second}

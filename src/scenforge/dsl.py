@@ -23,6 +23,7 @@ serialize byte-identically.
 
 from __future__ import annotations
 
+import keyword
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Union
@@ -55,6 +56,9 @@ DEFAULT_SCENARIO_ID = "unnamed"
 # The id names the files and the directory a scenario is written to, so it
 # must be one path component that cannot climb out of the output directory.
 SCENARIO_ID_PATTERN = re.compile(r"[A-Za-z0-9_-]+")
+
+# The Scenic program assigns each of these names, and each npc id, once.
+FREE_PARAMETER_NAMES = ("EGO_INIT_DIST", "NPC_INIT_DIST", "ego_speed", "npc_speed")
 
 # Issue kinds
 MISSING_SECTION = "missing_section"
@@ -287,6 +291,11 @@ def _parse_actor(w: _Walker, node: Any, path: str, is_ego: bool, default_id: str
         if not is_ego:
             return None
         actor_id = default_id
+    elif not actor_id.isidentifier() or keyword.iskeyword(actor_id):
+        w.error(f"{path}/actor_id", INCONSISTENT, f"actor id {actor_id!r} is not an identifier")
+    elif not is_ego and actor_id in ("ego", *FREE_PARAMETER_NAMES):
+        w.error(f"{path}/actor_id", INCONSISTENT,
+                f"npc id {actor_id!r} is a name the Scenic program already assigns")
     actor_type = w.enum(mapping, "actor_type", path, ACTOR_TYPES)
     behavior = w.enum(mapping, "behavior", path, BEHAVIOR_TOKENS)
     speed = w.speed(mapping, "speed_mps", path)

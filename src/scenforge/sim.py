@@ -30,7 +30,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
 from .digests import canonical_json, digest64_json, to_data
@@ -488,8 +487,9 @@ class ActorTrack:
 
 @dataclass(frozen=True)
 class Trace:
-    """Header fields, then per frame the time and the signal states, and one
-    track per actor in the order frame lines list the actors.
+    """Header fields, the frame times, per frame the signal states, and one
+    track per actor: the columns `simulate` fills and a trace file stores,
+    one line each (see `trace_to_jsonl`).
     """
 
     scenario_id: str
@@ -543,13 +543,22 @@ def _sig6_texts(column) -> list[str]:
     return texts
 
 
-def trace_to_jsonl(trace: Trace) -> str:
-    """Header line then one frame object per line, 6 significant digits.
+TRACE_FORMAT = 2  # the `format` of the header line; a header without one is format 1
 
-    Frame lines are written as text with sorted keys, as `canonical_json` would.
+
+def trace_to_jsonl(trace: Trace) -> str:
+    """Trace format 2: a header line, then one line per column.
+
+    Line 2 holds the frame times as `{"t":[...]}`; one line per signal head
+    holds its states as `{"approach":...,"state":[...]}`; one line per actor,
+    in track order, holds its six columns.  Floats are written to 6
+    significant digits, and every line has sorted keys, as `canonical_json`
+    would write them.  Raises ValueError if the frames list different signal
+    approaches, which the format cannot hold.
     """
     header = {
         "actor_types": trace.actor_types,
+        "format": TRACE_FORMAT,
         "geometry_ref": trace.geometry_ref,
         "horizon_s": trace.horizon_s,
         "instance_seed": trace.instance_seed,
@@ -557,147 +566,119 @@ def trace_to_jsonl(trace: Trace) -> str:
         "timestep_s": trace.timestep_s,
     }
     string = functools.cache(canonical_json)  # each id, lane, approach and state once
-    num = _sig6_texts
-    columns = []  # per actor, its state object text in each frame
-    for a in trace.tracks:
-        actor_id = string(a.actor_id)
-        columns.append([
-            f'{{"heading":{heading},"id":{actor_id},"lane":{string(lane)},"lat":{lat},'
-            f'"speed":{speed},"x":{x},"y":{y}}}'
-            for heading, lane, lat, speed, x, y in zip(
-                num(a.heading), a.lane_id, num(a.lateral), num(a.speed), num(a.x), num(a.y))])
-    lines = [canonical_json(header)]
-    signal_arrays: dict[tuple[tuple[str, str], ...], str] = {}
+
+    def strings(values) -> str:
+        return ",".join(map(string, values))
+
+    def nums(values) -> str:
+        return ",".join(_sig6_texts(values))
+
     # `simulate`'s frame times are formatted once; a -0.0 equals 0.0 but keeps its sign
     times = trace.times
     off_grid = times != _FRAME_TIMES[:len(times)] or (times and math.copysign(1.0, times[0]) < 0)
-    time_texts = num(times) if off_grid else _frame_time_texts()
-    for t, frame_signals, actors in zip(time_texts, trace.signals, zip(*columns)):
-        signals = signal_arrays.get(frame_signals)
-        if signals is None:
-            signals = signal_arrays[frame_signals] = "[" + ",".join(
-                f'{{"approach":{string(ap)},"state":{string(st)}}}'
-                for ap, st in frame_signals) + "]"
-        lines.append(f'{{"actors":[{",".join(actors)}],"signals":{signals},"t":{t}}}')
+    time_texts = _sig6_texts(times) if off_grid else _frame_time_texts()[:len(times)]
+    lines = [canonical_json(header), '{"t":[' + ",".join(time_texts) + "]}"]
+    approaches = {tuple(approach for approach, _ in frame) for frame in set(trace.signals)}
+    if len(approaches) > 1:
+        raise ValueError(f"the frames list different signal approaches: {sorted(approaches)}")
+    for i, approach in enumerate(next(iter(approaches), ())):
+        states = strings(frame[i][1] for frame in trace.signals)
+        lines.append(f'{{"approach":{string(approach)},"state":[{states}]}}')
+    for a in trace.tracks:
+        lines.append(
+            f'{{"heading":[{nums(a.heading)}],"id":{string(a.actor_id)},'
+            f'"lane":[{strings(a.lane_id)}],"lat":[{nums(a.lateral)}],"speed":[{nums(a.speed)}],'
+            f'"x":[{nums(a.x)}],"y":[{nums(a.y)}]}}')
     return "\n".join(lines) + "\n"
 
 
-_STATE_KEYS = ("x", "y", "heading", "speed", "lane", "lat")  # ActorTrack's column order
-_actor_id = operator.itemgetter("id")
-_actor_state = operator.itemgetter("id", *_STATE_KEYS)
-_frame_actors = operator.itemgetter("actors")
-_frame_time = operator.itemgetter("t")
-_frame_signals = operator.itemgetter("signals")
-_signal = operator.itemgetter("approach", "state")
+_COLUMN_KEYS = ("x", "y", "heading", "speed", "lane", "lat")  # ActorTrack's column order
 
 
 def trace_from_jsonl(text: str) -> Trace:
-    """Reads `trace_to_jsonl` output; blank lines are skipped.
+    """Reads `trace_to_jsonl` output, decoding each line on its own; blank lines
+    are skipped.  Lines break at "\n" only, so a raw U+0085, U+2028 or U+2029
+    inside a JSON string stays in its line, and a CRLF's "\r" is whitespace.
 
-    Lines break at "\n" only, so a raw U+0085, U+2028 or U+2029 inside a JSON
-    string stays in its line, and the "\r" of a CRLF line is JSON whitespace.
-
-    Every frame must list the same actors in the same order, and they must
-    be the actors of the header's `actor_types`.  A malformed trace raises
-    ValueError naming the line at fault.
+    The header must be of format 2 and give each actor a type of
+    `VEHICLE_DIMS`.  Every column holds one value per time, signal lines come
+    before actor lines, and the actor lines are the header's actors, once
+    each.  A malformed trace raises ValueError naming the line at fault.
     """
-    lines = [line for line in text.split("\n") if line.strip()]
+    lines = [(n, line) for n, line in enumerate(text.split("\n"), 1) if line.strip()]
+    if not lines:
+        raise ValueError("empty trace")
+    import orjson  # not at module level: `pipeline` never reads a trace
+    n = lines[0][0]
     try:
-        return _decode_trace(lines[0], lines[1:])
+        header = _decode_header(_decode_line(orjson, lines[0][1]))
+        if len(lines) == 1:
+            raise ValueError("no time line after the header")
+        n = lines[1][0]
+        times = _decode_line(orjson, lines[1][1])["t"]
+        if type(times) is not list or not times:
+            raise ValueError("'t' is not a list of one or more times")
+        frames = len(times)
+        actor_types = header["actor_types"]
+        heads, tracks = [], {}
+        for n, line in lines[2:]:
+            row = _decode_line(orjson, line)
+            if "approach" in row and not tracks:
+                heads.append(zip(itertools.repeat(row["approach"]), _column(row, "state", frames)))
+                continue
+            actor_id = row["id"]
+            if actor_id in tracks or actor_id not in actor_types:
+                raise _actor_mismatch([*tracks, actor_id], actor_types)
+            tracks[actor_id] = ActorTrack(actor_id, *(_column(row, key, frames)
+                                                      for key in _COLUMN_KEYS))
+        n = lines[0][0]
+        if len(tracks) != len(actor_types):
+            raise _actor_mismatch(list(tracks), actor_types)
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
-        raise _malformed(text, exc) from exc
+        raise ValueError(f"line {n}: {_reason(exc)}") from exc
+    return Trace(**header, times=tuple(times),
+                 signals=tuple(zip(*heads)) if heads else ((),) * frames,
+                 tracks=tuple(tracks.values()))
 
 
-def _decode_header(line: str) -> dict:
-    header = json.loads(line)
+def _decode_header(header: dict) -> dict:
+    version = header.get("format", 1)
+    if version != TRACE_FORMAT:
+        raise ValueError(f"trace format {version!r}: this reader reads format {TRACE_FORMAT} "
+                         f"only, so simulate the instances again")
+    actor_types = dict(header["actor_types"])
+    for actor_id, kind in actor_types.items():
+        if kind not in VEHICLE_DIMS:
+            raise ValueError(f"actor {actor_id!r} has type {kind!r}, not one of "
+                             f"{sorted(VEHICLE_DIMS)}")
     return {key: header[key] for key in (
         "scenario_id", "instance_seed", "timestep_s", "horizon_s", "geometry_ref")} | {
-        "actor_types": dict(header["actor_types"])}
+        "actor_types": actor_types}
 
 
-def _decode_frames(text: str) -> list:
-    """`json.loads(text)`, decoded by orjson wherever orjson accepts the text.
+def _decode_line(orjson, line: str):
+    """`json.loads(line)`, decoded by orjson wherever orjson accepts the text.
 
     orjson rejects NaN, Infinity, numbers beyond the double range and lone
-    surrogates, all of which `json` reads; such texts, and malformed ones, go
-    to `json.loads`, so they read, or fail with `json`'s message, as before.
-    One difference remains: orjson reads an integer outside the 64-bit range
-    as a float where `json` keeps an int.  The writer puts no integer in a
-    frame line.
+    surrogates; such lines, and malformed ones, read, or fail with `json`'s
+    message, as `json.loads` has them.  Only an integer outside the 64-bit
+    range differs: orjson reads it as a float.  The writer writes no integer.
     """
-    # Imported here rather than at the top: `pipeline` never reads a trace, and
-    # a module-level import costs every CLI process start-up time and memory.
-    import orjson
     try:
-        return orjson.loads(text)
+        return orjson.loads(line)
     except orjson.JSONDecodeError:
-        return json.loads(text)
+        return json.loads(line)
 
 
-def _track_columns(per_frame: list, ids: tuple) -> list | None:
-    """Per actor, its (id, x, y, heading, speed, lane, lat) columns; None
-    unless every frame lists exactly the actors `ids`, in that order."""
-    if set(map(len, per_frame)) != {len(ids)}:
-        return None
-    columns = [tuple(zip(*map(_actor_state, states))) for states in zip(*per_frame)]
-    frames = len(per_frame)
-    if all(column[0].count(actor_id) == frames for actor_id, column in zip(ids, columns)):
-        return columns
-    return None
+def _actor_mismatch(ids: list, actor_types: dict) -> ValueError:
+    return ValueError(f"actors {ids} differ from the header's actor_types {sorted(actor_types)}")
 
 
-def _decode_trace(header_line: str, frame_lines: list[str]) -> Trace:
-    """All frame lines in one decode, transposed into tracks."""
-    header = _decode_header(header_line)
-    rows = _decode_frames("[" + ",".join(frame_lines) + "]")
-    if len(rows) != len(frame_lines):
-        raise ValueError("frame lines do not hold one JSON object each")
-    per_frame = list(map(_frame_actors, rows))
-    ids = tuple(map(_actor_id, per_frame[0]))
-    if not ids:
-        raise ValueError("the frame lists no actors")
-    if sorted(ids) != sorted(header["actor_types"]):
-        raise ValueError(f"actors {list(ids)} do not match the header actor_types "
-                         f"{sorted(header['actor_types'])}")
-    try:
-        columns = _track_columns(per_frame, ids)
-    except (LookupError, TypeError):
-        columns = None
-    if columns is None:  # name the first frame whose actors differ, else the missing key
-        for actors in per_frame:
-            if tuple(map(_actor_id, actors)) != ids:
-                raise ValueError(f"actors {list(map(_actor_id, actors))} differ in set or order "
-                                 f"from the first frame's {list(ids)}")
-        columns = _track_columns(per_frame, ids)
-    return Trace(
-        **header,
-        times=tuple(map(_frame_time, rows)),
-        signals=tuple(tuple(map(_signal, signals)) for signals in map(_frame_signals, rows)),
-        tracks=tuple(ActorTrack(actor_id, *column[1:])
-                     for actor_id, column in zip(ids, columns)),
-    )
-
-
-def _malformed(text: str, exc: Exception) -> ValueError:
-    """Finds the line at fault by decoding line by line (the error path only)."""
-    numbered = [(n, line) for n, line in enumerate(text.split("\n"), 1) if line.strip()]
-    if not numbered:
-        return ValueError("empty trace")
-    (n, header), frames = numbered[0], numbered[1:]
-    try:
-        _decode_header(header)
-    except (ValueError, LookupError, TypeError, AttributeError) as header_exc:
-        return ValueError(f"line {n}: {_reason(header_exc)}")
-    if not frames:
-        return ValueError(f"line {n}: no frame lines after the header")
-    first = frames[0][1]
-    for n, line in frames:
-        try:
-            json.loads(line)
-            _decode_trace(header, [first, line])
-        except (ValueError, LookupError, TypeError, AttributeError) as line_exc:
-            return ValueError(f"line {n}: {_reason(line_exc)}")
-    return ValueError(_reason(exc))
+def _column(row: dict, key: str, frames: int) -> tuple:
+    column = row[key]
+    if type(column) is not list or len(column) != frames:
+        raise ValueError(f"{key!r} is not a list of {frames} values, one per time")
+    return tuple(column)
 
 
 def _reason(exc: Exception) -> str:

@@ -14,12 +14,10 @@ import re
 from dataclasses import dataclass
 
 from .digests import digest64_json, digest64_text, to_data
-from .dsl import OracleEntry
+from .dsl import FREE_PARAMETER_NAMES, OracleEntry
 from .normalize import DEFAULT_SPEED_MPS, NormalizedSpec
 
 log = logging.getLogger(__name__)
-
-FREE_PARAMETER_NAMES = ("EGO_INIT_DIST", "NPC_INIT_DIST", "ego_speed", "npc_speed")
 
 INIT_DIST_RANGE = (15.0, 20.0)    # initial-distance parameters in meters
 
@@ -333,6 +331,13 @@ _ADVERSARY_BEHAVIORS = {
 }
 
 
+def _escaped(text: str) -> str:
+    """`text` as the body of a single-quoted Python string literal: `repr` escapes
+    every character that could break a line, and quotes with ' (escaping each
+    one) when the text also holds a ", so the literal never ends early."""
+    return repr(text + '"')[1:-2]
+
+
 def render_scenic(template: ScenarioTemplate) -> ScenicProgram:
     """Expand the master template into program text.
 
@@ -367,14 +372,14 @@ def render_scenic(template: ScenarioTemplate) -> ScenicProgram:
         lines.append("")
     ego_kind = "Truck" if p.ego_model == "vehicle.carlamotors.european_hgv" else "Car"
     lines.append(f"ego = new {ego_kind} on road,")
-    lines.append(f"    with blueprint '{p.ego_model}',")
+    lines.append(f"    with blueprint '{_escaped(p.ego_model)}',")
     lines.append("    with behavior EgoDrive(),")
     lines.append("    with speed ego_speed")
     for npc in p.npcs:
         lines.append("")
         kind = "Truck" if npc.actor_type == "truck" else "Car"
         lines.append(f"{npc.actor_id} = new {kind} on road,")
-        lines.append(f"    with blueprint '{npc.model_id}',")
+        lines.append(f"    with blueprint '{_escaped(npc.model_id)}',")
         if npc.adversary:
             behavior_name = {
                 "head_on": "AdversaryHeadOn",
@@ -391,7 +396,8 @@ def render_scenic(template: ScenarioTemplate) -> ScenicProgram:
     lines.append("terminate after 60 seconds")
     lines.append("")
     for entry in p.oracle:
-        lines.append(f"# oracle: CVC_{entry.rule_id} {entry.violation_type} by {entry.violating_actor}")
+        lines.append(f"# oracle: CVC_{entry.rule_id} {_escaped(entry.violation_type)} "
+                     f"by {entry.violating_actor}")
     source = "\n".join(lines) + "\n"
     return ScenicProgram(source_text=source, content_digest=digest64_text(source))
 

@@ -1,0 +1,124 @@
+"""Reference trace writers and readers, built on `json` and one dict per line.
+
+Format 1, the frame-per-line format that format 2 replaced, is kept here as
+a reference: `PINNED_TRACE_SHA256` hashes `simulate`'s traces through its
+writer, and a trace read back from format 2 must hold exactly the floats
+that a format-1 round trip gives.  The format-2 pair states what
+`sim.trace_to_jsonl` writes and `sim.trace_from_jsonl` reads.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import struct
+
+from scenforge import sim
+from scenforge.digests import canonical_json
+
+_HEADER_KEYS = ("scenario_id", "instance_seed", "timestep_s", "horizon_s", "geometry_ref")
+
+
+def sig6(x: float) -> float:
+    return float(f"{x:.6g}")
+
+
+def _header(trace: sim.Trace) -> dict:
+    return {"actor_types": trace.actor_types, "geometry_ref": trace.geometry_ref,
+            "horizon_s": trace.horizon_s, "instance_seed": trace.instance_seed,
+            "scenario_id": trace.scenario_id, "timestep_s": trace.timestep_s}
+
+
+def format1_to_jsonl(trace: sim.Trace) -> str:
+    """Trace format 1: the header, then one object per frame."""
+    lines = [canonical_json(_header(trace))]
+    for k, t in enumerate(trace.times):
+        lines.append(canonical_json({
+            "t": sig6(t),
+            "actors": [
+                {"id": a.actor_id, "x": sig6(a.x[k]), "y": sig6(a.y[k]),
+                 "heading": sig6(a.heading[k]), "speed": sig6(a.speed[k]),
+                 "lane": a.lane_id[k], "lat": sig6(a.lateral[k])}
+                for a in trace.tracks
+            ],
+            "signals": [{"approach": ap, "state": st} for ap, st in trace.signals[k]],
+        }))
+    return "\n".join(lines) + "\n"
+
+
+def format1_from_jsonl(text: str) -> sim.Trace:
+    """Reads `format1_to_jsonl` output; every frame lists the same actors."""
+    header, *rows = [json.loads(line) for line in text.split("\n") if line.strip()]
+    per_frame = [row["actors"] for row in rows]
+    ids = tuple(actor["id"] for actor in per_frame[0])
+    assert sorted(ids) == sorted(header["actor_types"])
+    for actors in per_frame:
+        assert tuple(actor["id"] for actor in actors) == ids
+    return sim.Trace(
+        **{key: header[key] for key in _HEADER_KEYS},
+        actor_types=dict(header["actor_types"]),
+        times=tuple(row["t"] for row in rows),
+        signals=tuple(tuple((s["approach"], s["state"]) for s in row["signals"])
+                      for row in rows),
+        tracks=tuple(sim.ActorTrack(actor_id, *(tuple(state[key] for state in states)
+                                                for key in sim._COLUMN_KEYS))
+                     for actor_id, states in zip(ids, zip(*per_frame))),
+    )
+
+
+def format2_to_jsonl(trace: sim.Trace) -> str:
+    """Trace format 2: the header, the times, one line per signal head and one
+    per actor, each line one `canonical_json` object."""
+    heads = [approach for approach, _ in trace.signals[0]] if trace.signals else []
+    lines = [canonical_json(_header(trace) | {"format": 2}),
+             canonical_json({"t": [sig6(t) for t in trace.times]})]
+    lines += [canonical_json({"approach": approach,
+                              "state": [frame[i][1] for frame in trace.signals]})
+              for i, approach in enumerate(heads)]
+    lines += [canonical_json({"id": a.actor_id, "x": [sig6(x) for x in a.x],
+                              "y": [sig6(y) for y in a.y],
+                              "heading": [sig6(h) for h in a.heading],
+                              "speed": [sig6(v) for v in a.speed], "lane": list(a.lane_id),
+                              "lat": [sig6(lat) for lat in a.lateral]})
+              for a in trace.tracks]
+    return "\n".join(lines) + "\n"
+
+
+def format2_from_jsonl(text: str) -> sim.Trace:
+    """Reads a well-formed format-2 trace with `json.loads` alone."""
+    header, times, *rows = [json.loads(line) for line in text.split("\n") if line.strip()]
+    heads = [row for row in rows if "approach" in row]
+    return sim.Trace(
+        **{key: header[key] for key in _HEADER_KEYS},
+        actor_types=dict(header["actor_types"]),
+        times=tuple(times["t"]),
+        signals=tuple(tuple((head["approach"], head["state"][k]) for head in heads)
+                      for k in range(len(times["t"]))),
+        tracks=tuple(sim.ActorTrack(row["id"], *(tuple(row[key]) for key in sim._COLUMN_KEYS))
+                     for row in rows if "approach" not in row),
+    )
+
+
+def exact(value):
+    """`value` with every float replaced by its bits and every leaf tagged with its
+    type, so -0.0, nan, and an int against an equal float all count."""
+    if isinstance(value, float):
+        return float, struct.pack("<d", value)
+    if isinstance(value, (tuple, list)):
+        return type(value), tuple(map(exact, value))
+    if isinstance(value, dict):
+        return dict, tuple((exact(key), exact(item)) for key, item in value.items())
+    if dataclasses.is_dataclass(value):
+        return type(value), tuple(exact(getattr(value, f.name))
+                                  for f in dataclasses.fields(value))
+    return type(value), value
+
+
+def assert_round_trips_as_format_1(trace: sim.Trace) -> str:
+    """The format-2 text of `trace`, after checking that it reads back to the
+    bits a format-1 round trip gives and writes back to itself."""
+    text = sim.trace_to_jsonl(trace)
+    reloaded = sim.trace_from_jsonl(text)
+    assert exact(reloaded) == exact(format1_from_jsonl(format1_to_jsonl(trace)))
+    assert sim.trace_to_jsonl(reloaded) == text
+    return text

@@ -21,6 +21,7 @@ from scenforge import dsl, evaluate, extract, normalize, rules, sampling, sim, s
 from .conftest import EXPECTED_RULE_COUNTS, FIXTURES, load_template
 from .test_dsl import scenario_specs
 from .test_evaluate import brute_force_weighted_kappa
+from .test_synth import assert_program_keeps_the_template_lines
 
 FIXTURE_ORDER = ("straight-1", "straight-2", "intersection-1",
                  "intersection-2", "t-intersection", "curve")
@@ -154,6 +155,11 @@ def test_criterion_4_batch_determinism(batch_first_pass):
 def test_criterion_5_round_trip_property(spec):
     text = dsl.serialize_dsl(spec)
     assert dsl.parse_dsl(text) == spec
+    try:
+        template = synth.build_template(normalize.apply_defaults(spec, 0))
+    except synth.CompatibilityError:
+        return
+    assert_program_keeps_the_template_lines(template)
 
 
 def test_criterion_5_round_trip_and_validation(corpus_dir):

@@ -15,8 +15,10 @@ from scenforge import cli, dsl, normalize, rules, sampling, sim, synth
 from scenforge.digests import from_data
 
 from .conftest import FIXTURES, SCENARIO_FILES
+from .reference_traces import assert_round_trips_as_format_1, format1_to_jsonl
 from .test_dsl import scenario_specs
 from .test_rules import reference_monitor
+from .test_synth import assert_program_keeps_the_template_lines
 
 STRAIGHT1 = FIXTURES / "scenarios" / "straight1.yaml"
 CURVE = FIXTURES / "scenarios" / "curve.yaml"
@@ -130,7 +132,9 @@ def test_fuzzed_documents_are_rejected_at_synth_or_compose_end_to_end(spec):
     through `pipeline` and the staged commands without an error, writing the same
     files; the reports agree on every verdict (their evidence floats may differ,
     see `test_staged_reports_match_pipeline`), and each is the shortcut-free
-    reference monitor's report of its trace, in memory or reloaded."""
+    reference monitor's report of its trace, in memory or reloaded.  The
+    program has the template's lines, and each trace reads back from format 2
+    to a format-1 round trip's floats and writes back its own text."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         text = dsl.serialize_dsl(spec)
@@ -147,6 +151,7 @@ def test_fuzzed_documents_are_rejected_at_synth_or_compose_end_to_end(spec):
             failures = (out / "failures.txt").read_text(encoding="utf-8")
             assert failures == f"{document}: {exc}\n" and failures.startswith(f"{document}: /")
             return
+        assert_program_keeps_the_template_lines(template)
         sid = normalized.spec.scenario_id
         piped, staged = _pipeline_and_stages(document, sid, root, "2")
         _assert_same_stage_files(piped, staged, sid, 2)
@@ -156,7 +161,7 @@ def test_fuzzed_documents_are_rejected_at_synth_or_compose_end_to_end(spec):
         for seed in range(2):
             text = (staged / "traces" / f"trace_{seed:05d}.jsonl").read_text(encoding="utf-8")
             trace = sim.simulate(sampling.sample_instance(template, seed), geometry)
-            assert sim.trace_to_jsonl(trace) == text
+            assert assert_round_trips_as_format_1(trace) == text
             name = Path("reports") / f"report_{seed:05d}.json"
             for report, monitored in ((piped / name, trace),
                                       (staged / name, sim.trace_from_jsonl(text))):
@@ -440,17 +445,45 @@ def test_a_failing_staged_monitor_names_its_seed(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "summary.csv").exists()
 
 
-def test_a_malformed_trace_is_named_with_its_file_and_line(tmp_path, capsys):
+def _monitor_with_second_trace(tmp_path, capsys, edit) -> tuple[int, str, Path]:
+    """(exit status, stderr, second trace) of a staged `monitor` over seeds 0-3
+    of straight-1 whose second trace file is `edit`ed."""
     template, manifest = _staged_manifest(tmp_path)
     assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_OK
     traces = sorted((tmp_path / "traces").glob("trace_*.jsonl"))
-    lines = traces[1].read_text(encoding="utf-8").splitlines()
-    traces[1].write_text("\n".join(lines[:-1] + ['{"actors":[']) + "\n", encoding="utf-8")
+    traces[1].write_text(edit(traces[1].read_text(encoding="utf-8")), encoding="utf-8")
     capsys.readouterr()
-    assert cli.main(["monitor", str(template), *map(str, traces)]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        f"error: {traces[1]}: line {len(lines)}: Expecting value at column 12\n")
+    status = cli.main(["monitor", str(template), *map(str, traces)])
     assert not (tmp_path / "reports").exists()
+    return status, capsys.readouterr().err, traces[1]
+
+
+def test_a_malformed_trace_is_named_with_its_file_and_line(tmp_path, capsys):
+    def truncate(text: str) -> str:
+        lines = text.splitlines()
+        assert len(lines) == 4 and lines[-1].startswith('{"heading":[')
+        return "\n".join(lines[:-1] + ['{"heading":[']) + "\n"
+
+    status, err, trace = _monitor_with_second_trace(tmp_path, capsys, truncate)
+    assert status == cli.EXIT_CONFIG
+    assert err == f"error: {trace}: line 4: Expecting value at column 13\n"
+
+
+def test_a_trace_of_an_unknown_actor_type_is_a_config_error(tmp_path, capsys):
+    status, err, trace = _monitor_with_second_trace(
+        tmp_path, capsys, lambda text: text.replace('"ego":"car"', '"ego":"bus"', 1))
+    assert status == cli.EXIT_CONFIG
+    assert err == (f"error: {trace}: line 1: actor 'ego' has type 'bus', "
+                   f"not one of ['car', 'truck']\n")
+
+
+def test_a_format_1_trace_is_a_config_error(tmp_path, capsys):
+    def format1(text: str) -> str:
+        return format1_to_jsonl(sim.trace_from_jsonl(text))
+
+    status, err, trace = _monitor_with_second_trace(tmp_path, capsys, format1)
+    assert status == cli.EXIT_CONFIG
+    assert err.startswith(f"error: {trace}: line 1: trace format 1: this reader reads format 2")
 
 
 def _write_unparseable_document(tmp_path: Path) -> Path:

@@ -18,6 +18,8 @@ from scenforge.digests import canonical_json
 
 from .conftest import (EXPECTED_RULE_COUNTS, FIVE_ACTOR_DOCUMENTS, FIXTURES,
                        MULTI_ACTOR_DOCUMENTS, load_document_template, load_spec, load_template)
+from .reference_traces import (assert_round_trips_as_format_1, exact, format1_to_jsonl,
+                               format2_from_jsonl, format2_to_jsonl, sig6)
 from .test_dsl import scenario_specs
 
 
@@ -434,46 +436,105 @@ def test_trace_jsonl_round_trip():
 
 
 def _straight1_trace_lines() -> list[str]:
+    """Header, times, then the lines of the ego and of npc_1."""
     template = load_template("straight-1")
     geo = sim.build_geometry(template)
     return sim.trace_to_jsonl(sim.simulate(sampling.sample_instance(template, 0), geo)).splitlines()
 
 
-def _with_actors(line: str, edit) -> str:
-    frame = json.loads(line)
-    frame["actors"] = edit(frame["actors"])
-    return canonical_json(frame)
+def _edited(line: str, edit) -> str:
+    row = json.loads(line)
+    edit(row)
+    return canonical_json(row)
 
 
 def _truncated_last(lines):
-    return lines[:-1] + [lines[-1][:len('{"actors":[')]], len(lines)
+    return lines[:-1] + [lines[-1][:len('{"heading":')]], len(lines)
 
 
 def _not_json(lines):
-    return lines[:4] + ["", "not json"] + lines[5:], 6  # the blank line is counted
+    return lines[:2] + ["", "not json"] + lines[3:], 4  # the blank line is counted
 
 
 def _missing_actor(lines):
-    return lines[:4] + [_with_actors(lines[4], lambda actors: actors[:1])] + lines[5:], 5
-
-
-def _reordered_actors(lines):
-    return lines[:4] + [_with_actors(lines[4], lambda actors: actors[::-1])] + lines[5:], 5
+    return lines[:3], 1
 
 
 def _header_mismatch(lines):
     header = json.loads(lines[0])
     header["actor_types"] = {"ego": "car", "npc_2": "car"}
-    return [canonical_json(header)] + lines[1:], 2
+    return [canonical_json(header)] + lines[1:], 4
+
+
+def _duplicated_actor(lines):
+    return lines + [lines[2]], 5
+
+
+def _unknown_actor(lines):
+    return lines + [_edited(lines[3], lambda row: row.update(id="npc_9"))], 5
+
+
+def _short_column(lines):
+    return lines[:2] + [_edited(lines[2], lambda row: row["x"].pop())] + lines[3:], 3
+
+
+def _missing_key(lines):
+    return lines[:3] + [_edited(lines[3], lambda row: row.pop("speed"))], 4
+
+
+def _signal_after_actor(lines):
+    frames = len(json.loads(lines[1])["t"])
+    return lines + [canonical_json({"approach": "west", "state": ["red"] * frames})], 5
+
+
+def _short_signal_column(lines):
+    return lines[:2] + [canonical_json({"approach": "west", "state": ["red"]})] + lines[2:], 3
+
+
+def _no_times(lines):
+    return lines[:1] + ['{"t":[]}'] + lines[2:], 2
+
+
+def _header_only(lines):
+    return lines[:1], 1
+
+
+def _header_missing_key(lines):
+    return [_edited(lines[0], lambda row: row.pop("geometry_ref"))] + lines[1:], 1
+
+
+def _unknown_actor_type(lines):
+    return [_edited(lines[0], lambda row: row["actor_types"].update(ego="bus"))] + lines[1:], 1
+
+
+def _format_1(lines):
+    template = load_template("straight-1")
+    trace = sim.simulate(sampling.sample_instance(template, 0), sim.build_geometry(template))
+    return format1_to_jsonl(trace).splitlines(), 1
+
+
+def _format_3(lines):
+    return [_edited(lines[0], lambda row: row.update(format=3))] + lines[1:], 1
 
 
 @pytest.mark.parametrize("malform, reason", [
     (_truncated_last, r"Expecting value at column 12"),
     (_not_json, r"Expecting value at column 1"),
-    (_missing_actor, r"actors \['ego'\] differ in set or order from the first frame's"),
-    (_reordered_actors,
-     r"actors \['npc_1', 'ego'\] differ in set or order from the first frame's"),
-    (_header_mismatch, r"actors \['ego', 'npc_1'\] do not match the header actor_types"),
+    (_missing_actor, r"actors \['ego'\] differ from the header's actor_types"),
+    (_header_mismatch,
+     r"actors \['ego', 'npc_1'\] differ from the header's actor_types \['ego', 'npc_2'\]"),
+    (_duplicated_actor, r"actors \['ego', 'npc_1', 'ego'\] differ from the header's"),
+    (_unknown_actor, r"actors \['ego', 'npc_1', 'npc_9'\] differ from the header's"),
+    (_short_column, r"'x' is not a list of \d+ values, one per time"),
+    (_missing_key, r"missing key 'speed'"),
+    (_signal_after_actor, r"missing key 'id'"),
+    (_short_signal_column, r"'state' is not a list of \d+ values, one per time"),
+    (_no_times, r"'t' is not a list of one or more times"),
+    (_header_only, r"no time line after the header"),
+    (_header_missing_key, r"missing key 'geometry_ref'"),
+    (_unknown_actor_type, r"actor 'ego' has type 'bus', not one of \['car', 'truck'\]"),
+    (_format_1, r"trace format 1: this reader reads format 2 only"),
+    (_format_3, r"trace format 3: this reader reads format 2 only"),
 ])
 def test_a_malformed_trace_names_the_line_at_fault(malform, reason):
     lines, line_number = malform(_straight1_trace_lines())
@@ -481,15 +542,35 @@ def test_a_malformed_trace_names_the_line_at_fault(malform, reason):
         sim.trace_from_jsonl("\n".join(lines) + "\n")
 
 
+def test_actor_lines_give_the_track_order():
+    """Track order is the order of the actor lines, whatever the header's."""
+    lines = _straight1_trace_lines()
+    trace = sim.trace_from_jsonl("\n".join(lines) + "\n")
+    swapped = sim.trace_from_jsonl("\n".join(lines[:2] + lines[:1:-1]) + "\n")
+    assert [track.actor_id for track in trace.tracks] == ["ego", "npc_1"]
+    assert swapped.tracks == trace.tracks[::-1]
+    assert swapped.actor_types == trace.actor_types
+
+
+def test_the_writer_rejects_frames_with_different_signal_approaches():
+    template = load_template("intersection-1")
+    trace = sim.simulate(sampling.sample_instance(template, 0), sim.build_geometry(template))
+    assert len(trace.signals[0]) == 4
+    for frame in (trace.signals[0][:3], trace.signals[0][::-1]):
+        changed = dataclasses.replace(trace, signals=(frame,) + trace.signals[1:])
+        with pytest.raises(ValueError, match="the frames list different signal approaches"):
+            sim.trace_to_jsonl(changed)
+
+
 @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
 def test_a_lane_holding_a_raw_unicode_line_break_reads_back(separator):
     """JSON allows U+0085, U+2028 and U+2029 unescaped inside a string, and
     the reader breaks lines at "\\n" only, so such a lane stays in its line."""
     lines = _straight1_trace_lines()
-    frame = json.loads(lines[3])
-    lane = frame["actors"][0]["lane"] = f"lane{separator}1"
-    lines[3] = json.dumps(frame, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-    assert separator in lines[3]
+    row = json.loads(lines[2])
+    lane = row["lane"][2] = f"lane{separator}1"
+    lines[2] = json.dumps(row, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    assert separator in lines[2]
     trace = sim.trace_from_jsonl("\n".join(lines) + "\n")
     expected = sim.trace_from_jsonl("\n".join(_straight1_trace_lines()) + "\n")
     lanes = list(expected.tracks[0].lane_id)
@@ -501,65 +582,31 @@ def test_a_lane_holding_a_raw_unicode_line_break_reads_back(separator):
 def test_a_crlf_trace_reads_as_its_lf_form():
     lines = _straight1_trace_lines()
     lf = sim.trace_from_jsonl("\n".join(lines) + "\n")
-    assert _exact(sim.trace_from_jsonl("\r\n".join(lines) + "\r\n")) == _exact(lf)
-
-
-def _reference_trace_from_jsonl(text: str) -> sim.Trace:
-    """The `json.loads` decoder with a per-frame actor loop that `sim.trace_from_jsonl`
-    replaced, for well-formed traces."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    header = sim._decode_header(lines[0])
-    rows = json.loads("[" + ",".join(lines[1:]) + "]")
-    per_frame = [row["actors"] for row in rows]
-    ids = tuple(actor["id"] for actor in per_frame[0])
-    assert sorted(ids) == sorted(header["actor_types"])
-    for actors in per_frame:
-        assert tuple(actor["id"] for actor in actors) == ids
-    tracks = tuple(
-        sim.ActorTrack(actor_id, *(tuple(state[key] for state in states)
-                                   for key in sim._STATE_KEYS))
-        for actor_id, states in zip(ids, zip(*per_frame)))
-    return sim.Trace(
-        **header,
-        times=tuple(row["t"] for row in rows),
-        signals=tuple(tuple((s["approach"], s["state"]) for s in row["signals"])
-                      for row in rows),
-        tracks=tracks,
-    )
-
-
-def _exact(value):
-    """`value` with every float replaced by its bits and every leaf tagged with its
-    type, so -0.0, nan, and an int against an equal float all count."""
-    if isinstance(value, float):
-        return float, struct.pack("<d", value)
-    if isinstance(value, (tuple, list)):
-        return type(value), tuple(map(_exact, value))
-    if isinstance(value, dict):
-        return dict, tuple((_exact(key), _exact(item)) for key, item in value.items())
-    if dataclasses.is_dataclass(value):
-        return type(value), tuple(_exact(getattr(value, f.name))
-                                  for f in dataclasses.fields(value))
-    return type(value), value
+    assert exact(sim.trace_from_jsonl("\r\n".join(lines) + "\r\n")) == exact(lf)
 
 
 def _assert_reads_as_the_reference(text: str) -> sim.Trace:
     trace = sim.trace_from_jsonl(text)
-    assert _exact(trace) == _exact(_reference_trace_from_jsonl(text))
+    assert exact(trace) == exact(format2_from_jsonl(text))
     return trace
 
 
 def test_trace_reader_matches_the_reference_reader_on_simulated_traces():
-    for name in sorted(EXPECTED_RULE_COUNTS) + list(FIVE_ACTOR_DOCUMENTS):
+    """On the fixtures, the multi-actor and the five-actor documents, seeds 0-29,
+    a format-2 round trip gives a format-1 round trip's floats bit for bit and
+    writes back the text it read."""
+    for name in sorted(EXPECTED_RULE_COUNTS) + list(MULTI_ACTOR_DOCUMENTS) + list(
+            FIVE_ACTOR_DOCUMENTS):
         template = load_document_template(name)
         geo = sim.build_geometry(template)
         for seed in range(30):
-            text = sim.trace_to_jsonl(sim.simulate(sampling.sample_instance(template, seed), geo))
+            text = assert_round_trips_as_format_1(
+                sim.simulate(sampling.sample_instance(template, seed), geo))
             _assert_reads_as_the_reference(text)
 
 
 _HEADER_LINE = canonical_json({
-    "actor_types": {}, "geometry_ref": "g", "horizon_s": 10.0, "instance_seed": 0,
+    "actor_types": {}, "format": 2, "geometry_ref": "g", "horizon_s": 10.0, "instance_seed": 0,
     "scenario_id": "s", "timestep_s": 0.05})
 
 
@@ -584,20 +631,29 @@ def _string_texts(strings):
                      strings, st.booleans()).filter(lambda text: len(text.splitlines()) == 1)
 
 
+def _with_actors(id_texts) -> str:
+    """The test header line, listing these actors as cars."""
+    return _HEADER_LINE.replace('"actor_types":{}', '"actor_types":{' + ",".join(
+        f'{text}:"car"' for text in id_texts) + "}")
+
+
 @st.composite
 def _trace_texts(draw):
+    """Format-2 texts with arbitrary number, id, lane and signal texts."""
     ids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True))
     id_texts = [draw(_string_texts(st.just(actor_id))) for actor_id in ids]
-    lines = [_HEADER_LINE.replace('"actor_types":{}', '"actor_types":{' + ",".join(
-        f'{text}:"car"' for text in id_texts) + "}")]
+    frames = draw(st.integers(1, 4))
     num, lane = _number_texts(), _string_texts(st.text(max_size=4))
-    for _ in range(draw(st.integers(1, 4))):
-        actors = ",".join(
-            f'{{"heading":{draw(num)},"id":{id_text},"lane":{draw(lane)},"lat":{draw(num)},'
-            f'"speed":{draw(num)},"x":{draw(num)},"y":{draw(num)}}}' for id_text in id_texts)
-        signals = ",".join(f'{{"approach":{draw(lane)},"state":{draw(lane)}}}'
-                           for _ in range(draw(st.integers(0, 2))))
-        lines.append(f'{{"actors":[{actors}],"signals":[{signals}],"t":{draw(num)}}}')
+
+    def column(values) -> str:
+        return "[" + ",".join(draw(values) for _ in range(frames)) + "]"
+
+    lines = [_with_actors(id_texts), f'{{"t":{column(num)}}}']
+    lines += [f'{{"approach":{draw(lane)},"state":{column(lane)}}}'
+              for _ in range(draw(st.integers(0, 2)))]
+    lines += [f'{{"heading":{column(num)},"id":{id_text},"lane":{column(lane)},'
+              f'"lat":{column(num)},"speed":{column(num)},"x":{column(num)},"y":{column(num)}}}'
+              for id_text in id_texts]
     return "\n".join(lines) + "\n"
 
 
@@ -614,28 +670,41 @@ def test_trace_reader_matches_the_reference_reader_on_random_float_bits():
     values = [x for x in struct.unpack("<40000d", rng.randbytes(8 * 40000)) if math.isfinite(x)]
     texts = [form.format(x) for x, form in zip(values, itertools.cycle(
         ["{:.6g}", "{!r}", "{:.17g}", "{:.16e}"]))]
-    lines = [_HEADER_LINE.replace('"actor_types":{}', '"actor_types":{"a":"car"}')]
-    for k in range(0, len(texts) - 6, 6):
-        t, heading, lat, speed, x, y = texts[k:k + 6]
-        lines.append(f'{{"actors":[{{"heading":{heading},"id":"a","lane":"l","lat":{lat},'
-                     f'"speed":{speed},"x":{x},"y":{y}}}],"signals":[],"t":{t}}}')
-    assert len(lines) > 6000
+    frames = len(texts) // 6
+    assert frames > 6000
+    t, heading, lat, speed, x, y = (",".join(texts[k * frames:(k + 1) * frames])
+                                    for k in range(6))
+    lanes = ",".join(['"l"'] * frames)
+    lines = [_with_actors(['"a"']), f'{{"t":[{t}]}}',
+             f'{{"heading":[{heading}],"id":"a","lane":[{lanes}],'
+             f'"lat":[{lat}],"speed":[{speed}],"x":[{x}],"y":[{y}]}}']
     _assert_reads_as_the_reference("\n".join(lines) + "\n")
 
 
+def _one_frame_trace_lines() -> list[str]:
+    """straight-1 at seed 0, cut to its first frame."""
+    template = load_template("straight-1")
+    trace = sim.simulate(sampling.sample_instance(template, 0), sim.build_geometry(template))
+    return sim.trace_to_jsonl(dataclasses.replace(trace, times=trace.times[:1], tracks=tuple(
+        sim.ActorTrack(track.actor_id, *(column[:1] for column in dataclasses.astuple(track)[1:]))
+        for track in trace.tracks), signals=trace.signals[:1])).splitlines()
+
+
 @pytest.mark.parametrize("old, new", [
-    ('"speed":', '"speed":NaN,"s":'),
-    ('"speed":', '"speed":Infinity,"s":'),
-    ('"speed":', '"speed":-Infinity,"s":'),
-    ('"speed":', '"speed":1e400,"s":'),
-    ('"lane":', '"lane":"\\ud800","l":'),
-    ('"lane":', '"lane":"\\udc00\\ud83d","l":'),
+    ('"speed":', '"speed":[NaN],"s":'),
+    ('"speed":', '"speed":[Infinity],"s":'),
+    ('"speed":', '"speed":[-Infinity],"s":'),
+    ('"speed":', '"speed":[1e400],"s":'),
+    ('"lane":', '"lane":["\\ud800"],"l":'),
+    ('"lane":', '"lane":["\\udc00\\ud83d"],"l":'),
 ])
 def test_trace_reader_reads_what_only_json_accepts_as_the_reference_does(old, new):
-    lines = _straight1_trace_lines()
-    lines[3] = lines[3].replace(old, new, 1)
+    """A one-frame trace whose ego column holds a value only `json` reads; the
+    column it replaces moves to a key the reader ignores."""
+    lines = _one_frame_trace_lines()
+    lines[2] = lines[2].replace(old, new, 1)
     with pytest.raises(orjson.JSONDecodeError):
-        orjson.loads(lines[3])
+        orjson.loads(lines[2])
     _assert_reads_as_the_reference("\n".join(lines) + "\n")
 
 
@@ -643,53 +712,25 @@ def test_trace_reader_reads_what_only_json_accepts_as_the_reference_does(old, ne
 def test_trace_reader_reads_an_integer_outside_64_bits_as_a_float(integer):
     """The one documented difference from `json`: the writer writes no integer,
     so nothing it writes is affected."""
-    lines = _straight1_trace_lines()
-    lines[3] = lines[3].replace('"speed":', f'"speed":{integer},"s":', 1)
-    speed = sim.trace_from_jsonl("\n".join(lines) + "\n").tracks[0].speed[2]
+    lines = _one_frame_trace_lines()
+    lines[2] = lines[2].replace('"speed":', f'"speed":[{integer}],"s":', 1)
+    text = "\n".join(lines) + "\n"
+    speed = sim.trace_from_jsonl(text).tracks[0].speed[0]
     assert type(speed) is float and speed == float(integer)
-    assert _reference_trace_from_jsonl("\n".join(lines) + "\n").tracks[0].speed[2] == integer
-
-
-def _reference_sig6(x: float) -> float:
-    return float(f"{x:.6g}")
-
-
-def _reference_trace_to_jsonl(trace: sim.Trace) -> str:
-    """The dict-per-frame writer that `sim.trace_to_jsonl` replaced."""
-    header = {
-        "actor_types": trace.actor_types,
-        "geometry_ref": trace.geometry_ref,
-        "horizon_s": trace.horizon_s,
-        "instance_seed": trace.instance_seed,
-        "scenario_id": trace.scenario_id,
-        "timestep_s": trace.timestep_s,
-    }
-    lines = [canonical_json(header)]
-    for k, t in enumerate(trace.times):
-        lines.append(canonical_json({
-            "t": _reference_sig6(t),
-            "actors": [
-                {"id": a.actor_id, "x": _reference_sig6(a.x[k]), "y": _reference_sig6(a.y[k]),
-                 "heading": _reference_sig6(a.heading[k]), "speed": _reference_sig6(a.speed[k]),
-                 "lane": a.lane_id[k], "lat": _reference_sig6(a.lateral[k])}
-                for a in trace.tracks
-            ],
-            "signals": [{"approach": ap, "state": st} for ap, st in trace.signals[k]],
-        }))
-    return "\n".join(lines) + "\n"
+    assert format2_from_jsonl(text).tracks[0].speed[0] == integer
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False) | st.integers())
 @settings(max_examples=2000, deadline=None)
 def test_sig6_json_matches_the_reference_formatter(x):
-    assert sim._sig6_json(x) == canonical_json(_reference_sig6(x))
+    assert sim._sig6_json(x) == canonical_json(sig6(x))
 
 
 @pytest.mark.parametrize("x", [
     -0.0, 0.0, 20.0, -20.0, 999999.5, -999999.5, 1e16, -1e16, 1e-4, -1e-4,
     1.5e-05, -1.5e-05, 5e-324, -5e-324, 123456.7, 0.000123456, 100000.0, 1e300])
 def test_sig6_json_matches_the_reference_formatter_at_edges(x):
-    assert sim._sig6_json(x) == canonical_json(_reference_sig6(x))
+    assert sim._sig6_json(x) == canonical_json(sig6(x))
 
 
 def test_sig6_json_keeps_the_sign_of_zero_and_writes_rounded_exponents_in_full():
@@ -718,8 +759,9 @@ def test_trace_writer_matches_the_reference_writer_on_escaped_ids():
         trace, actor_types={renames[a]: kind for a, kind in trace.actor_types.items()},
         tracks=tracks)
     text = sim.trace_to_jsonl(escaped)
-    assert '\\"' in text and "\\u00e9" in text and '"y":-0.0' in text
-    assert text == _reference_trace_to_jsonl(escaped)
+    assert '\\"' in text and "\\u00e9" in text and '"y":[-0.0,' in text
+    assert text == format2_to_jsonl(escaped)
+    assert_round_trips_as_format_1(escaped)
 
 
 def test_trace_writer_matches_the_reference_writer_with_signals():
@@ -728,7 +770,7 @@ def test_trace_writer_matches_the_reference_writer_with_signals():
     assert geo.signal_heads
     for seed in range(3):
         trace = sim.simulate(sampling.sample_instance(template, seed), geo)
-        assert sim.trace_to_jsonl(trace) == _reference_trace_to_jsonl(trace)
+        assert sim.trace_to_jsonl(trace) == format2_to_jsonl(trace)
     # signal states that change between frames, one of them seen twice
     cycle = [tuple((leg, sched.state(t)) for leg, sched in geo.signal_heads)
              for t in (0.0, 13.0, 20.0)]
@@ -736,7 +778,8 @@ def test_trace_writer_matches_the_reference_writer_with_signals():
     assert len(set(cycle)) > 1
     switching = dataclasses.replace(trace, signals=tuple(
         cycle[k % len(cycle)] for k in range(len(trace.times))))
-    assert sim.trace_to_jsonl(switching) == _reference_trace_to_jsonl(switching)
+    assert sim.trace_to_jsonl(switching) == format2_to_jsonl(switching)
+    assert_round_trips_as_format_1(switching)
 
 
 def test_trace_writer_matches_the_reference_writer_off_the_frame_times():
@@ -755,8 +798,8 @@ def test_trace_writer_matches_the_reference_writer_off_the_frame_times():
         tuple(t * (1.0 + 1e-12) for t in trace.times),  # within the 6 digits of the grid
     )]
     for variant in variants:
-        assert sim.trace_to_jsonl(variant) == _reference_trace_to_jsonl(variant)
-    assert '"t":-0.0}' in sim.trace_to_jsonl(variants[1]).splitlines()[1]
+        assert sim.trace_to_jsonl(variant) == format2_to_jsonl(variant)
+    assert sim.trace_to_jsonl(variants[1]).splitlines()[1].startswith('{"t":[-0.0,0.1,')
 
 
 def _trace_with_columns(**columns) -> sim.Trace:
@@ -781,8 +824,9 @@ def test_trace_writer_formats_again_only_where_a_column_changes():
     }
     trace = _trace_with_columns(**columns)
     text = sim.trace_to_jsonl(trace)
-    assert text == _reference_trace_to_jsonl(trace)
-    assert '"x":-0.0' in text and '"x":0.0' in text and '"lat":-0.0' in text
+    assert text == format2_to_jsonl(trace)
+    assert '"x":[0.0,-0.0,0.0,-0.0,-0.0,0.0,0.0]' in text
+    assert '"lat":[-0.0,-0.0,0.1,0.1,-0.0,0.0,-0.0]' in text
 
 
 def test_trace_writer_formats_a_run_of_equal_zeros_once(monkeypatch):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import ast
 import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
 from scenforge import dsl, normalize, rules, sampling, sim, synth
 from scenforge.digests import from_data, to_data
@@ -20,6 +22,7 @@ from scenforge.synth import (
 )
 
 from .conftest import FIXTURES, load_spec, load_template
+from .test_dsl import _TEXT, scenario_specs
 
 
 def test_map_time_values():
@@ -260,3 +263,108 @@ def test_fmt_number():
     assert synth.fmt_number(12.5) == "12.5"
     assert synth.fmt_number(13.89) == "13.89"
     assert synth.fmt_number(29.0576) == "29.0576"
+
+
+_STAND_IN = "STAND_IN"
+
+
+def assert_program_keeps_the_template_lines(template: synth.ScenarioTemplate) -> None:
+    """The program of `template` has exactly the lines of the program whose
+    document strings (model ids and oracle violation types) are a plain stand-in,
+    and where the stand-in stands, a literal or comment text that reads back
+    as the document's string.  `load_program_file` reads the program back,
+    and `scan_verifai_ranges` finds the four ranges."""
+    p = template.params
+    ego_model = p.ego_model if p.ego_model == normalize.TRUCK_MODEL else _STAND_IN
+    strings = iter(([p.ego_model] if ego_model == _STAND_IN else [])
+                   + [npc.model_id for npc in p.npcs] + [e.violation_type for e in p.oracle])
+    plain = replace(template, params=replace(
+        p, ego_model=ego_model, npcs=tuple(replace(npc, model_id=_STAND_IN) for npc in p.npcs),
+        oracle=tuple(replace(entry, violation_type=_STAND_IN) for entry in p.oracle)))
+    program = render_scenic(template)
+    lines = program.source_text.split("\n")
+    assert program.source_text.splitlines() == lines[:-1]  # no other line breaks
+    expected = render_scenic(plain).source_text.split("\n")
+    assert len(lines) == len(expected)
+    for line, plain_line in zip(lines, expected):
+        if _STAND_IN not in plain_line:
+            assert line == plain_line
+            continue
+        head, tail = plain_line.split(_STAND_IN)
+        assert line.startswith(head) and line.endswith(tail), (line, plain_line)
+        assert ast.literal_eval(f"'{line[len(head):len(line) - len(tail)]}'") == next(strings)
+    assert next(strings, None) is None
+    assert synth.load_program_file(program.file_text()) == program
+    assert set(scan_verifai_ranges(program.source_text)) == set(synth.FREE_PARAMETER_NAMES)
+
+
+def test_the_fixture_programs_keep_the_template_lines():
+    for name in ("straight-1", "straight-2", "intersection-1", "intersection-2",
+                 "t-intersection", "curve"):
+        assert_program_keeps_the_template_lines(load_template(name))
+
+
+@pytest.mark.parametrize("text", [
+    "x\nparam carla_map = 'Town99'", "it's", 'say "hi"', "'\"", "back\\slash'", "\r", "\x85",
+    "\u2028", "\u2029", "\x0b\x0c\x1c\x1d\x1e", "\x00\x7f", "\t", "caf\u00e9 \U0001f697"])
+def test_document_strings_cannot_add_program_lines(text):
+    """A model id or an oracle violation type holding quotes, backslashes or any
+    line break renders as an escaped literal or comment text on its own line."""
+    template = load_template("intersection-1")
+    p = template.params
+    hostile = replace(template, params=replace(
+        p, ego_model=text, npcs=tuple(replace(npc, model_id=text + "1") for npc in p.npcs),
+        oracle=tuple(replace(entry, violation_type=text) for entry in p.oracle)))
+    assert_program_keeps_the_template_lines(hostile)
+    lines = render_scenic(hostile).source_text.split("\n")
+    assert [line for line in lines if line.startswith("param carla_map")] == [
+        "param carla_map = 'Town05'"]
+
+
+@given(scenario_specs(), _TEXT, _TEXT)
+@settings(max_examples=200, deadline=None)
+def test_generated_documents_render_the_template_lines(spec, model_id, violation_type):
+    """Criterion 5's generated specs, with a model id and a violation type drawn
+    from every code point, render only the template's lines."""
+    ego = replace(spec.actors.ego, model_id=model_id)
+    spec = replace(spec, actors=replace(spec.actors, ego=ego), oracle=tuple(
+        replace(entry, violation_type=violation_type) for entry in spec.oracle))
+    assert dsl.parse_dsl(dsl.serialize_dsl(spec)) == spec
+    try:
+        template = build_template(normalize.apply_defaults(spec, 0))
+    except CompatibilityError:
+        return
+    assert_program_keeps_the_template_lines(template)
+
+
+@pytest.mark.parametrize("npc_id, reason", [
+    ("npc_speed", "a name the Scenic program already assigns"),
+    ("EGO_INIT_DIST", "a name the Scenic program already assigns"),
+    ("ego", "a name the Scenic program already assigns"),
+    ("npc 1", "not an identifier"),
+    ("1npc", "not an identifier"),
+    ("npc-1", "not an identifier"),
+    ("class", "not an identifier"),
+    ("npc_1\nparam carla_map = 'Town99'", "not an identifier"),
+])
+def test_an_npc_id_the_program_cannot_assign_is_rejected_at_parse(npc_id, reason):
+    spec = load_spec("straight-1")
+    (npc,) = spec.actors.npcs
+    spec = replace(spec, actors=replace(spec.actors, npcs=(replace(npc, actor_id=npc_id),)),
+                   oracle=tuple(replace(entry, violating_actor=npc_id) for entry in spec.oracle))
+    issues = dsl.parse_dsl(dsl.serialize_dsl(spec))
+    assert [(issue.path, issue.kind) for issue in issues] == [
+        ("/actors/npcs/0/actor_id", dsl.INCONSISTENT)]
+    assert reason in issues[0].message
+
+
+def test_an_ego_id_that_is_not_an_identifier_is_rejected_at_parse():
+    spec = load_spec("straight-1")
+    spec = replace(spec, actors=replace(spec.actors, ego=replace(spec.actors.ego,
+                                                                  actor_id="my ego")))
+    issues = dsl.parse_dsl(dsl.serialize_dsl(spec))
+    assert [(issue.path, issue.kind) for issue in issues] == [
+        ("/actors/ego/actor_id", dsl.INCONSISTENT)]
+    renamed = replace(spec, actors=replace(spec.actors, ego=replace(spec.actors.ego,
+                                                                     actor_id="npc_speed")))
+    assert dsl.parse_dsl(dsl.serialize_dsl(renamed)) == renamed  # the ego's id is not rendered

@@ -1,9 +1,13 @@
 """Trace bytes pinned across changes to the simulator and the trace writer.
 
 Criterion 3 compares two runs of the same code, so a writer that is wrong
-the same way in every run passes it.  These digests were recorded with the
-dict-per-frame writer that `sim.trace_to_jsonl` replaced; any change to
-them means the trace files changed.
+the same way in every run passes it.
+
+`PINNED_TRACE_SHA256` guards `simulate`: its digests were recorded with the
+dict-per-frame writer of trace format 1, and are computed through the
+test-side copy of that writer, so they move only when a simulated float,
+lane or signal state moves.  `PINNED_FORMAT2_TRACE_SHA256` guards the trace
+files: the bytes `sim.trace_to_jsonl` writes in format 2.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ import pytest
 from scenforge import sampling, sim
 
 from .conftest import EXPECTED_RULE_COUNTS, MULTI_ACTOR_DOCUMENTS, load_document_template
+from .reference_traces import format1_to_jsonl
 
 SEEDS = range(50)
 
-# SHA-256 of sim.trace_to_jsonl(trace) over SEEDS, one digest per document.
+# SHA-256 of format1_to_jsonl(trace) over SEEDS, one digest per document.
 PINNED_TRACE_SHA256 = {
     "straight-1": "3ca88d5e00f4c6b0261f41a08a62d297c5a0a79651c156ab2f9d7185ee8cb0a7",
     "straight-2": "c98cac422edb79b87e74f734a2dfb71e5d8fdc21db48e474db6bfcaf63e3237f",
@@ -30,21 +35,39 @@ PINNED_TRACE_SHA256 = {
     "curve-multi": "49d0f83c260560aed48bebfb43367d848684bcee3f97496eb4c0e774b7427fde",
 }
 
+# SHA-256 of sim.trace_to_jsonl(trace) over SEEDS, one digest per document.
+PINNED_FORMAT2_TRACE_SHA256 = {
+    "straight-1": "14c2446253f0a0a03d4165cd4bd57ae1d5881eba2e420919e0b53fbc8474eb27",
+    "straight-2": "24620d40a56f1a9ea627d14dea1ed8f53e1c85ff2aed3aa12c219712481dbb9e",
+    "intersection-1": "319567296a739386f66d10038dde1628e20fc2a94b6d2de02d877e93f917596c",
+    "intersection-2": "83d34b0f3405bc68839acc5f99b6c9ab4a91c0df120d4c472d38dc0d93153d2c",
+    "t-intersection": "cc0ba7a82bdf099a8bde1bdd87451bf59fd8a90c13eb7be30d4099b16fcb0607",
+    "curve": "e19e6d55d3ebc2cdba9c3760306747e81af2b06a9897eec881246755997a39e7",
+    "intersection-1-multi": "54c993a6e34a5c52fe201717ea74e39c293d7962d18539f9d81eec7731ae1e5f",
+    "curve-multi": "ed2969f335617d4777e34447639c6be80038f6087f3cfc014d79bc66d2ac099b",
+}
 
-def _trace_digest(name: str) -> str:
+
+def _trace_digest(name: str, write) -> str:
     template = load_document_template(name)
     geometry = sim.build_geometry(template)
     digest = hashlib.sha256()
     for seed in SEEDS:
         trace = sim.simulate(sampling.sample_instance(template, seed), geometry)
-        digest.update(sim.trace_to_jsonl(trace).encode("utf-8"))
+        digest.update(write(trace).encode("utf-8"))
     return digest.hexdigest()
 
 
 def test_pins_cover_every_fixture_and_both_multi_actor_documents():
     assert set(PINNED_TRACE_SHA256) == set(EXPECTED_RULE_COUNTS) | set(MULTI_ACTOR_DOCUMENTS)
+    assert set(PINNED_FORMAT2_TRACE_SHA256) == set(PINNED_TRACE_SHA256)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_TRACE_SHA256))
 def test_trace_bytes_match_pinned_digest(name):
-    assert _trace_digest(name) == PINNED_TRACE_SHA256[name]
+    assert _trace_digest(name, format1_to_jsonl) == PINNED_TRACE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FORMAT2_TRACE_SHA256))
+def test_format2_trace_bytes_match_pinned_digest(name):
+    assert _trace_digest(name, sim.trace_to_jsonl) == PINNED_FORMAT2_TRACE_SHA256[name]

@@ -124,19 +124,18 @@ REGISTRY: dict[str, RuleSpec] = {
 assert tuple(sorted(REGISTRY)) == tuple(sorted(KNOWN_RULE_IDS))
 
 
-def _intervals(flags: list[bool], times: list[float]) -> list[tuple[float, float]]:
-    """Maximal runs of consecutive true flags as (t_start, t_end)."""
-    out: list[tuple[float, float]] = []
-    start: float | None = None
-    for flag, t in zip(flags, times):
+def _runs(flags: list[bool]) -> list[tuple[int, int]]:
+    """Maximal runs of consecutive true flags as (first frame, last frame)."""
+    out: list[tuple[int, int]] = []
+    start: int | None = None
+    for k, flag in enumerate(flags):
         if flag and start is None:
-            start = t
+            start = k
         elif not flag and start is not None:
-            out.append((start, prev))
+            out.append((start, k - 1))
             start = None
-        prev = t
     if start is not None:
-        out.append((start, times[-1]))
+        out.append((start, len(flags) - 1))
     return out
 
 
@@ -317,10 +316,6 @@ class TraceView:
             return flags
         return self._cached("divider", actor_id, compute)
 
-    def max_abs_lateral(self, actor_id: str) -> float:
-        return self._cached("max_lateral", actor_id,
-                            lambda: max(map(abs, self.lateral_offsets(actor_id))))
-
     def oncoming_within(self, actor_id: str, k: int, range_m: float) -> bool:
         me = self.tracks[actor_id]
         for other_id in self.actor_ids:
@@ -369,11 +364,11 @@ def _speeding(view: TraceView, rule_id: str, limit: float) -> list[Violation]:
     for actor_id in view.actor_ids:
         speeds = view.tracks[actor_id].speed
         flags = [speed > limit + SPEED_TOLERANCE for speed in speeds]
-        for t0, t1 in _intervals(flags, view.times):
+        for i, j in _runs(flags):
+            t0, t1 = view.times[i], view.times[j]
             if t1 - t0 + _EPS >= SPEED_SUSTAIN_S:
-                peak = max(speeds)
                 out.append(Violation(rule_id, actor_id, t0, t1,
-                                     {"max_speed_mps": peak, "limit_mps": limit}))
+                                     {"max_speed_mps": max(speeds[i:j + 1]), "limit_mps": limit}))
     return out
 
 
@@ -392,7 +387,8 @@ def _headway(view: TraceView) -> list[Violation]:
                          ld.x, ld.y, ld.heading)]
             if True not in flags:
                 continue
-            for t0, t1 in _intervals(flags, view.times):
+            for i, j in _runs(flags):
+                t0, t1 = view.times[i], view.times[j]
                 if t1 - t0 + _EPS >= HEADWAY_SUSTAIN_S:
                     out.append(Violation("22350", follower, t0, t1,
                                          {"kind": "headway", "lead": lead,
@@ -489,10 +485,13 @@ def _divider_crossings(view: TraceView, rule_id: str, marker: str) -> list[Viola
         if rule_id == "21461":
             flags = [flag and view.oncoming_within(actor_id, k, ONCOMING_RANGE_M)
                      for k, flag in enumerate(flags)]
-        for t0, t1 in _intervals(flags, view.times):
-            out.append(Violation(rule_id, actor_id, t0, t1,
-                                 {"marker": marker,
-                                  "max_lateral_m": view.max_abs_lateral(actor_id)}))
+        offsets = view.lateral_offsets(actor_id)
+        for i, j in _runs(flags):
+            # to a trace file's 6 significant digits, so that on a straight axis a
+            # reloaded trace gives the same figure (docs/rules.md)
+            peak = float(f"{max(map(abs, offsets[i:j + 1])):.6g}")
+            out.append(Violation(rule_id, actor_id, view.times[i], view.times[j],
+                                 {"marker": marker, "max_lateral_m": peak}))
     return out
 
 

@@ -238,6 +238,68 @@ def test_headway_reported_under_22350():
     assert found[0].evidence.get("kind") == "headway"
 
 
+@pytest.mark.parametrize("rule_id, limit", [("22350", 10.0), ("22349", rules.ABSOLUTE_MAX_SPEED)])
+def test_speeding_evidence_is_the_peak_of_its_own_interval(rule_id, limit):
+    """Two speeding intervals, the later one faster: each reports its own peak."""
+    geo = sim.build_geometry(_template_from(_solo_spec(limit=10.0)))
+    first, second = limit + 3.0, limit + 6.0
+    speeds = [first] * 15 + [first - 1.0] + [first] * 3 + [5.0] * 10 + [second] * 12 + [5.0] * 5
+    trace = make_trace(geo, {"ego": "car"}, _drive_rows("ego", 10.0, -1.75, speeds, len(speeds)))
+    found = _evaluate(rule_id, trace, geo)
+    assert [(v.t_start, v.t_end, v.evidence["max_speed_mps"]) for v in found] == [
+        (0.0, trace.times[18], first), (trace.times[29], trace.times[40], second)]
+
+
+def _weaving_rows(laterals: list[float], oncoming: bool = False):
+    """The ego heading +x at the given lateral offsets from the axis of a
+    straight road; with `oncoming`, an npc heading -x in the opposing lane
+    20 m ahead of it."""
+    rows = []
+    for k, lat in enumerate(laterals):
+        x = 50.0 + k
+        row = [("ego", x, lat, 0.0, 10.0)]
+        if oncoming:
+            row.append(("npc_1", x + 20.0, 1.75, math.pi, 10.0))
+        rows.append(row)
+    return rows
+
+
+# In its own lane, then a crossing that reaches 0.5 m, back, far to the
+# right (3.0 m from the axis, not across), and a crossing that reaches 1.2 m.
+_WEAVE = [-1.75] * 3 + [0.2, 0.5, 0.3] + [-1.75] * 2 + [-3.0] * 3 + [0.4, 1.2, 1.2, 0.1] + [-1.75] * 2
+
+
+@pytest.mark.parametrize("rule_id, marker", [("21460", "solid_line"), ("21461", "broken_line")])
+def test_divider_evidence_is_the_peak_of_its_own_interval(rule_id, marker):
+    """A crossing that reaches 0.5 m reports 0.5, not the 3.0 m the actor
+    reaches elsewhere in the trace; each crossing reports its own peak."""
+    road = dsl.RoadNetwork("straight", 2, 1, marker, ())
+    geo = sim.build_geometry(_template_from(_solo_spec(road=road)))
+    actor_types = {"ego": "car", "npc_1": "car"}
+    trace = make_trace(geo, actor_types, _weaving_rows(_WEAVE, oncoming=True))
+    found = [v for v in _evaluate(rule_id, trace, geo) if v.actor_id == "ego"]
+    assert [(v.t_start, v.t_end, v.evidence) for v in found] == [
+        (trace.times[3], trace.times[5], {"marker": marker, "max_lateral_m": 0.5}),
+        (trace.times[11], trace.times[14], {"marker": marker, "max_lateral_m": 1.2})]
+    for shortcut_free in (False, True):
+        view = (_ReferenceView if shortcut_free else rules.TraceView)(trace, geo)
+        assert rules.evaluate_rule(rule_id, view) == _evaluate(rule_id, trace, geo)
+
+
+def test_divider_evidence_keeps_six_significant_digits():
+    """The peak is reported to a trace file's precision, so an in-memory trace
+    and the same trace read back from its file report the same figure."""
+    road = dsl.RoadNetwork("straight", 2, 1, "solid_line", ())
+    geo = sim.build_geometry(_template_from(_solo_spec(road=road)))
+    lat = -1.75 + 3.5 * 0.95  # 1.5750000000000002, written 1.575
+    trace = make_trace(geo, {"ego": "car"}, _weaving_rows([-1.75, lat, lat, -1.75]))
+    reloaded = sim.trace_from_jsonl(sim.trace_to_jsonl(trace))
+    assert reloaded.tracks[0].y[1] == 1.575 != lat
+    for monitored in (trace, reloaded):
+        (v,) = _evaluate("21460", monitored, geo)
+        assert v.evidence["max_lateral_m"] == 1.575
+
+
 def test_lane_change_with_close_traffic_22107():
     spec = load_spec("straight-1")
     road = dsl.RoadNetwork("straight", 2, 2, "broken_line", ())
@@ -614,10 +676,10 @@ class _ReferenceView(rules.TraceView):
     def divider_flags(self, actor_id):
         return _all_corner_divider_flags(self, actor_id)
 
-    def max_abs_lateral(self, actor_id):
+    def lateral_offsets(self, actor_id):
         locate = self.geometry.axis.locate
         track = self.tracks[actor_id]
-        return max(abs(locate(x, y)[1]) for x, y in zip(track.x, track.y))
+        return tuple(locate(x, y)[1] for x, y in zip(track.x, track.y))
 
     def region_entries(self):
         region = self.geometry.conflict_region

@@ -608,21 +608,20 @@ def trace_from_jsonl(text: str) -> Trace:
     lines = [(n, line) for n, line in enumerate(text.split("\n"), 1) if line.strip()]
     if not lines:
         raise ValueError("empty trace")
-    import orjson  # not at module level: `pipeline` never reads a trace
     n = lines[0][0]
     try:
-        header = _decode_header(_decode_line(orjson, lines[0][1]))
+        header = _decode_header(_decode_line(lines[0][1]))
         if len(lines) == 1:
             raise ValueError("no time line after the header")
         n = lines[1][0]
-        times = _decode_line(orjson, lines[1][1])["t"]
+        times = _decode_line(lines[1][1])["t"]
         if type(times) is not list or not times:
             raise ValueError("'t' is not a list of one or more times")
         frames = len(times)
         actor_types = header["actor_types"]
         heads, tracks = [], {}
         for n, line in lines[2:]:
-            row = _decode_line(orjson, line)
+            row = _decode_line(line)
             if "approach" in row and not tracks:
                 heads.append(zip(itertools.repeat(row["approach"]), _column(row, "state", frames)))
                 continue
@@ -656,7 +655,7 @@ def _decode_header(header: dict) -> dict:
         "actor_types": actor_types}
 
 
-def _decode_line(orjson, line: str):
+def _decode_line(line: str):
     """`json.loads(line)`, decoded by orjson wherever orjson accepts the text.
 
     orjson rejects NaN, Infinity, numbers beyond the double range and lone
@@ -664,6 +663,9 @@ def _decode_line(orjson, line: str):
     message, as `json.loads` has them.  Only an integer outside the 64-bit
     range differs: orjson reads it as a float.  The writer writes no integer.
     """
+    # Imported here rather than at the top: `pipeline` never reads a trace, and
+    # a module-level import costs every CLI process start-up time and memory.
+    import orjson
     try:
         return orjson.loads(line)
     except orjson.JSONDecodeError:

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 
 from .digests import digest64_json, digest64_text, to_data
-from .dsl import FREE_PARAMETER_NAMES, OracleEntry
+from .dsl import OracleEntry
 from .normalize import DEFAULT_SPEED_MPS, NormalizedSpec
 
 log = logging.getLogger(__name__)

@@ -631,7 +631,7 @@ def _string_texts(strings):
                      strings, st.booleans()).filter(lambda text: len(text.splitlines()) == 1)
 
 
-def _with_actors(id_texts) -> str:
+def _header_listing(id_texts) -> str:
     """The test header line, listing these actors as cars."""
     return _HEADER_LINE.replace('"actor_types":{}', '"actor_types":{' + ",".join(
         f'{text}:"car"' for text in id_texts) + "}")
@@ -648,7 +648,7 @@ def _trace_texts(draw):
     def column(values) -> str:
         return "[" + ",".join(draw(values) for _ in range(frames)) + "]"
 
-    lines = [_with_actors(id_texts), f'{{"t":{column(num)}}}']
+    lines = [_header_listing(id_texts), f'{{"t":{column(num)}}}']
     lines += [f'{{"approach":{draw(lane)},"state":{column(lane)}}}'
               for _ in range(draw(st.integers(0, 2)))]
     lines += [f'{{"heading":{column(num)},"id":{id_text},"lane":{column(lane)},'
@@ -675,7 +675,7 @@ def test_trace_reader_matches_the_reference_reader_on_random_float_bits():
     t, heading, lat, speed, x, y = (",".join(texts[k * frames:(k + 1) * frames])
                                     for k in range(6))
     lanes = ",".join(['"l"'] * frames)
-    lines = [_with_actors(['"a"']), f'{{"t":[{t}]}}',
+    lines = [_header_listing(['"a"']), f'{{"t":[{t}]}}',
              f'{{"heading":[{heading}],"id":"a","lane":[{lanes}],'
              f'"lat":[{lat}],"speed":[{speed}],"x":[{x}],"y":[{y}]}}']
     _assert_reads_as_the_reference("\n".join(lines) + "\n")

@@ -191,7 +191,7 @@ def test_every_synthesizable_junction_behavior_simulates(name):
 
 def test_template_free_parameters():
     template = load_template("straight-1")
-    assert {r.name for r in template.free_parameters} == set(synth.FREE_PARAMETER_NAMES)
+    assert {r.name for r in template.free_parameters} == set(dsl.FREE_PARAMETER_NAMES)
     assert not set(template.fixed_parameters) & {r.name for r in template.free_parameters}
 
 
@@ -295,7 +295,7 @@ def assert_program_keeps_the_template_lines(template: synth.ScenarioTemplate) ->
         assert ast.literal_eval(f"'{line[len(head):len(line) - len(tail)]}'") == next(strings)
     assert next(strings, None) is None
     assert synth.load_program_file(program.file_text()) == program
-    assert set(scan_verifai_ranges(program.source_text)) == set(synth.FREE_PARAMETER_NAMES)
+    assert set(scan_verifai_ranges(program.source_text)) == set(dsl.FREE_PARAMETER_NAMES)
 
 
 def test_the_fixture_programs_keep_the_template_lines():

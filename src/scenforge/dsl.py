@@ -59,6 +59,12 @@ SCENARIO_ID_PATTERN = re.compile(r"[A-Za-z0-9_-]+")
 
 # The Scenic program assigns each of these names, and each npc id, once.
 FREE_PARAMETER_NAMES = ("EGO_INIT_DIST", "NPC_INIT_DIST", "ego_speed", "npc_speed")
+# The other names the Scenic program reads, which an npc id must not rebind.
+PROGRAM_NAMES = (
+    "road", "Car", "Truck", "EgoDrive", "AdversaryHeadOn", "AdversaryLead",
+    "AdversaryCrossing", "FollowLaneBehavior", "OncomingIncursion", "CrossConflictRegion",
+    "VerifaiRange", "intersection_or_conflict",
+)
 
 # Issue kinds
 MISSING_SECTION = "missing_section"
@@ -293,9 +299,9 @@ def _parse_actor(w: _Walker, node: Any, path: str, is_ego: bool, default_id: str
         actor_id = default_id
     elif not actor_id.isidentifier() or keyword.iskeyword(actor_id):
         w.error(f"{path}/actor_id", INCONSISTENT, f"actor id {actor_id!r} is not an identifier")
-    elif not is_ego and actor_id in ("ego", *FREE_PARAMETER_NAMES):
+    elif not is_ego and actor_id in ("ego", *FREE_PARAMETER_NAMES, *PROGRAM_NAMES):
         w.error(f"{path}/actor_id", INCONSISTENT,
-                f"npc id {actor_id!r} is a name the Scenic program already assigns")
+                f"npc id {actor_id!r} is a name the Scenic program already assigns or reads")
     actor_type = w.enum(mapping, "actor_type", path, ACTOR_TYPES)
     behavior = w.enum(mapping, "behavior", path, BEHAVIOR_TOKENS)
     speed = w.speed(mapping, "speed_mps", path)

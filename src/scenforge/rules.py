@@ -1,7 +1,9 @@
 """Trace-level evaluation of California Vehicle Code rule oracles.
 
-Thirteen CVC sections are evaluable.  The statutes name the checks; the
-quantitative thresholds are fixed here and documented in docs/rules.md:
+Thirteen CVC sections are evaluable.  `REGISTRY` is the oracle's one
+rule-to-check table: it maps each section to the function of a `TraceView`
+that decides it.  The statutes name the checks; the quantitative
+thresholds are fixed here and documented in docs/rules.md:
 
  - 22349/22350  speed: above limit + 0.5 m/s sustained >= 1.0 s
                 (22349 uses the 65 mph absolute maximum); a same-lane
@@ -21,8 +23,10 @@ quantitative thresholds are fixed here and documented in docs/rules.md:
                 priority reaches it within 2.0 s; the section is chosen
                 by approach control: signalized 21800, stop-controlled
                 21802, uncontrolled left turns 21801, otherwise 21800.
-                21803 (yield signs) and 21804 (driveway entries) are
-                registered but cannot trigger on the built topologies.
+                One pass per trace judges every entry, and each section
+                keeps its own.  21803 (yield signs) and 21804 (driveway
+                entries) are registered but cannot trigger on the built
+                topologies.
 
 Stop signs and signals control the non-ego approaches; the ego leg is
 the priority road (matching the adversary-violates design of the
@@ -36,7 +40,7 @@ import functools
 import io
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .digests import canonical_json, to_data
 from .dsl import KNOWN_RULE_IDS, OracleEntry
@@ -74,13 +78,6 @@ _EPS = 1e-9
 
 
 @dataclass(frozen=True)
-class RuleSpec:
-    rule_id: str
-    category: str
-    parameters: dict[str, float]
-
-
-@dataclass(frozen=True)
 class Violation:
     rule_id: str
     actor_id: str
@@ -103,25 +100,6 @@ class ViolationReport:
 
     def to_json(self) -> str:
         return canonical_json(to_data(self))
-
-
-REGISTRY: dict[str, RuleSpec] = {
-    "21453": RuleSpec("21453", "signal", {}),
-    "21460": RuleSpec("21460", "overtaking", {}),
-    "21461": RuleSpec("21461", "overtaking", {"oncoming_range_m": ONCOMING_RANGE_M}),
-    "21800": RuleSpec("21800", "right_of_way", {"window_s": PRIORITY_WINDOW_S}),
-    "21801": RuleSpec("21801", "right_of_way", {"window_s": PRIORITY_WINDOW_S}),
-    "21802": RuleSpec("21802", "right_of_way", {"window_s": PRIORITY_WINDOW_S}),
-    "21803": RuleSpec("21803", "right_of_way", {"window_s": PRIORITY_WINDOW_S}),
-    "21804": RuleSpec("21804", "right_of_way", {"window_s": PRIORITY_WINDOW_S}),
-    "22107": RuleSpec("22107", "lane_maneuver", {"headway_s": HEADWAY_S}),
-    "22108": RuleSpec("22108", "lane_maneuver", {"junction_margin_m": JUNCTION_CHANGE_M}),
-    "22349": RuleSpec("22349", "speed", {"limit_mps": ABSOLUTE_MAX_SPEED}),
-    "22350": RuleSpec("22350", "speed", {"tolerance_mps": SPEED_TOLERANCE}),
-    "22450": RuleSpec("22450", "stop_sign", {"zone_m": STOP_ZONE_M, "max_speed_mps": STOP_SPEED_MAX}),
-}
-
-assert tuple(sorted(REGISTRY)) == tuple(sorted(KNOWN_RULE_IDS))
 
 
 def _runs(flags: list[bool]) -> list[tuple[int, int]]:
@@ -237,7 +215,7 @@ class TraceView:
                              None)
             if stop_line is None:
                 return None
-            length, _ = VEHICLE_DIMS[self.trace.actor_types[actor_id]]
+            length, _ = self.dims[actor_id]
             track = self.tracks[actor_id]
             prev_delta = None
             for k, (x, y, heading) in enumerate(zip(track.x, track.y, track.heading)):
@@ -253,19 +231,16 @@ class TraceView:
         return self._cached("stop_line", actor_id, compute)
 
     def zone_min_speed(self, actor_id: str, stop_line: StopLine, crossing_frame: int) -> float:
-        length, _ = VEHICLE_DIMS[self.trace.actor_types[actor_id]]
+        length, _ = self.dims[actor_id]
         track = self.tracks[actor_id]
         speeds = []
         for _, x, y, heading, speed in zip(range(crossing_frame + 1), track.x, track.y,
                                            track.heading, track.speed):
             fx, fy = _front_point(x, y, heading, length)
             c = fx if stop_line.axis == "x" else fy
-            dist = (stop_line.coord - c) * stop_line.inbound
-            if 0.0 <= dist <= STOP_ZONE_M:
+            if 0.0 <= (stop_line.coord - c) * stop_line.inbound <= STOP_ZONE_M:
                 speeds.append(speed)
-        if not speeds:
-            return track.speed[crossing_frame]
-        return min(speeds)
+        return min(speeds, default=track.speed[crossing_frame])
 
     def lateral_offsets(self, actor_id: str) -> tuple[float, ...]:
         """The lateral offset of the actor's centre from the road axis, per frame."""
@@ -411,11 +386,6 @@ def _within_headway(fx: float, fy: float, fh: float, fv: float,
     return math.hypot(dx, dy) < HEADWAY_S * fv
 
 
-def _check_absolute_speed(view: TraceView) -> list[Violation]:
-    """22349: above the 65 mph maximum."""
-    return _speeding(view, "22349", ABSOLUTE_MAX_SPEED)
-
-
 def _check_basic_speed(view: TraceView) -> list[Violation]:
     """22350: above the posted limit, or following inside the headway."""
     return _speeding(view, "22350", view.geometry.speed_limit) + _headway(view)
@@ -493,16 +463,6 @@ def _divider_crossings(view: TraceView, rule_id: str, marker: str) -> list[Viola
             out.append(Violation(rule_id, actor_id, view.times[i], view.times[j],
                                  {"marker": marker, "max_lateral_m": peak}))
     return out
-
-
-def _check_solid_divider(view: TraceView) -> list[Violation]:
-    """21460: crossing a solid direction divider."""
-    return _divider_crossings(view, "21460", "solid_line")
-
-
-def _check_broken_divider(view: TraceView) -> list[Violation]:
-    """21461: crossing a broken divider with oncoming traffic in range."""
-    return _divider_crossings(view, "21461", "broken_line")
 
 
 def _region_distance(geometry: RoadGeometry, x: float, y: float) -> float:
@@ -588,7 +548,9 @@ def _right_of_way_section(view: TraceView, actor_id: str, entry: int) -> str:
     return "21800"
 
 
-def _failures_to_yield(view: TraceView, rule_id: str) -> list[Violation]:
+def _yield_failures(view: TraceView) -> list[Violation]:
+    """Every actor entering the conflict region ahead of an actor with priority,
+    reported under the right-of-way section of its approach."""
     if view.geometry.conflict_region is None:
         return []
     entries = sorted(view.region_entries().items())
@@ -603,61 +565,49 @@ def _failures_to_yield(view: TraceView, rule_id: str) -> list[Violation]:
                 continue
             if not _has_priority(view, b_id, b_entry, a_id, a_entry):
                 continue
-            section = _right_of_way_section(view, a_id, a_entry)
-            if section == rule_id:
-                out.append(Violation(rule_id, a_id, t_a, t_a,
-                                     {"priority_actor": b_id, "gap_s": abs(t_b - t_a)}))
+            out.append(Violation(_right_of_way_section(view, a_id, a_entry), a_id, t_a, t_a,
+                                 {"priority_actor": b_id, "gap_s": abs(t_b - t_a)}))
             break
     return out
 
 
-def _check_signal_or_general_yield(view: TraceView) -> list[Violation]:
-    """21800: entering ahead of an actor with priority (signalized or default)."""
-    return _failures_to_yield(view, "21800")
+def _failures_to_yield(view: TraceView, rule_id: str) -> list[Violation]:
+    """`rule_id`'s share of the right-of-way pass, which runs once per view."""
+    failures = view._cached("yield_failures", "", functools.partial(_yield_failures, view))
+    return [v for v in failures if v.rule_id == rule_id]
 
 
-def _check_left_turn_yield(view: TraceView) -> list[Violation]:
-    """21801: an uncontrolled left turn into an actor with priority."""
-    return _failures_to_yield(view, "21801")
-
-
-def _check_stop_controlled_yield(view: TraceView) -> list[Violation]:
-    """21802: entering from a stop-controlled approach ahead of an actor with priority."""
-    return _failures_to_yield(view, "21802")
-
-
-def _check_yield_sign(view: TraceView) -> list[Violation]:
-    """21803: no yield signs in the sign vocabulary."""
+def _never_violated(view: TraceView) -> list[Violation]:
+    """21803 and 21804: the sign vocabulary has no yield sign and the built
+    topologies have no driveway legs."""
     return []
 
 
-def _check_driveway_entry(view: TraceView) -> list[Violation]:
-    """21804: no driveway legs in the built topologies."""
-    return []
-
-
-_CHECKS = {
+# The oracle: each CVC section an oracle entry may cite, and the check that decides it.
+REGISTRY: dict[str, Callable[[TraceView], list[Violation]]] = {
     "21453": _check_red_light,
-    "21460": _check_solid_divider,
-    "21461": _check_broken_divider,
-    "21800": _check_signal_or_general_yield,
-    "21801": _check_left_turn_yield,
-    "21802": _check_stop_controlled_yield,
-    "21803": _check_yield_sign,
-    "21804": _check_driveway_entry,
+    "21460": functools.partial(_divider_crossings, rule_id="21460", marker="solid_line"),
+    "21461": functools.partial(_divider_crossings, rule_id="21461", marker="broken_line"),
+    "21800": functools.partial(_failures_to_yield, rule_id="21800"),
+    "21801": functools.partial(_failures_to_yield, rule_id="21801"),
+    "21802": functools.partial(_failures_to_yield, rule_id="21802"),
+    "21803": _never_violated,
+    "21804": _never_violated,
     "22107": _check_unsafe_lane_change,
     "22108": _check_junction_lane_change,
-    "22349": _check_absolute_speed,
+    "22349": functools.partial(_speeding, rule_id="22349", limit=ABSOLUTE_MAX_SPEED),
     "22350": _check_basic_speed,
     "22450": _check_stop_sign,
 }
+
+assert tuple(sorted(REGISTRY)) == tuple(sorted(KNOWN_RULE_IDS))
 
 
 def evaluate_rule(rule_id: str, view: TraceView) -> list[Violation]:
     """Run one registry rule over a trace view, merging adjacent intervals."""
     if rule_id not in REGISTRY:
         raise KeyError(f"rule {rule_id!r} is not in the registry")
-    return _merge(_CHECKS[rule_id](view), view.trace.timestep_s)
+    return _merge(REGISTRY[rule_id](view), view.trace.timestep_s)
 
 
 def detect_collisions(view: TraceView) -> list[CollisionEvent]:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .digests import canonical_json, digest64_json, to_data
 from .sampling import ScenarioInstance
-from .synth import ScenarioTemplate, TemplateParams
+from .synth import ScenarioTemplate, TemplateParams, ego_actor_type
 
 TIMESTEP_S = 0.1
 HORIZON_S = 60.0
@@ -593,6 +593,7 @@ def trace_to_jsonl(trace: Trace) -> str:
 
 
 _COLUMN_KEYS = ("x", "y", "heading", "speed", "lane", "lat")  # ActorTrack's column order
+_NUMBER_KEYS = frozenset(("t", "x", "y", "heading", "speed", "lat"))
 
 
 def trace_from_jsonl(text: str) -> Trace:
@@ -601,9 +602,10 @@ def trace_from_jsonl(text: str) -> Trace:
     inside a JSON string stays in its line, and a CRLF's "\r" is whitespace.
 
     The header must be of format 2 and give each actor a type of
-    `VEHICLE_DIMS`.  Every column holds one value per time, signal lines come
-    before actor lines, and the actor lines are the header's actors, once
-    each.  A malformed trace raises ValueError naming the line at fault.
+    `VEHICLE_DIMS`.  Every column holds one value per time, a number in each
+    column but the lanes and signal states.  Signal lines come before actor
+    lines, and the actor lines are the header's actors, once each.  A
+    malformed trace raises ValueError naming the line at fault.
     """
     lines = [(n, line) for n, line in enumerate(text.split("\n"), 1) if line.strip()]
     if not lines:
@@ -617,6 +619,7 @@ def trace_from_jsonl(text: str) -> Trace:
         times = _decode_line(lines[1][1])["t"]
         if type(times) is not list or not times:
             raise ValueError("'t' is not a list of one or more times")
+        _check_numbers(times, "t")
         frames = len(times)
         actor_types = header["actor_types"]
         heads, tracks = [], {}
@@ -680,7 +683,18 @@ def _column(row: dict, key: str, frames: int) -> tuple:
     column = row[key]
     if type(column) is not list or len(column) != frames:
         raise ValueError(f"{key!r} is not a list of {frames} values, one per time")
+    if key in _NUMBER_KEYS:
+        _check_numbers(column, key)
     return tuple(column)
+
+
+def _check_numbers(column: list, key: str) -> None:
+    """Raise ValueError unless every value is a number.  `sum` adds a list of
+    numbers at C speed and raises TypeError at a string, null, list or object."""
+    try:
+        sum(column, 0.0)
+    except TypeError:
+        raise ValueError(f"{key!r} holds a value that is not a number") from None
 
 
 def _reason(exc: Exception) -> str:
@@ -971,8 +985,6 @@ def _build_movers(instance: ScenarioInstance, geometry: RoadGeometry) -> list[_M
     npc_init = b["NPC_INIT_DIST"]
 
     ego_path = _ego_path(geometry)
-    movers: list[_Mover] = []
-
     adversary = next((n for n in p.npcs if n.adversary), None)
     junction = p.topology in ("intersection", "t_intersection")
 
@@ -983,39 +995,28 @@ def _build_movers(instance: ScenarioInstance, geometry: RoadGeometry) -> list[_M
             raise ValueError("adversary path never crosses the ego path")
         s_cell_ego, s_cell_adv = cross
         ego_s0 = s_cell_ego - (EGO_RUNUP_M + ego_init)
-        movers.append(_Mover(p.ego_id, "truck" if p.ego_model.endswith("european_hgv") else "car",
-                             p.ego_behavior, ego_path, ego_s0, ego_speed))
-        if adversary is not None:
+    elif p.configuration == "head_on":
+        ego_s0 = path_length(ego_path) / 2.0 - ego_init
+    else:
+        ego_s0 = ego_init
+    movers = [_Mover(p.ego_id, ego_actor_type(p.ego_model), p.ego_behavior, ego_path, ego_s0,
+                     ego_speed)]
+    if adversary is not None:
+        if junction:
             t_cell = (EGO_RUNUP_M + ego_init) / ego_speed
             lead = npc_speed * max(t_cell - ARRIVAL_LEAD_S, 0.0)
-            adv_s0 = s_cell_adv - max(lead, npc_init)
-            speed = 0.0 if adversary.behavior == "static" else npc_speed
-            movers.append(_Mover(adversary.actor_id, adversary.actor_type, adversary.behavior,
-                                 adv_path, adv_s0, speed))
-    else:
-        half_len = path_length(ego_path) / 2.0
-        if p.configuration == "head_on":
-            ego_s0 = half_len - ego_init
-        else:
-            ego_s0 = ego_init
-        movers.append(_Mover(p.ego_id, "truck" if p.ego_model.endswith("european_hgv") else "car",
-                             p.ego_behavior, ego_path, ego_s0, ego_speed))
-        if adversary is not None:
-            if p.configuration == "head_on":
-                reverse = next(lane for lane in geometry.lanes if lane.direction == -1)
-                adv_s0 = path_length(reverse.path) / 2.0 - npc_init
-                mover = _Mover(adversary.actor_id, adversary.actor_type, adversary.behavior,
-                               reverse.path, adv_s0,
-                               0.0 if adversary.behavior == "static" else npc_speed)
-                if adversary.behavior == "go_forward":
-                    mover.incursion = True
-                    mover.trigger_gap = npc_init
-                movers.append(mover)
-            else:  # car_following: the adversary leads the ego in its lane
-                adv_s0 = ego_s0 + npc_init
-                movers.append(_Mover(adversary.actor_id, adversary.actor_type, adversary.behavior,
-                                     ego_path, adv_s0,
-                                     0.0 if adversary.behavior == "static" else npc_speed))
+            path, adv_s0 = adv_path, s_cell_adv - max(lead, npc_init)
+        elif p.configuration == "head_on":
+            path = next(lane for lane in geometry.lanes if lane.direction == -1).path
+            adv_s0 = path_length(path) / 2.0 - npc_init
+        else:  # car_following: the adversary leads the ego in its lane
+            path, adv_s0 = ego_path, ego_s0 + npc_init
+        mover = _Mover(adversary.actor_id, adversary.actor_type, adversary.behavior, path, adv_s0,
+                       0.0 if adversary.behavior == "static" else npc_speed)
+        if p.configuration == "head_on" and adversary.behavior == "go_forward":
+            mover.incursion = True
+            mover.trigger_gap = npc_init
+        movers.append(mover)
 
     # Background npcs: fixed 25 m placement along the ego lane (front/behind)
     # or the neighbouring corridor (left/right), fixed speed from the template.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .digests import digest64_json, digest64_text, to_data
 from .dsl import OracleEntry
-from .normalize import DEFAULT_SPEED_MPS, NormalizedSpec
+from .normalize import DEFAULT_SPEED_MPS, TRUCK_MODEL, NormalizedSpec
 
 log = logging.getLogger(__name__)
 
@@ -311,24 +311,27 @@ def fmt_number(value: float) -> str:
     return f"{value:.6g}"
 
 
+# configuration -> (adversary behaviour name, the lines of its body)
 _ADVERSARY_BEHAVIORS = {
-    "head_on": (
-        "behavior AdversaryHeadOn():\n"
-        "    # hold the opposing lane, then cut across the centerline over 2 s\n"
-        "    # once the gap to the ego falls below NPC_INIT_DIST\n"
-        "    do OncomingIncursion(trigger_gap=NPC_INIT_DIST, cross_duration=2)"
-    ),
-    "car_following": (
-        "behavior AdversaryLead():\n"
-        "    # lead the ego by NPC_INIT_DIST and keep lane at npc_speed\n"
-        "    do FollowLaneBehavior(target_speed=npc_speed)"
-    ),
-    "junction_conflict": (
-        "behavior AdversaryCrossing():\n"
-        "    # timed approach: reach the conflict region just before the ego\n"
-        "    do CrossConflictRegion(arrival_lead=0.1)"
-    ),
+    "head_on": ("AdversaryHeadOn", (
+        "    # hold the opposing lane, then cut across the centerline over 2 s",
+        "    # once the gap to the ego falls below NPC_INIT_DIST",
+        "    do OncomingIncursion(trigger_gap=NPC_INIT_DIST, cross_duration=2)")),
+    "car_following": ("AdversaryLead", (
+        "    # lead the ego by NPC_INIT_DIST and keep lane at npc_speed",
+        "    do FollowLaneBehavior(target_speed=npc_speed)")),
+    "junction_conflict": ("AdversaryCrossing", (
+        "    # timed approach: reach the conflict region just before the ego",
+        "    do CrossConflictRegion(arrival_lead=0.1)")),
 }
+
+_SCENIC_CLASSES = {"car": "Car", "truck": "Truck"}  # actor type -> Scenic class
+
+
+def ego_actor_type(ego_model: str) -> str:
+    """The ego's vehicle type for the program and the simulator: a truck only with
+    the model that trucks resolve to, as the template keeps no ego type."""
+    return "truck" if ego_model == TRUCK_MODEL else "car"
 
 
 def _escaped(text: str) -> str:
@@ -366,26 +369,20 @@ def render_scenic(template: ScenarioTemplate) -> ScenicProgram:
     lines.append("behavior EgoDrive():")
     lines.append("    do FollowLaneBehavior(target_speed=ego_speed)")
     lines.append("")
-    adversary_rows = [n for n in p.npcs if n.adversary]
-    if adversary_rows:
-        lines.append(_ADVERSARY_BEHAVIORS[p.configuration])
+    if any(n.adversary for n in p.npcs):
+        behavior_name, behavior_body = _ADVERSARY_BEHAVIORS[p.configuration]
+        lines.append(f"behavior {behavior_name}():")
+        lines.extend(behavior_body)
         lines.append("")
-    ego_kind = "Truck" if p.ego_model == "vehicle.carlamotors.european_hgv" else "Car"
-    lines.append(f"ego = new {ego_kind} on road,")
+    lines.append(f"ego = new {_SCENIC_CLASSES[ego_actor_type(p.ego_model)]} on road,")
     lines.append(f"    with blueprint '{_escaped(p.ego_model)}',")
     lines.append("    with behavior EgoDrive(),")
     lines.append("    with speed ego_speed")
     for npc in p.npcs:
         lines.append("")
-        kind = "Truck" if npc.actor_type == "truck" else "Car"
-        lines.append(f"{npc.actor_id} = new {kind} on road,")
+        lines.append(f"{npc.actor_id} = new {_SCENIC_CLASSES[npc.actor_type]} on road,")
         lines.append(f"    with blueprint '{_escaped(npc.model_id)}',")
         if npc.adversary:
-            behavior_name = {
-                "head_on": "AdversaryHeadOn",
-                "car_following": "AdversaryLead",
-                "junction_conflict": "AdversaryCrossing",
-            }[p.configuration]
             lines.append(f"    with behavior {behavior_name}(),")
             lines.append("    with speed npc_speed")
         else:

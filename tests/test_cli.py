@@ -477,6 +477,20 @@ def test_a_trace_of_an_unknown_actor_type_is_a_config_error(tmp_path, capsys):
                    f"not one of ['car', 'truck']\n")
 
 
+def test_a_trace_value_that_is_not_a_number_is_a_config_error(tmp_path, capsys):
+    def spoil(text: str) -> str:
+        lines = text.splitlines()
+        row = json.loads(lines[2])
+        assert row["id"] == "ego"
+        row["x"][5] = "a"
+        lines[2] = json.dumps(row)
+        return "\n".join(lines) + "\n"
+
+    status, err, trace = _monitor_with_second_trace(tmp_path, capsys, spoil)
+    assert status == cli.EXIT_CONFIG
+    assert err == f"error: {trace}: line 3: 'x' holds a value that is not a number\n"
+
+
 def test_a_format_1_trace_is_a_config_error(tmp_path, capsys):
     def format1(text: str) -> str:
         return format1_to_jsonl(sim.trace_from_jsonl(text))

@@ -78,9 +78,7 @@ def _drive_rows(actor_id: str, x0: float, y: float, speed, n: int):
 def test_registry_matches_supported_rule_ids():
     assert tuple(sorted(rules.REGISTRY)) == tuple(sorted(dsl.KNOWN_RULE_IDS))
     assert len(rules.REGISTRY) == 13
-    categories = {spec.category for spec in rules.REGISTRY.values()}
-    assert categories == {"signal", "stop_sign", "speed", "overtaking",
-                          "lane_maneuver", "right_of_way"}
+    assert all(callable(check) for check in rules.REGISTRY.values())
 
 
 def test_unknown_rule_rejected():
@@ -509,6 +507,27 @@ def test_monitor_calls_each_rule_and_collisions_once_through_module_names(monkey
     # one view, shared by every rule and by collision detection
     assert calls == [(rule_id, view) for rule_id in sorted(rules.REGISTRY)] + [
         ("collisions", view)]
+
+
+def test_monitor_judges_right_of_way_in_one_pass(monkeypatch):
+    """21800, 21801 and 21802 share one priority pass over the region entries."""
+    template = load_template("intersection-1")
+    geo = sim.build_geometry(template)
+    trace = sim.simulate(sampling.sample_instance(template, 0), geo)
+    calls = []
+    has_priority = rules._has_priority
+
+    def counting_has_priority(*args):
+        calls.append(args[1:])
+        return has_priority(*args)
+
+    monkeypatch.setattr(rules, "_has_priority", counting_has_priority)
+    rules._failures_to_yield(rules.TraceView(trace, geo), "21800")
+    one_pass = list(calls)
+    assert one_pass
+    calls.clear()
+    rules.monitor(trace, template.params.oracle, geo)
+    assert calls == one_pass
 
 
 @pytest.mark.parametrize("name", ["intersection-1-multi", "curve-multi", "straight-2"])

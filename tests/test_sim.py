@@ -542,6 +542,21 @@ def test_a_malformed_trace_names_the_line_at_fault(malform, reason):
         sim.trace_from_jsonl("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("key", ["t", "x", "y", "heading", "speed", "lat"])
+@pytest.mark.parametrize("value", ["a", None, [1.0], {"v": 1.0}])
+def test_a_value_that_is_not_a_number_names_its_line(key, value):
+    lines = _straight1_trace_lines()
+    n = 1 if key == "t" else len(lines) - 1
+
+    def spoil(row):
+        row[key][3] = value
+
+    lines[n] = _edited(lines[n], spoil)
+    with pytest.raises(ValueError,
+                       match=rf"^line {n + 1}: '{key}' holds a value that is not a number$"):
+        sim.trace_from_jsonl("\n".join(lines) + "\n")
+
+
 def test_actor_lines_give_the_track_order():
     """Track order is the order of the actor lines, whatever the header's."""
     lines = _straight1_trace_lines()

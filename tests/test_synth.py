@@ -341,6 +341,7 @@ def test_generated_documents_render_the_template_lines(spec, model_id, violation
     ("npc_speed", "a name the Scenic program already assigns"),
     ("EGO_INIT_DIST", "a name the Scenic program already assigns"),
     ("ego", "a name the Scenic program already assigns"),
+    *((name, "a name the Scenic program already assigns or reads") for name in dsl.PROGRAM_NAMES),
     ("npc 1", "not an identifier"),
     ("1npc", "not an identifier"),
     ("npc-1", "not an identifier"),
@@ -368,3 +369,17 @@ def test_an_ego_id_that_is_not_an_identifier_is_rejected_at_parse():
     renamed = replace(spec, actors=replace(spec.actors, ego=replace(spec.actors.ego,
                                                                      actor_id="npc_speed")))
     assert dsl.parse_dsl(dsl.serialize_dsl(renamed)) == renamed  # the ego's id is not rendered
+
+
+@pytest.mark.parametrize("ego_model, kind", [
+    ("vehicle.custom.european_hgv", "car"),
+    (normalize.TRUCK_MODEL, "truck"),
+    (normalize.DEFAULT_EGO_MODEL, "car"),
+])
+def test_the_program_and_the_trace_give_the_ego_one_vehicle_type(ego_model, kind):
+    template = load_template("straight-1")
+    template = replace(template, params=replace(template.params, ego_model=ego_model))
+    lines = render_scenic(template).source_text.splitlines()
+    assert f"ego = new {kind.title()} on road," in lines
+    trace = sim.simulate(sampling.sample_instance(template, 0), sim.build_geometry(template))
+    assert trace.actor_types["ego"] == kind

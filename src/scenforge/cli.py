@@ -479,8 +479,15 @@ def _cmd_eval_counts(args) -> int:
     expected = {k: int(v) for k, v in
                 json.loads(Path(args.expected).read_text(encoding="utf-8")).items()}
     grouped: dict[str, list[rules.ViolationReport]] = {}
-    for report_path in sorted(Path(args.reports_dir).rglob("report_*.json")):
-        report = _load(rules.ViolationReport, report_path)
+    root = Path(args.reports_dir)
+    for report_path in sorted(root.rglob("report_*.json")):
+        if any(part.startswith(".") and part.endswith(".partial")
+               for part in report_path.relative_to(root).parts[:-1]):
+            continue  # a staging directory, `.<sid>.partial/` or `.<sid>.old.partial/`
+        try:
+            report = _load(rules.ViolationReport, report_path)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{report_path}: {exc}") from exc
         grouped.setdefault(report.scenario_id, []).append(report)
     table = evaluate.compare_violation_counts(grouped, expected)
     csv_text = table.to_csv()

@@ -543,18 +543,21 @@ def _sig6_texts(column) -> list[str]:
     return texts
 
 
-TRACE_FORMAT = 2  # the `format` of the header line; a header without one is format 1
+TRACE_FORMAT = 3  # the `format` of the header line; a header without one is format 1
 
 
 def trace_to_jsonl(trace: Trace) -> str:
-    """Trace format 2: a header line, then one line per column.
+    """Trace format 3: a header line, then one line per column.
 
     Line 2 holds the frame times as `{"t":[...]}`; one line per signal head
-    holds its states as `{"approach":...,"state":[...]}`; one line per actor,
+    holds its states as `{"approach":...,"state":...}`; one line per actor,
     in track order, holds its six columns.  Floats are written to 6
     significant digits, and every line has sorted keys, as `canonical_json`
-    would write them.  Raises ValueError if the frames list different signal
-    approaches, which the format cannot hold.
+    would write them.  A column other than `t` whose written texts are all
+    the same is written once, as a bare value (`"speed":12.0`); any other
+    column is a list with one text per frame, as in format 2.  Raises
+    ValueError if the frames list different signal approaches, which the
+    format cannot hold.
     """
     header = {
         "actor_types": trace.actor_types,
@@ -567,11 +570,19 @@ def trace_to_jsonl(trace: Trace) -> str:
     }
     string = functools.cache(canonical_json)  # each id, lane, approach and state once
 
+    def column(texts: list[str]) -> str:
+        if texts and texts.count(texts[0]) == len(texts):
+            return texts[0]
+        return "[" + ",".join(texts) + "]"
+
     def strings(values) -> str:
-        return ",".join(map(string, values))
+        return column(list(map(string, values)))
 
     def nums(values) -> str:
-        return ",".join(_sig6_texts(values))
+        # equal non-zero values print alike; zeros may not, since 0.0 == -0.0
+        if values and values[0] and values.count(values[0]) == len(values):
+            return _sig6_json(values[0])
+        return column(_sig6_texts(values))
 
     # `simulate`'s frame times are formatted once; a -0.0 equals 0.0 but keeps its sign
     times = trace.times
@@ -583,12 +594,12 @@ def trace_to_jsonl(trace: Trace) -> str:
         raise ValueError(f"the frames list different signal approaches: {sorted(approaches)}")
     for i, approach in enumerate(next(iter(approaches), ())):
         states = strings(frame[i][1] for frame in trace.signals)
-        lines.append(f'{{"approach":{string(approach)},"state":[{states}]}}')
+        lines.append(f'{{"approach":{string(approach)},"state":{states}}}')
     for a in trace.tracks:
         lines.append(
-            f'{{"heading":[{nums(a.heading)}],"id":{string(a.actor_id)},'
-            f'"lane":[{strings(a.lane_id)}],"lat":[{nums(a.lateral)}],"speed":[{nums(a.speed)}],'
-            f'"x":[{nums(a.x)}],"y":[{nums(a.y)}]}}')
+            f'{{"heading":{nums(a.heading)},"id":{string(a.actor_id)},'
+            f'"lane":{strings(a.lane_id)},"lat":{nums(a.lateral)},"speed":{nums(a.speed)},'
+            f'"x":{nums(a.x)},"y":{nums(a.y)}}}')
     return "\n".join(lines) + "\n"
 
 
@@ -601,10 +612,12 @@ def trace_from_jsonl(text: str) -> Trace:
     are skipped.  Lines break at "\n" only, so a raw U+0085, U+2028 or U+2029
     inside a JSON string stays in its line, and a CRLF's "\r" is whitespace.
 
-    The header must be of format 2 and give each actor a type of
-    `VEHICLE_DIMS`.  Every column holds one value per time, a finite number
-    in each column but the lanes and signal states: no `true`, `false`, `NaN`
-    or `Infinity`.  Signal lines come before actor lines, and the actor lines
+    The header must be of format 2 or 3 and give each actor a type of
+    `VEHICLE_DIMS`.  The times are a list of one or more values.  Every other
+    column is a list of one value per time or, in either format, one bare
+    value that holds in every frame.  Each value is a finite number in each
+    column but the lanes and signal states: no `true`, `false`, `NaN` or
+    `Infinity`.  Signal lines come before actor lines, and the actor lines
     are the header's actors, once each.  A malformed trace raises ValueError
     naming the line at fault.
     """
@@ -647,8 +660,8 @@ def trace_from_jsonl(text: str) -> Trace:
 
 def _decode_header(header: dict) -> dict:
     version = header.get("format", 1)
-    if version != TRACE_FORMAT:
-        raise ValueError(f"trace format {version!r}: this reader reads format {TRACE_FORMAT} "
+    if version not in (2, TRACE_FORMAT):  # format 3 is format 2 with bare columns
+        raise ValueError(f"trace format {version!r}: this reader reads formats 2 and 3 "
                          f"only, so simulate the instances again")
     actor_types = dict(header["actor_types"])
     for actor_id, kind in actor_types.items():
@@ -682,12 +695,17 @@ def _actor_mismatch(ids: list, actor_types: dict) -> ValueError:
 
 
 def _column(row: dict, key: str, frames: int, booleans: bool = False) -> tuple:
+    """The column `key` of `frames` values; a bare value gets a list value's checks
+    and is repeated in every frame."""
     column = row[key]
-    if type(column) is not list or len(column) != frames:
+    bare = type(column) is not list
+    if bare:
+        column = [column]
+    elif len(column) != frames:
         raise ValueError(f"{key!r} is not a list of {frames} values, one per time")
     if key in _NUMBER_KEYS:
         _check_numbers(column, key, booleans)
-    return tuple(column)
+    return (column[0],) * frames if bare else tuple(column)
 
 
 def _may_hold_booleans(line: str) -> bool:

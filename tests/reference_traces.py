@@ -2,9 +2,12 @@
 
 Format 1, the frame-per-line format that format 2 replaced, is kept here as
 a reference: `PINNED_TRACE_SHA256` hashes `simulate`'s traces through its
-writer, and a trace read back from format 2 must hold exactly the floats
-that a format-1 round trip gives.  The format-2 pair states what
-`sim.trace_to_jsonl` writes and `sim.trace_from_jsonl` reads.
+writer, and a trace read back from a trace file must hold exactly the floats
+that a format-1 round trip gives.  Format 2, the columnar format, is kept
+too: `PINNED_FORMAT2_TRACE_SHA256` hashes traces through its writer, and
+`sim.trace_from_jsonl` still reads it.  `format3_to_jsonl` states what
+`sim.trace_to_jsonl` writes, and `format2_from_jsonl` what
+`sim.trace_from_jsonl` reads from a format-2 or a format-3 file.
 """
 
 from __future__ import annotations
@@ -84,17 +87,38 @@ def format2_to_jsonl(trace: sim.Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format3_to_jsonl(trace: sim.Trace) -> str:
+    """Trace format 3: format 2, with each column but `t` whose value texts are
+    all the same written once, as a bare value."""
+    lines = format2_to_jsonl(trace).split("\n")
+    rows = [json.loads(line) for line in lines[2:-1]]
+    for row in rows:
+        for key, column in row.items():
+            if type(column) is list and len(set(map(canonical_json, column))) == 1:
+                row[key] = column[0]
+    header = json.loads(lines[0]) | {"format": 3}
+    return "\n".join([canonical_json(header), lines[1], *map(canonical_json, rows)]) + "\n"
+
+
 def format2_from_jsonl(text: str) -> sim.Trace:
-    """Reads a well-formed format-2 trace with `json.loads` alone."""
+    """Reads a well-formed format-2 or format-3 trace with `json.loads` alone;
+    a bare column value is repeated in every frame."""
     header, times, *rows = [json.loads(line) for line in text.split("\n") if line.strip()]
-    heads = [row for row in rows if "approach" in row]
+    frames = len(times["t"])
+
+    def column(row: dict, key: str) -> tuple:
+        value = row[key]
+        return tuple(value) if type(value) is list else (value,) * frames
+
+    heads = [column(row, "state") for row in rows if "approach" in row]
+    approaches = [row["approach"] for row in rows if "approach" in row]
     return sim.Trace(
         **{key: header[key] for key in _HEADER_KEYS},
         actor_types=dict(header["actor_types"]),
         times=tuple(times["t"]),
-        signals=tuple(tuple((head["approach"], head["state"][k]) for head in heads)
-                      for k in range(len(times["t"]))),
-        tracks=tuple(sim.ActorTrack(row["id"], *(tuple(row[key]) for key in sim._COLUMN_KEYS))
+        signals=tuple(tuple(zip(approaches, states)) for states in zip(*heads))
+        if heads else ((),) * frames,
+        tracks=tuple(sim.ActorTrack(row["id"], *(column(row, key) for key in sim._COLUMN_KEYS))
                      for row in rows if "approach" not in row),
     )
 
@@ -115,9 +139,11 @@ def exact(value):
 
 
 def assert_round_trips_as_format_1(trace: sim.Trace) -> str:
-    """The format-2 text of `trace`, after checking that it reads back to the
-    bits a format-1 round trip gives and writes back to itself."""
+    """The format-3 text of `trace`, after checking that it is the reference
+    writer's text, reads back to the bits a format-1 round trip gives and
+    writes back to itself."""
     text = sim.trace_to_jsonl(trace)
+    assert text == format3_to_jsonl(trace)
     reloaded = sim.trace_from_jsonl(text)
     assert exact(reloaded) == exact(format1_from_jsonl(format1_to_jsonl(trace)))
     assert sim.trace_to_jsonl(reloaded) == text

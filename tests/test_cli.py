@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from scenforge import cli, dsl, normalize, rules, sampling, sim, synth
 from scenforge.digests import from_data
 
 from .conftest import FIXTURES, SCENARIO_FILES
-from .reference_traces import assert_round_trips_as_format_1, format1_to_jsonl
+from .reference_traces import assert_round_trips_as_format_1, format1_to_jsonl, format2_to_jsonl
 from .test_dsl import scenario_specs
 from .test_rules import reference_monitor
 from .test_synth import assert_program_keeps_the_template_lines
@@ -265,6 +266,45 @@ def test_eval_counts_subcommand(tmp_path, capsys):
     assert "straight-1,1,1,true" in capsys.readouterr().out
 
 
+def test_eval_counts_skips_the_staging_directories_of_a_killed_run(tmp_path, capsys):
+    """A killed `pipeline` can leave `.<sid>.partial/` holding an empty report
+    placeholder and `.<sid>.old.partial/` holding an earlier run's reports.
+    Neither is a finished run: the table is the clean tree's."""
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", str(STRAIGHT1), "--out", str(out),
+                     "--samples", "3"]) == cli.EXIT_OK
+    expected = tmp_path / "expected.json"
+    expected.write_text(json.dumps({"straight-1": 1}), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["eval", "counts", str(out), str(expected)]) == cli.EXIT_OK
+    clean = capsys.readouterr().out
+    assert "straight-1,1,1,true" in clean
+    placeholder = out / ".straight-1.partial" / "reports" / "report_00000.json"
+    placeholder.parent.mkdir(parents=True)
+    placeholder.touch()
+    old = out / ".straight-1.old.partial"
+    shutil.copytree(out / "straight-1", old)
+    report = json.loads((old / "reports" / "report_00000.json").read_text(encoding="utf-8"))
+    report.update(instance_seed=-1, violations=[])  # it would be the representative report
+    (old / "reports" / "report_00000.json").write_text(json.dumps(report), encoding="utf-8")
+    assert cli.main(["eval", "counts", str(out), str(expected)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == clean
+
+
+def test_eval_counts_names_a_report_that_does_not_parse(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", str(STRAIGHT1), "--out", str(out),
+                     "--samples", "3"]) == cli.EXIT_OK
+    expected = tmp_path / "expected.json"
+    expected.write_text(json.dumps({"straight-1": 1}), encoding="utf-8")
+    empty = out / "straight-1" / "reports" / "report_00001.json"
+    empty.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["eval", "counts", str(out), str(expected)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {empty}: Expecting value: line 1 column 1 (char 0)\n")
+
+
 def test_a_rerun_replaces_the_traces_and_reports_of_an_input(tmp_path, capsys):
     out = tmp_path / "out"
     for samples in ("6", "3"):
@@ -458,9 +498,14 @@ def _monitor_with_second_trace(tmp_path, capsys, edit) -> tuple[int, str, Path]:
     return status, capsys.readouterr().err, traces[1]
 
 
+def _as_format2(text: str) -> str:
+    """A trace file rewritten in format 2, where every column is a list."""
+    return format2_to_jsonl(sim.trace_from_jsonl(text))
+
+
 def test_a_malformed_trace_is_named_with_its_file_and_line(tmp_path, capsys):
     def truncate(text: str) -> str:
-        lines = text.splitlines()
+        lines = _as_format2(text).splitlines()
         assert len(lines) == 4 and lines[-1].startswith('{"heading":[')
         return "\n".join(lines[:-1] + ['{"heading":[']) + "\n"
 
@@ -479,7 +524,7 @@ def test_a_trace_of_an_unknown_actor_type_is_a_config_error(tmp_path, capsys):
 
 def test_a_trace_value_that_is_not_a_number_is_a_config_error(tmp_path, capsys):
     def spoil(text: str) -> str:
-        lines = text.splitlines()
+        lines = _as_format2(text).splitlines()
         row = json.loads(lines[2])
         assert row["id"] == "ego"
         row["x"][5] = "a"
@@ -494,7 +539,7 @@ def test_a_trace_value_that_is_not_a_number_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("literal", ["true", "NaN"])
 def test_a_trace_value_that_is_not_a_finite_number_is_a_config_error(tmp_path, capsys, literal):
     def spoil(text: str) -> str:
-        lines = text.splitlines()
+        lines = _as_format2(text).splitlines()
         row = json.loads(lines[2])
         assert row["id"] == "ego"
         row["speed"][5] = "@"
@@ -506,13 +551,47 @@ def test_a_trace_value_that_is_not_a_finite_number_is_a_config_error(tmp_path, c
     assert err == f"error: {trace}: line 3: 'speed' holds a value that is not a finite number\n"
 
 
+@pytest.mark.parametrize("literal, reason", [
+    ("true", "not a finite number"), ("NaN", "not a finite number"),
+    ("Infinity", "not a finite number"), ('"a"', "not a number"), ("null", "not a number"),
+    ("{}", "not a number")])
+def test_a_bare_trace_value_that_is_not_a_finite_number_is_a_config_error(
+        tmp_path, capsys, literal, reason):
+    def spoil(text: str) -> str:
+        lines = text.splitlines()
+        row = json.loads(lines[2])
+        assert row["id"] == "ego"
+        row["speed"] = "@"
+        lines[2] = json.dumps(row).replace('"@"', literal, 1)
+        return "\n".join(lines) + "\n"
+
+    status, err, trace = _monitor_with_second_trace(tmp_path, capsys, spoil)
+    assert status == cli.EXIT_CONFIG
+    assert err == f"error: {trace}: line 3: 'speed' holds a value that is {reason}\n"
+
+
+def test_format_2_traces_are_monitored_as_their_format_3_files(tmp_path):
+    template, manifest = _staged_manifest(tmp_path)
+    assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_OK
+    traces = sorted((tmp_path / "traces").glob("trace_*.jsonl"))
+    assert cli.main(["monitor", str(template), *map(str, traces)]) == cli.EXIT_OK
+    reports = _tree_hash(tmp_path / "reports")
+    for trace in traces:
+        text = trace.read_text(encoding="utf-8")
+        assert len(_as_format2(text)) > len(text)
+        trace.write_text(_as_format2(text), encoding="utf-8")
+    assert cli.main(["monitor", str(template), *map(str, traces)]) == cli.EXIT_OK
+    assert _tree_hash(tmp_path / "reports") == reports
+
+
 def test_a_format_1_trace_is_a_config_error(tmp_path, capsys):
     def format1(text: str) -> str:
         return format1_to_jsonl(sim.trace_from_jsonl(text))
 
     status, err, trace = _monitor_with_second_trace(tmp_path, capsys, format1)
     assert status == cli.EXIT_CONFIG
-    assert err.startswith(f"error: {trace}: line 1: trace format 1: this reader reads format 2")
+    assert err.startswith(f"error: {trace}: line 1: trace format 1: this reader reads formats "
+                          f"2 and 3 only")
 
 
 def _write_unparseable_document(tmp_path: Path) -> Path:

@@ -19,7 +19,7 @@ from scenforge.digests import canonical_json
 from .conftest import (EXPECTED_RULE_COUNTS, FIVE_ACTOR_DOCUMENTS, FIXTURES,
                        MULTI_ACTOR_DOCUMENTS, load_document_template, load_spec, load_template)
 from .reference_traces import (assert_round_trips_as_format_1, exact, format1_to_jsonl,
-                               format2_from_jsonl, format2_to_jsonl, sig6)
+                               format2_from_jsonl, format2_to_jsonl, format3_to_jsonl, sig6)
 from .test_dsl import scenario_specs
 
 
@@ -435,11 +435,13 @@ def test_trace_jsonl_round_trip():
     assert sim.trace_to_jsonl(loaded) == text
 
 
-def _straight1_trace_lines() -> list[str]:
-    """Header, times, then the lines of the ego and of npc_1."""
+def _straight1_trace_lines(write=format2_to_jsonl) -> list[str]:
+    """Header, times, then the lines of the ego and of npc_1, in format 2 unless
+    `write` is another writer: every column is a list, so a test can edit one
+    value of it."""
     template = load_template("straight-1")
     geo = sim.build_geometry(template)
-    return sim.trace_to_jsonl(sim.simulate(sampling.sample_instance(template, 0), geo)).splitlines()
+    return write(sim.simulate(sampling.sample_instance(template, 0), geo)).splitlines()
 
 
 def _edited(line: str, edit) -> str:
@@ -495,6 +497,10 @@ def _no_times(lines):
     return lines[:1] + ['{"t":[]}'] + lines[2:], 2
 
 
+def _bare_times(lines):
+    return lines[:1] + ['{"t":0.0}'] + lines[2:], 2
+
+
 def _header_only(lines):
     return lines[:1], 1
 
@@ -513,8 +519,8 @@ def _format_1(lines):
     return format1_to_jsonl(trace).splitlines(), 1
 
 
-def _format_3(lines):
-    return [_edited(lines[0], lambda row: row.update(format=3))] + lines[1:], 1
+def _format_4(lines):
+    return [_edited(lines[0], lambda row: row.update(format=4))] + lines[1:], 1
 
 
 @pytest.mark.parametrize("malform, reason", [
@@ -530,11 +536,12 @@ def _format_3(lines):
     (_signal_after_actor, r"missing key 'id'"),
     (_short_signal_column, r"'state' is not a list of \d+ values, one per time"),
     (_no_times, r"'t' is not a list of one or more times"),
+    (_bare_times, r"'t' is not a list of one or more times"),
     (_header_only, r"no time line after the header"),
     (_header_missing_key, r"missing key 'geometry_ref'"),
     (_unknown_actor_type, r"actor 'ego' has type 'bus', not one of \['car', 'truck'\]"),
-    (_format_1, r"trace format 1: this reader reads format 2 only"),
-    (_format_3, r"trace format 3: this reader reads format 2 only"),
+    (_format_1, r"trace format 1: this reader reads formats 2 and 3 only"),
+    (_format_4, r"trace format 4: this reader reads formats 2 and 3 only"),
 ])
 def test_a_malformed_trace_names_the_line_at_fault(malform, reason):
     lines, line_number = malform(_straight1_trace_lines())
@@ -574,6 +581,34 @@ def test_a_value_that_is_not_a_finite_number_names_its_line(key, literal):
     with pytest.raises(ValueError, match=rf"^line {n + 1}: '{key}' holds a value that is "
                                          rf"not a finite number$"):
         sim.trace_from_jsonl("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("key", ["x", "y", "heading", "speed", "lat"])
+@pytest.mark.parametrize("literal, reason", [
+    ("true", "not a finite number"), ("false", "not a finite number"),
+    ("NaN", "not a finite number"), ("Infinity", "not a finite number"),
+    ("-Infinity", "not a finite number"), ("1e400", "not a finite number"),
+    ('"a"', "not a number"), ("null", "not a number"), ("{}", "not a number")])
+def test_a_bare_value_that_is_not_a_finite_number_names_its_line(key, literal, reason):
+    """A bare value gets a list value's checks and messages."""
+    lines = _straight1_trace_lines(sim.trace_to_jsonl)
+    n = len(lines) - 1
+    lines[n] = _edited(lines[n], lambda row: row.update({key: "@"})).replace('"@"', literal, 1)
+    with pytest.raises(ValueError, match=rf"^line {n + 1}: '{key}' holds a value that is "
+                                         rf"{reason}$"):
+        sim.trace_from_jsonl("\n".join(lines) + "\n")
+
+
+def test_a_bare_value_holds_in_every_frame():
+    lines = _straight1_trace_lines()
+    frames = len(json.loads(lines[1])["t"])
+    lines[2] = _edited(lines[2], lambda row: row.update(speed=7.25, lane="l", lat=-0.0))
+    lines.insert(2, '{"approach":"north","state":"red"}')
+    trace = _assert_reads_as_the_reference("\n".join(lines) + "\n")
+    ego = trace.tracks[0]
+    assert ego.speed == (7.25,) * frames and ego.lane_id == ("l",) * frames
+    assert _bits(ego.lateral) == _bits((-0.0,) * frames)
+    assert trace.signals == ((("north", "red"),),) * frames
 
 
 def test_a_lane_or_a_large_sum_does_not_make_a_column_fail():
@@ -637,20 +672,22 @@ def _assert_reads_as_the_reference(text: str) -> sim.Trace:
 
 def test_trace_reader_matches_the_reference_reader_on_simulated_traces():
     """On the fixtures, the multi-actor and the five-actor documents, seeds 0-29,
-    a format-2 round trip gives a format-1 round trip's floats bit for bit and
-    writes back the text it read."""
+    a format-3 round trip gives a format-1 round trip's floats bit for bit and
+    writes back the text it read, and the format-2 file reads to the same
+    trace."""
     for name in sorted(EXPECTED_RULE_COUNTS) + list(MULTI_ACTOR_DOCUMENTS) + list(
             FIVE_ACTOR_DOCUMENTS):
         template = load_document_template(name)
         geo = sim.build_geometry(template)
         for seed in range(30):
-            text = assert_round_trips_as_format_1(
-                sim.simulate(sampling.sample_instance(template, seed), geo))
-            _assert_reads_as_the_reference(text)
+            trace = sim.simulate(sampling.sample_instance(template, seed), geo)
+            text = assert_round_trips_as_format_1(trace)
+            assert exact(_assert_reads_as_the_reference(text)) == exact(
+                _assert_reads_as_the_reference(format2_to_jsonl(trace)))
 
 
 _HEADER_LINE = canonical_json({
-    "actor_types": {}, "format": 2, "geometry_ref": "g", "horizon_s": 10.0, "instance_seed": 0,
+    "actor_types": {}, "format": 3, "geometry_ref": "g", "horizon_s": 10.0, "instance_seed": 0,
     "scenario_id": "s", "timestep_s": 0.05})
 
 
@@ -683,16 +720,20 @@ def _header_listing(id_texts) -> str:
 
 @st.composite
 def _trace_texts(draw):
-    """Format-2 texts with arbitrary number, id, lane and signal texts."""
+    """Format-3 texts with arbitrary number, id, lane and signal texts; every
+    column but the times may be a bare value."""
     ids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True))
     id_texts = [draw(_string_texts(st.just(actor_id))) for actor_id in ids]
     frames = draw(st.integers(1, 4))
     num, lane = _number_texts(), _string_texts(st.text(max_size=4))
 
-    def column(values) -> str:
+    def listed(values) -> str:
         return "[" + ",".join(draw(values) for _ in range(frames)) + "]"
 
-    lines = [_header_listing(id_texts), f'{{"t":{column(num)}}}']
+    def column(values) -> str:
+        return draw(values) if draw(st.booleans()) else listed(values)
+
+    lines = [_header_listing(id_texts), f'{{"t":{listed(num)}}}']
     lines += [f'{{"approach":{draw(lane)},"state":{column(lane)}}}'
               for _ in range(draw(st.integers(0, 2)))]
     lines += [f'{{"heading":{column(num)},"id":{id_text},"lane":{column(lane)},'
@@ -820,7 +861,7 @@ def test_trace_writer_matches_the_reference_writer_on_escaped_ids():
         tracks=tracks)
     text = sim.trace_to_jsonl(escaped)
     assert '\\"' in text and "\\u00e9" in text and '"y":[-0.0,' in text
-    assert text == format2_to_jsonl(escaped)
+    assert text == format3_to_jsonl(escaped)
     assert_round_trips_as_format_1(escaped)
 
 
@@ -830,7 +871,7 @@ def test_trace_writer_matches_the_reference_writer_with_signals():
     assert geo.signal_heads
     for seed in range(3):
         trace = sim.simulate(sampling.sample_instance(template, seed), geo)
-        assert sim.trace_to_jsonl(trace) == format2_to_jsonl(trace)
+        assert sim.trace_to_jsonl(trace) == format3_to_jsonl(trace)
     # signal states that change between frames, one of them seen twice
     cycle = [tuple((leg, sched.state(t)) for leg, sched in geo.signal_heads)
              for t in (0.0, 13.0, 20.0)]
@@ -838,7 +879,7 @@ def test_trace_writer_matches_the_reference_writer_with_signals():
     assert len(set(cycle)) > 1
     switching = dataclasses.replace(trace, signals=tuple(
         cycle[k % len(cycle)] for k in range(len(trace.times))))
-    assert sim.trace_to_jsonl(switching) == format2_to_jsonl(switching)
+    assert sim.trace_to_jsonl(switching) == format3_to_jsonl(switching)
     assert_round_trips_as_format_1(switching)
 
 
@@ -858,7 +899,7 @@ def test_trace_writer_matches_the_reference_writer_off_the_frame_times():
         tuple(t * (1.0 + 1e-12) for t in trace.times),  # within the 6 digits of the grid
     )]
     for variant in variants:
-        assert sim.trace_to_jsonl(variant) == format2_to_jsonl(variant)
+        assert sim.trace_to_jsonl(variant) == format3_to_jsonl(variant)
     assert sim.trace_to_jsonl(variants[1]).splitlines()[1].startswith('{"t":[-0.0,0.1,')
 
 
@@ -884,9 +925,10 @@ def test_trace_writer_formats_again_only_where_a_column_changes():
     }
     trace = _trace_with_columns(**columns)
     text = sim.trace_to_jsonl(trace)
-    assert text == format2_to_jsonl(trace)
+    assert text == format3_to_jsonl(trace)
     assert '"x":[0.0,-0.0,0.0,-0.0,-0.0,0.0,0.0]' in text
     assert '"lat":[-0.0,-0.0,0.1,0.1,-0.0,0.0,-0.0]' in text
+    assert '"y":2.5}' in text and '"lane":"f0",' in text
 
 
 def test_trace_writer_formats_a_run_of_equal_zeros_once(monkeypatch):
@@ -903,11 +945,61 @@ def test_trace_writer_formats_a_run_of_equal_zeros_once(monkeypatch):
     assert _bits(calls) == _bits([-0.0])
 
 
+def test_trace_writer_decides_a_bare_column_from_its_texts():
+    """Distinct floats with one 6-digit text make a bare column; zeros of both
+    signs, equal as floats, do not."""
+    trace = _trace_with_columns(lateral=(-3.5, -3.5000000001, -3.4999999999),
+                                x=(0.0, 0.0, -0.0), y=(-0.0,) * 3, speed=(12, 12.0, 12.0))
+    text = sim.trace_to_jsonl(trace)
+    assert text == format3_to_jsonl(trace)
+    assert '"lat":-3.5,' in text and '"x":[0.0,0.0,-0.0]' in text
+    assert '"y":-0.0}' in text and '"speed":12.0,' in text
+    assert_round_trips_as_format_1(trace)
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("column", ["x", "heading", "lateral"])
-def test_trace_writer_raises_on_non_finite_values_after_repeats(column, bad):
+@pytest.mark.parametrize("values", [(2.0, 2.0, "bad", "bad", 2.0), ("bad",) * 5])
+def test_trace_writer_raises_on_non_finite_values(column, bad, values):
+    """After repeats, and in a column that would be bare."""
     with pytest.raises(ValueError):
-        sim.trace_to_jsonl(_trace_with_columns(**{column: (2.0, 2.0, bad, bad, 2.0)}))
+        sim.trace_to_jsonl(_trace_with_columns(**{column: tuple(
+            bad if value == "bad" else value for value in values)}))
+
+
+@st.composite
+def _columnar_traces(draw):
+    """Traces of 1-6 frames whose columns draw from a few values each: runs,
+    one value throughout, zeros of both signs, and distinct floats that
+    print alike at 6 digits."""
+    frames = draw(st.integers(1, 6))
+    numbers = (st.sampled_from([0.0, -0.0, 2.5, -3.5, -3.5000000001, -3.4999999999, 1e-7])
+               | st.floats(allow_nan=False, allow_infinity=False))
+
+    def column(values) -> tuple:
+        pool = draw(st.lists(values, min_size=1, max_size=3))
+        return tuple(draw(st.lists(st.sampled_from(pool), min_size=frames, max_size=frames)))
+
+    ids = draw(st.lists(st.sampled_from(["ego", "npc_1", "npc_2"]), min_size=1, max_size=3,
+                        unique=True))
+    heads = draw(st.lists(st.sampled_from(["north", "south"]), max_size=2, unique=True))
+    states = [column(st.sampled_from(["red", "green"])) for _ in heads]
+    return sim.Trace(
+        "s", 0, 0.05, 10.0, "g", {actor_id: "car" for actor_id in ids},
+        times=sim._FRAME_TIMES[:frames],
+        signals=tuple(tuple(zip(heads, frame)) for frame in zip(*states)) if heads
+        else ((),) * frames,
+        tracks=tuple(sim.ActorTrack(actor_id, column(numbers), column(numbers), column(numbers),
+                                    column(numbers), column(st.sampled_from(["a", "b"])),
+                                    column(numbers)) for actor_id in ids))
+
+
+@given(_columnar_traces())
+@settings(max_examples=300, deadline=None)
+def test_trace_writer_round_trips_columns_with_runs_and_repeats(trace):
+    """The writer writes the reference's text, which reads back to a format-1
+    round trip's bits and writes back to itself."""
+    assert_round_trips_as_format_1(trace)
 
 
 def _lane_search_geometries() -> list[sim.RoadGeometry]:

@@ -6,8 +6,11 @@ the same way in every run passes it.
 `PINNED_TRACE_SHA256` guards `simulate`: its digests were recorded with the
 dict-per-frame writer of trace format 1, and are computed through the
 test-side copy of that writer, so they move only when a simulated float,
-lane or signal state moves.  `PINNED_FORMAT2_TRACE_SHA256` guards the trace
-files: the bytes `sim.trace_to_jsonl` writes in format 2.
+lane or signal state moves.  `PINNED_FORMAT2_TRACE_SHA256` was recorded from
+the format-2 writer that format 3 replaced, and is computed through its
+test-side copy, so it moves with the same floats at 6 digits.
+`PINNED_FORMAT3_TRACE_SHA256` guards the trace files: the bytes
+`sim.trace_to_jsonl` writes in format 3.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import pytest
 from scenforge import sampling, sim
 
 from .conftest import EXPECTED_RULE_COUNTS, MULTI_ACTOR_DOCUMENTS, load_document_template
-from .reference_traces import format1_to_jsonl
+from .reference_traces import exact, format1_to_jsonl, format2_to_jsonl
 
 SEEDS = range(50)
 
@@ -35,7 +38,7 @@ PINNED_TRACE_SHA256 = {
     "curve-multi": "49d0f83c260560aed48bebfb43367d848684bcee3f97496eb4c0e774b7427fde",
 }
 
-# SHA-256 of sim.trace_to_jsonl(trace) over SEEDS, one digest per document.
+# SHA-256 of format2_to_jsonl(trace) over SEEDS, one digest per document.
 PINNED_FORMAT2_TRACE_SHA256 = {
     "straight-1": "14c2446253f0a0a03d4165cd4bd57ae1d5881eba2e420919e0b53fbc8474eb27",
     "straight-2": "24620d40a56f1a9ea627d14dea1ed8f53e1c85ff2aed3aa12c219712481dbb9e",
@@ -47,13 +50,29 @@ PINNED_FORMAT2_TRACE_SHA256 = {
     "curve-multi": "ed2969f335617d4777e34447639c6be80038f6087f3cfc014d79bc66d2ac099b",
 }
 
+# SHA-256 of sim.trace_to_jsonl(trace) over SEEDS, one digest per document.
+PINNED_FORMAT3_TRACE_SHA256 = {
+    "straight-1": "95cea2c45d5b4d99ba66236ffc4f6cc89b68adc5602a291ebbadbe29f99bccc4",
+    "straight-2": "9fa6676c992c052f842a300ee0a56222e2ed18a7263fd21755e92868db5599d3",
+    "intersection-1": "90a3efad962d2acb6c38be04887dda5af9f50ebb95d24dace254e719d9d28fd5",
+    "intersection-2": "5c54052f99171fe98a5232d87e1db792df7d762b9f1aad86481eccda2a3d2411",
+    "t-intersection": "701f9a99171e090e8b4729ab78091eeb122fb807e9a074ca3fbcc2fc5fe6f913",
+    "curve": "2e8268fae12dd046db1180dea7548bf13d55793543b62c506a3e45362999119d",
+    "intersection-1-multi": "07f9885d559d851734176395e2fbfa5517a3c1a326684618464751a57367084e",
+    "curve-multi": "de9faf5e7c2165296ef15eaccc9bc873d002c264f4ebf22aae0dc39a20f8e8f7",
+}
 
-def _trace_digest(name: str, write) -> str:
+
+def _traces(name: str):
     template = load_document_template(name)
     geometry = sim.build_geometry(template)
-    digest = hashlib.sha256()
     for seed in SEEDS:
-        trace = sim.simulate(sampling.sample_instance(template, seed), geometry)
+        yield sim.simulate(sampling.sample_instance(template, seed), geometry)
+
+
+def _trace_digest(name: str, write) -> str:
+    digest = hashlib.sha256()
+    for trace in _traces(name):
         digest.update(write(trace).encode("utf-8"))
     return digest.hexdigest()
 
@@ -61,6 +80,7 @@ def _trace_digest(name: str, write) -> str:
 def test_pins_cover_every_fixture_and_both_multi_actor_documents():
     assert set(PINNED_TRACE_SHA256) == set(EXPECTED_RULE_COUNTS) | set(MULTI_ACTOR_DOCUMENTS)
     assert set(PINNED_FORMAT2_TRACE_SHA256) == set(PINNED_TRACE_SHA256)
+    assert set(PINNED_FORMAT3_TRACE_SHA256) == set(PINNED_TRACE_SHA256)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_TRACE_SHA256))
@@ -70,4 +90,20 @@ def test_trace_bytes_match_pinned_digest(name):
 
 @pytest.mark.parametrize("name", sorted(PINNED_FORMAT2_TRACE_SHA256))
 def test_format2_trace_bytes_match_pinned_digest(name):
-    assert _trace_digest(name, sim.trace_to_jsonl) == PINNED_FORMAT2_TRACE_SHA256[name]
+    assert _trace_digest(name, format2_to_jsonl) == PINNED_FORMAT2_TRACE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FORMAT3_TRACE_SHA256))
+def test_format3_trace_bytes_match_pinned_digest(name):
+    assert _trace_digest(name, sim.trace_to_jsonl) == PINNED_FORMAT3_TRACE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FORMAT3_TRACE_SHA256))
+def test_format3_trace_reads_back_as_the_format2_round_trip(name):
+    """The format-3 text reads back to the bits of a format-2 round trip and
+    writes back to itself."""
+    for trace in _traces(name):
+        text = sim.trace_to_jsonl(trace)
+        reloaded = sim.trace_from_jsonl(text)
+        assert exact(reloaded) == exact(sim.trace_from_jsonl(format2_to_jsonl(trace)))
+        assert sim.trace_to_jsonl(reloaded) == text

@@ -8,7 +8,8 @@ dict-per-frame writer of trace format 1, and are computed through the
 test-side copy of that writer, so they move only when a simulated float,
 lane or signal state moves.  `PINNED_FORMAT2_TRACE_SHA256` was recorded from
 the format-2 writer that format 3 replaced, and is computed through its
-test-side copy, so it moves with the same floats at 6 digits.
+test-side copy, so it moves only when a simulated value moves at 6
+significant digits.
 `PINNED_FORMAT3_TRACE_SHA256` guards the trace files: the bytes
 `sim.trace_to_jsonl` writes in format 3.
 """

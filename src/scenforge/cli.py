@@ -206,10 +206,11 @@ def _placeholders(staging: Path, instances: list[sampling.ScenarioInstance]):
     path.  The child neither truncates nor writes: a writer's `"w"` open empties
     a placeholder or creates a file the child has not reached, and either order
     gives the same bytes.  The child is reaped when the body ends, so no file
-    appears after it; if the fork fails, the body runs without a child.  Enter
-    it while the process has no thread."""
+    appears after it; if the fork fails, or the platform has no `os.fork`, the
+    body runs without a child.  Enter it while the process has no thread."""
+    fork = getattr(os, "fork", None)
     try:
-        pid = os.fork()
+        pid = fork() if fork else None
     except OSError:
         pid = None
     if pid == 0:

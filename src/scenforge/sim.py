@@ -543,19 +543,59 @@ def _sig6_texts(column) -> list[str]:
     return texts
 
 
-TRACE_FORMAT = 3  # the `format` of the header line; a header without one is format 1
+def _run_column(column) -> str:
+    """A format-4 number column: `_sig6_json` of each value, as `_sig6_texts`
+    formats it, with each run of three or more equal texts written once as
+    `[text,count]`, or the text alone, bare, if the column is one run.
+
+    A value equal to the one before it extends the run unformatted, except a
+    zero, whose text follows its own sign, so a zero run is split by sign.  A
+    value that differs is formatted; if it prints as the run's text, it
+    extends the run too.
+    """
+    items, text, run, last = [], "", 0, None
+    copysign = math.copysign
+    for x in column:
+        if x != last:
+            new, last = _sig6_json(x), x
+        elif x:
+            run += 1
+            continue
+        else:
+            new = "-0.0" if copysign(1.0, x) < 0 else "0.0"
+        if new == text:
+            run += 1
+            continue
+        if run == 1:
+            items.append(text)
+        elif run > 2:
+            items.append(f"[{text},{run}]")
+        elif run:
+            items += (text, text)
+        text, run = new, 1
+    if not items:
+        return text or "[]"  # one run, or no value at all
+    items += [text] * run if run < 3 else [f"[{text},{run}]"]
+    return "[" + ",".join(items) + "]"
+
+
+TRACE_FORMAT = 4  # the `format` of the header line; a header without one is format 1
 
 
 def trace_to_jsonl(trace: Trace) -> str:
-    """Trace format 3: a header line, then one line per column.
+    """Trace format 4: a header line, then one line per column.
 
-    Line 2 holds the frame times as `{"t":[...]}`; one line per signal head
-    holds its states as `{"approach":...,"state":...}`; one line per actor,
-    in track order, holds its six columns.  Floats are written to 6
-    significant digits, and every line has sorted keys, as `canonical_json`
-    would write them.  A column other than `t` whose written texts are all
-    the same is written once, as a bare value (`"speed":12.0`); any other
-    column is a list with one text per frame, as in format 2.  Raises
+    Line 2 holds the frame times: `{"t":601}`, the frame count, when they
+    print as the first frames of `simulate`'s grid and the header's timestep
+    and horizon allow that many (see `_grid_frames`), else a list
+    `{"t":[...]}`.  One line per signal head holds its states as
+    `{"approach":...,"state":...}`; one line per actor, in track order, holds
+    its six columns.  Floats are written to 6 significant digits, and every
+    line has sorted keys, as `canonical_json` would write them.  A column
+    other than `t` whose written texts are all the same is written once, as
+    a bare value (`"speed":12.0`); any other column is a list with one text
+    per frame, in which, except in `t` and `x`, each run of three or more
+    equal texts is written once with its length, `["f0",120]`.  Raises
     ValueError if the frames list different signal approaches, which the
     format cannot hold.
     """
@@ -570,36 +610,45 @@ def trace_to_jsonl(trace: Trace) -> str:
     }
     string = functools.cache(canonical_json)  # each id, lane, approach and state once
 
-    def column(texts: list[str]) -> str:
+    def strings(values) -> str:
+        # equal strings are equal texts, so the runs are those of the values
+        if values and values.count(values[0]) == len(values):
+            return string(values[0])
+        items = []
+        for value, run in itertools.groupby(values):
+            n = len(list(run))
+            items += [string(value)] * n if n < 3 else [f"[{string(value)},{n}]"]
+        return "[" + ",".join(items) + "]"
+
+    def nums(values, column=_run_column) -> str:
+        # equal non-zero values print alike; zeros may not, since 0.0 == -0.0
+        if values and values[0] and values.count(values[0]) == len(values):
+            return _sig6_json(values[0])
+        return column(values)
+
+    def plain(values) -> str:  # for `x`, which changes in nearly every frame
+        texts = _sig6_texts(values)
         if texts and texts.count(texts[0]) == len(texts):
             return texts[0]
         return "[" + ",".join(texts) + "]"
 
-    def strings(values) -> str:
-        return column(list(map(string, values)))
-
-    def nums(values) -> str:
-        # equal non-zero values print alike; zeros may not, since 0.0 == -0.0
-        if values and values[0] and values.count(values[0]) == len(values):
-            return _sig6_json(values[0])
-        return column(_sig6_texts(values))
-
-    # `simulate`'s frame times are formatted once; a -0.0 equals 0.0 but keeps its sign
-    times = trace.times
-    off_grid = times != _FRAME_TIMES[:len(times)] or (times and math.copysign(1.0, times[0]) < 0)
-    time_texts = _sig6_texts(times) if off_grid else _frame_time_texts()[:len(times)]
-    lines = [canonical_json(header), '{"t":[' + ",".join(time_texts) + "]}"]
+    n = len(trace.times)
+    if 0 < n <= _grid_frames(trace.timestep_s, trace.horizon_s) and _prints_as_grid(trace.times):
+        time_line = f'{{"t":{n}}}'
+    else:
+        time_line = '{"t":[' + ",".join(_sig6_texts(trace.times)) + "]}"
+    lines = [canonical_json(header), time_line]
     approaches = {tuple(approach for approach, _ in frame) for frame in set(trace.signals)}
     if len(approaches) > 1:
         raise ValueError(f"the frames list different signal approaches: {sorted(approaches)}")
     for i, approach in enumerate(next(iter(approaches), ())):
-        states = strings(frame[i][1] for frame in trace.signals)
+        states = strings([frame[i][1] for frame in trace.signals])
         lines.append(f'{{"approach":{string(approach)},"state":{states}}}')
     for a in trace.tracks:
         lines.append(
             f'{{"heading":{nums(a.heading)},"id":{string(a.actor_id)},'
             f'"lane":{strings(a.lane_id)},"lat":{nums(a.lateral)},"speed":{nums(a.speed)},'
-            f'"x":{nums(a.x)},"y":{nums(a.y)}}}')
+            f'"x":{nums(a.x, plain)},"y":{nums(a.y)}}}')
     return "\n".join(lines) + "\n"
 
 
@@ -612,42 +661,53 @@ def trace_from_jsonl(text: str) -> Trace:
     are skipped.  Lines break at "\n" only, so a raw U+0085, U+2028 or U+2029
     inside a JSON string stays in its line, and a CRLF's "\r" is whitespace.
 
-    The header must be of format 2 or 3 and give each actor a type of
-    `VEHICLE_DIMS`.  The times are a list of one or more values.  Every other
-    column is a list of one value per time or, in either format, one bare
-    value that holds in every frame.  Each value is a finite number in each
-    column but the lanes and signal states: no `true`, `false`, `NaN` or
-    `Infinity`.  Signal lines come before actor lines, and the actor lines
-    are the header's actors, once each.  A malformed trace raises ValueError
-    naming the line at fault.
+    The header must be of format 2, 3 or 4 and give each actor a type of
+    `VEHICLE_DIMS`.  The times are a list of one or more values or, in format
+    4, a frame count that stands for the first frames of `simulate`'s grid.
+    Every other column is a list of one value per time or, in formats 3 and
+    4, one bare value that holds in every frame; in format 4 a list may hold
+    runs `[value, count]`, a value repeated `count` (2 or more) times.  Each
+    value is a finite number in each column but the lanes and signal states,
+    which hold strings: no `true`, `false`, `NaN` or `Infinity`.  Signal lines
+    come before actor lines, and the actor lines are the header's actors, once
+    each.  A malformed trace raises ValueError naming the line at fault.
     """
     lines = [(n, line) for n, line in enumerate(text.split("\n"), 1) if line.strip()]
     if not lines:
         raise ValueError("empty trace")
     n = lines[0][0]
     try:
-        header = _decode_header(_decode_line(lines[0][1]))
+        version, header = _decode_header(_decode_line(lines[0][1]))
         if len(lines) == 1:
             raise ValueError("no time line after the header")
         n = lines[1][0]
+        format4 = version == 4
         times = _decode_line(lines[1][1])["t"]
-        if type(times) is not list or not times:
-            raise ValueError("'t' is not a list of one or more times")
-        _check_numbers(times, "t", _may_hold_booleans(lines[1][1]))
+        if format4 and type(times) is int:
+            times = _frame_grid(times, header)
+        elif type(times) is not list or not times:
+            raise ValueError("'t' is not a frame count or a list of one or more times" if format4
+                             else "'t' is not a list of one or more times")
+        else:
+            _check_numbers(times, "t", _may_hold_booleans(lines[1][1]))
         frames = len(times)
         actor_types = header["actor_types"]
         heads, tracks = [], {}
         for n, line in lines[2:]:
             row = _decode_line(line)
             if "approach" in row and not tracks:
-                heads.append(zip(itertools.repeat(row["approach"]), _column(row, "state", frames)))
+                approach = row["approach"]
+                if type(approach) is not str:
+                    raise ValueError("'approach' is not a string")
+                heads.append(zip(itertools.repeat(approach),
+                                 _column(row, "state", frames, format4)))
                 continue
             actor_id = row["id"]
             if actor_id in tracks or actor_id not in actor_types:
                 raise _actor_mismatch([*tracks, actor_id], actor_types)
             booleans = _may_hold_booleans(line)
-            tracks[actor_id] = ActorTrack(actor_id, *(_column(row, key, frames, booleans)
-                                                      for key in _COLUMN_KEYS))
+            tracks[actor_id] = ActorTrack(actor_id, *[_column(row, key, frames, format4, booleans)
+                                                      for key in _COLUMN_KEYS])
         n = lines[0][0]
         if len(tracks) != len(actor_types):
             raise _actor_mismatch(list(tracks), actor_types)
@@ -658,19 +718,31 @@ def trace_from_jsonl(text: str) -> Trace:
                  tracks=tuple(tracks.values()))
 
 
-def _decode_header(header: dict) -> dict:
+def _decode_header(header: dict) -> tuple[int, dict]:
+    """The format and the `Trace` fields of a header line."""
     version = header.get("format", 1)
-    if version not in (2, TRACE_FORMAT):  # format 3 is format 2 with bare columns
-        raise ValueError(f"trace format {version!r}: this reader reads formats 2 and 3 "
+    if version not in (2, 3, 4):  # format 3 adds bare columns, 4 runs and a frame count
+        raise ValueError(f"trace format {version!r}: this reader reads formats 2, 3 and 4 "
                          f"only, so simulate the instances again")
     actor_types = dict(header["actor_types"])
     for actor_id, kind in actor_types.items():
         if kind not in VEHICLE_DIMS:
             raise ValueError(f"actor {actor_id!r} has type {kind!r}, not one of "
                              f"{sorted(VEHICLE_DIMS)}")
-    return {key: header[key] for key in (
+    return version, {key: header[key] for key in (
         "scenario_id", "instance_seed", "timestep_s", "horizon_s", "geometry_ref")} | {
         "actor_types": actor_types}
+
+
+def _frame_grid(count: int, header: dict) -> tuple[float, ...]:
+    """The times a `t` count stands for: the first `count` frames of `_FRAME_TIMES`."""
+    if header["timestep_s"] != TIMESTEP_S:
+        raise ValueError(f"'t' is a frame count, but timestep_s {header['timestep_s']!r} is "
+                         f"not the frame grid's {TIMESTEP_S}")
+    limit = _grid_frames(TIMESTEP_S, header["horizon_s"])
+    if not 1 <= count <= limit:
+        raise ValueError(f"'t' counts {count} frames, not 1 to {limit:g}")
+    return _FRAME_TIMES[:count]
 
 
 def _decode_line(line: str):
@@ -694,18 +766,57 @@ def _actor_mismatch(ids: list, actor_types: dict) -> ValueError:
     return ValueError(f"actors {ids} differ from the header's actor_types {sorted(actor_types)}")
 
 
-def _column(row: dict, key: str, frames: int, booleans: bool = False) -> tuple:
-    """The column `key` of `frames` values; a bare value gets a list value's checks
-    and is repeated in every frame."""
+def _column(row: dict, key: str, frames: int, runs: bool, booleans: bool = False) -> tuple:
+    """The column `key` of `frames` values.  A bare value gets a list value's
+    checks and is repeated in every frame.  With `runs`, a list shorter than
+    `frames` has its runs expanded before the checks."""
     column = row[key]
+    number = key in _NUMBER_KEYS
+    if type(column) is (float if number else str):  # the usual bare value, checked alone
+        if number and not math.isfinite(column):
+            raise ValueError(f"{key!r} holds a value that is not a finite number")
+        return (column,) * frames
     bare = type(column) is not list
     if bare:
-        column = [column]
-    elif len(column) != frames:
-        raise ValueError(f"{key!r} is not a list of {frames} values, one per time")
-    if key in _NUMBER_KEYS:
-        _check_numbers(column, key, booleans)
-    return (column[0],) * frames if bare else tuple(column)
+        values = [column]
+    else:
+        if len(column) != frames:
+            if not runs:
+                raise _not_per_frame(key, frames)
+            column = _expand_runs(column, key, frames)
+        values = column
+    if number:
+        _check_numbers(values, key, booleans)
+    else:
+        try:
+            "".join(values)  # tests at C speed that every value is a string
+        except TypeError:
+            raise ValueError(f"{key!r} holds a value that is not a string") from None
+    return (column,) * frames if bare else tuple(column)
+
+
+def _expand_runs(column: list, key: str, frames: int) -> list:
+    """`column` with each run `[value, count]` replaced by `count` copies of
+    the value, which must make `frames` values.  A count is checked before its
+    copies are made."""
+    expanded = []
+    for item in column:
+        if type(item) is not list:
+            expanded.append(item)
+        elif len(item) != 2 or type(item[1]) is not int or item[1] < 2:
+            raise ValueError(f"{key!r} holds a run that is not [value, count] with an "
+                             f"integer count of 2 or more")
+        elif item[1] > frames - len(expanded):
+            raise _not_per_frame(key, frames)
+        else:
+            expanded += item[:1] * item[1]
+    if len(expanded) != frames:
+        raise _not_per_frame(key, frames)
+    return expanded
+
+
+def _not_per_frame(key: str, frames: int) -> ValueError:
+    return ValueError(f"{key!r} is not a list of {frames} values, one per time")
 
 
 def _may_hold_booleans(line: str) -> bool:
@@ -1108,8 +1219,25 @@ _FRAME_TIMES = tuple(round(k * TIMESTEP_S, 9) for k in range(int(HORIZON_S / TIM
 
 @functools.cache
 def _frame_time_texts() -> list[str]:
-    """What `trace_to_jsonl` writes for the frame times, formatted on first use."""
+    """What the frame times print as, formatted on first use."""
     return _sig6_texts(_FRAME_TIMES)
+
+
+def _prints_as_grid(times) -> bool:
+    """Whether `times` print as the first frame times: the grid's floats, where
+    only a first -0.0 prints apart, or other floats with the grid's texts."""
+    if times == _FRAME_TIMES[:len(times)]:
+        return math.copysign(1.0, times[0]) > 0
+    return _sig6_texts(times) == _frame_time_texts()[:len(times)]
+
+
+def _grid_frames(timestep_s: float, horizon_s: float) -> float:
+    """How many frames of `_FRAME_TIMES` a trace with this header may cover,
+    and so the largest `t` count a trace file may give: the frames up to the
+    horizon, or none if the timestep is not the grid's."""
+    if timestep_s != TIMESTEP_S:
+        return 0
+    return min(len(_FRAME_TIMES), horizon_s / timestep_s + 1)
 
 
 _BLOCK_FRAMES = 32  # frames every mover runs between two collision scans

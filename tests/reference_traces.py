@@ -3,16 +3,18 @@
 Format 1, the frame-per-line format that format 2 replaced, is kept here as
 a reference: `PINNED_TRACE_SHA256` hashes `simulate`'s traces through its
 writer, and a trace read back from a trace file must hold exactly the floats
-that a format-1 round trip gives.  Format 2, the columnar format, is kept
-too: `PINNED_FORMAT2_TRACE_SHA256` hashes traces through its writer, and
-`sim.trace_from_jsonl` still reads it.  `format3_to_jsonl` states what
-`sim.trace_to_jsonl` writes, and `format2_from_jsonl` what
-`sim.trace_from_jsonl` reads from a format-2 or a format-3 file.
+that a format-1 round trip gives.  Formats 2 and 3 are kept too:
+`PINNED_FORMAT2_TRACE_SHA256` and `PINNED_FORMAT3_TRACE_SHA256` hash traces
+through their writers, and `sim.trace_from_jsonl` still reads both.
+`format4_to_jsonl` states what `sim.trace_to_jsonl` writes, and
+`format2_from_jsonl` what `sim.trace_from_jsonl` reads from a file of
+format 2, 3 or 4.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import struct
 
@@ -100,15 +102,48 @@ def format3_to_jsonl(trace: sim.Trace) -> str:
     return "\n".join([canonical_json(header), lines[1], *map(canonical_json, rows)]) + "\n"
 
 
+def format4_to_jsonl(trace: sim.Trace) -> str:
+    """Trace format 4: format 3, with `t` written as the frame count when the
+    times print as the first frames of the 0.1 s grid that the header's
+    timestep and horizon allow, and in each list column but `t` and `x` each
+    run of three or more equal value texts written as `[value, count]`."""
+    lines = format3_to_jsonl(trace).split("\n")
+    rows = [json.loads(line) for line in lines[2:-1]]
+    for row in rows:
+        for key, column in row.items():
+            if type(column) is list and key != "x":
+                row[key] = []
+                for text, run in itertools.groupby(map(canonical_json, column)):
+                    count = len(list(run))
+                    row[key] += [json.loads(text)] * count if count < 3 else [
+                        [json.loads(text), count]]
+    header = json.loads(lines[0]) | {"format": 4}
+    n = len(trace.times)
+    grid = canonical_json({"t": [sig6(round(k * 0.1, 9)) for k in range(n)]})
+    on_grid = (trace.timestep_s == 0.1 and 0 < n <= min(601, trace.horizon_s / 0.1 + 1)
+               and lines[1] == grid)
+    times = canonical_json({"t": n}) if on_grid else lines[1]
+    return "\n".join([canonical_json(header), times, *map(canonical_json, rows)]) + "\n"
+
+
 def format2_from_jsonl(text: str) -> sim.Trace:
-    """Reads a well-formed format-2 or format-3 trace with `json.loads` alone;
-    a bare column value is repeated in every frame."""
+    """Reads a well-formed format-2, format-3 or format-4 trace with
+    `json.loads` alone: a bare column value is repeated in every frame, a run
+    `[value, count]` `count` times, and a `t` count stands for that many
+    frames of the timestep's grid."""
     header, times, *rows = [json.loads(line) for line in text.split("\n") if line.strip()]
+    if type(times["t"]) is int:
+        times["t"] = [round(k * header["timestep_s"], 9) for k in range(times["t"])]
     frames = len(times["t"])
 
     def column(row: dict, key: str) -> tuple:
         value = row[key]
-        return tuple(value) if type(value) is list else (value,) * frames
+        if type(value) is not list:
+            return (value,) * frames
+        if header["format"] == 4:
+            value = [v for item in value
+                     for v in (item[:1] * item[1] if type(item) is list else [item])]
+        return tuple(value)
 
     heads = [column(row, "state") for row in rows if "approach" in row]
     approaches = [row["approach"] for row in rows if "approach" in row]
@@ -139,11 +174,11 @@ def exact(value):
 
 
 def assert_round_trips_as_format_1(trace: sim.Trace) -> str:
-    """The format-3 text of `trace`, after checking that it is the reference
+    """The format-4 text of `trace`, after checking that it is the reference
     writer's text, reads back to the bits a format-1 round trip gives and
     writes back to itself."""
     text = sim.trace_to_jsonl(trace)
-    assert text == format3_to_jsonl(trace)
+    assert text == format4_to_jsonl(trace)
     reloaded = sim.trace_from_jsonl(text)
     assert exact(reloaded) == exact(format1_from_jsonl(format1_to_jsonl(trace)))
     assert sim.trace_to_jsonl(reloaded) == text

@@ -16,7 +16,8 @@ from scenforge import cli, dsl, normalize, rules, sampling, sim, synth
 from scenforge.digests import from_data
 
 from .conftest import FIXTURES, SCENARIO_FILES
-from .reference_traces import assert_round_trips_as_format_1, format1_to_jsonl, format2_to_jsonl
+from .reference_traces import (assert_round_trips_as_format_1, format1_to_jsonl, format2_to_jsonl,
+                               format3_to_jsonl)
 from .test_dsl import scenario_specs
 from .test_rules import reference_monitor
 from .test_synth import assert_program_keeps_the_template_lines
@@ -570,7 +571,8 @@ def test_a_bare_trace_value_that_is_not_a_finite_number_is_a_config_error(
     assert err == f"error: {trace}: line 3: 'speed' holds a value that is {reason}\n"
 
 
-def test_format_2_traces_are_monitored_as_their_format_3_files(tmp_path):
+@pytest.mark.parametrize("rewrite", [format2_to_jsonl, format3_to_jsonl])
+def test_format_2_and_3_traces_are_monitored_as_their_format_4_files(tmp_path, rewrite):
     template, manifest = _staged_manifest(tmp_path)
     assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_OK
     traces = sorted((tmp_path / "traces").glob("trace_*.jsonl"))
@@ -578,10 +580,26 @@ def test_format_2_traces_are_monitored_as_their_format_3_files(tmp_path):
     reports = _tree_hash(tmp_path / "reports")
     for trace in traces:
         text = trace.read_text(encoding="utf-8")
-        assert len(_as_format2(text)) > len(text)
-        trace.write_text(_as_format2(text), encoding="utf-8")
+        older = rewrite(sim.trace_from_jsonl(text))
+        assert len(older) > len(text)
+        trace.write_text(older, encoding="utf-8")
     assert cli.main(["monitor", str(template), *map(str, traces)]) == cli.EXIT_OK
     assert _tree_hash(tmp_path / "reports") == reports
+
+
+@pytest.mark.parametrize("literal", ["null", "{}", "3"])
+def test_a_lane_that_is_not_a_string_is_a_config_error(tmp_path, capsys, literal):
+    def spoil(text: str) -> str:
+        lines = text.splitlines()
+        row = json.loads(lines[2])
+        assert row["id"] == "ego" and type(row["lane"]) is str
+        row["lane"] = "@"
+        lines[2] = json.dumps(row).replace('"@"', literal, 1)
+        return "\n".join(lines) + "\n"
+
+    status, err, trace = _monitor_with_second_trace(tmp_path, capsys, spoil)
+    assert status == cli.EXIT_CONFIG
+    assert err == f"error: {trace}: line 3: 'lane' holds a value that is not a string\n"
 
 
 def test_a_format_1_trace_is_a_config_error(tmp_path, capsys):
@@ -591,7 +609,7 @@ def test_a_format_1_trace_is_a_config_error(tmp_path, capsys):
     status, err, trace = _monitor_with_second_trace(tmp_path, capsys, format1)
     assert status == cli.EXIT_CONFIG
     assert err.startswith(f"error: {trace}: line 1: trace format 1: this reader reads formats "
-                          f"2 and 3 only")
+                          f"2, 3 and 4 only")
 
 
 def _write_unparseable_document(tmp_path: Path) -> Path:
@@ -795,7 +813,8 @@ def test_a_failing_seed_leaves_no_child_process(tmp_path, monkeypatch, workers):
 
 
 def test_a_failed_fork_writes_the_same_tree(tmp_path, monkeypatch):
-    """Without the creator child the writers create every file themselves."""
+    """Without the creator child, because the fork fails or the platform has
+    no `os.fork`, the writers create every file themselves."""
     args = [str(STRAIGHT1), str(CURVE), "--samples", "6"]
     assert cli.main(["pipeline", *args, "--out", str(tmp_path / "forked")]) == cli.EXIT_OK
 
@@ -805,3 +824,6 @@ def test_a_failed_fork_writes_the_same_tree(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     assert cli.main(["pipeline", *args, "--out", str(tmp_path / "unforked")]) == cli.EXIT_OK
     assert _tree_hash(tmp_path / "unforked") == _tree_hash(tmp_path / "forked")
+    monkeypatch.delattr(os, "fork")
+    assert cli.main(["pipeline", *args, "--out", str(tmp_path / "forkless")]) == cli.EXIT_OK
+    assert _tree_hash(tmp_path / "forkless") == _tree_hash(tmp_path / "forked")

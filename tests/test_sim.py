@@ -19,7 +19,8 @@ from scenforge.digests import canonical_json
 from .conftest import (EXPECTED_RULE_COUNTS, FIVE_ACTOR_DOCUMENTS, FIXTURES,
                        MULTI_ACTOR_DOCUMENTS, load_document_template, load_spec, load_template)
 from .reference_traces import (assert_round_trips_as_format_1, exact, format1_to_jsonl,
-                               format2_from_jsonl, format2_to_jsonl, format3_to_jsonl, sig6)
+                               format2_from_jsonl, format2_to_jsonl, format3_to_jsonl,
+                               format4_to_jsonl, sig6)
 from .test_dsl import scenario_specs
 
 
@@ -519,8 +520,8 @@ def _format_1(lines):
     return format1_to_jsonl(trace).splitlines(), 1
 
 
-def _format_4(lines):
-    return [_edited(lines[0], lambda row: row.update(format=4))] + lines[1:], 1
+def _format_5(lines):
+    return [_edited(lines[0], lambda row: row.update(format=5))] + lines[1:], 1
 
 
 @pytest.mark.parametrize("malform, reason", [
@@ -540,12 +541,141 @@ def _format_4(lines):
     (_header_only, r"no time line after the header"),
     (_header_missing_key, r"missing key 'geometry_ref'"),
     (_unknown_actor_type, r"actor 'ego' has type 'bus', not one of \['car', 'truck'\]"),
-    (_format_1, r"trace format 1: this reader reads formats 2 and 3 only"),
-    (_format_4, r"trace format 4: this reader reads formats 2 and 3 only"),
+    (_format_1, r"trace format 1: this reader reads formats 2, 3 and 4 only"),
+    (_format_5, r"trace format 5: this reader reads formats 2, 3 and 4 only"),
 ])
 def test_a_malformed_trace_names_the_line_at_fault(malform, reason):
     lines, line_number = malform(_straight1_trace_lines())
     with pytest.raises(ValueError, match=rf"^line {line_number}: {reason}"):
+        sim.trace_from_jsonl("\n".join(lines) + "\n")
+
+
+def _format4_lines() -> list[str]:
+    """straight-1 at seed 0 in format 4: 28 frames written `{"t":28}`, the ego
+    on line 3 with a bare lane, and npc_1 on line 4 with the runs
+    `"lane":[["r0",18],["f0",10]]` and `"lat":[[0.0,9],0.175,...]`."""
+    lines = _straight1_trace_lines(sim.trace_to_jsonl)
+    assert lines[1] == '{"t":28}' and '"lane":"f0",' in lines[2]
+    assert '"lane":[["r0",18],["f0",10]],"lat":[[0.0,9],0.175,' in lines[3]
+    return lines
+
+
+def _replaced(line: str, old: str, new: str) -> str:
+    assert line.count(old) == 1
+    return line.replace(old, new)
+
+
+_RUN_REASON = r"'lat' holds a run that is not \[value, count\] with an integer count of 2 or more"
+
+
+@pytest.mark.parametrize("run, reason", [
+    ("[0.0,0]", _RUN_REASON),
+    ("[0.0,-1]", _RUN_REASON),
+    ("[0.0,1]", _RUN_REASON),
+    ("[0.0,true]", _RUN_REASON),
+    ("[0.0,9.0]", _RUN_REASON),
+    ('[0.0,"9"]', _RUN_REASON),
+    ("[0.0]", _RUN_REASON),
+    ("[0.0,9,1]", _RUN_REASON),
+    ("[]", _RUN_REASON),
+    ("[[0.0,9],9]", r"'lat' holds a value that is not a number"),  # a run inside a run
+    ("[0.0,10]", r"'lat' is not a list of 28 values, one per time"),  # one frame too many
+    ("[0.0,8]", r"'lat' is not a list of 28 values, one per time"),  # one frame too few
+    ("[0.0,1000000000000]", r"'lat' is not a list of 28 values, one per time"),
+    ("[null,9]", r"'lat' holds a value that is not a number"),
+    ("[NaN,9]", r"'lat' holds a value that is not a finite number"),
+    ("[true,9]", r"'lat' holds a value that is not a finite number"),
+])
+def test_a_malformed_run_names_its_line(run, reason):
+    """The npc's `[0.0,9]` lat run, spoiled; a count is checked before its
+    copies are made."""
+    lines = _format4_lines()
+    lines[3] = _replaced(lines[3], "[0.0,9]", run)
+    with pytest.raises(ValueError, match=rf"^line 4: {reason}$"):
+        sim.trace_from_jsonl("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("lanes", ['[["r0",19],["f0",10]]', '[["r0",18],["f0",9]]'])
+def test_lane_runs_that_miss_the_frame_count_name_their_line(lanes):
+    lines = _format4_lines()
+    lines[3] = _replaced(lines[3], '[["r0",18],["f0",10]]', lanes)
+    with pytest.raises(ValueError,
+                       match=r"^line 4: 'lane' is not a list of 28 values, one per time$"):
+        sim.trace_from_jsonl("\n".join(lines) + "\n")
+
+
+def test_runs_are_read_in_format_4_only():
+    """In a format-3 file a list with runs is a list of the wrong length."""
+    lines = _format4_lines()
+    lines[0] = _replaced(lines[0], '"format":4', '"format":3')
+    lines[1] = canonical_json({"t": list(sim._FRAME_TIMES[:28])})
+    with pytest.raises(ValueError,
+                       match=r"^line 4: '\w+' is not a list of 28 values, one per time$"):
+        sim.trace_from_jsonl("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("header, times, reason", [
+    ({}, '{"t":0}', r"'t' counts 0 frames, not 1 to 601"),
+    ({}, '{"t":-28}', r"'t' counts -28 frames, not 1 to 601"),
+    ({}, '{"t":602}', r"'t' counts 602 frames, not 1 to 601"),
+    ({"horizon_s": 2.6}, '{"t":28}', r"'t' counts 28 frames, not 1 to 27"),
+    ({"timestep_s": 0.05}, '{"t":28}',
+     r"'t' is a frame count, but timestep_s 0.05 is not the frame grid's 0.1"),
+    ({}, '{"t":true}', r"'t' is not a frame count or a list of one or more times"),
+    ({}, '{"t":28.0}', r"'t' is not a frame count or a list of one or more times"),
+    ({}, '{"t":"28"}', r"'t' is not a frame count or a list of one or more times"),
+    ({"format": 3}, '{"t":28}', r"'t' is not a list of one or more times"),
+    ({"format": 2}, '{"t":28}', r"'t' is not a list of one or more times"),
+    ({}, '{"t":[[0.0,3],0.3]}', r"'t' holds a value that is not a number"),  # a run in `t`
+])
+def test_a_malformed_frame_count_names_its_line(header, times, reason):
+    lines = _format4_lines()
+    lines[0] = _edited(lines[0], lambda row: row.update(header))
+    lines[1] = times
+    with pytest.raises(ValueError, match=rf"^line 2: {reason}$"):
+        sim.trace_from_jsonl("\n".join(lines) + "\n")
+
+
+def test_a_frame_count_stands_for_the_frame_grid():
+    """Up to the header's horizon, and over the whole grid."""
+    lines = _format4_lines()
+    trace = _assert_reads_as_the_reference("\n".join(lines) + "\n")
+    assert trace.times == sim._FRAME_TIMES[:28]
+    lines[0] = _edited(lines[0], lambda row: row.update(horizon_s=2.7))
+    assert sim.trace_from_jsonl("\n".join(lines) + "\n").times == trace.times
+    whole = [canonical_json({"actor_types": {"a": "car"}, "format": 4, "geometry_ref": "g",
+                             "horizon_s": 60.0, "instance_seed": 0, "scenario_id": "s",
+                             "timestep_s": 0.1}), '{"t":601}',
+             '{"heading":0.0,"id":"a","lane":"f0","lat":0.0,"speed":1.0,"x":1.0,"y":2.0}']
+    assert _assert_reads_as_the_reference("\n".join(whole) + "\n").times == sim._FRAME_TIMES
+
+
+_NOT_STRINGS = {"null": "null", "object": "{}", "number": "3"}
+
+
+@pytest.mark.parametrize("form", ["bare", "list", "run"])
+@pytest.mark.parametrize("literal", list(_NOT_STRINGS.values()), ids=list(_NOT_STRINGS))
+@pytest.mark.parametrize("key", ["lane", "state"])
+def test_a_lane_or_signal_state_that_is_not_a_string_names_its_line(key, literal, form):
+    """The ego's lane, or the state of a signal line put before it, as a bare
+    value, in a list, or as a run's value."""
+    lines = _format4_lines()
+    lines.insert(2, '{"approach":"north","state":"red"}')
+    n = 3 if key == "state" else 4
+    old = '"state":"red"' if key == "state" else '"lane":"f0"'
+    value = {"bare": literal, "list": f'["f0",{literal}' + ',"f0"' * 26 + "]",
+             "run": f'["f0",[{literal},27]]'}[form]
+    lines[n - 1] = _replaced(lines[n - 1], old, f'"{key}":{value}')
+    with pytest.raises(ValueError,
+                       match=rf"^line {n}: '{key}' holds a value that is not a string$"):
+        sim.trace_from_jsonl("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("literal", list(_NOT_STRINGS.values()), ids=list(_NOT_STRINGS))
+def test_a_signal_approach_that_is_not_a_string_names_its_line(literal):
+    lines = _format4_lines()
+    lines.insert(2, f'{{"approach":{literal},"state":"red"}}')
+    with pytest.raises(ValueError, match=r"^line 3: 'approach' is not a string$"):
         sim.trace_from_jsonl("\n".join(lines) + "\n")
 
 
@@ -720,20 +850,33 @@ def _header_listing(id_texts) -> str:
 
 @st.composite
 def _trace_texts(draw):
-    """Format-3 texts with arbitrary number, id, lane and signal texts; every
-    column but the times may be a bare value."""
+    """Format-3 and format-4 texts with arbitrary number, id, lane and signal
+    texts; every column but the times may be a bare value.  In format 4 a
+    list may hold runs, and the times may be a frame count."""
+    format4 = draw(st.booleans())
     ids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True))
     id_texts = [draw(_string_texts(st.just(actor_id))) for actor_id in ids]
-    frames = draw(st.integers(1, 4))
+    frames = draw(st.integers(1, 6))
     num, lane = _number_texts(), _string_texts(st.text(max_size=4))
 
-    def listed(values) -> str:
-        return "[" + ",".join(draw(values) for _ in range(frames)) + "]"
+    def listed(values, runs=format4) -> str:
+        items, left = [], frames
+        while left:
+            count = draw(st.integers(2, left)) if runs and left > 1 and draw(st.booleans()) else 1
+            items.append(f"[{draw(values)},{count}]" if count > 1 else draw(values))
+            left -= count
+        return "[" + ",".join(items) + "]"
 
     def column(values) -> str:
         return draw(values) if draw(st.booleans()) else listed(values)
 
-    lines = [_header_listing(id_texts), f'{{"t":{listed(num)}}}']
+    header = _header_listing(id_texts)
+    times = listed(num, runs=False)
+    if format4:
+        header = header.replace('"format":3', '"format":4')
+        if draw(st.booleans()):
+            header, times = header.replace('"timestep_s":0.05', '"timestep_s":0.1'), str(frames)
+    lines = [header, f'{{"t":{times}}}']
     lines += [f'{{"approach":{draw(lane)},"state":{column(lane)}}}'
               for _ in range(draw(st.integers(0, 2)))]
     lines += [f'{{"heading":{column(num)},"id":{id_text},"lane":{column(lane)},'
@@ -790,23 +933,31 @@ def _one_frame_trace_lines() -> list[str]:
     ('"speed":', '"speed_":[Infinity],"speed":'),
     ('"speed":', '"speed_":[-Infinity],"speed":'),
     ('"speed":', '"speed_":[1e400],"speed":'),
-    ('"lane":', '"lane":[NaN],"l":'),
-    ('"lane":', '"lane":[Infinity],"l":'),
-    ('"lane":', '"lane":[-Infinity],"l":'),
-    ('"lane":', '"lane":[1e400],"l":'),
     ('"lane":', '"lane":["\\ud800"],"l":'),
     ('"lane":', '"lane":["\\udc00\\ud83d"],"l":'),
 ])
 def test_trace_reader_reads_what_only_json_accepts_as_the_reference_does(old, new):
     """A one-frame trace whose ego line holds a value only `json` reads: in a
-    key the reader ignores, next to the speed column, or in the lane column,
-    whose old value moves to an ignored key.  Only the number columns are
-    checked for non-numbers, so neither place is rejected."""
+    key the reader ignores, next to the speed column, or a lone surrogate in
+    the lane column, whose old value moves to an ignored key.  Neither place
+    is rejected."""
     lines = _one_frame_trace_lines()
     lines[2] = lines[2].replace(old, new, 1)
     with pytest.raises(orjson.JSONDecodeError):
         orjson.loads(lines[2])
     _assert_reads_as_the_reference("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_a_lane_that_only_json_reads_as_a_number_is_not_a_string(literal):
+    """The `json` fallback reads these lanes as floats, which the lane check
+    refuses."""
+    lines = _one_frame_trace_lines()
+    lines[2] = lines[2].replace('"lane":', f'"lane":[{literal}],"l":', 1)
+    with pytest.raises(orjson.JSONDecodeError):
+        orjson.loads(lines[2])
+    with pytest.raises(ValueError, match=r"^line 3: 'lane' holds a value that is not a string$"):
+        sim.trace_from_jsonl("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("integer", [2**64, 10**30, -2**63 - 1])
@@ -861,7 +1012,7 @@ def test_trace_writer_matches_the_reference_writer_on_escaped_ids():
         tracks=tracks)
     text = sim.trace_to_jsonl(escaped)
     assert '\\"' in text and "\\u00e9" in text and '"y":[-0.0,' in text
-    assert text == format3_to_jsonl(escaped)
+    assert text == format4_to_jsonl(escaped)
     assert_round_trips_as_format_1(escaped)
 
 
@@ -871,7 +1022,7 @@ def test_trace_writer_matches_the_reference_writer_with_signals():
     assert geo.signal_heads
     for seed in range(3):
         trace = sim.simulate(sampling.sample_instance(template, seed), geo)
-        assert sim.trace_to_jsonl(trace) == format3_to_jsonl(trace)
+        assert sim.trace_to_jsonl(trace) == format4_to_jsonl(trace)
     # signal states that change between frames, one of them seen twice
     cycle = [tuple((leg, sched.state(t)) for leg, sched in geo.signal_heads)
              for t in (0.0, 13.0, 20.0)]
@@ -879,7 +1030,7 @@ def test_trace_writer_matches_the_reference_writer_with_signals():
     assert len(set(cycle)) > 1
     switching = dataclasses.replace(trace, signals=tuple(
         cycle[k % len(cycle)] for k in range(len(trace.times))))
-    assert sim.trace_to_jsonl(switching) == format3_to_jsonl(switching)
+    assert sim.trace_to_jsonl(switching) == format4_to_jsonl(switching)
     assert_round_trips_as_format_1(switching)
 
 
@@ -899,18 +1050,19 @@ def test_trace_writer_matches_the_reference_writer_off_the_frame_times():
         tuple(t * (1.0 + 1e-12) for t in trace.times),  # within the 6 digits of the grid
     )]
     for variant in variants:
-        assert sim.trace_to_jsonl(variant) == format3_to_jsonl(variant)
+        assert sim.trace_to_jsonl(variant) == format4_to_jsonl(variant)
     assert sim.trace_to_jsonl(variants[1]).splitlines()[1].startswith('{"t":[-0.0,0.1,')
 
 
 def _trace_with_columns(**columns) -> sim.Trace:
-    """A one-actor, one-lane trace whose columns are given, the rest filled in."""
+    """A one-actor trace whose columns are given, the rest filled in: the lane
+    `f0`, and 1.0 in the number columns."""
     frames = len(next(iter(columns.values())))
     filled = {key: columns.get(key, (1.0,) * frames)
               for key in ("x", "y", "heading", "speed", "lateral")}
     template = load_template("straight-1")
     trace = sim.simulate(sampling.sample_instance(template, 0), sim.build_geometry(template))
-    track = sim.ActorTrack("ego", lane_id=("f0",) * frames, **filled)
+    track = sim.ActorTrack("ego", lane_id=columns.get("lane_id", ("f0",) * frames), **filled)
     return dataclasses.replace(trace, actor_types={"ego": "car"}, times=sim._FRAME_TIMES[:frames],
                                signals=((),) * frames, tracks=(track,))
 
@@ -925,7 +1077,7 @@ def test_trace_writer_formats_again_only_where_a_column_changes():
     }
     trace = _trace_with_columns(**columns)
     text = sim.trace_to_jsonl(trace)
-    assert text == format3_to_jsonl(trace)
+    assert text == format4_to_jsonl(trace)
     assert '"x":[0.0,-0.0,0.0,-0.0,-0.0,0.0,0.0]' in text
     assert '"lat":[-0.0,-0.0,0.1,0.1,-0.0,0.0,-0.0]' in text
     assert '"y":2.5}' in text and '"lane":"f0",' in text
@@ -951,10 +1103,63 @@ def test_trace_writer_decides_a_bare_column_from_its_texts():
     trace = _trace_with_columns(lateral=(-3.5, -3.5000000001, -3.4999999999),
                                 x=(0.0, 0.0, -0.0), y=(-0.0,) * 3, speed=(12, 12.0, 12.0))
     text = sim.trace_to_jsonl(trace)
-    assert text == format3_to_jsonl(trace)
+    assert text == format4_to_jsonl(trace)
     assert '"lat":-3.5,' in text and '"x":[0.0,0.0,-0.0]' in text
     assert '"y":-0.0}' in text and '"speed":12.0,' in text
     assert_round_trips_as_format_1(trace)
+
+
+def _assert_reads_as_the_format3_round_trip(trace: sim.Trace) -> str:
+    """The format-4 text of `trace`, after checking that it is the reference
+    writer's text and reads back to the bits of the format-3 file."""
+    text = sim.trace_to_jsonl(trace)
+    assert text == format4_to_jsonl(trace)
+    assert exact(sim.trace_from_jsonl(text)) == exact(
+        sim.trace_from_jsonl(format3_to_jsonl(trace)))
+    assert sim.trace_to_jsonl(sim.trace_from_jsonl(text)) == text
+    return text
+
+
+def test_trace_writer_writes_runs_of_three_or_more_equal_texts():
+    trace = _trace_with_columns(
+        y=(0.0,) * 3 + (-0.0,) * 3 + (0.0,) * 4 + (-0.0,) * 3,  # zero runs split by sign
+        heading=(1.0, 2.0, 2.0, 3.0, 3.0, 3.0, -0.0, 0.0, 0.0,  # runs of length 1, 2 and 3
+                 2.5000000001, 2.5, 2.4999999999, 7.0),        # distinct floats, one text
+        lateral=(5.0,) * 4 + (6.0,) * 3 + (5.0,) * 6,           # a column of runs only
+        x=(0.0,) * 5 + (1.0,) * 8,                               # `x` keeps every text
+        lane_id=("a", "a") + ("b",) * 3 + ("a",) * 8)
+    text = _assert_reads_as_the_format3_round_trip(trace)
+    assert text.splitlines()[1:] == [
+        '{"t":13}',
+        '{"heading":[1.0,2.0,2.0,[3.0,3],-0.0,0.0,0.0,[2.5,3],7.0],"id":"ego",'
+        '"lane":["a","a",["b",3],["a",8]],"lat":[[5.0,4],[6.0,3],[5.0,6]],"speed":1.0,'
+        '"x":[0.0,0.0,0.0,0.0,0.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0],'
+        '"y":[[0.0,3],[-0.0,3],[0.0,4],[-0.0,3]]}']
+
+
+def test_trace_writer_writes_the_frame_count_only_for_the_frame_grid():
+    """A one-frame trace; the grid with another timestep, or beyond the
+    horizon; times that print as the grid's; and times that do not."""
+    one = _trace_with_columns(x=(2.0,), y=(-0.0,))
+    assert _assert_reads_as_the_format3_round_trip(one).splitlines()[1:] == [
+        '{"t":1}', '{"heading":1.0,"id":"ego","lane":"f0","lat":1.0,"speed":1.0,"x":2.0,"y":-0.0}']
+    trace = _trace_with_columns(y=(0.0,) * 4 + (1.0,) * 3)
+    assert _assert_reads_as_the_format3_round_trip(trace).splitlines()[1] == '{"t":7}'
+    listed = '{"t":[0.0,0.1,0.2,0.3,0.4,0.5,0.6]}'
+    for variant in (dataclasses.replace(trace, timestep_s=0.05),
+                    dataclasses.replace(trace, horizon_s=0.5)):
+        assert _assert_reads_as_the_format3_round_trip(variant).splitlines()[1] == listed
+    near = tuple(t * (1.0 + 1e-12) for t in trace.times)  # within the 6 digits of the grid
+    for variant in (dataclasses.replace(trace, horizon_s=1.0),
+                    dataclasses.replace(trace, times=(0,) + trace.times[1:]),
+                    dataclasses.replace(trace, times=near)):
+        assert _assert_reads_as_the_format3_round_trip(variant).splitlines()[1] == '{"t":7}'
+    for variant, line in (
+            (dataclasses.replace(trace, times=sim._FRAME_TIMES[1:8]), '{"t":[0.1,0.2,'),
+            (dataclasses.replace(trace, times=(-0.0,) + trace.times[1:]), '{"t":[-0.0,0.1,'),
+            (dataclasses.replace(trace, times=tuple(t + 0.05 for t in trace.times)),
+             '{"t":[0.05,0.15,')):
+        assert _assert_reads_as_the_format3_round_trip(variant).splitlines()[1].startswith(line)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -973,6 +1178,7 @@ def _columnar_traces(draw):
     one value throughout, zeros of both signs, and distinct floats that
     print alike at 6 digits."""
     frames = draw(st.integers(1, 6))
+    timestep = draw(st.sampled_from([0.05, sim.TIMESTEP_S]))  # the latter writes a frame count
     numbers = (st.sampled_from([0.0, -0.0, 2.5, -3.5, -3.5000000001, -3.4999999999, 1e-7])
                | st.floats(allow_nan=False, allow_infinity=False))
 
@@ -985,7 +1191,7 @@ def _columnar_traces(draw):
     heads = draw(st.lists(st.sampled_from(["north", "south"]), max_size=2, unique=True))
     states = [column(st.sampled_from(["red", "green"])) for _ in heads]
     return sim.Trace(
-        "s", 0, 0.05, 10.0, "g", {actor_id: "car" for actor_id in ids},
+        "s", 0, timestep, 10.0, "g", {actor_id: "car" for actor_id in ids},
         times=sim._FRAME_TIMES[:frames],
         signals=tuple(tuple(zip(heads, frame)) for frame in zip(*states)) if heads
         else ((),) * frames,

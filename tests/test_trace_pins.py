@@ -9,9 +9,10 @@ test-side copy of that writer, so they move only when a simulated float,
 lane or signal state moves.  `PINNED_FORMAT2_TRACE_SHA256` was recorded from
 the format-2 writer that format 3 replaced, and is computed through its
 test-side copy, so it moves only when a simulated value moves at 6
-significant digits.
-`PINNED_FORMAT3_TRACE_SHA256` guards the trace files: the bytes
-`sim.trace_to_jsonl` writes in format 3.
+significant digits.  `PINNED_FORMAT3_TRACE_SHA256` was recorded from the
+format-3 writer that format 4 replaced, and is computed through its
+test-side copy.  `PINNED_FORMAT4_TRACE_SHA256` guards the trace files: the
+bytes `sim.trace_to_jsonl` writes in format 4.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import pytest
 from scenforge import sampling, sim
 
 from .conftest import EXPECTED_RULE_COUNTS, MULTI_ACTOR_DOCUMENTS, load_document_template
-from .reference_traces import exact, format1_to_jsonl, format2_to_jsonl
+from .reference_traces import exact, format1_to_jsonl, format2_to_jsonl, format3_to_jsonl
 
 SEEDS = range(50)
 
@@ -51,7 +52,7 @@ PINNED_FORMAT2_TRACE_SHA256 = {
     "curve-multi": "ed2969f335617d4777e34447639c6be80038f6087f3cfc014d79bc66d2ac099b",
 }
 
-# SHA-256 of sim.trace_to_jsonl(trace) over SEEDS, one digest per document.
+# SHA-256 of format3_to_jsonl(trace) over SEEDS, one digest per document.
 PINNED_FORMAT3_TRACE_SHA256 = {
     "straight-1": "95cea2c45d5b4d99ba66236ffc4f6cc89b68adc5602a291ebbadbe29f99bccc4",
     "straight-2": "9fa6676c992c052f842a300ee0a56222e2ed18a7263fd21755e92868db5599d3",
@@ -61,6 +62,18 @@ PINNED_FORMAT3_TRACE_SHA256 = {
     "curve": "2e8268fae12dd046db1180dea7548bf13d55793543b62c506a3e45362999119d",
     "intersection-1-multi": "07f9885d559d851734176395e2fbfa5517a3c1a326684618464751a57367084e",
     "curve-multi": "de9faf5e7c2165296ef15eaccc9bc873d002c264f4ebf22aae0dc39a20f8e8f7",
+}
+
+# SHA-256 of sim.trace_to_jsonl(trace) over SEEDS, one digest per document.
+PINNED_FORMAT4_TRACE_SHA256 = {
+    "straight-1": "50d4f3dd5c16b1aaa640f2605d7430a17e1e64d50f8798917ff053656d7c5e3a",
+    "straight-2": "1597ae27e8fc8e829da59da19747bd53958a7d301293b862334cb7a2adcbff16",
+    "intersection-1": "1b7c70d2a9a8e0df42f1a96e2a9b17726ae81f91d6e4273afc7e015d6a58a033",
+    "intersection-2": "b621b48946615675f2c5897ff36a378e169eca485022fde0bf1ee7fe1e718e88",
+    "t-intersection": "aa99357aea268562a6a180e400f35c655885c41ffacc0909964efbd0bc7b4e87",
+    "curve": "c721a81b06f0b245c20b3589fc6d32557bf0213286072a4e480244b10ac0bb31",
+    "intersection-1-multi": "b073c4854bc64a7ff0c6a758c2540be3a63547678e345a717747672378d8b461",
+    "curve-multi": "b50b672a4854704b1df30e34f4ddecebfed6dbdfc8c13288ea533e48a42f0c18",
 }
 
 
@@ -82,6 +95,7 @@ def test_pins_cover_every_fixture_and_both_multi_actor_documents():
     assert set(PINNED_TRACE_SHA256) == set(EXPECTED_RULE_COUNTS) | set(MULTI_ACTOR_DOCUMENTS)
     assert set(PINNED_FORMAT2_TRACE_SHA256) == set(PINNED_TRACE_SHA256)
     assert set(PINNED_FORMAT3_TRACE_SHA256) == set(PINNED_TRACE_SHA256)
+    assert set(PINNED_FORMAT4_TRACE_SHA256) == set(PINNED_TRACE_SHA256)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_TRACE_SHA256))
@@ -96,15 +110,28 @@ def test_format2_trace_bytes_match_pinned_digest(name):
 
 @pytest.mark.parametrize("name", sorted(PINNED_FORMAT3_TRACE_SHA256))
 def test_format3_trace_bytes_match_pinned_digest(name):
-    assert _trace_digest(name, sim.trace_to_jsonl) == PINNED_FORMAT3_TRACE_SHA256[name]
+    assert _trace_digest(name, format3_to_jsonl) == PINNED_FORMAT3_TRACE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FORMAT4_TRACE_SHA256))
+def test_format4_trace_bytes_match_pinned_digest(name):
+    assert _trace_digest(name, sim.trace_to_jsonl) == PINNED_FORMAT4_TRACE_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_FORMAT3_TRACE_SHA256))
 def test_format3_trace_reads_back_as_the_format2_round_trip(name):
-    """The format-3 text reads back to the bits of a format-2 round trip and
-    writes back to itself."""
+    """A format-3 file reads back to the bits of a format-2 round trip."""
+    for trace in _traces(name):
+        assert exact(sim.trace_from_jsonl(format3_to_jsonl(trace))) == exact(
+            sim.trace_from_jsonl(format2_to_jsonl(trace)))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FORMAT4_TRACE_SHA256))
+def test_format4_trace_reads_back_as_the_format3_round_trip(name):
+    """The format-4 text reads back to the bits of a format-3 round trip, signs
+    of zero included, and writes back to itself."""
     for trace in _traces(name):
         text = sim.trace_to_jsonl(trace)
         reloaded = sim.trace_from_jsonl(text)
-        assert exact(reloaded) == exact(sim.trace_from_jsonl(format2_to_jsonl(trace)))
+        assert exact(reloaded) == exact(sim.trace_from_jsonl(format3_to_jsonl(trace)))
         assert sim.trace_to_jsonl(reloaded) == text

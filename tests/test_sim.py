@@ -573,7 +573,9 @@ _RUN_REASON = r"'lat' holds a run that is not \[value, count\] with an integer c
     ("[0.0,-1]", _RUN_REASON),
     ("[0.0,1]", _RUN_REASON),
     ("[0.0,true]", _RUN_REASON),
+    ("[0.0,2.0]", _RUN_REASON),
     ("[0.0,9.0]", _RUN_REASON),
+    ('[0.0,"3"]', _RUN_REASON),
     ('[0.0,"9"]', _RUN_REASON),
     ("[0.0]", _RUN_REASON),
     ("[0.0,9,1]", _RUN_REASON),

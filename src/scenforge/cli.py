@@ -1,9 +1,9 @@
 """Command line front end: one subcommand per pipeline stage plus `pipeline`.
 
 All intermediate artifacts are files, so stages compose: running them
-separately over the intermediate files writes what `pipeline` writes in one
-go, except that a staged `monitor` reads traces back at 6 significant
-digits, so its report evidence floats can differ from the in-memory ones.
+separately writes every artifact, reports included, byte for byte as
+`pipeline` does, since `pipeline` and the `simulate` and `monitor`
+subcommands share one simulate step and one monitor step per instance.
 
 `pipeline` writes each input into a staging directory `--out/.<sid>.partial/`
 with plain writes, chunk by chunk, and on success renames it onto `<sid>/`,
@@ -86,11 +86,6 @@ def _report_name(seed: int) -> str:
     return f"report_{seed:05d}.json"
 
 
-def _write_report(out_dir: Path, report: rules.ViolationReport) -> None:
-    _atomic_write(out_dir / "reports" / _report_name(report.instance_seed),
-                  report.to_json() + "\n")
-
-
 def _write_staged(path: Path, data: str) -> None:
     """A plain write: the staging directory it lands in moves into place whole."""
     path.write_text(data, encoding="utf-8", newline="\n")
@@ -159,13 +154,19 @@ def _document_from_input(path: Path, args) -> str:
     return dsl.serialize_dsl(extract.extract_and_validate(report, client, transport))
 
 
-def _run_instance(template: synth.ScenarioTemplate, geometry: sim.RoadGeometry,
-                  instance: sampling.ScenarioInstance) -> tuple[str, rules.ViolationReport]:
-    """(trace jsonl, report) for one instance; a failure names the seed."""
+def _simulate_step(instance: sampling.ScenarioInstance, geometry: sim.RoadGeometry) -> str:
+    """The trace file text of one instance; a failure names the seed."""
     with _seed_named(instance.instance_seed):
-        trace = sim.simulate(instance, geometry)
-        report = rules.monitor(trace, template.params.oracle, geometry)
-        return sim.trace_to_jsonl(trace), report
+        return sim.trace_to_jsonl(sim.simulate(instance, geometry))
+
+
+def _monitor_step(text: str, oracle: tuple[dsl.OracleEntry, ...],
+                  geometry: sim.RoadGeometry) -> rules.ViolationReport:
+    """The report of a trace file text; a failure names the seed, a malformed text
+    raises ValueError."""
+    trace = sim.trace_from_jsonl(text)
+    with _seed_named(trace.instance_seed):
+        return rules.monitor(trace, oracle, geometry)
 
 
 def _chunksize(seeds: int, workers: int) -> int:
@@ -183,12 +184,13 @@ def _run_chunk(template: synth.ScenarioTemplate, geometry: sim.RoadGeometry, sta
                instances: list[sampling.ScenarioInstance]) -> list[rules.ViolationReport]:
     """Runs a chunk of instances, writes its traces and reports into `staging`
     once the whole chunk is done, and returns the reports."""
-    results = [_run_instance(template, geometry, instance) for instance in instances]
-    for trace_text, report in results:
-        _write_staged(staging / "traces" / _trace_name(report.instance_seed), trace_text)
+    texts = [_simulate_step(instance, geometry) for instance in instances]
+    reports = [_monitor_step(text, template.params.oracle, geometry) for text in texts]
+    for text, report in zip(texts, reports):
+        _write_staged(staging / "traces" / _trace_name(report.instance_seed), text)
         _write_staged(staging / "reports" / _report_name(report.instance_seed),
                       report.to_json() + "\n")
-    return [report for _, report in results]
+    return reports
 
 
 def _simulate_one(job: tuple[synth.ScenarioTemplate, Path],
@@ -390,9 +392,8 @@ def _cmd_simulate(args) -> int:
     try:
         with _staged(out_dir / ".traces.partial") as staging:
             for instance in instances:
-                with _seed_named(instance.instance_seed):
-                    trace_text = sim.trace_to_jsonl(sim.simulate(instance, geometry))
-                _write_staged(staging / _trace_name(instance.instance_seed), trace_text)
+                _write_staged(staging / _trace_name(instance.instance_seed),
+                              _simulate_step(instance, geometry))
     except RuntimeError as exc:
         return _failed(args.instances, exc)
     traces = out_dir / "traces"
@@ -412,17 +413,17 @@ def _cmd_monitor(args) -> int:
     try:
         for trace_path in args.traces:
             try:
-                trace = sim.trace_from_jsonl(Path(trace_path).read_text(encoding="utf-8"))
+                reports.append(_monitor_step(Path(trace_path).read_text(encoding="utf-8"),
+                                             template.params.oracle, geometry))
             except ValueError as exc:  # a malformed file is a configuration error
                 raise ValueError(f"{trace_path}: {exc}") from exc
-            with _seed_named(trace.instance_seed):
-                reports.append(rules.monitor(trace, template.params.oracle, geometry))
     except RuntimeError as exc:
         return _failed(trace_path, exc)
     out_dir = args.out or Path(args.traces[0]).parent.parent
     _clear(out_dir / "reports", "report_*.json")
     for report in reports:
-        _write_report(out_dir, report)
+        _atomic_write(out_dir / "reports" / _report_name(report.instance_seed),
+                      report.to_json() + "\n")
     _write_summary(out_dir, reports)
     print(f"{len(reports)} reports -> {out_dir}")
     return EXIT_OK

@@ -72,9 +72,6 @@ class NormalizedSpec:
     spec: ScenarioSpec
     provenance: dict[str, str]
 
-    def to_spec(self) -> ScenarioSpec:
-        return self.spec
-
     def serialize(self) -> str:
         return dsl.serialize_dsl(self.spec)
 

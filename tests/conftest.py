@@ -89,17 +89,19 @@ MULTI_ACTOR_DOCUMENTS = tuple(f"{name}-multi" for name in BACKGROUND_NPCS)
 FIVE_ACTOR_DOCUMENTS = tuple(f"{name}-x5" for name in FIVE_ACTOR_NPCS)
 
 
-def load_document_template(name: str) -> synth.ScenarioTemplate:
-    """A fixture's template, or a multi-actor ("<fixture>-multi") or five-actor
+def load_document_spec(name: str) -> dsl.ScenarioSpec:
+    """A fixture's spec, or a multi-actor ("<fixture>-multi") or five-actor
     ("<fixture>-x5") document's."""
     if name in MULTI_ACTOR_DOCUMENTS:
-        spec = load_multi_actor_spec(name.removesuffix("-multi"))
-    elif name in FIVE_ACTOR_DOCUMENTS:
+        return load_multi_actor_spec(name.removesuffix("-multi"))
+    if name in FIVE_ACTOR_DOCUMENTS:
         fixture = name.removesuffix("-x5")
-        spec = _with_background(fixture, name, FIVE_ACTOR_NPCS[fixture])
-    else:
-        return load_template(name)
-    return synth.build_template(normalize.apply_defaults(spec, 0))
+        return _with_background(fixture, name, FIVE_ACTOR_NPCS[fixture])
+    return load_spec(name)
+
+
+def load_document_template(name: str) -> synth.ScenarioTemplate:
+    return synth.build_template(normalize.apply_defaults(load_document_spec(name), 0))
 
 
 @pytest.fixture(scope="session")

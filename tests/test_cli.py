@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from scenforge import cli, dsl, normalize, rules, sampling, sim, synth
 from scenforge.digests import from_data
 
-from .conftest import FIXTURES, SCENARIO_FILES
+from .conftest import FIVE_ACTOR_DOCUMENTS, FIXTURES, SCENARIO_FILES, load_document_spec
 from .reference_traces import (assert_round_trips_as_format_1, format1_to_jsonl, format2_to_jsonl,
                                format3_to_jsonl)
 from .test_dsl import scenario_specs
@@ -83,45 +83,54 @@ def _pipeline_and_stages(document: Path, sid: str, root: Path, samples: str) -> 
 
 
 @pytest.fixture(scope="module")
-def composed(tmp_path_factory) -> dict[str, tuple[Path, Path]]:
-    """Per fixture: the scenario directory `pipeline` wrote and the one the stages wrote."""
+def composition_documents(tmp_path_factory) -> dict[str, Path]:
+    """The six fixtures and the five-actor documents, by scenario id."""
+    root = tmp_path_factory.mktemp("documents")
+    documents = dict(SCENARIO_FILES)
+    for sid in FIVE_ACTOR_DOCUMENTS:
+        documents[sid] = root / f"{sid}.yaml"
+        documents[sid].write_text(dsl.serialize_dsl(load_document_spec(sid)), encoding="utf-8")
+    return documents
+
+
+@pytest.fixture(scope="module")
+def composed(tmp_path_factory, composition_documents) -> dict[str, tuple[Path, Path]]:
+    """Per document: the scenario directory `pipeline` wrote and the one the stages wrote."""
     root = tmp_path_factory.mktemp("composition")
     return {sid: _pipeline_and_stages(document, sid, root / sid, COMPOSITION_SAMPLES)
-            for sid, document in SCENARIO_FILES.items()}
+            for sid, document in composition_documents.items()}
 
 
-def _same_names(piped: Path, staged: Path, pattern: str, count: int) -> list[Path]:
+def _assert_same_files(piped: Path, staged: Path, pattern: str, count: int) -> None:
     names = sorted(path.relative_to(staged) for path in staged.glob(pattern))
     assert names == sorted(path.relative_to(piped) for path in piped.glob(pattern))
     assert len(names) == count
-    return names
-
-
-def _assert_same_files(piped: Path, staged: Path, pattern: str,
-                       count: int = int(COMPOSITION_SAMPLES)) -> None:
-    for name in _same_names(piped, staged, pattern, count):
+    for name in names:
         assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
 
 
 def _assert_same_stage_files(piped: Path, staged: Path, sid: str, count: int) -> None:
+    """Every file the stages wrote equals `pipeline`'s, the summary of its one input too."""
     for name in (f"{sid}.normalized.yaml", f"{sid}.provenance.json", f"{sid}.scenic",
                  f"{sid}.template.json", "instances.jsonl"):
         assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
     _assert_same_files(piped, staged, "traces/trace_*.jsonl", count)
+    _assert_same_files(piped, staged, "reports/report_*.json", count)
+    assert (staged / "summary.csv").read_bytes() == (piped.parent / "summary.csv").read_bytes()
 
 
 def test_stage_composition_matches_pipeline(composed):
+    assert len(composed) == 12
     for sid, (piped, staged) in composed.items():
         _assert_same_stage_files(piped, staged, sid, int(COMPOSITION_SAMPLES))
-    _assert_same_files(*composed["straight-1"], "reports/report_*.json")
 
 
-def _verdicts(report: Path) -> tuple:
-    """What a report decides: outcome, targeted hit, (rule, actor) pairs and collisions."""
-    data = json.loads(report.read_text(encoding="utf-8"))
-    return (data["outcome"], data["targeted_hit"],
-            sorted({(v["rule_id"], v["actor_id"]) for v in data["violations"]}),
-            data["collisions"])
+def test_a_pool_pipeline_writes_what_the_stages_write(tmp_path, composition_documents, composed):
+    out = tmp_path / "pooled"
+    assert cli.main(["pipeline", *map(str, composition_documents.values()), "--out", str(out),
+                     "--samples", COMPOSITION_SAMPLES, "--workers", "2"]) == cli.EXIT_OK
+    for sid, (piped, _) in composed.items():
+        assert _tree_hash(out / sid) == _tree_hash(piped), sid
 
 
 # A larger opt-in run of this gate, with the same derandomized examples first:
@@ -132,11 +141,10 @@ def _verdicts(report: Path) -> tuple:
 def test_fuzzed_documents_are_rejected_at_synth_or_compose_end_to_end(spec):
     """Every valid document either fails synth with a `CompatibilityError`, or runs
     through `pipeline` and the staged commands without an error, writing the same
-    files; the reports agree on every verdict (their evidence floats may differ,
-    see `test_staged_reports_match_pipeline`), and each is the shortcut-free
-    reference monitor's report of its trace, in memory or reloaded.  The
-    program has the template's lines, and each trace reads back from format 2
-    to a format-1 round trip's floats and writes back its own text."""
+    files, reports included; each report is the shortcut-free reference
+    monitor's report of its trace file read back.  The program has the
+    template's lines, and each trace reads back from format 2 to a format-1
+    round trip's floats and writes back its own text."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         text = dsl.serialize_dsl(spec)
@@ -157,27 +165,15 @@ def test_fuzzed_documents_are_rejected_at_synth_or_compose_end_to_end(spec):
         sid = normalized.spec.scenario_id
         piped, staged = _pipeline_and_stages(document, sid, root, "2")
         _assert_same_stage_files(piped, staged, sid, 2)
-        for name in _same_names(piped, staged, "reports/report_*.json", 2):
-            assert _verdicts(staged / name) == _verdicts(piped / name), name
         geometry = sim.build_geometry(template)
         for seed in range(2):
-            text = (staged / "traces" / f"trace_{seed:05d}.jsonl").read_text(encoding="utf-8")
+            text = (piped / "traces" / f"trace_{seed:05d}.jsonl").read_text(encoding="utf-8")
             trace = sim.simulate(sampling.sample_instance(template, seed), geometry)
             assert assert_round_trips_as_format_1(trace) == text
+            expected = reference_monitor(sim.trace_from_jsonl(text), template.params.oracle,
+                                         geometry).to_json() + "\n"
             name = Path("reports") / f"report_{seed:05d}.json"
-            for report, monitored in ((piped / name, trace),
-                                      (staged / name, sim.trace_from_jsonl(text))):
-                expected = reference_monitor(monitored, template.params.oracle, geometry)
-                assert report.read_text(encoding="utf-8") == expected.to_json() + "\n", report
-
-
-@pytest.mark.parametrize("sid", [
-    pytest.param(sid, marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: monitoring a trace reloaded from its 6-significant-digit "
-        "JSONL gives other evidence floats than monitoring the in-memory trace")))
-    for sid in SCENARIO_FILES if sid != "straight-1"])
-def test_staged_reports_match_pipeline(composed, sid):
-    _assert_same_files(*composed[sid], "reports/report_*.json")
+            assert (piped / name).read_text(encoding="utf-8") == expected
 
 
 def test_pipeline_partial_failure_exit_code(tmp_path):
@@ -394,15 +390,9 @@ def test_summary_matches_the_written_reports(tmp_path):
         assert (out / "summary.csv").read_text(encoding="utf-8") == rules.summary_csv(written)
 
 
-def test_a_failing_seed_is_named_in_failures(tmp_path, monkeypatch):
-    simulate = sim.simulate
-
-    def fail_on_seed_3(instance, geometry):
-        if instance.instance_seed == 3:
-            raise ValueError("boom")
-        return simulate(instance, geometry)
-
-    monkeypatch.setattr(sim, "simulate", fail_on_seed_3)
+@pytest.mark.parametrize("owner, name", [(sim, "simulate"), (rules, "monitor")])
+def test_a_failing_seed_is_named_in_failures(tmp_path, monkeypatch, owner, name):
+    monkeypatch.setattr(owner, name, _fail_on_seed(getattr(owner, name), 3))
     for workers in ("1", "2"):
         out = tmp_path / workers
         assert cli.main(["pipeline", str(STRAIGHT1), "--out", str(out),

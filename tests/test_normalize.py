@@ -102,8 +102,8 @@ def test_apply_defaults_never_overwrites_explicit_values():
 def test_apply_defaults_idempotent():
     spec = _strip_optionals(load_spec("straight-1"))
     once = apply_defaults(spec, seed=11)
-    twice = apply_defaults(once.to_spec(), seed=11)
-    assert twice.to_spec() == once.to_spec()
+    twice = apply_defaults(once.spec, seed=11)
+    assert twice.spec == once.spec
     assert twice.serialize() == once.serialize()
     assert all(tag == normalize.EXPLICIT for tag in twice.provenance.values())
 

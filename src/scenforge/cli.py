@@ -14,8 +14,10 @@ directory as an empty placeholder, so creating files runs beside the
 instances; the writers fill the placeholders, and the child is reaped before
 the rename or the removal.  If the fork fails, the writers create the files
 themselves.  Staged `simulate` writes its traces into `.traces.partial/`
-beside `traces/` and moves them in once every seed has succeeded.  Other
-single files are written atomically (temp-then-rename).
+beside `traces/` and moves them in once every seed has succeeded.  Staged
+`simulate` and `monitor` remove an earlier run's traces or reports of other
+seeds only once every new file is in place.  Other single files are written
+atomically (temp-then-rename).
 
 Exit codes: 0 success, 1 partial failure (some input failed a stage),
 2 configuration error.
@@ -103,10 +105,12 @@ def _staged(staging: Path):
         raise
 
 
-def _clear(directory: Path, pattern: str) -> None:
-    """Removes an earlier run's traces or reports, so a rerun leaves no stale seed."""
+def _clear(directory: Path, pattern: str, keep: set[str]) -> None:
+    """Removes an earlier run's traces or reports not named in `keep`, once the
+    new ones are in place, so a rerun leaves no stale seed."""
     for path in directory.glob(pattern):
-        path.unlink()
+        if path.name not in keep:
+            path.unlink()
 
 
 def _write_summary(out_dir: Path, reports: list[rules.ViolationReport]) -> None:
@@ -389,19 +393,20 @@ def _cmd_simulate(args) -> int:
     geometry = sim.build_geometry(template)
     instances = sampling.read_manifest(Path(args.instances).read_text(encoding="utf-8"))
     out_dir = args.out or Path(args.instances).parent
+    traces = out_dir / "traces"
+    names = {_trace_name(instance.instance_seed) for instance in instances}
     try:
         with _staged(out_dir / ".traces.partial") as staging:
             for instance in instances:
                 _write_staged(staging / _trace_name(instance.instance_seed),
                               _simulate_step(instance, geometry))
+            traces.mkdir(exist_ok=True)
+            for name in sorted(names):
+                (staging / name).replace(traces / name)
     except RuntimeError as exc:
         return _failed(args.instances, exc)
-    traces = out_dir / "traces"
-    _clear(traces, "trace_*.jsonl")
-    traces.mkdir(exist_ok=True)
-    for path in sorted(staging.iterdir()):
-        path.replace(traces / path.name)
     staging.rmdir()
+    _clear(traces, "trace_*.jsonl", names)
     print(f"{args.instances}: {len(instances)} traces -> {out_dir}")
     return EXIT_OK
 
@@ -420,11 +425,11 @@ def _cmd_monitor(args) -> int:
     except RuntimeError as exc:
         return _failed(trace_path, exc)
     out_dir = args.out or Path(args.traces[0]).parent.parent
-    _clear(out_dir / "reports", "report_*.json")
-    for report in reports:
-        _atomic_write(out_dir / "reports" / _report_name(report.instance_seed),
-                      report.to_json() + "\n")
+    names = [_report_name(report.instance_seed) for report in reports]
+    for name, report in zip(names, reports):
+        _atomic_write(out_dir / "reports" / name, report.to_json() + "\n")
     _write_summary(out_dir, reports)
+    _clear(out_dir / "reports", "report_*.json", set(names))
     print(f"{len(reports)} reports -> {out_dir}")
     return EXIT_OK
 

@@ -677,12 +677,12 @@ def trace_from_jsonl(text: str) -> Trace:
         raise ValueError("empty trace")
     n = lines[0][0]
     try:
-        version, header = _decode_header(_decode_line(lines[0][1]))
+        version, header = _decode_header(json.loads(lines[0][1]))
         if len(lines) == 1:
             raise ValueError("no time line after the header")
         n = lines[1][0]
         format4 = version == 4
-        times = _decode_line(lines[1][1])["t"]
+        times = json.loads(lines[1][1])["t"]
         if format4 and type(times) is int:
             times = _frame_grid(times, header)
         elif type(times) is not list or not times:
@@ -694,7 +694,7 @@ def trace_from_jsonl(text: str) -> Trace:
         actor_types = header["actor_types"]
         heads, tracks = [], {}
         for n, line in lines[2:]:
-            row = _decode_line(line)
+            row = json.loads(line)
             if "approach" in row and not tracks:
                 approach = row["approach"]
                 if type(approach) is not str:
@@ -743,23 +743,6 @@ def _frame_grid(count: int, header: dict) -> tuple[float, ...]:
     if not 1 <= count <= limit:
         raise ValueError(f"'t' counts {count} frames, not 1 to {limit:g}")
     return _FRAME_TIMES[:count]
-
-
-def _decode_line(line: str):
-    """`json.loads(line)`, decoded by orjson wherever orjson accepts the text.
-
-    orjson rejects NaN, Infinity, numbers beyond the double range and lone
-    surrogates; such lines, and malformed ones, read, or fail with `json`'s
-    message, as `json.loads` has them.  Only an integer outside the 64-bit
-    range differs: orjson reads it as a float.  The writer writes no integer.
-    """
-    # Imported here rather than at the top: `pipeline` never reads a trace, and
-    # a module-level import costs every CLI process start-up time and memory.
-    import orjson
-    try:
-        return orjson.loads(line)
-    except orjson.JSONDecodeError:
-        return json.loads(line)
 
 
 def _actor_mismatch(ids: list, actor_types: dict) -> ValueError:

@@ -10,7 +10,6 @@ of the same intermediate, so the two outputs cannot diverge.
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass
 
 from .digests import digest64_json, digest64_text, to_data
@@ -397,29 +396,3 @@ def render_scenic(template: ScenarioTemplate) -> ScenicProgram:
                      f"by {entry.violating_actor}")
     source = "\n".join(lines) + "\n"
     return ScenicProgram(source_text=source, content_digest=digest64_text(source))
-
-
-_VERIFAI_RE = re.compile(r"^(\w+) = VerifaiRange\(([^,]+), ([^)]+)\)$", re.MULTILINE)
-
-
-def scan_verifai_ranges(source_text: str) -> dict[str, tuple[float, float]]:
-    """Parse back every VerifaiRange assignment (template/text agreement check)."""
-    found: dict[str, tuple[float, float]] = {}
-    for match in _VERIFAI_RE.finditer(source_text):
-        name = match.group(1)
-        if name in found:
-            raise ValueError(f"parameter {name} rendered more than once")
-        found[name] = (float(match.group(2)), float(match.group(3)))
-    return found
-
-
-def load_program_file(text: str) -> ScenicProgram:
-    """Re-read an emitted .scenic file, checking the digest header."""
-    first, _, rest = text.partition("\n")
-    if not first.startswith("# digest: "):
-        raise ValueError("missing digest header")
-    digest = first[len("# digest: "):].strip()
-    program = ScenicProgram(source_text=rest, content_digest=digest64_text(rest))
-    if program.content_digest != digest:
-        raise ValueError("digest header does not match program text")
-    return program

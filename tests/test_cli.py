@@ -476,6 +476,39 @@ def test_a_failing_staged_monitor_names_its_seed(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("command, prefix, nth", [("simulate", "trace_", 2),
+                                                  ("monitor", "report_", 3)])
+def test_a_failed_staged_write_keeps_every_earlier_file(tmp_path, monkeypatch, command, prefix,
+                                                        nth):
+    """An OSError on the `nth` rename of a new trace or report, in a rerun over
+    seeds 2-5, leaves every file of the earlier run over seeds 0-3 in place."""
+    template, manifest = _staged_manifest(tmp_path)
+    assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_OK
+    traces = sorted(map(str, (tmp_path / "traces").iterdir()))
+    assert cli.main(["monitor", str(template), *traces]) == cli.EXIT_OK
+    assert cli.main(["sample", str(template), "--samples", "4", "--seed", "2"]) == cli.EXIT_OK
+    if command == "simulate":
+        inputs = [str(manifest)]
+    else:
+        assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_OK
+        inputs = sorted(map(str, (tmp_path / "traces").iterdir()))
+    before = set(_tree_hash(tmp_path))
+    replace, calls = os.replace, []
+
+    def failing_replace(src, dst):
+        if Path(dst).name.startswith(prefix):
+            calls.append(dst)
+            if len(calls) == nth:
+                raise OSError("no space left")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="no space left"):
+        cli.main([command, str(template), *inputs])
+    assert before <= set(_tree_hash(tmp_path))
+    assert not (tmp_path / ".traces.partial").exists()
+
+
 def _monitor_with_second_trace(tmp_path, capsys, edit) -> tuple[int, str, Path]:
     """(exit status, stderr, second trace) of a staged `monitor` over seeds 0-3
     of straight-1 whose second trace file is `edit`ed."""

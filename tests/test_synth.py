@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 
 from scenforge import dsl, normalize, rules, sampling, sim, synth
-from scenforge.digests import from_data, to_data
+from scenforge.digests import digest64_text, from_data, to_data
 from scenforge.synth import (
     CompatibilityError,
     ParamRange,
@@ -16,13 +17,38 @@ from scenforge.synth import (
     map_time,
     map_weather,
     render_scenic,
-    scan_verifai_ranges,
     select_map,
     widen_to_range,
 )
 
 from .conftest import FIXTURES, load_spec, load_template
 from .test_dsl import _TEXT, scenario_specs
+
+
+_VERIFAI_RE = re.compile(r"^(\w+) = VerifaiRange\(([^,]+), ([^)]+)\)$", re.MULTILINE)
+
+
+def scan_verifai_ranges(source_text: str) -> dict[str, tuple[float, float]]:
+    """Parse back every VerifaiRange assignment (template/text agreement check)."""
+    found: dict[str, tuple[float, float]] = {}
+    for match in _VERIFAI_RE.finditer(source_text):
+        name = match.group(1)
+        if name in found:
+            raise ValueError(f"parameter {name} rendered more than once")
+        found[name] = (float(match.group(2)), float(match.group(3)))
+    return found
+
+
+def load_program_file(text: str) -> synth.ScenicProgram:
+    """Re-read an emitted .scenic file, checking the digest header."""
+    first, _, rest = text.partition("\n")
+    if not first.startswith("# digest: "):
+        raise ValueError("missing digest header")
+    digest = first[len("# digest: "):].strip()
+    program = synth.ScenicProgram(source_text=rest, content_digest=digest64_text(rest))
+    if program.content_digest != digest:
+        raise ValueError("digest header does not match program text")
+    return program
 
 
 def test_map_time_values():
@@ -252,10 +278,10 @@ def test_render_matches_golden_file(scenario_id, fixture):
 
 def test_program_file_round_trip():
     program = render_scenic(load_template("curve"))
-    loaded = synth.load_program_file(program.file_text())
+    loaded = load_program_file(program.file_text())
     assert loaded == program
     with pytest.raises(ValueError):
-        synth.load_program_file("# digest: 0000000000000000\n" + program.source_text)
+        load_program_file("# digest: 0000000000000000\n" + program.source_text)
 
 
 def test_fmt_number():
@@ -294,7 +320,7 @@ def assert_program_keeps_the_template_lines(template: synth.ScenarioTemplate) ->
         assert line.startswith(head) and line.endswith(tail), (line, plain_line)
         assert ast.literal_eval(f"'{line[len(head):len(line) - len(tail)]}'") == next(strings)
     assert next(strings, None) is None
-    assert synth.load_program_file(program.file_text()) == program
+    assert load_program_file(program.file_text()) == program
     assert set(scan_verifai_ranges(program.source_text)) == set(dsl.FREE_PARAMETER_NAMES)
 
 

@@ -19,8 +19,15 @@ beside `traces/` and moves them in once every seed has succeeded.  Staged
 seeds only once every new file is in place.  Other single files are written
 atomically (temp-then-rename).
 
+Importing this module loads every module that `pipeline` runs over DSL
+documents in one process.  The extraction client (`extract`) is imported
+when an input is crash-report JSON, the evaluators (`evaluate`) when an
+`eval` command runs, and `ProcessPoolExecutor` when `pipeline --workers`
+above 1 starts its first pool.
+
 Exit codes: 0 success, 1 partial failure (some input failed a stage),
-2 configuration error.
+2 configuration error (an input that is missing, a directory or
+unreadable included).
 """
 
 from __future__ import annotations
@@ -33,16 +40,26 @@ import os
 import shutil
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import dsl, evaluate, extract, normalize, rules, sampling, sim, synth
+from . import dsl, normalize, rules, sampling, sim, synth
 from .digests import from_data, to_data
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
+
+
+def __getattr__(name: str):
+    """`ProcessPoolExecutor`, imported on first use (PEP 562) and kept as a
+    module attribute, which `_run_input` reads when it starts a pool, so a
+    replacement assigned to it is the pool that runs."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def _atomic_write(path: Path, data: str) -> None:
@@ -142,6 +159,7 @@ def _document_from_input(path: Path, args) -> str:
     """DSL documents pass through; crash-report JSON goes through extraction."""
     if path.suffix.lower() != ".json":
         return path.read_text(encoding="utf-8")
+    from . import extract
     raw = json.loads(path.read_text(encoding="utf-8"))
     sketch = None
     if raw.get("sketch_base64"):
@@ -273,7 +291,8 @@ def _run_input(args, normalized: normalize.NormalizedSpec,
         with _placeholders(staging, instances):  # before the pool starts a thread
             chunks = _chunks(instances, args.workers)
             if args.workers > 1:
-                with ProcessPoolExecutor(max_workers=args.workers) as pool:
+                pool_class = sys.modules[__name__].ProcessPoolExecutor
+                with pool_class(max_workers=args.workers) as pool:
                     per_chunk = list(pool.map(_simulate_one,
                                               [(template, staging)] * len(chunks), chunks))
             else:
@@ -376,8 +395,13 @@ def _cmd_synth(args) -> int:
 
 
 def _load(cls, path):
-    """A value of dataclass `cls` from its JSON file."""
-    return from_data(cls, json.loads(Path(path).read_text(encoding="utf-8")))
+    """A value of type `cls` from its JSON file; a file that does not parse as
+    one raises ValueError naming the file."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return from_data(cls, json.loads(text))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _cmd_sample(args) -> int:
@@ -453,6 +477,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_eval_accuracy(args) -> int:
+    from . import evaluate
     pairs_dir = Path(args.pairs_dir)
     results = []
     for candidate_path in sorted(pairs_dir.glob("*.candidate.yaml")):
@@ -476,6 +501,7 @@ def _cmd_eval_accuracy(args) -> int:
 
 
 def _cmd_eval_kappa(args) -> int:
+    from . import evaluate
     matrix = _load(evaluate.RatingsMatrix, args.matrix)
     kappa, band = evaluate.fleiss_kappa(matrix)
     print(f"kappa: {kappa:.6f} ({band})")
@@ -483,18 +509,15 @@ def _cmd_eval_kappa(args) -> int:
 
 
 def _cmd_eval_counts(args) -> int:
-    expected = {k: int(v) for k, v in
-                json.loads(Path(args.expected).read_text(encoding="utf-8")).items()}
+    from . import evaluate
+    expected = _load(dict[str, int], args.expected)
     grouped: dict[str, list[rules.ViolationReport]] = {}
     root = Path(args.reports_dir)
     for report_path in sorted(root.rglob("report_*.json")):
         if any(part.startswith(".") and part.endswith(".partial")
                for part in report_path.relative_to(root).parts[:-1]):
             continue  # a staging directory, `.<sid>.partial/` or `.<sid>.old.partial/`
-        try:
-            report = _load(rules.ViolationReport, report_path)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"{report_path}: {exc}") from exc
+        report = _load(rules.ViolationReport, report_path)
         grouped.setdefault(report.scenario_id, []).append(report)
     table = evaluate.compare_violation_counts(grouped, expected)
     csv_text = table.to_csv()
@@ -611,7 +634,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return globals()[args.func](args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

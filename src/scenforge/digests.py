@@ -91,7 +91,12 @@ def _decoder(tp: Any) -> Callable[[Any], Any]:
         return lambda data: tuple(d(v) for d, v in zip(items, data, strict=True))
     if origin is dict:
         value = _decoder(args[1])
-        return lambda data: {k: value(v) for k, v in data.items()}
+
+        def decode_dict(data: Any) -> dict:
+            if not isinstance(data, dict):
+                raise ValueError(f"expected an object, got {type(data).__name__}")
+            return {k: value(v) for k, v in data.items()}
+        return decode_dict
     if origin in (types.UnionType, typing.Union) and len(args) == 2 and type(None) in args:
         inner = _decoder(args[0] if args[1] is type(None) else args[1])
         return lambda data: None if data is None else inner(data)

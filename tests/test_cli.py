@@ -850,3 +850,82 @@ def test_a_failed_fork_writes_the_same_tree(tmp_path, monkeypatch):
     monkeypatch.delattr(os, "fork")
     assert cli.main(["pipeline", *args, "--out", str(tmp_path / "forkless")]) == cli.EXIT_OK
     assert _tree_hash(tmp_path / "forkless") == _tree_hash(tmp_path / "forked")
+
+
+def test_importing_the_cli_loads_the_pipeline_and_nothing_it_does_not_run():
+    """`import scenforge.cli` loads what `pipeline` runs over DSL documents in
+    one process; the extraction client, the evaluators and the process pool
+    are imported by the commands that use them."""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n"
+                               "before = set(sys.modules)\n"
+                               "import scenforge.cli\n"
+                               "print(json.dumps(sorted(set(sys.modules) - before)))\n"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    added = set(json.loads(done.stdout))
+    assert added >= {"yaml", *(f"scenforge.{name}" for name in
+                               ("dsl", "normalize", "synth", "sampling", "sim", "rules",
+                                "digests"))}
+    assert added.isdisjoint({"scenforge.extract", "scenforge.evaluate",
+                             "concurrent.futures.process", "multiprocessing"})
+
+
+def test_a_pool_is_built_from_the_class_the_cli_holds_when_it_runs(tmp_path, monkeypatch):
+    built = []
+
+    class CountingPool(cli.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    assert cli.main(["pipeline", str(STRAIGHT1), str(CURVE), "--out", str(tmp_path / "out"),
+                     "--samples", "4", "--workers", "2"]) == cli.EXIT_OK
+    assert len(built) == 2  # one pool per input
+    with pytest.raises(AttributeError, match="no attribute 'ThreadPoolExecutor'"):
+        cli.ThreadPoolExecutor
+
+
+@pytest.mark.parametrize("command", ["parse", "validate", "sample", "monitor"])
+def test_an_input_that_is_a_directory_is_a_configuration_error(tmp_path, capsys, command):
+    template, _ = _staged_manifest(tmp_path)
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    inputs = [str(template), str(directory)] if command == "monitor" else [str(directory)]
+    capsys.readouterr()
+    assert cli.main([command, *inputs]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(directory) in err
+
+
+def test_a_template_that_is_not_json_is_named(tmp_path, capsys):
+    template, manifest = _staged_manifest(tmp_path)
+    assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_OK
+    trace = sorted((tmp_path / "traces").iterdir())[0]
+    capsys.readouterr()
+    assert cli.main(["monitor", str(STRAIGHT1), str(trace)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {STRAIGHT1}: Expecting value: line 1 column 1 (char 0)\n")
+
+
+def test_a_ratings_matrix_that_is_not_an_object_is_named(tmp_path, capsys):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text("[]", encoding="utf-8")
+    assert cli.main(["eval", "kappa", str(matrix)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {matrix}: RatingsMatrix: expected an object, got list\n")
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("[]", "expected an object, got list"),
+    ('{"straight-1": "x"}', "invalid literal for int() with base 10: 'x'"),
+])
+def test_a_bad_expected_counts_file_is_named(tmp_path, capsys, text, reason):
+    expected = tmp_path / "expected.json"
+    expected.write_text(text, encoding="utf-8")
+    assert cli.main(["eval", "counts", str(tmp_path), str(expected)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {expected}: {reason}\n"

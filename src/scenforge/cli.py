@@ -415,7 +415,10 @@ def _cmd_sample(args) -> int:
 def _cmd_simulate(args) -> int:
     template = _load(synth.ScenarioTemplate, args.template)
     geometry = sim.build_geometry(template)
-    instances = sampling.read_manifest(Path(args.instances).read_text(encoding="utf-8"))
+    try:
+        instances = sampling.read_manifest(Path(args.instances).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{args.instances}: {exc}") from exc
     out_dir = args.out or Path(args.instances).parent
     traces = out_dir / "traces"
     names = {_trace_name(instance.instance_seed) for instance in instances}

@@ -59,17 +59,33 @@ def from_data(cls: Any, data: Any) -> Any:
     """Rebuild a value of type `cls` from `to_data` output or its JSON reading.
 
     Handles dataclasses (from an object in which every init field is a
-    required key; extra keys are ignored), `tuple[X, ...]`, fixed tuples, `dict[str, X]` and `X | None`,
-    and coerces `float`, `int` and `bool` values.
+    required key; extra keys are ignored), `tuple[X, ...]` and fixed tuples
+    (from a list), `dict[str, X]`, `X | None`, `Any`, and the scalars `bool`,
+    `int` (not a bool), `float` (an int or a float, not a bool, widened to a
+    float) and `str`.  A value of another JSON type raises ValueError.
     """
     return _decoder(cls)(data)
 
 
+def _checked(expected: str, kinds: tuple[type, ...], decode: Callable) -> Callable:
+    """`decode`, applied only to a value whose type is one of `kinds`."""
+    def decode_checked(data: Any) -> Any:
+        if type(data) not in kinds:
+            raise ValueError(f"expected {expected}, got {type(data).__name__}")
+        return decode(data)
+    return decode_checked
+
+
+# each scalar type's name in messages, and the JSON types it decodes from
+_SCALARS_FROM = {bool: ("a bool", (bool,)), int: ("an int", (int,)),
+                 float: ("a number", (int, float)), str: ("a string", (str,))}
+
+
 @functools.cache
 def _decoder(tp: Any) -> Callable[[Any], Any]:
-    if tp in (float, int, bool):
-        return tp
-    if tp is str or tp is Any:
+    if tp in _SCALARS_FROM:
+        return _checked(*_SCALARS_FROM[tp], tp)
+    if tp is Any:
         return lambda data: data
     if dataclasses.is_dataclass(tp):
         hints = typing.get_type_hints(tp)
@@ -85,18 +101,14 @@ def _decoder(tp: Any) -> Callable[[Any], Any]:
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is tuple and args[-1] is Ellipsis:
         item = _decoder(args[0])
-        return lambda data: tuple(item(v) for v in data)
+        return _checked("a list", (list,), lambda data: tuple(item(v) for v in data))
     if origin is tuple:
         items = tuple(_decoder(a) for a in args)
-        return lambda data: tuple(d(v) for d, v in zip(items, data, strict=True))
+        return _checked("a list", (list,),
+                        lambda data: tuple(d(v) for d, v in zip(items, data, strict=True)))
     if origin is dict:
         value = _decoder(args[1])
-
-        def decode_dict(data: Any) -> dict:
-            if not isinstance(data, dict):
-                raise ValueError(f"expected an object, got {type(data).__name__}")
-            return {k: value(v) for k, v in data.items()}
-        return decode_dict
+        return _checked("an object", (dict,), lambda data: {k: value(v) for k, v in data.items()})
     if origin in (types.UnionType, typing.Union) and len(args) == 2 and type(None) in args:
         inner = _decoder(args[0] if args[1] is type(None) else args[1])
         return lambda data: None if data is None else inner(data)

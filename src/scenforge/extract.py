@@ -13,15 +13,13 @@ from __future__ import annotations
 import base64
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Protocol
 
 from . import dsl
 from .dsl import ScenarioSpec, ValidationIssue
-
-MIN_EXEMPLARS = 2
 
 
 @dataclass(frozen=True)
@@ -241,8 +239,6 @@ def _strip_fences(reply: str) -> str:
 class ExtractionOutcome:
     spec: ScenarioSpec
     retries: int
-    attempts: int
-    replies: list[str] = field(default_factory=list)
 
 
 def _issues_text(issues: list[ValidationIssue]) -> str:
@@ -259,8 +255,6 @@ def _converse(transport: ChatTransport, bundle: PromptBundle, case_id: str,
     issues: list[ValidationIssue] = []
     for attempt in range(max_retries + 1):
         reply = transport.complete(bundle.system_text, parts)
-        outcome.attempts += 1
-        outcome.replies.append(reply)
         result = dsl.parse_and_validate(_strip_fences(reply))
         if isinstance(result, ScenarioSpec):
             return result
@@ -278,7 +272,7 @@ def run_extraction(report: CrashReport, client: ClientConfig,
     if isinstance(transport, FixtureTransport):
         transport.bind_case(report.case_id)
 
-    outcome = ExtractionOutcome(spec=None, retries=0, attempts=0)  # type: ignore[arg-type]
+    outcome = ExtractionOutcome(spec=None, retries=0)  # type: ignore[arg-type]
     try:
         draft = _converse(transport, build_extraction_prompt(report), report.case_id,
                           client.max_retries, outcome)

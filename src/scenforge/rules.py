@@ -164,7 +164,7 @@ class TraceView:
         self.trace = trace
         self.geometry = geometry
         self.times = trace.times
-        self.signals = trace.signals
+        self.signals = dict(trace.signals)  # a head listed twice: its later column counts
         self.actor_ids = sorted(trace.actor_types)
         self.tracks: dict[str, ActorTrack] = {track.actor_id: track for track in trace.tracks}
         self.dims = {actor_id: VEHICLE_DIMS[kind] for actor_id, kind in trace.actor_types.items()}
@@ -192,6 +192,11 @@ class TraceView:
             corners = self._corners[actor_id, k] = rect_corners(
                 track.x[k], track.y[k], track.heading[k], *self.dims[actor_id])
         return corners
+
+    def signal_state(self, approach: str, k: int) -> str | None:
+        """The approach's signal state in frame k; None if the trace lists no head for it."""
+        states = self.signals.get(approach)
+        return None if states is None else states[k]
 
     def approach(self, actor_id: str) -> str:
         """The approach the actor is on in the first frame."""
@@ -435,8 +440,7 @@ def _check_red_light(view: TraceView) -> list[Violation]:
         if crossing is None:
             continue
         _, k = crossing
-        states = dict(view.signals[k])
-        if states.get(approach) == "red":
+        if view.signal_state(approach, k) == "red":
             t = view.times[k]
             out.append(Violation("21453", actor_id, t, t,
                                  {"signal_state": "red", "approach": approach}))
@@ -511,9 +515,8 @@ def _has_priority(view: TraceView, b_id: str, b_entry: int, a_id: str, a_entry: 
     a_approach = view.approach(a_id)
     b_approach = view.approach(b_id)
     if geometry.signal_heads:
-        a_state = dict(view.signals[a_entry]).get(a_approach)
-        b_state = dict(view.signals[b_entry]).get(b_approach)
-        return b_state == "green" and a_state == "red"
+        return (view.signal_state(b_approach, b_entry) == "green"
+                and view.signal_state(a_approach, a_entry) == "red")
     controlled = _controlled_approaches(geometry)
     if controlled:
         return a_approach in controlled and b_approach not in controlled

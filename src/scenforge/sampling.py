@@ -56,9 +56,13 @@ def write_manifest(instances: Iterable[ScenarioInstance]) -> str:
 
 
 def read_manifest(text: str) -> list[ScenarioInstance]:
+    """The instances of `write_manifest` output; a malformed line raises ValueError naming it."""
     instances = []
-    for line in text.split("\n"):
+    for n, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if line:
-            instances.append(from_data(ScenarioInstance, json.loads(line)))
+            try:
+                instances.append(from_data(ScenarioInstance, json.loads(line)))
+            except ValueError as exc:
+                raise ValueError(f"line {n}: {exc}") from exc
     return instances

@@ -343,9 +343,6 @@ class RoadGeometry:
             object.__setattr__(self, "_digest", cached)
         return cached
 
-    def approaches(self) -> tuple[str, ...]:
-        return tuple(sorted({sl.approach for sl in self.stop_lines}))
-
     def signal_for(self, approach: str) -> SignalSchedule | None:
         for name, schedule in self.signal_heads:
             if name == approach:
@@ -487,9 +484,10 @@ class ActorTrack:
 
 @dataclass(frozen=True)
 class Trace:
-    """Header fields, the frame times, per frame the signal states, and one
-    track per actor: the columns `simulate` fills and a trace file stores,
-    one line each (see `trace_to_jsonl`).
+    """Header fields, the frame times, one `(approach, states)` column per
+    signal head and one track per actor: the columns `simulate` fills and a
+    trace file stores, one line each and in the same order (see
+    `trace_to_jsonl`).
     """
 
     scenario_id: str
@@ -499,7 +497,7 @@ class Trace:
     geometry_ref: str
     actor_types: dict[str, str]
     times: tuple[float, ...]
-    signals: tuple[tuple[tuple[str, str], ...], ...]
+    signals: tuple[tuple[str, tuple[str, ...]], ...]
     tracks: tuple[ActorTrack, ...]
 
     @property
@@ -580,6 +578,8 @@ def _run_column(column) -> str:
 
 
 TRACE_FORMAT = 4  # the `format` of the header line; a header without one is format 1
+# the header's scalar fields, which are the `Trace` fields of the same names
+_HEADER_KEYS = ("scenario_id", "instance_seed", "timestep_s", "horizon_s", "geometry_ref")
 
 
 def trace_to_jsonl(trace: Trace) -> str:
@@ -588,26 +588,18 @@ def trace_to_jsonl(trace: Trace) -> str:
     Line 2 holds the frame times: `{"t":601}`, the frame count, when they
     print as the first frames of `simulate`'s grid and the header's timestep
     and horizon allow that many (see `_grid_frames`), else a list
-    `{"t":[...]}`.  One line per signal head holds its states as
-    `{"approach":...,"state":...}`; one line per actor, in track order, holds
-    its six columns.  Floats are written to 6 significant digits, and every
-    line has sorted keys, as `canonical_json` would write them.  A column
-    other than `t` whose written texts are all the same is written once, as
-    a bare value (`"speed":12.0`); any other column is a list with one text
-    per frame, in which, except in `t` and `x`, each run of three or more
-    equal texts is written once with its length, `["f0",120]`.  Raises
-    ValueError if the frames list different signal approaches, which the
-    format cannot hold.
+    `{"t":[...]}`.  One line per signal head, in the trace's order, holds
+    its states as `{"approach":...,"state":...}`; one line per actor, in
+    track order, holds its six columns.  Floats are written to 6 significant
+    digits, and every line has sorted keys, as `canonical_json` would write
+    them.  A column other than `t` whose written texts are all the same is
+    written once, as a bare value (`"speed":12.0`); any other column is a
+    list with one text per frame, in which, except in `t` and `x`, each run
+    of three or more equal texts is written once with its length,
+    `["f0",120]`.
     """
-    header = {
-        "actor_types": trace.actor_types,
-        "format": TRACE_FORMAT,
-        "geometry_ref": trace.geometry_ref,
-        "horizon_s": trace.horizon_s,
-        "instance_seed": trace.instance_seed,
-        "scenario_id": trace.scenario_id,
-        "timestep_s": trace.timestep_s,
-    }
+    header = {key: getattr(trace, key) for key in _HEADER_KEYS} | {
+        "actor_types": trace.actor_types, "format": TRACE_FORMAT}
     string = functools.cache(canonical_json)  # each id, lane, approach and state once
 
     def strings(values) -> str:
@@ -638,12 +630,8 @@ def trace_to_jsonl(trace: Trace) -> str:
     else:
         time_line = '{"t":[' + ",".join(_sig6_texts(trace.times)) + "]}"
     lines = [canonical_json(header), time_line]
-    approaches = {tuple(approach for approach, _ in frame) for frame in set(trace.signals)}
-    if len(approaches) > 1:
-        raise ValueError(f"the frames list different signal approaches: {sorted(approaches)}")
-    for i, approach in enumerate(next(iter(approaches), ())):
-        states = strings([frame[i][1] for frame in trace.signals])
-        lines.append(f'{{"approach":{string(approach)},"state":{states}}}')
+    for approach, states in trace.signals:
+        lines.append(f'{{"approach":{string(approach)},"state":{strings(states)}}}')
     for a in trace.tracks:
         lines.append(
             f'{{"heading":{nums(a.heading)},"id":{string(a.actor_id)},'
@@ -692,15 +680,14 @@ def trace_from_jsonl(text: str) -> Trace:
             _check_numbers(times, "t", _may_hold_booleans(lines[1][1]))
         frames = len(times)
         actor_types = header["actor_types"]
-        heads, tracks = [], {}
+        signals, tracks = [], {}
         for n, line in lines[2:]:
             row = json.loads(line)
             if "approach" in row and not tracks:
                 approach = row["approach"]
                 if type(approach) is not str:
                     raise ValueError("'approach' is not a string")
-                heads.append(zip(itertools.repeat(approach),
-                                 _column(row, "state", frames, format4)))
+                signals.append((approach, _column(row, "state", frames, format4)))
                 continue
             actor_id = row["id"]
             if actor_id in tracks or actor_id not in actor_types:
@@ -713,8 +700,7 @@ def trace_from_jsonl(text: str) -> Trace:
             raise _actor_mismatch(list(tracks), actor_types)
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise ValueError(f"line {n}: {_reason(exc)}") from exc
-    return Trace(**header, times=tuple(times),
-                 signals=tuple(zip(*heads)) if heads else ((),) * frames,
+    return Trace(**header, times=tuple(times), signals=tuple(signals),
                  tracks=tuple(tracks.values()))
 
 
@@ -729,9 +715,7 @@ def _decode_header(header: dict) -> tuple[int, dict]:
         if kind not in VEHICLE_DIMS:
             raise ValueError(f"actor {actor_id!r} has type {kind!r}, not one of "
                              f"{sorted(VEHICLE_DIMS)}")
-    return version, {key: header[key] for key in (
-        "scenario_id", "instance_seed", "timestep_s", "horizon_s", "geometry_ref")} | {
-        "actor_types": actor_types}
+    return version, {key: header[key] for key in _HEADER_KEYS} | {"actor_types": actor_types}
 
 
 def _frame_grid(count: int, header: dict) -> tuple[float, ...]:
@@ -872,11 +856,6 @@ def rects_overlap(a: tuple[tuple[float, float], ...], b: tuple[tuple[float, floa
 # corners and `rects_overlap` stays below 1e-10 m at these coordinates, so the
 # margin dwarfs it; docs/rules.md "How a trace is evaluated" has the proofs.
 OVERLAP_MARGIN_M = 1e-6
-
-
-def circumradius(length: float, width: float) -> float:
-    """Distance from the centre of a vehicle's rectangle to its corners."""
-    return math.hypot(length / 2.0, width / 2.0)
 
 
 def gap_verdict(dx: float, dy: float, ca: float, sa: float, hla: float, hwa: float,
@@ -1226,12 +1205,12 @@ def _grid_frames(timestep_s: float, horizon_s: float) -> float:
 _BLOCK_FRAMES = 32  # frames every mover runs between two collision scans
 
 
-def _signal_states(geometry: RoadGeometry) -> tuple[tuple[tuple[str, str], ...], ...]:
-    """The signal states at every frame time, computed once per geometry."""
+def _signal_states(geometry: RoadGeometry) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """Each signal head's states at every frame time, computed once per geometry."""
     cached = geometry.__dict__.get("_signal_states")
     if cached is None:
-        heads = geometry.signal_heads
-        cached = tuple(tuple((leg, sched.state(t)) for leg, sched in heads) for t in _FRAME_TIMES)
+        cached = tuple((leg, tuple(map(sched.state, _FRAME_TIMES)))
+                       for leg, sched in geometry.signal_heads)
         object.__setattr__(geometry, "_signal_states", cached)
     return cached
 
@@ -1358,7 +1337,7 @@ def simulate(instance: ScenarioInstance, geometry: RoadGeometry) -> Trace:
         geometry_ref=geometry.digest(),
         actor_types={m.actor_id: m.actor_type for m in movers},
         times=_FRAME_TIMES[:n],
-        signals=_signal_states(geometry)[:n],
+        signals=tuple((leg, states[:n]) for leg, states in _signal_states(geometry)),
         tracks=tuple(ActorTrack(m.actor_id, *(tuple(column[:n]) for column in cols))
                      for m, cols in zip(movers, columns)),
     )

@@ -46,7 +46,7 @@ def format1_to_jsonl(trace: sim.Trace) -> str:
                  "lane": a.lane_id[k], "lat": sig6(a.lateral[k])}
                 for a in trace.tracks
             ],
-            "signals": [{"approach": ap, "state": st} for ap, st in trace.signals[k]],
+            "signals": [{"approach": ap, "state": states[k]} for ap, states in trace.signals],
         }))
     return "\n".join(lines) + "\n"
 
@@ -63,8 +63,8 @@ def format1_from_jsonl(text: str) -> sim.Trace:
         **{key: header[key] for key in _HEADER_KEYS},
         actor_types=dict(header["actor_types"]),
         times=tuple(row["t"] for row in rows),
-        signals=tuple(tuple((s["approach"], s["state"]) for s in row["signals"])
-                      for row in rows),
+        signals=tuple((heads[0]["approach"], tuple(head["state"] for head in heads))
+                      for heads in zip(*(row["signals"] for row in rows))),
         tracks=tuple(sim.ActorTrack(actor_id, *(tuple(state[key] for state in states)
                                                 for key in sim._COLUMN_KEYS))
                      for actor_id, states in zip(ids, zip(*per_frame))),
@@ -74,12 +74,10 @@ def format1_from_jsonl(text: str) -> sim.Trace:
 def format2_to_jsonl(trace: sim.Trace) -> str:
     """Trace format 2: the header, the times, one line per signal head and one
     per actor, each line one `canonical_json` object."""
-    heads = [approach for approach, _ in trace.signals[0]] if trace.signals else []
     lines = [canonical_json(_header(trace) | {"format": 2}),
              canonical_json({"t": [sig6(t) for t in trace.times]})]
-    lines += [canonical_json({"approach": approach,
-                              "state": [frame[i][1] for frame in trace.signals]})
-              for i, approach in enumerate(heads)]
+    lines += [canonical_json({"approach": approach, "state": list(states)})
+              for approach, states in trace.signals]
     lines += [canonical_json({"id": a.actor_id, "x": [sig6(x) for x in a.x],
                               "y": [sig6(y) for y in a.y],
                               "heading": [sig6(h) for h in a.heading],
@@ -145,14 +143,12 @@ def format2_from_jsonl(text: str) -> sim.Trace:
                      for v in (item[:1] * item[1] if type(item) is list else [item])]
         return tuple(value)
 
-    heads = [column(row, "state") for row in rows if "approach" in row]
-    approaches = [row["approach"] for row in rows if "approach" in row]
     return sim.Trace(
         **{key: header[key] for key in _HEADER_KEYS},
         actor_types=dict(header["actor_types"]),
         times=tuple(times["t"]),
-        signals=tuple(tuple(zip(approaches, states)) for states in zip(*heads))
-        if heads else ((),) * frames,
+        signals=tuple((row["approach"], column(row, "state"))
+                      for row in rows if "approach" in row),
         tracks=tuple(sim.ActorTrack(row["id"], *(column(row, key) for key in sim._COLUMN_KEYS))
                      for row in rows if "approach" not in row),
     )

@@ -23,6 +23,7 @@ from .test_rules import reference_monitor
 from .test_synth import assert_program_keeps_the_template_lines
 
 STRAIGHT1 = FIXTURES / "scenarios" / "straight1.yaml"
+INTERSECTION1 = FIXTURES / "scenarios" / "intersection1.yaml"
 CURVE = FIXTURES / "scenarios" / "curve.yaml"
 
 
@@ -445,10 +446,10 @@ def _fail_on_seed(fn, seed: int):
     return failing
 
 
-def _staged_manifest(out: Path) -> tuple[Path, Path]:
-    """(template, manifest of seeds 0-3) for straight-1, written by the stages."""
-    assert cli.main(["synth", str(STRAIGHT1), "--out", str(out)]) == cli.EXIT_OK
-    template = out / "straight-1.template.json"
+def _staged_manifest(out: Path, document: Path = STRAIGHT1) -> tuple[Path, Path]:
+    """(template, manifest of seeds 0-3) for `document`, written by the stages."""
+    assert cli.main(["synth", str(document), "--out", str(out)]) == cli.EXIT_OK
+    template, = out.glob("*.template.json")
     assert cli.main(["sample", str(template), "--samples", "4", "--out", str(out)]) == cli.EXIT_OK
     return template, out / "instances.jsonl"
 
@@ -520,6 +521,64 @@ def _monitor_with_second_trace(tmp_path, capsys, edit) -> tuple[int, str, Path]:
     status = cli.main(["monitor", str(template), *map(str, traces)])
     assert not (tmp_path / "reports").exists()
     return status, capsys.readouterr().err, traces[1]
+
+
+@pytest.mark.parametrize("edit, reason", [
+    pytest.param(lambda line: "{oops", "Expecting property name enclosed in double quotes: "
+                                       "line 1 column 2 (char 1)", id="not-json"),
+    pytest.param(lambda line: line.replace('"instance_seed":1', '"instance_seed":"1"'),
+                 "expected an int, got str", id="seed-not-an-int"),
+])
+def test_a_malformed_manifest_line_is_named_with_its_file_and_line(tmp_path, capsys, edit,
+                                                                   reason):
+    template, manifest = _staged_manifest(tmp_path)
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    lines[1] = edit(lines[1])
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {manifest}: line 2: {reason}\n"
+    assert not (tmp_path / "traces").exists()
+
+
+def _monitor_edited_intersection1_trace(tmp_path, edit) -> dict:
+    """The report of a staged `monitor` over the seed-0 trace of intersection-1
+    with its lines `edit`ed."""
+    template, manifest = _staged_manifest(tmp_path, INTERSECTION1)
+    assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_OK
+    trace = tmp_path / "traces" / "trace_00000.jsonl"
+    lines = edit(trace.read_text(encoding="utf-8").splitlines())
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli.main(["monitor", str(template), str(trace)]) == cli.EXIT_OK
+    return json.loads((tmp_path / "reports" / "report_00000.json").read_text(encoding="utf-8"))
+
+
+def test_a_trace_without_signal_lines_shows_no_signal_state(tmp_path):
+    """A signal head that the trace does not list has no state: no red-light
+    running (21453) and no signalized right of way (21800)."""
+    def drop_signals(lines: list[str]) -> list[str]:
+        kept = [line for line in lines if not line.startswith('{"approach":')]
+        assert len(kept) == len(lines) - 4
+        return kept
+
+    report = _monitor_edited_intersection1_trace(tmp_path, drop_signals)
+    assert [violation["rule_id"] for violation in report["violations"]] == ["22350"]
+    assert report["targeted_hit"] is False
+
+
+@pytest.mark.parametrize("offset, rule_ids", [
+    pytest.param(0, ["22350", "21453", "21800"], id="green-first"),
+    pytest.param(1, ["22350"], id="green-last"),
+])
+def test_a_signal_head_listed_twice_takes_its_later_line(tmp_path, offset, rule_ids):
+    """An all-green line for npc_1's west head, before (offset 0) or after
+    (offset 1) its red line: the later line's states count."""
+    def repeat_west(lines: list[str]) -> list[str]:
+        k = lines.index('{"approach":"west","state":"red"}') + offset
+        return lines[:k] + ['{"approach":"west","state":"green"}'] + lines[k:]
+
+    report = _monitor_edited_intersection1_trace(tmp_path, repeat_west)
+    assert [violation["rule_id"] for violation in report["violations"]] == rule_ids
 
 
 def _as_format2(text: str) -> str:
@@ -920,9 +979,16 @@ def test_a_ratings_matrix_that_is_not_an_object_is_named(tmp_path, capsys):
         f"error: {matrix}: RatingsMatrix: expected an object, got list\n")
 
 
+def test_a_ratings_matrix_of_strings_is_named(tmp_path, capsys):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text('{"categories": "nmpq", "ratings": ["0123", "0123"]}', encoding="utf-8")
+    assert cli.main(["eval", "kappa", str(matrix)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {matrix}: expected a list, got str\n"
+
+
 @pytest.mark.parametrize("text, reason", [
     ("[]", "expected an object, got list"),
-    ('{"straight-1": "x"}', "invalid literal for int() with base 10: 'x'"),
+    ('{"straight-1": "x"}', "expected an int, got str"),
 ])
 def test_a_bad_expected_counts_file_is_named(tmp_path, capsys, text, reason):
     expected = tmp_path / "expected.json"

@@ -62,6 +62,21 @@ def test_fixed_tuples_and_optional_values():
         from_data(tuple[str, float], ["a", 1, 2])
 
 
+@pytest.mark.parametrize("cls, data, reason", [
+    (tuple[str, ...], "ab", "expected a list, got str"),
+    (tuple[str, float], {"a": 1}, "expected a list, got dict"),
+    (bool, "false", "expected a bool, got str"),
+    (int, 2.7, "expected an int, got float"),
+    (int, True, "expected an int, got bool"),
+    (float, False, "expected a number, got bool"),
+    (float, "2.5", "expected a number, got str"),
+    (str, 5, "expected a string, got int"),
+])
+def test_a_value_of_another_json_type_is_rejected(cls, data, reason):
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        from_data(cls, data)
+
+
 def _drop_ego_id(data):
     del data["params"]["ego_id"]
 

@@ -27,7 +27,7 @@ def test_crash_report_requires_summary():
 
 def test_extraction_prompt_structure():
     bundle = extract.build_extraction_prompt(_report(sketch=True))
-    assert len(bundle.exemplars) >= extract.MIN_EXEMPLARS
+    assert len(bundle.exemplars) >= 2
     image_parts = [p for p in bundle.user_parts if p.kind == "image"]
     assert len(image_parts) == 1
     assert image_parts[0].media_type == "image/png"

@@ -54,8 +54,8 @@ def make_trace(geometry: sim.RoadGeometry, actor_types: dict[str, str],
         geometry_ref=geometry.digest(),
         actor_types=actor_types,
         times=times,
-        signals=tuple(tuple((leg, sched.state(t)) for leg, sched in geometry.signal_heads)
-                      for t in times),
+        signals=tuple((leg, tuple(map(sched.state, times)))
+                      for leg, sched in geometry.signal_heads),
         tracks=tuple(tracks),
     )
 

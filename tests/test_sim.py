@@ -72,13 +72,13 @@ def test_four_lane_straight_geometry():
 def test_t_intersection_geometry():
     geo = sim.build_geometry(load_template("t-intersection"))
     assert geo.conflict_region is not None
-    assert len(geo.approaches()) == 3
+    assert len({stop_line.approach for stop_line in geo.stop_lines}) == 3
     assert geo.town == "Town05"
 
 
 def test_intersection_geometry():
     geo = sim.build_geometry(load_template("intersection-1"))
-    assert len(geo.approaches()) == 4
+    assert len({stop_line.approach for stop_line in geo.stop_lines}) == 4
     assert len(geo.signal_heads) == 4
     # the ego approach holds green at t=0, the crossing approaches red
     states = {leg: sched.state(0.0) for leg, sched in geo.signal_heads}
@@ -262,8 +262,8 @@ def _frame_major_simulate(instance: sampling.ScenarioInstance, geometry: sim.Roa
     lanes = sim._lane_table(geometry)
     lane_names = [lane.lane_id for lane in geometry.lanes]
     hints = [0] * len(movers)
-    pairs = [(i, j, sim.circumradius(*dims[i]) + sim.circumradius(*dims[j])
-              + sim.OVERLAP_MARGIN_M)
+    radii = [math.hypot(length / 2.0, width / 2.0) for length, width in dims]
+    pairs = [(i, j, radii[i] + radii[j] + sim.OVERLAP_MARGIN_M)
              for i in range(len(movers)) for j in range(i + 1, len(movers))]
 
     columns = [([], [], [], [], [], []) for _ in movers]
@@ -322,7 +322,7 @@ def _frame_major_simulate(instance: sampling.ScenarioInstance, geometry: sim.Roa
                 m.s = m.stop_s
                 m.speed = 0.0
 
-    times, heads = sim._FRAME_TIMES[:len(columns[0][0])], geometry.signal_heads
+    times = sim._FRAME_TIMES[:len(columns[0][0])]
     return sim.Trace(
         scenario_id=p.scenario_id,
         instance_seed=instance.instance_seed,
@@ -331,8 +331,8 @@ def _frame_major_simulate(instance: sampling.ScenarioInstance, geometry: sim.Roa
         geometry_ref=geometry.digest(),
         actor_types=actor_types,
         times=times,
-        signals=(tuple(tuple((leg, sched.state(t)) for leg, sched in heads) for t in times)
-                 if heads else ((),) * len(times)),
+        signals=tuple((leg, tuple(map(sched.state, times)))
+                      for leg, sched in geometry.signal_heads),
         tracks=tuple(sim.ActorTrack(m.actor_id, *map(tuple, cols))
                      for m, cols in zip(movers, columns)),
     )
@@ -739,7 +739,7 @@ def test_a_bare_value_holds_in_every_frame():
     ego = trace.tracks[0]
     assert ego.speed == (7.25,) * frames and ego.lane_id == ("l",) * frames
     assert _bits(ego.lateral) == _bits((-0.0,) * frames)
-    assert trace.signals == ((("north", "red"),),) * frames
+    assert trace.signals == (("north", ("red",) * frames),)
 
 
 def test_a_lane_or_a_large_sum_does_not_make_a_column_fail():
@@ -760,16 +760,6 @@ def test_actor_lines_give_the_track_order():
     assert [track.actor_id for track in trace.tracks] == ["ego", "npc_1"]
     assert swapped.tracks == trace.tracks[::-1]
     assert swapped.actor_types == trace.actor_types
-
-
-def test_the_writer_rejects_frames_with_different_signal_approaches():
-    template = load_template("intersection-1")
-    trace = sim.simulate(sampling.sample_instance(template, 0), sim.build_geometry(template))
-    assert len(trace.signals[0]) == 4
-    for frame in (trace.signals[0][:3], trace.signals[0][::-1]):
-        changed = dataclasses.replace(trace, signals=(frame,) + trace.signals[1:])
-        with pytest.raises(ValueError, match="the frames list different signal approaches"):
-            sim.trace_to_jsonl(changed)
 
 
 @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
@@ -926,7 +916,7 @@ def _one_frame_trace_lines() -> list[str]:
     trace = sim.simulate(sampling.sample_instance(template, 0), sim.build_geometry(template))
     return sim.trace_to_jsonl(dataclasses.replace(trace, times=trace.times[:1], tracks=tuple(
         sim.ActorTrack(track.actor_id, *(column[:1] for column in dataclasses.astuple(track)[1:]))
-        for track in trace.tracks), signals=trace.signals[:1])).splitlines()
+        for track in trace.tracks))).splitlines()
 
 
 @pytest.mark.parametrize("old, new", [
@@ -1017,13 +1007,12 @@ def test_trace_writer_matches_the_reference_writer_with_signals():
     for seed in range(3):
         trace = sim.simulate(sampling.sample_instance(template, seed), geo)
         assert sim.trace_to_jsonl(trace) == format4_to_jsonl(trace)
-    # signal states that change between frames, one of them seen twice
-    cycle = [tuple((leg, sched.state(t)) for leg, sched in geo.signal_heads)
-             for t in (0.0, 13.0, 20.0)]
-    cycle.append(cycle[0])
-    assert len(set(cycle)) > 1
+    # signal states that change between frames, each seen again later
+    cycle = (0.0, 13.0, 20.0, 0.0)
     switching = dataclasses.replace(trace, signals=tuple(
-        cycle[k % len(cycle)] for k in range(len(trace.times))))
+        (leg, tuple(sched.state(cycle[k % len(cycle)]) for k in range(len(trace.times))))
+        for leg, sched in geo.signal_heads))
+    assert all(len(set(states)) > 1 for _, states in switching.signals)
     assert sim.trace_to_jsonl(switching) == format4_to_jsonl(switching)
     assert_round_trips_as_format_1(switching)
 
@@ -1058,7 +1047,7 @@ def _trace_with_columns(**columns) -> sim.Trace:
     trace = sim.simulate(sampling.sample_instance(template, 0), sim.build_geometry(template))
     track = sim.ActorTrack("ego", lane_id=columns.get("lane_id", ("f0",) * frames), **filled)
     return dataclasses.replace(trace, actor_types={"ego": "car"}, times=sim._FRAME_TIMES[:frames],
-                               signals=((),) * frames, tracks=(track,))
+                               signals=(), tracks=(track,))
 
 
 def test_trace_writer_formats_again_only_where_a_column_changes():
@@ -1187,8 +1176,7 @@ def _columnar_traces(draw):
     return sim.Trace(
         "s", 0, timestep, 10.0, "g", {actor_id: "car" for actor_id in ids},
         times=sim._FRAME_TIMES[:frames],
-        signals=tuple(tuple(zip(heads, frame)) for frame in zip(*states)) if heads
-        else ((),) * frames,
+        signals=tuple(zip(heads, states)),
         tracks=tuple(sim.ActorTrack(actor_id, column(numbers), column(numbers), column(numbers),
                                     column(numbers), column(st.sampled_from(["a", "b"])),
                                     column(numbers)) for actor_id in ids))

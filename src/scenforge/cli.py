@@ -106,8 +106,18 @@ def _report_name(seed: int) -> str:
 
 
 def _write_staged(path: Path, data: str) -> None:
-    """A plain write: the staging directory it lands in moves into place whole."""
-    path.write_text(data, encoding="utf-8", newline="\n")
+    """A plain write of `data` as UTF-8: the staging directory it lands in moves
+    into place whole.  The open does not truncate, since every file in a
+    staging directory is new (`_staged` empties the directory first) or an
+    empty placeholder of the creator child, and each is written once."""
+    raw = memoryview(data.encode("utf-8"))
+    # O_BINARY (Windows only): no newline translation, as the bytes are final
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        while raw:
+            raw = raw[os.write(fd, raw):]
+    finally:
+        os.close(fd)
 
 
 @contextmanager
@@ -146,13 +156,10 @@ def _failed(path, error) -> int:
     return EXIT_PARTIAL
 
 
-@contextmanager
-def _seed_named(seed: int):
-    """Re-raises any failure of one instance's work as `seed <n>: <error>`."""
-    try:
-        yield
-    except Exception as exc:
-        raise RuntimeError(f"seed {seed}: {exc}") from exc
+def _seed_failure(seed: int, exc: Exception) -> RuntimeError:
+    """A failure of one instance's work as `seed <n>: <message>`, or the type's
+    name in place of an empty message (a bare `StopIteration`)."""
+    return RuntimeError(f"seed {seed}: {str(exc) or type(exc).__name__}")
 
 
 def _document_from_input(path: Path, args) -> str:
@@ -178,8 +185,10 @@ def _document_from_input(path: Path, args) -> str:
 
 def _simulate_step(instance: sampling.ScenarioInstance, geometry: sim.RoadGeometry) -> str:
     """The trace file text of one instance; a failure names the seed."""
-    with _seed_named(instance.instance_seed):
+    try:
         return sim.trace_to_jsonl(sim.simulate(instance, geometry))
+    except Exception as exc:
+        raise _seed_failure(instance.instance_seed, exc) from exc
 
 
 def _monitor_step(text: str, oracle: tuple[dsl.OracleEntry, ...],
@@ -187,8 +196,10 @@ def _monitor_step(text: str, oracle: tuple[dsl.OracleEntry, ...],
     """The report of a trace file text; a failure names the seed, a malformed text
     raises ValueError."""
     trace = sim.trace_from_jsonl(text)
-    with _seed_named(trace.instance_seed):
+    try:
         return rules.monitor(trace, oracle, geometry)
+    except Exception as exc:
+        raise _seed_failure(trace.instance_seed, exc) from exc
 
 
 def _chunksize(seeds: int, workers: int) -> int:
@@ -422,6 +433,10 @@ def _cmd_simulate(args) -> int:
     out_dir = args.out or Path(args.instances).parent
     traces = out_dir / "traces"
     names = {_trace_name(instance.instance_seed) for instance in instances}
+    if len(names) < len(instances):  # one trace file per seed
+        seeds = [instance.instance_seed for instance in instances]
+        repeated = next(seed for n, seed in enumerate(seeds) if seed in seeds[:n])
+        raise ValueError(f"{args.instances}: seed {repeated} is listed more than once")
     try:
         with _staged(out_dir / ".traces.partial") as staging:
             for instance in instances:

@@ -6,21 +6,33 @@ carries the digest of the template it was drawn from, a trace carries
 the digest of the geometry it was simulated on).  Templates, instances
 and reports are written as `to_data` of their dataclasses and read back
 with `from_data`.
+
+SHA-256 comes from CPython's built-in `_sha256` module, as the standard
+library's `random` takes SHA-512 from `_sha512`: importing `hashlib` loads
+`_hashlib`, which maps OpenSSL's libcrypto (about 3.4 MB resident) into
+every process that imports the package.  An interpreter built without
+`_sha256` falls back to `hashlib.sha256`.  Both compute the same digest, so
+digests and `prng.stream`, which hashes with the `sha256` defined here, are
+the same either way.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import json
 import types
 import typing
 from typing import Any, Callable
 
+try:
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
 
 def digest64_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).digest()[:8].hex()
+    return sha256(data).digest()[:8].hex()
 
 
 def digest64_text(text: str) -> str:
@@ -62,9 +74,32 @@ def from_data(cls: Any, data: Any) -> Any:
     required key; extra keys are ignored), `tuple[X, ...]` and fixed tuples
     (from a list), `dict[str, X]`, `X | None`, `Any`, and the scalars `bool`,
     `int` (not a bool), `float` (an int or a float, not a bool, widened to a
-    float) and `str`.  A value of another JSON type raises ValueError.
+    float) and `str`.  A value of another JSON type raises ValueError.  A
+    failure below the top-level value names the JSON pointer of the value at
+    fault, as in `/params/oracle/0/rule_id: expected a string, got int`; one
+    at the top level is the bare reason.
     """
     return _decoder(cls)(data)
+
+
+class _PathError(ValueError):
+    """A decoding failure below the top-level value, as `<pointer>: <reason>`."""
+
+    def __init__(self, key: Any, exc: ValueError):
+        nested = isinstance(exc, _PathError)
+        token = str(key).replace("~", "~0").replace("/", "~1")  # RFC 6901 escapes
+        self.pointer = f"/{token}{exc.pointer if nested else ''}"
+        self.reason = exc.reason if nested else str(exc)
+        super().__init__(f"{self.pointer}: {self.reason}")
+
+
+def _at(key: Any, decode: Callable, data: Any) -> Any:
+    """`decode(data)` for the member `key` of a container; a ValueError it
+    raises gains `key` at the front of its JSON pointer."""
+    try:
+        return decode(data)
+    except ValueError as exc:
+        raise _PathError(key, exc) from exc
 
 
 def _checked(expected: str, kinds: tuple[type, ...], decode: Callable) -> Callable:
@@ -96,19 +131,23 @@ def _decoder(tp: Any) -> Callable[[Any], Any]:
                 raise ValueError(f"{tp.__name__}: expected an object, got {type(data).__name__}")
             if missing := [name for name, _ in plan if name not in data]:
                 raise ValueError(f"{tp.__name__}: missing key(s) {', '.join(missing)}")
-            return tp(**{name: field_decoder(data[name]) for name, field_decoder in plan})
+            return tp(**{name: _at(name, field_decoder, data[name])
+                         for name, field_decoder in plan})
         return decode
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is tuple and args[-1] is Ellipsis:
         item = _decoder(args[0])
-        return _checked("a list", (list,), lambda data: tuple(item(v) for v in data))
+        return _checked("a list", (list,),
+                        lambda data: tuple(_at(i, item, v) for i, v in enumerate(data)))
     if origin is tuple:
         items = tuple(_decoder(a) for a in args)
         return _checked("a list", (list,),
-                        lambda data: tuple(d(v) for d, v in zip(items, data, strict=True)))
+                        lambda data: tuple(_at(i, d, v) for i, (d, v)
+                                           in enumerate(zip(items, data, strict=True))))
     if origin is dict:
         value = _decoder(args[1])
-        return _checked("an object", (dict,), lambda data: {k: value(v) for k, v in data.items()})
+        return _checked("an object", (dict,),
+                        lambda data: {k: _at(k, value, v) for k, v in data.items()})
     if origin in (types.UnionType, typing.Union) and len(args) == 2 and type(None) in args:
         inner = _decoder(args[0] if args[1] is type(None) else args[1])
         return lambda data: None if data is None else inner(data)

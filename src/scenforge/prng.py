@@ -10,7 +10,7 @@ platform.
 
 from __future__ import annotations
 
-import hashlib
+from .digests import sha256
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -52,5 +52,5 @@ def stream(seed: int, label: str) -> SplitMix64:
     SHA-256(seed as 8-byte big-endian || label UTF-8).
     """
     raw = (seed & _MASK64).to_bytes(8, "big") + label.encode("utf-8")
-    state = int.from_bytes(hashlib.sha256(raw).digest()[:8], "big")
+    state = int.from_bytes(sha256(raw).digest()[:8], "big")
     return SplitMix64(state)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -437,11 +438,11 @@ def test_offline_pipeline_requires_transcripts(tmp_path):
     assert not out.exists()
 
 
-def _fail_on_seed(fn, seed: int):
-    """`fn`, except that it raises ValueError("boom") when its first argument has `seed`."""
+def _fail_on_seed(fn, seed: int, error: Exception = ValueError("boom")):
+    """`fn`, except that it raises `error` when its first argument has `seed`."""
     def failing(first, *rest):
         if first.instance_seed == seed:
-            raise ValueError("boom")
+            raise error
         return fn(first, *rest)
     return failing
 
@@ -462,6 +463,23 @@ def test_a_failing_staged_simulate_names_its_seed(tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().err == f"error: {manifest}: seed 2: boom\n"
     assert not (tmp_path / "traces").exists()
     assert not (tmp_path / ".traces.partial").exists()
+
+
+@pytest.mark.parametrize("error, named", [(StopIteration(), "StopIteration"),
+                                          (ValueError(""), "ValueError")])
+def test_a_failure_with_an_empty_message_is_named_by_its_seed_and_type(tmp_path, monkeypatch,
+                                                                       capsys, error, named):
+    monkeypatch.setattr(sim, "simulate", _fail_on_seed(sim.simulate, 3, error))
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert cli.main(["pipeline", str(STRAIGHT1), "--out", str(out),
+                         "--samples", "6", "--workers", workers]) == cli.EXIT_PARTIAL
+        assert (out / "failures.txt").read_text(encoding="utf-8") == (
+            f"{STRAIGHT1}: seed 3: {named}\n")
+    template, manifest = _staged_manifest(tmp_path / "staged")
+    capsys.readouterr()
+    assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_PARTIAL
+    assert capsys.readouterr().err == f"error: {manifest}: seed 3: {named}\n"
 
 
 def test_a_failing_staged_monitor_names_its_seed(tmp_path, monkeypatch, capsys):
@@ -527,7 +545,7 @@ def _monitor_with_second_trace(tmp_path, capsys, edit) -> tuple[int, str, Path]:
     pytest.param(lambda line: "{oops", "Expecting property name enclosed in double quotes: "
                                        "line 1 column 2 (char 1)", id="not-json"),
     pytest.param(lambda line: line.replace('"instance_seed":1', '"instance_seed":"1"'),
-                 "expected an int, got str", id="seed-not-an-int"),
+                 "/instance_seed: expected an int, got str", id="seed-not-an-int"),
 ])
 def test_a_malformed_manifest_line_is_named_with_its_file_and_line(tmp_path, capsys, edit,
                                                                    reason):
@@ -708,12 +726,17 @@ def test_extract_prints_the_issues_of_a_document_that_does_not_parse(tmp_path, c
     assert not (tmp_path / "docs").exists()
 
 
+def _child_env() -> dict[str, str]:
+    """This process's environment with the package's source first on PYTHONPATH."""
+    src = Path(cli.__file__).resolve().parent.parent
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def test_extract_prints_the_issues_without_asserts(tmp_path):
     """Under `python -O` too: the check is not an assert."""
     bad = _write_unparseable_document(tmp_path)
-    src = Path(cli.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env = _child_env()
     done = subprocess.run(
         [sys.executable, "-O", "-m", "scenforge.cli", "extract", str(bad),
          "--out", str(tmp_path / "docs")],
@@ -915,9 +938,7 @@ def test_importing_the_cli_loads_the_pipeline_and_nothing_it_does_not_run():
     """`import scenforge.cli` loads what `pipeline` runs over DSL documents in
     one process; the extraction client, the evaluators and the process pool
     are imported by the commands that use them."""
-    src = Path(cli.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env = _child_env()
     done = subprocess.run(
         [sys.executable, "-c", "import json, sys\n"
                                "before = set(sys.modules)\n"
@@ -931,6 +952,26 @@ def test_importing_the_cli_loads_the_pipeline_and_nothing_it_does_not_run():
                                 "digests"))}
     assert added.isdisjoint({"scenforge.extract", "scenforge.evaluate",
                              "concurrent.futures.process", "multiprocessing"})
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_sha256") is None,
+                    reason="the interpreter has no built-in _sha256 module")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_the_cli_and_a_pipeline_run_load_no_openssl(tmp_path, workers):
+    """SHA-256 comes from the built-in `_sha256`, so neither the import nor a
+    `pipeline` run loads `hashlib` or `_hashlib`, which maps OpenSSL's libcrypto."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n"
+                               "import scenforge.cli\n"
+                               "loaded = [sorted({'hashlib', '_hashlib'} & set(sys.modules))]\n"
+                               "status = scenforge.cli.main(sys.argv[1:])\n"
+                               "loaded.append(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+                               "print(json.dumps([status, loaded]))\n",
+         "pipeline", str(STRAIGHT1), "--out", str(tmp_path / "out"), "--samples", "2",
+         "--workers", workers],
+        capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [cli.EXIT_OK, [[], []]]
 
 
 def test_a_pool_is_built_from_the_class_the_cli_holds_when_it_runs(tmp_path, monkeypatch):
@@ -961,6 +1002,18 @@ def test_an_input_that_is_a_directory_is_a_configuration_error(tmp_path, capsys,
     assert err.startswith("error: ") and str(directory) in err
 
 
+def test_a_manifest_that_repeats_a_seed_is_refused(tmp_path, capsys):
+    """Each seed has one trace file, so a manifest may list a seed only once."""
+    template, manifest = _staged_manifest(tmp_path)
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    manifest.write_text("\n".join([*lines, lines[1]]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {manifest}: seed 1 is listed more than once\n"
+    assert not (tmp_path / "traces").exists()
+    assert not (tmp_path / ".traces.partial").exists()
+
+
 def test_a_template_that_is_not_json_is_named(tmp_path, capsys):
     template, manifest = _staged_manifest(tmp_path)
     assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_OK
@@ -983,12 +1036,19 @@ def test_a_ratings_matrix_of_strings_is_named(tmp_path, capsys):
     matrix = tmp_path / "matrix.json"
     matrix.write_text('{"categories": "nmpq", "ratings": ["0123", "0123"]}', encoding="utf-8")
     assert cli.main(["eval", "kappa", str(matrix)]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == f"error: {matrix}: expected a list, got str\n"
+    assert capsys.readouterr().err == f"error: {matrix}: /ratings/0: expected a list, got str\n"
+
+
+def test_a_ratings_matrix_with_a_rating_of_another_type_names_its_path(tmp_path, capsys):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text('{"categories": ["a", "b"], "ratings": [[0, 1], 1]}', encoding="utf-8")
+    assert cli.main(["eval", "kappa", str(matrix)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {matrix}: /ratings/1: expected a list, got int\n"
 
 
 @pytest.mark.parametrize("text, reason", [
     ("[]", "expected an object, got list"),
-    ('{"straight-1": "x"}', "expected an int, got str"),
+    ('{"straight-1": "x"}', "/straight-1: expected an int, got str"),
 ])
 def test_a_bad_expected_counts_file_is_named(tmp_path, capsys, text, reason):
     expected = tmp_path / "expected.json"

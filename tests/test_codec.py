@@ -93,3 +93,30 @@ def test_a_malformed_template_file_is_a_config_error(tmp_path, damage):
     path.write_text(json.dumps(data), encoding="utf-8")
     assert cli.main(["sample", str(path), "--samples", "2", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert not (tmp_path / "instances.jsonl").exists()
+
+
+def test_a_template_field_of_another_type_is_named_by_its_path(tmp_path, capsys):
+    data = to_data(load_document_template("straight-1"))
+    data["params"]["oracle"][0]["rule_id"] = 21453
+    path = tmp_path / "straight-1.template.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli.main(["sample", str(path), "--samples", "2", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {path}: /params/oracle/0/rule_id: expected a string, got int\n")
+    assert not (tmp_path / "instances.jsonl").exists()
+
+
+@pytest.mark.parametrize("cls, data, reason", [
+    (dict[str, int], {"a/b~c": "1"}, "/a~1b~0c: expected an int, got str"),
+    (tuple[tuple[str, float], ...], [["a", 1], ["b", None]],
+     "/1/1: expected a number, got NoneType"),
+    (dict[str, tuple[int, ...]] | None, {"x": [1, 2.5]}, "/x/1: expected an int, got float"),
+    (sampling.ScenarioInstance, {"template_digest": "d", "instance_seed": 1, "bindings": {},
+                                 "fixed": []}, "/fixed: expected an object, got list"),
+    (tuple[sampling.ScenarioInstance, ...], [{"instance_seed": 1}],
+     "/0: ScenarioInstance: missing key(s) template_digest, bindings, fixed"),
+])
+def test_a_nested_value_of_another_type_is_named_by_its_json_pointer(cls, data, reason):
+    with pytest.raises(ValueError) as caught:
+        from_data(cls, data)
+    assert str(caught.value) == reason

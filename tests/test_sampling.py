@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
-from scenforge import prng, sampling
+import pytest
+
+from scenforge import digests, prng, sampling
 from scenforge.synth import ParamRange, ScenarioTemplate
 
 from .conftest import load_template
@@ -20,6 +23,20 @@ def test_stream_labels_are_independent():
     b = prng.stream(1, "npc_speed").next_u64()
     c = prng.stream(2, "ego_speed").next_u64()
     assert len({a, b, c}) == 3
+
+
+@pytest.mark.parametrize("data", [b"", b"straight-1", "vitesse de l'égo → 速度".encode()])
+def test_digest64_is_the_first_8_bytes_of_sha256(data):
+    assert digests.digest64_bytes(data) == hashlib.sha256(data).digest()[:8].hex()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("label", ["", "ego_speed", "vitesse_égo", "速度"])
+def test_a_stream_starts_from_the_sha256_of_its_seed_and_label(seed, label):
+    raw = seed.to_bytes(8, "big") + label.encode("utf-8")
+    state = int.from_bytes(hashlib.sha256(raw).digest()[:8], "big")
+    stream, expected = prng.stream(seed, label), prng.SplitMix64(state)
+    assert [stream.next_u64() for _ in range(3)] == [expected.next_u64() for _ in range(3)]
 
 
 def _degenerate_template() -> ScenarioTemplate:

@@ -16,8 +16,9 @@ the rename or the removal.  If the fork fails, the writers create the files
 themselves.  Staged `simulate` writes its traces into `.traces.partial/`
 beside `traces/` and moves them in once every seed has succeeded.  Staged
 `simulate` and `monitor` remove an earlier run's traces or reports of other
-seeds only once every new file is in place.  Other single files are written
-atomically (temp-then-rename).
+seeds only once every new file is in place.  Other single files, staged
+`monitor`'s reports included, are written atomically (temp-then-rename),
+with the mode a plain `open()` gives.
 
 Importing this module loads every module that `pipeline` runs over DSL
 documents in one process.  The extraction client (`extract`) is imported
@@ -63,9 +64,15 @@ def __getattr__(name: str):
 
 
 def _atomic_write(path: Path, data: str) -> None:
+    """Writes `data` to a temp file beside `path` and renames it onto `path`.
+    The file gets the mode a plain `open()` gives, 0o666 less the umask, in
+    place of `mkstemp`'s 0o600."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp_", suffix=path.suffix)
     try:
+        umask = os.umask(0o022)  # `umask` only reads the mask by setting it, so
+        os.umask(umask)          # set it back at once
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(data)
         os.replace(tmp, path)
@@ -75,25 +82,30 @@ def _atomic_write(path: Path, data: str) -> None:
         raise
 
 
-def _write_json(path: Path, data) -> None:
-    _atomic_write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+def _write_json(path: Path, data, write=_atomic_write) -> None:
+    write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _write_normalized(out_dir: Path, normalized: normalize.NormalizedSpec) -> None:
+# Each `_write_*` below writes atomically unless `write` is `_write_staged`, which
+# `pipeline` passes for files in its staging directory.
+def _write_normalized(out_dir: Path, normalized: normalize.NormalizedSpec,
+                      write=_atomic_write) -> None:
     scenario_id = normalized.spec.scenario_id
-    _atomic_write(out_dir / f"{scenario_id}.normalized.yaml", normalized.serialize())
-    _write_json(out_dir / f"{scenario_id}.provenance.json", normalized.provenance)
+    write(out_dir / f"{scenario_id}.normalized.yaml", normalized.serialize())
+    _write_json(out_dir / f"{scenario_id}.provenance.json", normalized.provenance, write)
 
 
-def _write_template(out_dir: Path, template: synth.ScenarioTemplate) -> None:
+def _write_template(out_dir: Path, template: synth.ScenarioTemplate,
+                    write=_atomic_write) -> None:
     scenario_id = template.params.scenario_id
-    _atomic_write(out_dir / f"{scenario_id}.scenic", synth.render_scenic(template).file_text())
-    _write_json(out_dir / f"{scenario_id}.template.json", to_data(template))
+    write(out_dir / f"{scenario_id}.scenic", synth.render_scenic(template).file_text())
+    _write_json(out_dir / f"{scenario_id}.template.json", to_data(template), write)
 
 
-def _write_manifest(out_dir: Path, instances: list[sampling.ScenarioInstance]) -> Path:
+def _write_manifest(out_dir: Path, instances: list[sampling.ScenarioInstance],
+                    write=_atomic_write) -> Path:
     path = out_dir / "instances.jsonl"
-    _atomic_write(path, sampling.write_manifest(instances))
+    write(path, sampling.write_manifest(instances))
     return path
 
 
@@ -238,8 +250,9 @@ def _placeholders(staging: Path, instances: list[sampling.ScenarioInstance]):
     """While the body runs, a forked "creator" child makes each seed's trace and
     report file in `staging` as an empty placeholder, in the order the writers
     fill them, so inode creation runs beside the instances instead of on their
-    path.  The child neither truncates nor writes: a writer's `"w"` open empties
-    a placeholder or creates a file the child has not reached, and either order
+    path.  The child neither truncates nor writes, so each placeholder is empty
+    until its writer, the only one, fills it; `_write_staged` opens without
+    truncating and creates a file the child has not reached, and either order
     gives the same bytes.  The child is reaped when the body ends, so no file
     appears after it; if the fork fails, or the platform has no `os.fork`, the
     body runs without a child.  Enter it while the process has no thread."""
@@ -293,10 +306,10 @@ def _run_input(args, normalized: normalize.NormalizedSpec,
     earlier run's `<sid>/` as it was."""
     scenario_id = template.params.scenario_id
     with _staged(args.out / f".{scenario_id}.partial") as staging:
-        _write_normalized(staging, normalized)
-        _write_template(staging, template)
+        _write_normalized(staging, normalized, _write_staged)
+        _write_template(staging, template, _write_staged)
         instances = sampling.sample_batch(template, args.samples, args.seed)
-        _write_manifest(staging, instances)
+        _write_manifest(staging, instances, _write_staged)
         (staging / "traces").mkdir()
         (staging / "reports").mkdir()
         with _placeholders(staging, instances):  # before the pool starts a thread

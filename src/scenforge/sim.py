@@ -479,7 +479,6 @@ class ActorTrack:
     heading: tuple[float, ...]
     speed: tuple[float, ...]
     lane_id: tuple[str, ...]
-    lateral: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -542,7 +541,7 @@ def _sig6_texts(column) -> list[str]:
 
 
 def _run_column(column) -> str:
-    """A format-4 number column: `_sig6_json` of each value, as `_sig6_texts`
+    """A number column with runs: `_sig6_json` of each value, as `_sig6_texts`
     formats it, with each run of three or more equal texts written once as
     `[text,count]`, or the text alone, bare, if the column is one run.
 
@@ -577,26 +576,27 @@ def _run_column(column) -> str:
     return "[" + ",".join(items) + "]"
 
 
-TRACE_FORMAT = 4  # the `format` of the header line; a header without one is format 1
+TRACE_FORMAT = 5  # the `format` of the header line; a header without one is format 1
 # the header's scalar fields, which are the `Trace` fields of the same names
 _HEADER_KEYS = ("scenario_id", "instance_seed", "timestep_s", "horizon_s", "geometry_ref")
 
 
 def trace_to_jsonl(trace: Trace) -> str:
-    """Trace format 4: a header line, then one line per column.
+    """Trace format 5: a header line, then one line per column.
 
     Line 2 holds the frame times: `{"t":601}`, the frame count, when they
     print as the first frames of `simulate`'s grid and the header's timestep
     and horizon allow that many (see `_grid_frames`), else a list
     `{"t":[...]}`.  One line per signal head, in the trace's order, holds
     its states as `{"approach":...,"state":...}`; one line per actor, in
-    track order, holds its six columns.  Floats are written to 6 significant
+    track order, holds its five columns.  Floats are written to 6 significant
     digits, and every line has sorted keys, as `canonical_json` would write
     them.  A column other than `t` whose written texts are all the same is
     written once, as a bare value (`"speed":12.0`); any other column is a
     list with one text per frame, in which, except in `t` and `x`, each run
     of three or more equal texts is written once with its length,
-    `["f0",120]`.
+    `["f0",120]`.  Format 5 is format 4 without each actor's `lat` column, its
+    offset from the centre of its lane, which no rule reads.
     """
     header = {key: getattr(trace, key) for key in _HEADER_KEYS} | {
         "actor_types": trace.actor_types, "format": TRACE_FORMAT}
@@ -635,13 +635,13 @@ def trace_to_jsonl(trace: Trace) -> str:
     for a in trace.tracks:
         lines.append(
             f'{{"heading":{nums(a.heading)},"id":{string(a.actor_id)},'
-            f'"lane":{strings(a.lane_id)},"lat":{nums(a.lateral)},"speed":{nums(a.speed)},'
+            f'"lane":{strings(a.lane_id)},"speed":{nums(a.speed)},'
             f'"x":{nums(a.x, plain)},"y":{nums(a.y)}}}')
     return "\n".join(lines) + "\n"
 
 
-_COLUMN_KEYS = ("x", "y", "heading", "speed", "lane", "lat")  # ActorTrack's column order
-_NUMBER_KEYS = frozenset(("t", "x", "y", "heading", "speed", "lat"))
+_COLUMN_KEYS = ("x", "y", "heading", "speed", "lane")  # ActorTrack's column order
+_NUMBER_KEYS = frozenset(("t", "x", "y", "heading", "speed"))
 
 
 def trace_from_jsonl(text: str) -> Trace:
@@ -649,12 +649,13 @@ def trace_from_jsonl(text: str) -> Trace:
     are skipped.  Lines break at "\n" only, so a raw U+0085, U+2028 or U+2029
     inside a JSON string stays in its line, and a CRLF's "\r" is whitespace.
 
-    The header must be of format 2, 3 or 4 and give each actor a type of
-    `VEHICLE_DIMS`.  The times are a list of one or more values or, in format
-    4, a frame count that stands for the first frames of `simulate`'s grid.
-    Every other column is a list of one value per time or, in formats 3 and
-    4, one bare value that holds in every frame; in format 4 a list may hold
-    runs `[value, count]`, a value repeated `count` (2 or more) times.  Each
+    The header must be of format 2, 3, 4 or 5 and give each actor a type of
+    `VEHICLE_DIMS`.  The times are a list of one or more values or, in formats
+    4 and 5, a frame count that stands for the first frames of `simulate`'s
+    grid.  Every other column is a list of one value per time or, from format
+    3 on, one bare value that holds in every frame; in formats 4 and 5 a list
+    may hold runs `[value, count]`, a value repeated `count` (2 or more)
+    times.  The `lat` column of formats 2 to 4 is not read.  Each
     value is a finite number in each column but the lanes and signal states,
     which hold strings: no `true`, `false`, `NaN` or `Infinity`.  Signal lines
     come before actor lines, and the actor lines are the header's actors, once
@@ -669,12 +670,12 @@ def trace_from_jsonl(text: str) -> Trace:
         if len(lines) == 1:
             raise ValueError("no time line after the header")
         n = lines[1][0]
-        format4 = version == 4
+        runs = version >= 4  # formats 4 and 5 hold runs and a frame count
         times = json.loads(lines[1][1])["t"]
-        if format4 and type(times) is int:
+        if runs and type(times) is int:
             times = _frame_grid(times, header)
         elif type(times) is not list or not times:
-            raise ValueError("'t' is not a frame count or a list of one or more times" if format4
+            raise ValueError("'t' is not a frame count or a list of one or more times" if runs
                              else "'t' is not a list of one or more times")
         else:
             _check_numbers(times, "t", _may_hold_booleans(lines[1][1]))
@@ -687,13 +688,13 @@ def trace_from_jsonl(text: str) -> Trace:
                 approach = row["approach"]
                 if type(approach) is not str:
                     raise ValueError("'approach' is not a string")
-                signals.append((approach, _column(row, "state", frames, format4)))
+                signals.append((approach, _column(row, "state", frames, runs)))
                 continue
             actor_id = row["id"]
             if actor_id in tracks or actor_id not in actor_types:
                 raise _actor_mismatch([*tracks, actor_id], actor_types)
             booleans = _may_hold_booleans(line)
-            tracks[actor_id] = ActorTrack(actor_id, *[_column(row, key, frames, format4, booleans)
+            tracks[actor_id] = ActorTrack(actor_id, *[_column(row, key, frames, runs, booleans)
                                                       for key in _COLUMN_KEYS])
         n = lines[0][0]
         if len(tracks) != len(actor_types):
@@ -707,8 +708,9 @@ def trace_from_jsonl(text: str) -> Trace:
 def _decode_header(header: dict) -> tuple[int, dict]:
     """The format and the `Trace` fields of a header line."""
     version = header.get("format", 1)
-    if version not in (2, 3, 4):  # format 3 adds bare columns, 4 runs and a frame count
-        raise ValueError(f"trace format {version!r}: this reader reads formats 2, 3 and 4 "
+    # format 3 adds bare columns, 4 runs and a frame count, and 5 drops `lat`
+    if version not in (2, 3, 4, 5):
+        raise ValueError(f"trace format {version!r}: this reader reads formats 2, 3, 4 and 5 "
                          f"only, so simulate the instances again")
     actor_types = dict(header["actor_types"])
     for actor_id, kind in actor_types.items():
@@ -1039,9 +1041,9 @@ LANE_BOUND_MARGIN_M = 1e-9  # room for rounding in `locate`, about 1e-13 m here
 
 
 def _lane_finder(geometry: RoadGeometry):
-    """`find(xs, ys, hint)` gives, for each point in turn, what `_locate_lane`
-    gives, as a list of lane indices and one of lateral offsets.  Each search
-    tries the lane found for the point before first, `hint` for the first.
+    """`find(xs, ys, hint)` gives, for each point in turn, the lane index that
+    `_locate_lane` gives.  Each search tries the lane found for the point
+    before first, `hint` for the first.
 
     A point nearer than LANE_WIDTH / 2 to the hinted lane is nearest to it
     on straight and curve roads, and at junctions when it lies outside the
@@ -1062,21 +1064,20 @@ def _lane_finder(geometry: RoadGeometry):
     ends = [(_locate_function(path[0]), s_max, -past, path[0].length + past)
             for (_, path, s_max), past in zip(lanes, beyond)]
 
-    def find(xs, ys, hint: int) -> tuple[list[int], list[float]]:
-        found, lats = [], []
+    def find(xs, ys, hint: int) -> list[int]:
+        found = []
         for x, y in zip(xs, ys):
             locate, s_max, lo, hi = ends[hint]
             s, lat = locate(x, y)
             if -5.0 <= s <= s_max:
                 if abs(lat) >= near or (abs(x) <= inside and abs(y) <= inside):
-                    hint, lat = _locate_lane(lanes, x, y)
+                    hint = _locate_lane(lanes, x, y)[0]
             elif s < lo or s > hi:
-                hint, lat = 0, 0.0
+                hint = 0
             else:
-                hint, lat = _locate_lane(lanes, x, y)
+                hint = _locate_lane(lanes, x, y)[0]
             found.append(hint)
-            lats.append(lat)
-        return found, lats
+        return found
 
     return find
 
@@ -1299,22 +1300,20 @@ def simulate(instance: ScenarioInstance, geometry: RoadGeometry) -> Trace:
     find_lanes = _lane_finder(geometry)
     lane_names = [lane.lane_id for lane in geometry.lanes]
 
-    # per mover: x, y, heading, speed, lane id and lateral offset per frame
-    columns = [([], [], [], [], [], []) for _ in movers]
+    # per mover: x, y, heading, speed and lane id per frame
+    columns = [([], [], [], [], []) for _ in movers]
     ego_xs, ego_ys = columns[0][0], columns[0][1]
     end_frame = len(_FRAME_TIMES) - 1
     collided = False
     start = 0
     while start <= end_frame:
         stop = min(start + _BLOCK_FRAMES, end_frame + 1)
-        for m, point, (xs, ys, headings, speeds, lane_ids, laterals) in zip(
-                movers, points, columns):
+        for m, point, (xs, ys, headings, speeds, lane_ids) in zip(movers, points, columns):
             states, block_speeds = _run_mover(m, point, ego_xs, ego_ys, start, stop)
             block_xs, block_ys, block_headings = zip(*states)
-            found, block_laterals = find_lanes(block_xs, block_ys, m.lane)
+            found = find_lanes(block_xs, block_ys, m.lane)
             m.lane = found[-1]
             lane_ids += map(lane_names.__getitem__, found)
-            laterals += block_laterals
             xs += block_xs
             ys += block_ys
             headings += block_headings

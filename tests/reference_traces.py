@@ -3,12 +3,15 @@
 Format 1, the frame-per-line format that format 2 replaced, is kept here as
 a reference: `PINNED_TRACE_SHA256` hashes `simulate`'s traces through its
 writer, and a trace read back from a trace file must hold exactly the floats
-that a format-1 round trip gives.  Formats 2 and 3 are kept too:
-`PINNED_FORMAT2_TRACE_SHA256` and `PINNED_FORMAT3_TRACE_SHA256` hash traces
-through their writers, and `sim.trace_from_jsonl` still reads both.
-`format4_to_jsonl` states what `sim.trace_to_jsonl` writes, and
-`format2_from_jsonl` what `sim.trace_from_jsonl` reads from a file of
-format 2, 3 or 4.
+that a format-1 round trip gives.  Formats 2, 3 and 4 are kept too:
+`PINNED_FORMAT2_TRACE_SHA256`, `PINNED_FORMAT3_TRACE_SHA256` and
+`PINNED_FORMAT4_TRACE_SHA256` hash traces through their writers, and
+`sim.trace_from_jsonl` still reads all three.  Files of formats 1 to 4 held a
+`lat` column, each actor's offset from the centre of its lane, which format 5
+dropped; the writers here leave it out unless they are given its values
+(`lane_offsets`).  `format5_to_jsonl` states what `sim.trace_to_jsonl`
+writes, and `format2_from_jsonl` what `sim.trace_from_jsonl` reads from a
+file of format 2, 3, 4 or 5.
 """
 
 from __future__ import annotations
@@ -34,8 +37,16 @@ def _header(trace: sim.Trace) -> dict:
             "scenario_id": trace.scenario_id, "timestep_s": trace.timestep_s}
 
 
+def lane_offsets(trace: sim.Trace, geometry: sim.RoadGeometry) -> list[list[float]]:
+    """Per track, the offset in each frame from the centre of the lane
+    `sim._locate_lane` finds: the `lat` column as `simulate` computed it for
+    files of formats 1 to 4."""
+    lanes = sim._lane_table(geometry)
+    return [[sim._locate_lane(lanes, x, y)[1] for x, y in zip(a.x, a.y)] for a in trace.tracks]
+
+
 def format1_to_jsonl(trace: sim.Trace) -> str:
-    """Trace format 1: the header, then one object per frame."""
+    """Trace format 1, without `lat`: the header, then one object per frame."""
     lines = [canonical_json(_header(trace))]
     for k, t in enumerate(trace.times):
         lines.append(canonical_json({
@@ -43,7 +54,7 @@ def format1_to_jsonl(trace: sim.Trace) -> str:
             "actors": [
                 {"id": a.actor_id, "x": sig6(a.x[k]), "y": sig6(a.y[k]),
                  "heading": sig6(a.heading[k]), "speed": sig6(a.speed[k]),
-                 "lane": a.lane_id[k], "lat": sig6(a.lateral[k])}
+                 "lane": a.lane_id[k]}
                 for a in trace.tracks
             ],
             "signals": [{"approach": ap, "state": states[k]} for ap, states in trace.signals],
@@ -71,26 +82,28 @@ def format1_from_jsonl(text: str) -> sim.Trace:
     )
 
 
-def format2_to_jsonl(trace: sim.Trace) -> str:
+def format2_to_jsonl(trace: sim.Trace, laterals=None) -> str:
     """Trace format 2: the header, the times, one line per signal head and one
-    per actor, each line one `canonical_json` object."""
+    per actor, each line one `canonical_json` object.  Given `laterals`, one
+    column per track, each actor line holds its column as `lat`."""
     lines = [canonical_json(_header(trace) | {"format": 2}),
              canonical_json({"t": [sig6(t) for t in trace.times]})]
     lines += [canonical_json({"approach": approach, "state": list(states)})
               for approach, states in trace.signals]
-    lines += [canonical_json({"id": a.actor_id, "x": [sig6(x) for x in a.x],
-                              "y": [sig6(y) for y in a.y],
-                              "heading": [sig6(h) for h in a.heading],
-                              "speed": [sig6(v) for v in a.speed], "lane": list(a.lane_id),
-                              "lat": [sig6(lat) for lat in a.lateral]})
-              for a in trace.tracks]
+    for k, a in enumerate(trace.tracks):
+        row = {"id": a.actor_id, "x": [sig6(x) for x in a.x], "y": [sig6(y) for y in a.y],
+               "heading": [sig6(h) for h in a.heading], "speed": [sig6(v) for v in a.speed],
+               "lane": list(a.lane_id)}
+        if laterals is not None:
+            row["lat"] = [sig6(lat) for lat in laterals[k]]
+        lines.append(canonical_json(row))
     return "\n".join(lines) + "\n"
 
 
-def format3_to_jsonl(trace: sim.Trace) -> str:
+def format3_to_jsonl(trace: sim.Trace, laterals=None) -> str:
     """Trace format 3: format 2, with each column but `t` whose value texts are
     all the same written once, as a bare value."""
-    lines = format2_to_jsonl(trace).split("\n")
+    lines = format2_to_jsonl(trace, laterals).split("\n")
     rows = [json.loads(line) for line in lines[2:-1]]
     for row in rows:
         for key, column in row.items():
@@ -100,12 +113,12 @@ def format3_to_jsonl(trace: sim.Trace) -> str:
     return "\n".join([canonical_json(header), lines[1], *map(canonical_json, rows)]) + "\n"
 
 
-def format4_to_jsonl(trace: sim.Trace) -> str:
+def format4_to_jsonl(trace: sim.Trace, laterals=None) -> str:
     """Trace format 4: format 3, with `t` written as the frame count when the
     times print as the first frames of the 0.1 s grid that the header's
     timestep and horizon allow, and in each list column but `t` and `x` each
     run of three or more equal value texts written as `[value, count]`."""
-    lines = format3_to_jsonl(trace).split("\n")
+    lines = format3_to_jsonl(trace, laterals).split("\n")
     rows = [json.loads(line) for line in lines[2:-1]]
     for row in rows:
         for key, column in row.items():
@@ -124,9 +137,15 @@ def format4_to_jsonl(trace: sim.Trace) -> str:
     return "\n".join([canonical_json(header), times, *map(canonical_json, rows)]) + "\n"
 
 
+def format5_to_jsonl(trace: sim.Trace) -> str:
+    """Trace format 5: format 4 without `lat`."""
+    lines = format4_to_jsonl(trace).split("\n")
+    return "\n".join([canonical_json(json.loads(lines[0]) | {"format": 5}), *lines[1:]])
+
+
 def format2_from_jsonl(text: str) -> sim.Trace:
-    """Reads a well-formed format-2, format-3 or format-4 trace with
-    `json.loads` alone: a bare column value is repeated in every frame, a run
+    """Reads a well-formed trace of format 2, 3, 4 or 5 with `json.loads`
+    alone: a bare column value is repeated in every frame, a run
     `[value, count]` `count` times, and a `t` count stands for that many
     frames of the timestep's grid."""
     header, times, *rows = [json.loads(line) for line in text.split("\n") if line.strip()]
@@ -138,7 +157,7 @@ def format2_from_jsonl(text: str) -> sim.Trace:
         value = row[key]
         if type(value) is not list:
             return (value,) * frames
-        if header["format"] == 4:
+        if header["format"] >= 4:
             value = [v for item in value
                      for v in (item[:1] * item[1] if type(item) is list else [item])]
         return tuple(value)
@@ -170,11 +189,11 @@ def exact(value):
 
 
 def assert_round_trips_as_format_1(trace: sim.Trace) -> str:
-    """The format-4 text of `trace`, after checking that it is the reference
+    """The format-5 text of `trace`, after checking that it is the reference
     writer's text, reads back to the bits a format-1 round trip gives and
     writes back to itself."""
     text = sim.trace_to_jsonl(trace)
-    assert text == format4_to_jsonl(trace)
+    assert text == format5_to_jsonl(trace)
     reloaded = sim.trace_from_jsonl(text)
     assert exact(reloaded) == exact(format1_from_jsonl(format1_to_jsonl(trace)))
     assert sim.trace_to_jsonl(reloaded) == text

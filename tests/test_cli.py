@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,7 @@ from scenforge.digests import from_data
 
 from .conftest import FIVE_ACTOR_DOCUMENTS, FIXTURES, SCENARIO_FILES, load_document_spec
 from .reference_traces import (assert_round_trips_as_format_1, format1_to_jsonl, format2_to_jsonl,
-                               format3_to_jsonl)
+                               format3_to_jsonl, format4_to_jsonl, lane_offsets)
 from .test_dsl import scenario_specs
 from .test_rules import reference_monitor
 from .test_synth import assert_program_keeps_the_template_lines
@@ -671,20 +672,29 @@ def test_a_bare_trace_value_that_is_not_a_finite_number_is_a_config_error(
     assert err == f"error: {trace}: line 3: 'speed' holds a value that is {reason}\n"
 
 
-@pytest.mark.parametrize("rewrite", [format2_to_jsonl, format3_to_jsonl])
-def test_format_2_and_3_traces_are_monitored_as_their_format_4_files(tmp_path, rewrite):
-    template, manifest = _staged_manifest(tmp_path)
+@pytest.mark.parametrize("document", [STRAIGHT1, INTERSECTION1, CURVE], ids=lambda p: p.stem)
+@pytest.mark.parametrize("rewrite", [format2_to_jsonl, format3_to_jsonl, format4_to_jsonl])
+def test_older_traces_are_monitored_as_their_format_5_files(tmp_path, rewrite, document):
+    """Each format-5 trace rewritten in an older format, with the `lat` column
+    that `simulate` gave; the format-4 files are those that `scenforge
+    simulate` wrote before format 5 (`PINNED_FORMAT4_TRACE_SHA256`).  The
+    reports and summary stay the same bytes."""
+    template, manifest = _staged_manifest(tmp_path, document)
+    geometry = sim.build_geometry(cli._load(synth.ScenarioTemplate, template))
     assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_OK
     traces = sorted((tmp_path / "traces").glob("trace_*.jsonl"))
     assert cli.main(["monitor", str(template), *map(str, traces)]) == cli.EXIT_OK
     reports = _tree_hash(tmp_path / "reports")
+    summary = (tmp_path / "summary.csv").read_bytes()
     for trace in traces:
         text = trace.read_text(encoding="utf-8")
-        older = rewrite(sim.trace_from_jsonl(text))
-        assert len(older) > len(text)
+        reloaded = sim.trace_from_jsonl(text)
+        older = rewrite(reloaded, lane_offsets(reloaded, geometry))
+        assert len(older) > len(text) and '"lat":' in older
         trace.write_text(older, encoding="utf-8")
     assert cli.main(["monitor", str(template), *map(str, traces)]) == cli.EXIT_OK
     assert _tree_hash(tmp_path / "reports") == reports
+    assert (tmp_path / "summary.csv").read_bytes() == summary
 
 
 @pytest.mark.parametrize("literal", ["null", "{}", "3"])
@@ -709,7 +719,50 @@ def test_a_format_1_trace_is_a_config_error(tmp_path, capsys):
     status, err, trace = _monitor_with_second_trace(tmp_path, capsys, format1)
     assert status == cli.EXIT_CONFIG
     assert err.startswith(f"error: {trace}: line 1: trace format 1: this reader reads formats "
-                          f"2, 3 and 4 only")
+                          f"2, 3, 4 and 5 only")
+
+
+def test_pipeline_renames_a_temp_file_only_for_its_summary(tmp_path, monkeypatch):
+    """An input's files land in its staging directory with plain writes, so only
+    `summary.csv`, outside it, is written through `mkstemp` and a rename."""
+    made, mkstemp = [], tempfile.mkstemp
+    monkeypatch.setattr(tempfile, "mkstemp", lambda **kw: made.append(kw["dir"]) or mkstemp(**kw))
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", str(STRAIGHT1), str(CURVE), "--out", str(out),
+                     "--samples", "2"]) == cli.EXIT_OK
+    assert made == [out]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_every_written_file_gets_the_mode_of_a_plain_open(tmp_path, umask):
+    """0o666 less the umask, for `pipeline`'s files, `failures.txt` included,
+    and for staged `synth`, `sample`, `simulate` and `monitor`; `mkstemp`
+    alone would leave an atomically written file at 0o600."""
+    old = os.umask(umask)
+    try:
+        piped, staged = tmp_path / "piped", tmp_path / "staged"
+        bad = _write_unparseable_document(tmp_path)
+        assert cli.main(["pipeline", str(STRAIGHT1), str(bad), "--out", str(piped),
+                         "--samples", "2"]) == cli.EXIT_PARTIAL
+        template, manifest = _staged_manifest(staged)
+        assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_OK
+        traces = sorted((staged / "traces").glob("trace_*.jsonl"))
+        assert cli.main(["monitor", str(template), *map(str, traces)]) == cli.EXIT_OK
+    finally:
+        os.umask(old)
+    modes = {path.relative_to(tmp_path).as_posix(): stat.S_IMODE(path.stat().st_mode)
+             for root in (piped, staged) for path in root.rglob("*") if path.is_file()}
+    for name in ("piped/summary.csv", "piped/failures.txt", "piped/straight-1/instances.jsonl",
+                 "piped/straight-1/straight-1.normalized.yaml",
+                 "piped/straight-1/straight-1.provenance.json",
+                 "piped/straight-1/straight-1.scenic", "piped/straight-1/straight-1.template.json",
+                 "piped/straight-1/traces/trace_00001.jsonl",
+                 "piped/straight-1/reports/report_00001.json", "staged/straight-1.scenic",
+                 "staged/straight-1.template.json", "staged/instances.jsonl",
+                 "staged/traces/trace_00003.jsonl", "staged/reports/report_00003.json",
+                 "staged/summary.csv"):
+        assert name in modes
+    assert {name: oct(mode) for name, mode in modes.items() if mode != 0o666 & ~umask} == {}
 
 
 def _write_unparseable_document(tmp_path: Path) -> Path:

@@ -43,9 +43,8 @@ def make_trace(geometry: sim.RoadGeometry, actor_types: dict[str, str],
         actor_id = states[0][0]
         assert all(state[0] == actor_id for state in states)
         _, xs, ys, headings, speeds = zip(*states)
-        lane_indices, laterals = zip(*(sim._locate_lane(lanes, x, y) for x, y in zip(xs, ys)))
-        lane_ids = tuple(lanes[i][0] for i in lane_indices)
-        tracks.append(sim.ActorTrack(actor_id, xs, ys, headings, speeds, lane_ids, laterals))
+        lane_ids = tuple(lanes[sim._locate_lane(lanes, x, y)[0]][0] for x, y in zip(xs, ys))
+        tracks.append(sim.ActorTrack(actor_id, xs, ys, headings, speeds, lane_ids))
     return sim.Trace(
         scenario_id=scenario_id,
         instance_seed=seed,

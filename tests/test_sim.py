@@ -19,7 +19,7 @@ from .conftest import (EXPECTED_RULE_COUNTS, FIVE_ACTOR_DOCUMENTS, FIXTURES,
                        MULTI_ACTOR_DOCUMENTS, load_document_template, load_spec, load_template)
 from .reference_traces import (assert_round_trips_as_format_1, exact, format1_to_jsonl,
                                format2_from_jsonl, format2_to_jsonl, format3_to_jsonl,
-                               format4_to_jsonl, sig6)
+                               format5_to_jsonl, sig6)
 from .test_dsl import scenario_specs
 
 
@@ -266,7 +266,7 @@ def _frame_major_simulate(instance: sampling.ScenarioInstance, geometry: sim.Roa
     pairs = [(i, j, radii[i] + radii[j] + sim.OVERLAP_MARGIN_M)
              for i in range(len(movers)) for j in range(i + 1, len(movers))]
 
-    columns = [([], [], [], [], [], []) for _ in movers]
+    columns = [([], [], [], [], []) for _ in movers]
     end_frame = len(sim._FRAME_TIMES) - 1
     collided = False
 
@@ -284,16 +284,15 @@ def _frame_major_simulate(instance: sampling.ScenarioInstance, geometry: sim.Roa
                     m.lateral = m.ramp_target * progress
 
         frame = []
-        for n, (m, point, (xs, ys, headings, speeds, lane_ids, laterals)) in enumerate(
+        for n, (m, point, (xs, ys, headings, speeds, lane_ids)) in enumerate(
                 zip(movers, points, columns)):
             x, y, heading = state = point(m.s, m.lateral)
-            hints[n], lateral = sim._locate_lane(lanes, x, y)
+            hints[n] = sim._locate_lane(lanes, x, y)[0]
             xs.append(x)
             ys.append(y)
             headings.append(heading)
             speeds.append(m.speed)
             lane_ids.append(lane_names[hints[n]])
-            laterals.append(lateral)
             frame.append(state)
 
         if not collided:
@@ -358,7 +357,7 @@ def _assert_same_simulation(template: synth.ScenarioTemplate, seeds) -> int:
         assert [t.actor_id for t in trace.tracks] == [t.actor_id for t in expected.tracks], where
         for track, reference in zip(trace.tracks, expected.tracks):
             assert track.lane_id == reference.lane_id, (where, track.actor_id)
-            for key in ("x", "y", "heading", "speed", "lateral"):
+            for key in ("x", "y", "heading", "speed"):
                 assert _bits(getattr(track, key)) == _bits(getattr(reference, key)), (
                     where, track.actor_id, key)
         assert trace == expected, where
@@ -519,8 +518,8 @@ def _format_1(lines):
     return format1_to_jsonl(trace).splitlines(), 1
 
 
-def _format_5(lines):
-    return [_edited(lines[0], lambda row: row.update(format=5))] + lines[1:], 1
+def _format_6(lines):
+    return [_edited(lines[0], lambda row: row.update(format=6))] + lines[1:], 1
 
 
 @pytest.mark.parametrize("malform, reason", [
@@ -540,8 +539,8 @@ def _format_5(lines):
     (_header_only, r"no time line after the header"),
     (_header_missing_key, r"missing key 'geometry_ref'"),
     (_unknown_actor_type, r"actor 'ego' has type 'bus', not one of \['car', 'truck'\]"),
-    (_format_1, r"trace format 1: this reader reads formats 2, 3 and 4 only"),
-    (_format_5, r"trace format 5: this reader reads formats 2, 3 and 4 only"),
+    (_format_1, r"trace format 1: this reader reads formats 2, 3, 4 and 5 only"),
+    (_format_6, r"trace format 6: this reader reads formats 2, 3, 4 and 5 only"),
 ])
 def test_a_malformed_trace_names_the_line_at_fault(malform, reason):
     lines, line_number = malform(_straight1_trace_lines())
@@ -549,13 +548,13 @@ def test_a_malformed_trace_names_the_line_at_fault(malform, reason):
         sim.trace_from_jsonl("\n".join(lines) + "\n")
 
 
-def _format4_lines() -> list[str]:
-    """straight-1 at seed 0 in format 4: 28 frames written `{"t":28}`, the ego
+def _format5_lines() -> list[str]:
+    """straight-1 at seed 0 in format 5: 28 frames written `{"t":28}`, the ego
     on line 3 with a bare lane, and npc_1 on line 4 with the runs
-    `"lane":[["r0",18],["f0",10]]` and `"lat":[[0.0,9],0.175,...]`."""
+    `"lane":[["r0",18],["f0",10]]` and `"y":[[1.75,9],1.575,...]`."""
     lines = _straight1_trace_lines(sim.trace_to_jsonl)
     assert lines[1] == '{"t":28}' and '"lane":"f0",' in lines[2]
-    assert '"lane":[["r0",18],["f0",10]],"lat":[[0.0,9],0.175,' in lines[3]
+    assert '"lane":[["r0",18],["f0",10]],' in lines[3] and '"y":[[1.75,9],1.575,' in lines[3]
     return lines
 
 
@@ -564,51 +563,51 @@ def _replaced(line: str, old: str, new: str) -> str:
     return line.replace(old, new)
 
 
-_RUN_REASON = r"'lat' holds a run that is not \[value, count\] with an integer count of 2 or more"
+_RUN_REASON = r"'y' holds a run that is not \[value, count\] with an integer count of 2 or more"
 
 
 @pytest.mark.parametrize("run, reason", [
-    ("[0.0,0]", _RUN_REASON),
-    ("[0.0,-1]", _RUN_REASON),
-    ("[0.0,1]", _RUN_REASON),
-    ("[0.0,true]", _RUN_REASON),
-    ("[0.0,2.0]", _RUN_REASON),
-    ("[0.0,9.0]", _RUN_REASON),
-    ('[0.0,"3"]', _RUN_REASON),
-    ('[0.0,"9"]', _RUN_REASON),
-    ("[0.0]", _RUN_REASON),
-    ("[0.0,9,1]", _RUN_REASON),
+    ("[1.75,0]", _RUN_REASON),
+    ("[1.75,-1]", _RUN_REASON),
+    ("[1.75,1]", _RUN_REASON),
+    ("[1.75,true]", _RUN_REASON),
+    ("[1.75,2.0]", _RUN_REASON),
+    ("[1.75,9.0]", _RUN_REASON),
+    ('[1.75,"3"]', _RUN_REASON),
+    ('[1.75,"9"]', _RUN_REASON),
+    ("[1.75]", _RUN_REASON),
+    ("[1.75,9,1]", _RUN_REASON),
     ("[]", _RUN_REASON),
-    ("[[0.0,9],9]", r"'lat' holds a value that is not a number"),  # a run inside a run
-    ("[0.0,10]", r"'lat' is not a list of 28 values, one per time"),  # one frame too many
-    ("[0.0,8]", r"'lat' is not a list of 28 values, one per time"),  # one frame too few
-    ("[0.0,1000000000000]", r"'lat' is not a list of 28 values, one per time"),
-    ("[null,9]", r"'lat' holds a value that is not a number"),
-    ("[NaN,9]", r"'lat' holds a value that is not a finite number"),
-    ("[true,9]", r"'lat' holds a value that is not a finite number"),
+    ("[[1.75,9],9]", r"'y' holds a value that is not a number"),  # a run inside a run
+    ("[1.75,10]", r"'y' is not a list of 28 values, one per time"),  # one frame too many
+    ("[1.75,8]", r"'y' is not a list of 28 values, one per time"),  # one frame too few
+    ("[1.75,1000000000000]", r"'y' is not a list of 28 values, one per time"),
+    ("[null,9]", r"'y' holds a value that is not a number"),
+    ("[NaN,9]", r"'y' holds a value that is not a finite number"),
+    ("[true,9]", r"'y' holds a value that is not a finite number"),
 ])
 def test_a_malformed_run_names_its_line(run, reason):
-    """The npc's `[0.0,9]` lat run, spoiled; a count is checked before its
+    """The npc's `[1.75,9]` y run, spoiled; a count is checked before its
     copies are made."""
-    lines = _format4_lines()
-    lines[3] = _replaced(lines[3], "[0.0,9]", run)
+    lines = _format5_lines()
+    lines[3] = _replaced(lines[3], "[1.75,9]", run)
     with pytest.raises(ValueError, match=rf"^line 4: {reason}$"):
         sim.trace_from_jsonl("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("lanes", ['[["r0",19],["f0",10]]', '[["r0",18],["f0",9]]'])
 def test_lane_runs_that_miss_the_frame_count_name_their_line(lanes):
-    lines = _format4_lines()
+    lines = _format5_lines()
     lines[3] = _replaced(lines[3], '[["r0",18],["f0",10]]', lanes)
     with pytest.raises(ValueError,
                        match=r"^line 4: 'lane' is not a list of 28 values, one per time$"):
         sim.trace_from_jsonl("\n".join(lines) + "\n")
 
 
-def test_runs_are_read_in_format_4_only():
+def test_runs_are_read_in_formats_4_and_5_only():
     """In a format-3 file a list with runs is a list of the wrong length."""
-    lines = _format4_lines()
-    lines[0] = _replaced(lines[0], '"format":4', '"format":3')
+    lines = _format5_lines()
+    lines[0] = _replaced(lines[0], '"format":5', '"format":3')
     lines[1] = canonical_json({"t": list(sim._FRAME_TIMES[:28])})
     with pytest.raises(ValueError,
                        match=r"^line 4: '\w+' is not a list of 28 values, one per time$"):
@@ -630,7 +629,7 @@ def test_runs_are_read_in_format_4_only():
     ({}, '{"t":[[0.0,3],0.3]}', r"'t' holds a value that is not a number"),  # a run in `t`
 ])
 def test_a_malformed_frame_count_names_its_line(header, times, reason):
-    lines = _format4_lines()
+    lines = _format5_lines()
     lines[0] = _edited(lines[0], lambda row: row.update(header))
     lines[1] = times
     with pytest.raises(ValueError, match=rf"^line 2: {reason}$"):
@@ -639,7 +638,7 @@ def test_a_malformed_frame_count_names_its_line(header, times, reason):
 
 def test_a_frame_count_stands_for_the_frame_grid():
     """Up to the header's horizon, and over the whole grid."""
-    lines = _format4_lines()
+    lines = _format5_lines()
     trace = _assert_reads_as_the_reference("\n".join(lines) + "\n")
     assert trace.times == sim._FRAME_TIMES[:28]
     lines[0] = _edited(lines[0], lambda row: row.update(horizon_s=2.7))
@@ -660,7 +659,7 @@ _NOT_STRINGS = {"null": "null", "object": "{}", "number": "3"}
 def test_a_lane_or_signal_state_that_is_not_a_string_names_its_line(key, literal, form):
     """The ego's lane, or the state of a signal line put before it, as a bare
     value, in a list, or as a run's value."""
-    lines = _format4_lines()
+    lines = _format5_lines()
     lines.insert(2, '{"approach":"north","state":"red"}')
     n = 3 if key == "state" else 4
     old = '"state":"red"' if key == "state" else '"lane":"f0"'
@@ -674,13 +673,13 @@ def test_a_lane_or_signal_state_that_is_not_a_string_names_its_line(key, literal
 
 @pytest.mark.parametrize("literal", list(_NOT_STRINGS.values()), ids=list(_NOT_STRINGS))
 def test_a_signal_approach_that_is_not_a_string_names_its_line(literal):
-    lines = _format4_lines()
+    lines = _format5_lines()
     lines.insert(2, f'{{"approach":{literal},"state":"red"}}')
     with pytest.raises(ValueError, match=r"^line 3: 'approach' is not a string$"):
         sim.trace_from_jsonl("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("key", ["t", "x", "y", "heading", "speed", "lat"])
+@pytest.mark.parametrize("key", ["t", "x", "y", "heading", "speed"])
 @pytest.mark.parametrize("value", ["a", None, [1.0], {"v": 1.0}])
 def test_a_value_that_is_not_a_number_names_its_line(key, value):
     lines = _straight1_trace_lines()
@@ -699,7 +698,7 @@ _NOT_FINITE = {"true": "true", "false": "false", "NaN": "NaN", "Infinity": "Infi
                "-Infinity": "-Infinity", "1e400": "1e400", "int-beyond-float": "1" + "0" * 400}
 
 
-@pytest.mark.parametrize("key", ["t", "x", "y", "heading", "speed", "lat"])
+@pytest.mark.parametrize("key", ["t", "x", "y", "heading", "speed"])
 @pytest.mark.parametrize("literal", list(_NOT_FINITE.values()), ids=list(_NOT_FINITE))
 def test_a_value_that_is_not_a_finite_number_names_its_line(key, literal):
     lines = _straight1_trace_lines()
@@ -714,7 +713,7 @@ def test_a_value_that_is_not_a_finite_number_names_its_line(key, literal):
         sim.trace_from_jsonl("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("key", ["x", "y", "heading", "speed", "lat"])
+@pytest.mark.parametrize("key", ["x", "y", "heading", "speed"])
 @pytest.mark.parametrize("literal, reason", [
     ("true", "not a finite number"), ("false", "not a finite number"),
     ("NaN", "not a finite number"), ("Infinity", "not a finite number"),
@@ -730,15 +729,27 @@ def test_a_bare_value_that_is_not_a_finite_number_names_its_line(key, literal, r
         sim.trace_from_jsonl("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("version", [2, 3, 4])
+@pytest.mark.parametrize("literal", ["0.5", "[0.5]", "NaN", "null", '"a"', "[[0.5,0]]", "{}"])
+def test_the_lat_column_of_an_older_format_is_not_read(version, literal):
+    """Files of formats 2 to 4 hold `lat`, the offset from the lane's centre;
+    the reader skips it, whatever it holds."""
+    lines = _straight1_trace_lines()
+    expected = sim.trace_from_jsonl("\n".join(lines) + "\n")
+    lines[0] = _edited(lines[0], lambda row: row.update(format=version))
+    lines[2:] = [_replaced(line, '"speed":', f'"lat":{literal},"speed":') for line in lines[2:]]
+    assert exact(sim.trace_from_jsonl("\n".join(lines) + "\n")) == exact(expected)
+
+
 def test_a_bare_value_holds_in_every_frame():
     lines = _straight1_trace_lines()
     frames = len(json.loads(lines[1])["t"])
-    lines[2] = _edited(lines[2], lambda row: row.update(speed=7.25, lane="l", lat=-0.0))
+    lines[2] = _edited(lines[2], lambda row: row.update(speed=7.25, lane="l", y=-0.0))
     lines.insert(2, '{"approach":"north","state":"red"}')
     trace = _assert_reads_as_the_reference("\n".join(lines) + "\n")
     ego = trace.tracks[0]
     assert ego.speed == (7.25,) * frames and ego.lane_id == ("l",) * frames
-    assert _bits(ego.lateral) == _bits((-0.0,) * frames)
+    assert _bits(ego.y) == _bits((-0.0,) * frames)
     assert trace.signals == (("north", ("red",) * frames),)
 
 
@@ -841,16 +852,18 @@ def _header_listing(id_texts) -> str:
 
 @st.composite
 def _trace_texts(draw):
-    """Format-3 and format-4 texts with arbitrary number, id, lane and signal
-    texts; every column but the times may be a bare value.  In format 4 a
-    list may hold runs, and the times may be a frame count."""
-    format4 = draw(st.booleans())
+    """Format-3, 4 and 5 texts with arbitrary number, id, lane and signal
+    texts; every column but the times may be a bare value.  In formats 4 and
+    5 a list may hold runs, and the times may be a frame count.  Formats 3
+    and 4 hold a `lat` column, which the reader skips."""
+    version = draw(st.sampled_from([3, 4, 5]))
+    runs = version >= 4
     ids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True))
     id_texts = [draw(_string_texts(st.just(actor_id))) for actor_id in ids]
     frames = draw(st.integers(1, 6))
     num, lane = _number_texts(), _string_texts(st.text(max_size=4))
 
-    def listed(values, runs=format4) -> str:
+    def listed(values, runs=runs) -> str:
         items, left = [], frames
         while left:
             count = draw(st.integers(2, left)) if runs and left > 1 and draw(st.booleans()) else 1
@@ -863,15 +876,18 @@ def _trace_texts(draw):
 
     header = _header_listing(id_texts)
     times = listed(num, runs=False)
-    if format4:
-        header = header.replace('"format":3', '"format":4')
+    if runs:
+        header = header.replace('"format":3', f'"format":{version}')
         if draw(st.booleans()):
             header, times = header.replace('"timestep_s":0.05', '"timestep_s":0.1'), str(frames)
     lines = [header, f'{{"t":{times}}}']
     lines += [f'{{"approach":{draw(lane)},"state":{column(lane)}}}'
               for _ in range(draw(st.integers(0, 2)))]
-    lines += [f'{{"heading":{column(num)},"id":{id_text},"lane":{column(lane)},'
-              f'"lat":{column(num)},"speed":{column(num)},"x":{column(num)},"y":{column(num)}}}'
+    def lat() -> str:
+        return f'"lat":{column(num)},' if version < 5 else ""
+
+    lines += [f'{{"heading":{column(num)},"id":{id_text},"lane":{column(lane)},{lat()}'
+              f'"speed":{column(num)},"x":{column(num)},"y":{column(num)}}}'
               for id_text in id_texts]
     return "\n".join(lines) + "\n"
 
@@ -884,7 +900,7 @@ def test_trace_reader_matches_the_reference_reader_on_generated_frame_lines(text
     reference = format2_from_jsonl(text)
     numbers = itertools.chain(reference.times, *(
         column for track in reference.tracks
-        for column in (track.x, track.y, track.heading, track.speed, track.lateral)))
+        for column in (track.x, track.y, track.heading, track.speed)))
     if all(map(math.isfinite, numbers)):
         _assert_reads_as_the_reference(text)
     else:
@@ -899,14 +915,13 @@ def test_trace_reader_matches_the_reference_reader_on_random_float_bits():
     values = [x for x in struct.unpack("<40000d", rng.randbytes(8 * 40000)) if math.isfinite(x)]
     texts = [form.format(x) for x, form in zip(values, itertools.cycle(
         ["{:.6g}", "{!r}", "{:.17g}", "{:.16e}"]))]
-    frames = len(texts) // 6
+    frames = len(texts) // 5
     assert frames > 6000
-    t, heading, lat, speed, x, y = (",".join(texts[k * frames:(k + 1) * frames])
-                                    for k in range(6))
+    t, heading, speed, x, y = (",".join(texts[k * frames:(k + 1) * frames]) for k in range(5))
     lanes = ",".join(['"l"'] * frames)
     lines = [_header_listing(['"a"']), f'{{"t":[{t}]}}',
              f'{{"heading":[{heading}],"id":"a","lane":[{lanes}],'
-             f'"lat":[{lat}],"speed":[{speed}],"x":[{x}],"y":[{y}]}}']
+             f'"speed":[{speed}],"x":[{x}],"y":[{y}]}}']
     _assert_reads_as_the_reference("\n".join(lines) + "\n")
 
 
@@ -996,7 +1011,7 @@ def test_trace_writer_matches_the_reference_writer_on_escaped_ids():
         tracks=tracks)
     text = sim.trace_to_jsonl(escaped)
     assert '\\"' in text and "\\u00e9" in text and '"y":[-0.0,' in text
-    assert text == format4_to_jsonl(escaped)
+    assert text == format5_to_jsonl(escaped)
     assert_round_trips_as_format_1(escaped)
 
 
@@ -1006,14 +1021,14 @@ def test_trace_writer_matches_the_reference_writer_with_signals():
     assert geo.signal_heads
     for seed in range(3):
         trace = sim.simulate(sampling.sample_instance(template, seed), geo)
-        assert sim.trace_to_jsonl(trace) == format4_to_jsonl(trace)
+        assert sim.trace_to_jsonl(trace) == format5_to_jsonl(trace)
     # signal states that change between frames, each seen again later
     cycle = (0.0, 13.0, 20.0, 0.0)
     switching = dataclasses.replace(trace, signals=tuple(
         (leg, tuple(sched.state(cycle[k % len(cycle)]) for k in range(len(trace.times))))
         for leg, sched in geo.signal_heads))
     assert all(len(set(states)) > 1 for _, states in switching.signals)
-    assert sim.trace_to_jsonl(switching) == format4_to_jsonl(switching)
+    assert sim.trace_to_jsonl(switching) == format5_to_jsonl(switching)
     assert_round_trips_as_format_1(switching)
 
 
@@ -1033,7 +1048,7 @@ def test_trace_writer_matches_the_reference_writer_off_the_frame_times():
         tuple(t * (1.0 + 1e-12) for t in trace.times),  # within the 6 digits of the grid
     )]
     for variant in variants:
-        assert sim.trace_to_jsonl(variant) == format4_to_jsonl(variant)
+        assert sim.trace_to_jsonl(variant) == format5_to_jsonl(variant)
     assert sim.trace_to_jsonl(variants[1]).splitlines()[1].startswith('{"t":[-0.0,0.1,')
 
 
@@ -1042,7 +1057,7 @@ def _trace_with_columns(**columns) -> sim.Trace:
     `f0`, and 1.0 in the number columns."""
     frames = len(next(iter(columns.values())))
     filled = {key: columns.get(key, (1.0,) * frames)
-              for key in ("x", "y", "heading", "speed", "lateral")}
+              for key in ("x", "y", "heading", "speed")}
     template = load_template("straight-1")
     trace = sim.simulate(sampling.sample_instance(template, 0), sim.build_geometry(template))
     track = sim.ActorTrack("ego", lane_id=columns.get("lane_id", ("f0",) * frames), **filled)
@@ -1053,17 +1068,15 @@ def _trace_with_columns(**columns) -> sim.Trace:
 def test_trace_writer_formats_again_only_where_a_column_changes():
     columns = {
         "x": (0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0),          # zeros alternate in sign
-        "y": (2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 2.5),              # one value repeated
+        "y": (-0.0, -0.0, 0.1, 0.1, -0.0, 0.0, -0.0),          # and in a column with runs
         "heading": (1.0, 1.0, 3.25, 3.25, 1.0, 1e-7, 1e-7),    # repeats switch with new values
         "speed": (5.0, 5, 5.0, 1234567.0, 1234567.0, 5.0, 5),  # ints equal to floats, exponents
-        "lateral": (-0.0, -0.0, 0.1, 0.1, -0.0, 0.0, -0.0),
     }
     trace = _trace_with_columns(**columns)
     text = sim.trace_to_jsonl(trace)
-    assert text == format4_to_jsonl(trace)
+    assert text == format5_to_jsonl(trace)
     assert '"x":[0.0,-0.0,0.0,-0.0,-0.0,0.0,0.0]' in text
-    assert '"lat":[-0.0,-0.0,0.1,0.1,-0.0,0.0,-0.0]' in text
-    assert '"y":2.5}' in text and '"lane":"f0",' in text
+    assert '"y":[-0.0,-0.0,0.1,0.1,-0.0,0.0,-0.0]}' in text and '"lane":"f0",' in text
 
 
 def test_trace_writer_formats_a_run_of_equal_zeros_once(monkeypatch):
@@ -1083,20 +1096,20 @@ def test_trace_writer_formats_a_run_of_equal_zeros_once(monkeypatch):
 def test_trace_writer_decides_a_bare_column_from_its_texts():
     """Distinct floats with one 6-digit text make a bare column; zeros of both
     signs, equal as floats, do not."""
-    trace = _trace_with_columns(lateral=(-3.5, -3.5000000001, -3.4999999999),
+    trace = _trace_with_columns(heading=(-3.5, -3.5000000001, -3.4999999999),
                                 x=(0.0, 0.0, -0.0), y=(-0.0,) * 3, speed=(12, 12.0, 12.0))
     text = sim.trace_to_jsonl(trace)
-    assert text == format4_to_jsonl(trace)
-    assert '"lat":-3.5,' in text and '"x":[0.0,0.0,-0.0]' in text
+    assert text == format5_to_jsonl(trace)
+    assert '"heading":-3.5,' in text and '"x":[0.0,0.0,-0.0]' in text
     assert '"y":-0.0}' in text and '"speed":12.0,' in text
     assert_round_trips_as_format_1(trace)
 
 
 def _assert_reads_as_the_format3_round_trip(trace: sim.Trace) -> str:
-    """The format-4 text of `trace`, after checking that it is the reference
+    """The format-5 text of `trace`, after checking that it is the reference
     writer's text and reads back to the bits of the format-3 file."""
     text = sim.trace_to_jsonl(trace)
-    assert text == format4_to_jsonl(trace)
+    assert text == format5_to_jsonl(trace)
     assert exact(sim.trace_from_jsonl(text)) == exact(
         sim.trace_from_jsonl(format3_to_jsonl(trace)))
     assert sim.trace_to_jsonl(sim.trace_from_jsonl(text)) == text
@@ -1108,14 +1121,14 @@ def test_trace_writer_writes_runs_of_three_or_more_equal_texts():
         y=(0.0,) * 3 + (-0.0,) * 3 + (0.0,) * 4 + (-0.0,) * 3,  # zero runs split by sign
         heading=(1.0, 2.0, 2.0, 3.0, 3.0, 3.0, -0.0, 0.0, 0.0,  # runs of length 1, 2 and 3
                  2.5000000001, 2.5, 2.4999999999, 7.0),        # distinct floats, one text
-        lateral=(5.0,) * 4 + (6.0,) * 3 + (5.0,) * 6,           # a column of runs only
+        speed=(5.0,) * 4 + (6.0,) * 3 + (5.0,) * 6,             # a column of runs only
         x=(0.0,) * 5 + (1.0,) * 8,                               # `x` keeps every text
         lane_id=("a", "a") + ("b",) * 3 + ("a",) * 8)
     text = _assert_reads_as_the_format3_round_trip(trace)
     assert text.splitlines()[1:] == [
         '{"t":13}',
         '{"heading":[1.0,2.0,2.0,[3.0,3],-0.0,0.0,0.0,[2.5,3],7.0],"id":"ego",'
-        '"lane":["a","a",["b",3],["a",8]],"lat":[[5.0,4],[6.0,3],[5.0,6]],"speed":1.0,'
+        '"lane":["a","a",["b",3],["a",8]],"speed":[[5.0,4],[6.0,3],[5.0,6]],'
         '"x":[0.0,0.0,0.0,0.0,0.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0],'
         '"y":[[0.0,3],[-0.0,3],[0.0,4],[-0.0,3]]}']
 
@@ -1125,7 +1138,7 @@ def test_trace_writer_writes_the_frame_count_only_for_the_frame_grid():
     horizon; times that print as the grid's; and times that do not."""
     one = _trace_with_columns(x=(2.0,), y=(-0.0,))
     assert _assert_reads_as_the_format3_round_trip(one).splitlines()[1:] == [
-        '{"t":1}', '{"heading":1.0,"id":"ego","lane":"f0","lat":1.0,"speed":1.0,"x":2.0,"y":-0.0}']
+        '{"t":1}', '{"heading":1.0,"id":"ego","lane":"f0","speed":1.0,"x":2.0,"y":-0.0}']
     trace = _trace_with_columns(y=(0.0,) * 4 + (1.0,) * 3)
     assert _assert_reads_as_the_format3_round_trip(trace).splitlines()[1] == '{"t":7}'
     listed = '{"t":[0.0,0.1,0.2,0.3,0.4,0.5,0.6]}'
@@ -1146,7 +1159,7 @@ def test_trace_writer_writes_the_frame_count_only_for_the_frame_grid():
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize("column", ["x", "heading", "lateral"])
+@pytest.mark.parametrize("column", ["x", "heading", "y"])
 @pytest.mark.parametrize("values", [(2.0, 2.0, "bad", "bad", 2.0), ("bad",) * 5])
 def test_trace_writer_raises_on_non_finite_values(column, bad, values):
     """After repeats, and in a column that would be bare."""
@@ -1178,8 +1191,8 @@ def _columnar_traces(draw):
         times=sim._FRAME_TIMES[:frames],
         signals=tuple(zip(heads, states)),
         tracks=tuple(sim.ActorTrack(actor_id, column(numbers), column(numbers), column(numbers),
-                                    column(numbers), column(st.sampled_from(["a", "b"])),
-                                    column(numbers)) for actor_id in ids))
+                                    column(numbers), column(st.sampled_from(["a", "b"])))
+                     for actor_id in ids))
 
 
 @given(_columnar_traces())
@@ -1300,7 +1313,7 @@ def test_lane_finder_matches_the_full_search(monkeypatch):
         for x, y in points:
             expected = locate_lane(lanes, x, y)
             for hint in range(len(lanes)):
-                assert find([x], [y], hint) == ([expected[0]], [expected[1]]), (
+                assert find([x], [y], hint) == [expected[0]], (
                     geo.topology, x, y, hint)
         if geo.topology in ("straight", "curve"):
             calls, searched = calls + len(points) * len(lanes), searched + len(full_searches)

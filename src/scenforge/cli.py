@@ -174,9 +174,13 @@ def _seed_failure(seed: int, exc: Exception) -> RuntimeError:
     return RuntimeError(f"seed {seed}: {str(exc) or type(exc).__name__}")
 
 
+def _is_crash_report(path) -> bool:
+    return Path(path).suffix.lower() == ".json"
+
+
 def _document_from_input(path: Path, args) -> str:
     """DSL documents pass through; crash-report JSON goes through extraction."""
-    if path.suffix.lower() != ".json":
+    if not _is_crash_report(path):
         return path.read_text(encoding="utf-8")
     from . import extract
     raw = json.loads(path.read_text(encoding="utf-8"))
@@ -661,6 +665,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "offline", False) and args.transcripts is None:
             parser.error("--offline requires --transcripts")
+        if ("endpoint" in args and not (args.endpoint or args.offline)
+                and any(map(_is_crash_report, args.inputs))):
+            parser.error("a crash-report JSON input needs --endpoint or --offline")
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:

@@ -194,13 +194,17 @@ class FixtureTransport:
 
 
 class HttpTransport:
-    """Chat-completions client (bearer token from the configured env var)."""
+    """Chat-completions client (bearer token from the configured env var).
+
+    The token is an unredirected header, so no redirect target receives it.
+    """
 
     def __init__(self, config: ClientConfig):
         self._config = config
 
     def complete(self, system_text: str, user_parts: tuple[PromptPart, ...]) -> str:
-        import requests
+        import urllib.error
+        import urllib.request
 
         content: list[dict] = []
         for part in user_parts:
@@ -218,12 +222,21 @@ class HttpTransport:
                 {"role": "user", "content": content},
             ],
         }
+        request = urllib.request.Request(self._config.endpoint_url,
+                                         data=json.dumps(body).encode("utf-8"),
+                                         headers={"Content-Type": "application/json"},
+                                         method="POST")
+        if request.type not in ("http", "https"):
+            raise ValueError(f"endpoint {self._config.endpoint_url!r} is not an http or https URL")
         key = os.environ.get(self._config.api_key_source, "")
-        headers = {"Authorization": f"Bearer {key}"} if key else {}
-        response = requests.post(self._config.endpoint_url, json=body,
-                                 headers=headers, timeout=self._config.timeout_s)
-        response.raise_for_status()
-        return response.json()["choices"][0]["message"]["content"]
+        if key:
+            request.add_unredirected_header("Authorization", f"Bearer {key}")
+        try:
+            with urllib.request.urlopen(request, timeout=self._config.timeout_s) as response:
+                return json.load(response)["choices"][0]["message"]["content"]
+        except urllib.error.HTTPError as error:
+            error.close()  # the error holds the reply and its connection
+            raise
 
 
 def _strip_fences(reply: str) -> str:
@@ -235,10 +248,10 @@ def _strip_fences(reply: str) -> str:
     return text
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtractionOutcome:
     spec: ScenarioSpec
-    retries: int
+    retries: int                   # failed attempts over both passes
 
 
 def _issues_text(issues: list[ValidationIssue]) -> str:
@@ -250,16 +263,16 @@ def _issues_text(issues: list[ValidationIssue]) -> str:
 
 
 def _converse(transport: ChatTransport, bundle: PromptBundle, case_id: str,
-              max_retries: int, outcome: ExtractionOutcome) -> ScenarioSpec:
+              max_retries: int) -> tuple[ScenarioSpec, int]:
+    """The first conforming document, with the number of attempts that failed before it."""
     parts = bundle.user_parts
     issues: list[ValidationIssue] = []
     for attempt in range(max_retries + 1):
         reply = transport.complete(bundle.system_text, parts)
         result = dsl.parse_and_validate(_strip_fences(reply))
         if isinstance(result, ScenarioSpec):
-            return result
+            return result, attempt
         issues = result
-        outcome.retries += 1
         parts = parts + (PromptPart("text", text=_issues_text(issues)),)
     raise ExtractionError(case_id, f"no conforming document after {max_retries + 1} attempts", issues)
 
@@ -272,18 +285,16 @@ def run_extraction(report: CrashReport, client: ClientConfig,
     if isinstance(transport, FixtureTransport):
         transport.bind_case(report.case_id)
 
-    outcome = ExtractionOutcome(spec=None, retries=0)  # type: ignore[arg-type]
     try:
-        draft = _converse(transport, build_extraction_prompt(report), report.case_id,
-                          client.max_retries, outcome)
-        final = _converse(transport, build_validation_prompt(draft, report), report.case_id,
-                          client.max_retries, outcome)
+        draft, draft_retries = _converse(transport, build_extraction_prompt(report),
+                                         report.case_id, client.max_retries)
+        final, final_retries = _converse(transport, build_validation_prompt(draft, report),
+                                         report.case_id, client.max_retries)
     except ExtractionError:
         raise
     except Exception as exc:  # transport failures surface with the case id
         raise ExtractionError(report.case_id, f"transport failure: {exc}") from exc
-    outcome.spec = final
-    return outcome
+    return ExtractionOutcome(final, draft_retries + final_retries)
 
 
 def extract_and_validate(report: CrashReport, client: ClientConfig,

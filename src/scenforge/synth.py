@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 
 from .digests import digest64_json, digest64_text, to_data
-from .dsl import OracleEntry
+from .dsl import ACTOR_TYPES, MAX_LANES, OracleEntry
 from .normalize import DEFAULT_SPEED_MPS, TRUCK_MODEL, NormalizedSpec
 
 log = logging.getLogger(__name__)
@@ -110,9 +110,23 @@ class ScenarioTemplate:
             raise ValueError("every template range must be listed as a free parameter")
         p = self.params
         if p.configuration in ("head_on", "car_following") and p.topology not in ("straight", "curve"):
-            raise ValueError(f"{p.configuration} configuration requires a straight or curve topology")
+            raise ValueError(f"/params/configuration: {p.configuration} configuration requires "
+                             "a straight or curve topology")
         if p.configuration == "junction_conflict" and p.topology not in ("intersection", "t_intersection"):
-            raise ValueError("junction_conflict configuration requires a junction topology")
+            raise ValueError("/params/configuration: junction_conflict configuration requires "
+                             "a junction topology")
+        if p.configuration == "head_on" and p.number_of_ways != 2:
+            raise ValueError(f"/params/number_of_ways: head_on configuration needs "
+                             f"number_of_ways 2, got {p.number_of_ways}")
+        if not 1 <= p.lanes <= MAX_LANES:
+            raise ValueError(f"/params/lanes: {p.lanes} outside 1..{MAX_LANES}")
+        for i, npc in enumerate(p.npcs):
+            if npc.actor_type not in ACTOR_TYPES:
+                raise ValueError(f"/params/npcs/{i}/actor_type: {npc.actor_type!r} is not one of "
+                                 f"{', '.join(ACTOR_TYPES)}")
+            if npc.actor_id in (p.ego_id, *(other.actor_id for other in p.npcs[:i])):
+                raise ValueError(f"/params/npcs/{i}/actor_id: {npc.actor_id!r} is already "
+                                 "another actor's id")
 
     def digest(self) -> str:
         cached = self.__dict__.get("_digest")

@@ -199,6 +199,18 @@ def test_offline_flag_requires_transcripts(tmp_path):
     assert status == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["extract", "pipeline"])
+def test_a_crash_report_without_an_endpoint_is_refused_before_any_input_is_read(
+        tmp_path, capsys, command):
+    report = tmp_path / "case.JSON"
+    report.write_text(json.dumps({"case_id": "case-success", "summary_text": "crash"}),
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main([command, str(STRAIGHT1), str(report), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "a crash-report JSON input needs --endpoint or --offline" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_offline_extraction_through_cli(tmp_path):
     report = tmp_path / "case.json"
     report.write_text(json.dumps({"case_id": "case-success", "summary_text": "crash"}),
@@ -1007,24 +1019,41 @@ def test_importing_the_cli_loads_the_pipeline_and_nothing_it_does_not_run():
                              "concurrent.futures.process", "multiprocessing"})
 
 
+# the modules that map OpenSSL's libcrypto and libssl, and the HTTP client's
+NETWORK_MODULES = {"hashlib", "_hashlib", "ssl", "_ssl", "http.client", "urllib.request"}
+
+
 @pytest.mark.skipif(importlib.util.find_spec("_sha256") is None,
                     reason="the interpreter has no built-in _sha256 module")
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_the_cli_and_a_pipeline_run_load_no_openssl(tmp_path, workers):
-    """SHA-256 comes from the built-in `_sha256`, so neither the import nor a
-    `pipeline` run loads `hashlib` or `_hashlib`, which maps OpenSSL's libcrypto."""
+@pytest.mark.parametrize("workers, crash_report", [
+    pytest.param("1", False, id="1"),
+    pytest.param("2", False, id="2"),
+    pytest.param("1", True, id="offline-crash-report"),
+])
+def test_the_cli_and_a_pipeline_run_load_no_openssl(tmp_path, workers, crash_report):
+    """SHA-256 comes from the built-in `_sha256` and the chat client imports
+    `urllib.request` only when it sends a request, so neither the import nor a
+    `pipeline` run, offline extraction included, loads OpenSSL or the HTTP client."""
+    inputs = [str(STRAIGHT1)]
+    if crash_report:
+        inputs = [str(tmp_path / "case.json"), "--offline",
+                  "--transcripts", str(FIXTURES / "transcripts" / "success.json")]
+        Path(inputs[0]).write_text(json.dumps({"case_id": "case-success",
+                                               "summary_text": "crash"}), encoding="utf-8")
     done = subprocess.run(
         [sys.executable, "-c", "import json, sys\n"
                                "import scenforge.cli\n"
-                               "loaded = [sorted({'hashlib', '_hashlib'} & set(sys.modules))]\n"
+                               f"watched = {sorted(NETWORK_MODULES)!r}\n"
+                               "loaded = [sorted(set(watched) & set(sys.modules))]\n"
                                "status = scenforge.cli.main(sys.argv[1:])\n"
-                               "loaded.append(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+                               "loaded.append(sorted(set(watched) & set(sys.modules)))\n"
                                "print(json.dumps([status, loaded]))\n",
-         "pipeline", str(STRAIGHT1), "--out", str(tmp_path / "out"), "--samples", "2",
+         "pipeline", *inputs, "--out", str(tmp_path / "out"), "--samples", "2",
          "--workers", workers],
         capture_output=True, text=True, env=_child_env(), timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [cli.EXIT_OK, [[], []]]
+    assert len(list((tmp_path / "out" / "straight-1" / "reports").glob("report_*.json"))) == 2
 
 
 def test_a_pool_is_built_from_the_class_the_cli_holds_when_it_runs(tmp_path, monkeypatch):

@@ -62,6 +62,36 @@ def test_fixed_tuples_and_optional_values():
         from_data(tuple[str, float], ["a", 1, 2])
 
 
+@pytest.mark.parametrize("pointer, value", [
+    ("/params/number_of_ways", 1),
+    ("/params/lanes", 0),
+    ("/params/npcs/0/actor_type", "bus"),
+    ("/params/npcs/0/actor_id", "ego"),
+])
+def test_a_template_that_simulate_cannot_run_is_refused_at_load(tmp_path, capsys, pointer, value):
+    """Each value once crashed staged `simulate` or made it write a trace that
+    staged `monitor` refuses; now every stage that loads the template refuses it."""
+    path = tmp_path / "straight-1.template.json"
+    data = to_data(load_document_template("straight-1"))
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli.main(["sample", str(path), "--samples", "2", "--out", str(tmp_path)]) == cli.EXIT_OK
+    *parents, key = pointer.split("/")[1:]
+    target = data
+    for part in parents:
+        target = target[int(part)] if part.isdigit() else target[part]
+    target[key] = value
+    path.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    manifest = tmp_path / "instances.jsonl"
+    out = tmp_path / "staged"
+    assert cli.main(["sample", str(path), "--samples", "2", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert cli.main(["simulate", str(path), str(manifest), "--out", str(out)]) == cli.EXIT_CONFIG
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2
+    assert all(line.startswith(f"error: {path}: {pointer}: ") for line in errors)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cls, data, reason", [
     (tuple[str, ...], "ab", "expected a list, got str"),
     (tuple[str, float], {"a": 1}, "expected a list, got dict"),

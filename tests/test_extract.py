@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import base64
+import http.server
+import json
 import socket
+import threading
+import urllib.request
 
 import pytest
 
@@ -133,39 +138,110 @@ def test_client_config_rejects_negative_retries():
         extract.ClientConfig(max_retries=-1)
 
 
-def test_http_transport_request_shape(monkeypatch):
-    import requests
+class _ChatHandler(http.server.BaseHTTPRequestHandler):
+    """Records each request and answers it from the server's `routes`:
+    path -> (status, headers, body)."""
 
-    captured = {}
+    def _answer(self):
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.server.seen.append((self.command, self.path, self.headers, body))
+        status, headers, payload = self.server.routes[self.path]
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
 
-    class FakeResponse:
-        def raise_for_status(self):
-            pass
+    do_GET = do_POST = _answer
 
-        def json(self):
-            return {"choices": [{"message": {"content": "a reply"}}]}
+    def log_message(self, *args):
+        pass
 
-    def fake_post(url, json=None, headers=None, timeout=None):
-        captured.update(url=url, body=json, headers=headers, timeout=timeout)
-        return FakeResponse()
 
-    monkeypatch.setattr(requests, "post", fake_post)
+CHAT_PATH = "/v1/chat/completions"
+CHAT_REPLY = (200, {"Content-Type": "application/json"},
+              json.dumps({"choices": [{"message": {"content": "a reply"}}]}).encode())
+
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    """An HTTP server on 127.0.0.1 in a thread, reached without any proxy."""
+    for name in ("http_proxy", "https_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
     monkeypatch.setenv("SCENFORGE_API_KEY", "sekrit")
-    config = extract.ClientConfig(endpoint_url="https://example.test/v1/chat/completions",
-                                  model_name="small-model", timeout_s=12.0)
-    transport = extract.HttpTransport(config)
-    bundle = extract.build_extraction_prompt(_report(sketch=True))
-    reply = transport.complete(bundle.system_text, bundle.user_parts)
+    server = http.server.HTTPServer(("127.0.0.1", 0), _ChatHandler)
+    server.routes, server.seen = {}, []
+    server.url = f"http://127.0.0.1:{server.server_port}"
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
 
-    assert reply == "a reply"
-    assert captured["url"] == config.endpoint_url
-    assert captured["timeout"] == 12.0
-    assert captured["headers"]["Authorization"] == "Bearer sekrit"
-    body = captured["body"]
+
+def _chat_config(endpoint: str) -> extract.ClientConfig:
+    return extract.ClientConfig(endpoint_url=endpoint, model_name="small-model", timeout_s=10.0)
+
+
+def test_http_transport_posts_the_chat_request(chat_server):
+    chat_server.routes[CHAT_PATH] = CHAT_REPLY
+    transport = extract.HttpTransport(_chat_config(chat_server.url + CHAT_PATH))
+    bundle = extract.build_extraction_prompt(_report(sketch=True))
+    assert transport.complete(bundle.system_text, bundle.user_parts) == "a reply"
+
+    [(method, path, headers, raw)] = chat_server.seen
+    assert (method, path) == ("POST", CHAT_PATH)
+    assert headers["Content-Type"] == "application/json"
+    assert headers["Authorization"] == "Bearer sekrit"
+    body = json.loads(raw)
     assert body["model"] == "small-model"
-    assert body["messages"][0]["role"] == "system"
-    kinds = [part["type"] for part in body["messages"][1]["content"]]
-    assert kinds.count("image_url") == 1
+    system, user = body["messages"]
+    assert system == {"role": "system", "content": bundle.system_text}
+    assert user["role"] == "user"
+    texts = [part["text"] for part in user["content"] if part["type"] == "text"]
+    assert texts == [part.text for part in bundle.user_parts if part.kind == "text"]
+    images = [part["image_url"]["url"] for part in user["content"] if part["type"] == "image_url"]
+    assert images == ["data:image/png;base64," + base64.b64encode(b"\x89PNG fake bytes").decode()]
+
+
+@pytest.mark.parametrize("status", [500, 307])
+def test_an_http_error_or_a_redirected_post_is_a_transport_failure(chat_server, status):
+    """A 500 reply fails the case; a 307 reply to the POST is not followed."""
+    chat_server.routes[CHAT_PATH] = (status, {"Location": chat_server.url + "/elsewhere"}, b"")
+    chat_server.routes["/elsewhere"] = CHAT_REPLY
+    with pytest.raises(extract.ExtractionError) as excinfo:
+        extract.run_extraction(_report(), _chat_config(chat_server.url + CHAT_PATH))
+    assert excinfo.value.case_id == "case-1"
+    assert str(excinfo.value).startswith(f"case-1: transport failure: HTTP Error {status}")
+    assert [path for _, path, _, _ in chat_server.seen] == [CHAT_PATH]
+
+
+def test_a_redirect_target_never_receives_the_token(chat_server):
+    chat_server.routes[CHAT_PATH] = (302, {"Location": chat_server.url + "/elsewhere"}, b"")
+    chat_server.routes["/elsewhere"] = CHAT_REPLY
+    transport = extract.HttpTransport(_chat_config(chat_server.url + CHAT_PATH))
+    assert transport.complete("system", (extract.PromptPart("text", text="hi"),)) == "a reply"
+    (_, first, asked, _), (_, second, redirected, _) = chat_server.seen
+    assert (first, second) == (CHAT_PATH, "/elsewhere")
+    assert asked["Authorization"] == "Bearer sekrit"
+    assert "Authorization" not in redirected
+
+
+def test_an_endpoint_that_is_not_http_is_refused_unopened(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a non-http endpoint was opened")
+
+    monkeypatch.setattr(urllib.request, "urlopen", forbidden)
+    reply = tmp_path / "reply.json"
+    reply.write_bytes(CHAT_REPLY[2])
+    with pytest.raises(extract.ExtractionError) as excinfo:
+        extract.run_extraction(_report(), _chat_config(reply.as_uri()))
+    assert str(excinfo.value) == (
+        f"case-1: transport failure: endpoint {reply.as_uri()!r} is not an http or https URL")
 
 
 # SHA-256 of the canonical JSON of both prompt bundles for a report with a

@@ -183,17 +183,7 @@ def _document_from_input(path: Path, args) -> str:
     if not _is_crash_report(path):
         return path.read_text(encoding="utf-8")
     from . import extract
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    sketch = None
-    if raw.get("sketch_base64"):
-        import base64
-        sketch = (base64.b64decode(raw["sketch_base64"]), raw.get("sketch_media_type", "image/png"))
-    report = extract.CrashReport(
-        case_id=raw.get("case_id", path.stem),
-        summary_text=raw["summary_text"],
-        sketch=sketch,
-        rule_context=tuple(raw.get("rule_context", ())),
-    )
+    report = extract.read_crash_report(path)
     client = extract.ClientConfig(endpoint_url=args.endpoint, model_name=args.model)
     transport = extract.FixtureTransport.from_file(args.transcripts) if args.offline else None
     return dsl.serialize_dsl(extract.extract_and_validate(report, client, transport))

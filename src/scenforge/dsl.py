@@ -15,6 +15,9 @@ calls it for each enum string outside its vocabulary, and a token it
 returns stands in for the value.  The strict stages pass none; the
 normalizer passes its synonym fold, so a lenient document is still read
 and walked once.
+``field_values`` gives every field of a spec by its JSON pointer; the
+normalizer's provenance map and the accuracy comparison both read it, so
+the schema's fields are listed only in this module.
 ``serialize_dsl`` emits the one canonical text form, so
 ``parse_dsl(serialize_dsl(spec)) == spec`` for every string (characters
 YAML cannot carry raw are escaped) and semantically equal documents
@@ -29,6 +32,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Union
 
 import yaml
+
+from .digests import to_data
 
 # Closed vocabularies.  Parsing never yields a token outside these sets.
 WEATHER_TOKENS = ("sunny", "cloudy", "overcast", "rainy", "snowy", "foggy", "windy", "not_mentioned")
@@ -139,6 +144,29 @@ class ScenarioSpec:
     road_network: RoadNetwork
     actors: ActorSet
     oracle: tuple[OracleEntry, ...] = ()
+
+
+def field_values(spec: ScenarioSpec) -> dict[str, Any]:
+    """Every field of ``spec`` by its JSON pointer, in dataclass field order.
+
+    List items are walked by index, so an empty list holds no pointer; an
+    absent optional field is None.  An oracle entry's ``rule_id`` sits at
+    ``/oracle/<i>/rule``, the key a document writes.
+    """
+    values: dict[str, Any] = {}
+
+    def walk(data: Any, path: str) -> None:
+        if isinstance(data, dict):
+            for key, value in data.items():
+                walk(value, f"{path}/{'rule' if key == 'rule_id' else key}")
+        elif isinstance(data, list):
+            for i, value in enumerate(data):
+                walk(value, f"{path}/{i}")
+        else:
+            values[path] = data
+
+    walk(to_data(spec), "")
+    return values
 
 
 ParseResult = Union[ScenarioSpec, "list[ValidationIssue]"]

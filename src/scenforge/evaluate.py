@@ -1,10 +1,11 @@
 """Scoring machinery: accuracy vs golden documents, rater agreement, counts.
 
-``compare_specs`` does exact token comparison field by field, grouped
-into the four document components; accuracies micro-average (matched
-fields over total fields).  ``fleiss_kappa`` implements the
-linear-weighted multi-rater statistic; ``compare_violation_counts``
-tabulates distinct violated rules against expected counts per road type.
+``compare_specs`` does exact comparison field by field over the
+pointers of ``dsl.field_values``, grouped into the four document
+components; accuracies micro-average (matched fields over total fields).
+``fleiss_kappa`` implements the linear-weighted multi-rater statistic;
+``compare_violation_counts`` tabulates distinct violated rules against
+expected counts per road type.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import io
 from dataclasses import dataclass
 from typing import Iterable
 
-from .dsl import ActorSpec, ScenarioSpec
+from .dsl import ScenarioSpec, field_values
 from .rules import ViolationReport
 
 COMPONENTS = ("environment", "road_network", "actor", "oracle")
@@ -59,68 +60,24 @@ def _component_of(path: str) -> str:
     return "oracle"
 
 
-def _compare_actor(per_field: dict[str, bool], path: str,
-                   candidate: ActorSpec | None, golden: ActorSpec | None) -> None:
-    """Compare one actor pair; a missing side counts every field as a mismatch."""
-    fields = ("actor_type", "behavior")
-    for name in fields:
-        c = getattr(candidate, name, None) if candidate else None
-        g = getattr(golden, name, None) if golden else None
-        per_field[f"{path}/{name}"] = c == g and c is not None
-    for name in ("speed_mps", "model_id"):
-        c = getattr(candidate, name, None) if candidate else None
-        g = getattr(golden, name, None) if golden else None
-        if c is None and g is None:
-            continue
-        per_field[f"{path}/{name}"] = c == g
-    c_pos = candidate.position if candidate else None
-    g_pos = golden.position if golden else None
-    if c_pos is None and g_pos is None:
-        return
-    for name in ("reference", "spatial_relation", "heading_relation"):
-        c = getattr(c_pos, name, None) if c_pos else None
-        g = getattr(g_pos, name, None) if g_pos else None
-        if name == "heading_relation" and c is None and g is None:
-            continue
-        per_field[f"{path}/position/{name}"] = c == g
+# Identifiers, free text and an attribution default: never scored.
+_UNSCORED = ("scenario_id", "actor_id", "description", "violating_actor")
 
 
 def compare_specs(candidate: ScenarioSpec, golden: ScenarioSpec) -> ComponentAccuracy:
-    """Exact-token field comparison; actors pair by role and listed order."""
+    """Exact comparison of every field that either side holds with a value.
+
+    Fields are the pointers of ``dsl.field_values``, so actors, signs and
+    oracle entries pair by role and listed order, and a field only one side
+    holds is a mismatch.  ``scenario_id``, ``actor_id``, oracle
+    ``description`` and ``violating_actor`` are not scored.
+    """
+    c_values, g_values = field_values(candidate), field_values(golden)
     per_field: dict[str, bool] = {}
-
-    per_field["/environment/weather"] = candidate.environment.weather == golden.environment.weather
-    per_field["/environment/time_of_day"] = candidate.environment.time_of_day == golden.environment.time_of_day
-
-    c_road, g_road = candidate.road_network, golden.road_network
-    for name in ("road_type", "number_of_ways", "number_of_lanes", "road_markers"):
-        per_field[f"/road_network/{name}"] = getattr(c_road, name) == getattr(g_road, name)
-    sign_count = max(len(c_road.traffic_signs), len(g_road.traffic_signs))
-    for i in range(sign_count):
-        c = c_road.traffic_signs[i] if i < len(c_road.traffic_signs) else None
-        g = g_road.traffic_signs[i] if i < len(g_road.traffic_signs) else None
-        per_field[f"/road_network/traffic_signs/{i}"] = c == g
-    if c_road.speed_limit_value is not None or g_road.speed_limit_value is not None:
-        per_field["/road_network/speed_limit_value"] = (
-            c_road.speed_limit_value == g_road.speed_limit_value)
-
-    _compare_actor(per_field, "/actors/ego", candidate.actors.ego, golden.actors.ego)
-    npc_count = max(len(candidate.actors.npcs), len(golden.actors.npcs))
-    for i in range(npc_count):
-        c = candidate.actors.npcs[i] if i < len(candidate.actors.npcs) else None
-        g = golden.actors.npcs[i] if i < len(golden.actors.npcs) else None
-        _compare_actor(per_field, f"/actors/npcs/{i}", c, g)
-
-    # Oracle entries compare on rule and violation_type only; descriptions
-    # are free text and violating_actor is an attribution default.
-    entry_count = max(len(candidate.oracle), len(golden.oracle))
-    for i in range(entry_count):
-        c = candidate.oracle[i] if i < len(candidate.oracle) else None
-        g = golden.oracle[i] if i < len(golden.oracle) else None
-        per_field[f"/oracle/{i}/rule"] = c is not None and g is not None and c.rule_id == g.rule_id
-        per_field[f"/oracle/{i}/violation_type"] = (
-            c is not None and g is not None and c.violation_type == g.violation_type)
-
+    for path in {**c_values, **g_values}:
+        c, g = c_values.get(path), g_values.get(path)
+        if (c is not None or g is not None) and path.rsplit("/", 1)[1] not in _UNSCORED:
+            per_field[path] = c == g
     return ComponentAccuracy.from_fields(per_field)
 
 

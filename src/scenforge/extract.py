@@ -3,7 +3,7 @@
 Two prompt builders (extraction, then a field-by-field validation pass)
 plus a driver loop that refuses to return anything the strict parser and
 validator do not accept: parse issues feed back into a retry prompt up
-to the configured limit.  The transport is abstract; the HTTP client
+to `MAX_RETRIES` times per pass.  The transport is abstract; the HTTP client
 speaks the common chat-completions JSON shape, and fixture playback
 replays canned replies for fully offline runs.
 """
@@ -11,6 +11,7 @@ replays canned replies for fully offline runs.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import os
 from dataclasses import dataclass
@@ -34,6 +35,47 @@ class CrashReport:
             raise ValueError("summary_text must not be empty")
 
 
+def read_crash_report(path: str | Path) -> CrashReport:
+    """The crash report of a JSON file, checked before any of it is used.
+
+    The file holds an object with the string ``summary_text`` and,
+    optionally, the strings ``case_id`` (default: the file's stem),
+    ``sketch_base64`` and ``sketch_media_type`` (default image/png), and
+    ``rule_context``, a list of strings.  An optional key whose value is
+    null counts as absent.  A missing or mistyped value raises ValueError
+    naming its JSON pointer, as in ``/rule_context: expected a list of
+    strings, got str``.
+    """
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ValueError(f"expected a crash-report object, got {type(raw).__name__}")
+    if "summary_text" not in raw:
+        raise ValueError("/summary_text: required field absent")
+
+    def checked(pointer: str, value, kind: type = str):
+        if not isinstance(value, kind):
+            expected = "a list of strings" if kind is list else "a string"
+            raise ValueError(f"{pointer}: expected {expected}, got {type(value).__name__}")
+        return value
+
+    def optional(key: str, default=None, kind: type = str):
+        return default if raw.get(key) is None else checked(f"/{key}", raw[key], kind)
+
+    rules = optional("rule_context", [], list)
+    sketch = None
+    if payload := optional("sketch_base64"):
+        try:
+            sketch = (base64.b64decode(payload), optional("sketch_media_type", "image/png"))
+        except binascii.Error as exc:
+            raise ValueError(f"/sketch_base64: {exc}") from exc
+    return CrashReport(
+        case_id=optional("case_id", Path(path).stem),
+        summary_text=checked("/summary_text", raw["summary_text"]),
+        sketch=sketch,
+        rule_context=tuple(checked(f"/rule_context/{i}", rule) for i, rule in enumerate(rules)),
+    )
+
+
 @dataclass(frozen=True)
 class PromptPart:
     kind: str                      # "text" | "image"
@@ -49,17 +91,17 @@ class PromptBundle:
     exemplars: tuple[tuple[str, str], ...] = ()
 
 
+# The environment variable that holds the endpoint's bearer token.
+API_KEY_ENV = "SCENFORGE_API_KEY"
+# Failed attempts allowed per pass before extraction gives up.
+MAX_RETRIES = 2
+TIMEOUT_S = 60.0
+
+
 @dataclass(frozen=True)
 class ClientConfig:
     endpoint_url: str = ""
     model_name: str = ""
-    api_key_source: str = "SCENFORGE_API_KEY"
-    max_retries: int = 2
-    timeout_s: float = 60.0
-
-    def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
 
 
 class ExtractionError(RuntimeError):
@@ -194,7 +236,7 @@ class FixtureTransport:
 
 
 class HttpTransport:
-    """Chat-completions client (bearer token from the configured env var).
+    """Chat-completions client (bearer token from the `API_KEY_ENV` variable).
 
     The token is an unredirected header, so no redirect target receives it.
     """
@@ -228,11 +270,11 @@ class HttpTransport:
                                          method="POST")
         if request.type not in ("http", "https"):
             raise ValueError(f"endpoint {self._config.endpoint_url!r} is not an http or https URL")
-        key = os.environ.get(self._config.api_key_source, "")
+        key = os.environ.get(API_KEY_ENV, "")
         if key:
             request.add_unredirected_header("Authorization", f"Bearer {key}")
         try:
-            with urllib.request.urlopen(request, timeout=self._config.timeout_s) as response:
+            with urllib.request.urlopen(request, timeout=TIMEOUT_S) as response:
                 return json.load(response)["choices"][0]["message"]["content"]
         except urllib.error.HTTPError as error:
             error.close()  # the error holds the reply and its connection
@@ -262,19 +304,19 @@ def _issues_text(issues: list[ValidationIssue]) -> str:
         "\nReply with a corrected document."
 
 
-def _converse(transport: ChatTransport, bundle: PromptBundle, case_id: str,
-              max_retries: int) -> tuple[ScenarioSpec, int]:
+def _converse(transport: ChatTransport, bundle: PromptBundle,
+              case_id: str) -> tuple[ScenarioSpec, int]:
     """The first conforming document, with the number of attempts that failed before it."""
     parts = bundle.user_parts
     issues: list[ValidationIssue] = []
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         reply = transport.complete(bundle.system_text, parts)
         result = dsl.parse_and_validate(_strip_fences(reply))
         if isinstance(result, ScenarioSpec):
             return result, attempt
         issues = result
         parts = parts + (PromptPart("text", text=_issues_text(issues)),)
-    raise ExtractionError(case_id, f"no conforming document after {max_retries + 1} attempts", issues)
+    raise ExtractionError(case_id, f"no conforming document after {MAX_RETRIES + 1} attempts", issues)
 
 
 def run_extraction(report: CrashReport, client: ClientConfig,
@@ -287,9 +329,9 @@ def run_extraction(report: CrashReport, client: ClientConfig,
 
     try:
         draft, draft_retries = _converse(transport, build_extraction_prompt(report),
-                                         report.case_id, client.max_retries)
+                                         report.case_id)
         final, final_retries = _converse(transport, build_validation_prompt(draft, report),
-                                         report.case_id, client.max_retries)
+                                         report.case_id)
     except ExtractionError:
         raise
     except Exception as exc:  # transport failures surface with the case id

@@ -3,26 +3,26 @@
 This is the converter middleware between raw documents and template
 synthesis: free-text field values fold onto canonical tokens through a
 synonym table, and fields a crash report leaves open receive fixed
-defaults so every scenario stays executable.  Every substitution is
-tagged in a per-field provenance map (``explicit`` / ``normalized`` /
-``defaulted``) so downstream consumers can tell extraction evidence from
-inference.
+defaults so every scenario stays executable.  Every field of the
+resolved spec carries a tag in a per-field provenance map (``explicit`` /
+``normalized`` / ``defaulted``) so downstream consumers can tell
+extraction evidence from inference.
 
 Folding happens inside the strict parser's walk: ``normalize_document``
 hands ``dsl.parse_and_validate`` a fold for every enum string outside its
-vocabulary, so each document is read once and the schema's enum fields are
-listed only in ``dsl``.
+vocabulary, so each document is read once.  The tagged fields are those of
+``dsl.field_values``, so the schema's fields are listed only in ``dsl``.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 from . import dsl, prng
-from .dsl import ActorSet, ActorSpec, Environment, PositionSpec, RoadNetwork, ScenarioSpec, ValidationIssue
+from .dsl import ActorSet, ActorSpec, Environment, ScenarioSpec, ValidationIssue
 
 EXPLICIT = "explicit"
 NORMALIZED = "normalized"
@@ -35,6 +35,8 @@ DEFAULT_HEADING = "opposite_direction"
 DEFAULT_WEATHER = "sunny"
 DEFAULT_TIME = "daytime"
 DEFAULT_MARKER = "broken_line"
+# The sign list is tagged as one field, not item by item.
+_SIGNS = "/road_network/traffic_signs"
 
 # Pool of common car assets for randomly resolved background models.
 CAR_MODEL_POOL = (
@@ -141,111 +143,67 @@ def resolve_actor_model(actor_type: str, seed: int, actor_index: int) -> str:
 
 
 def apply_defaults(spec: ScenarioSpec, seed: int) -> NormalizedSpec:
-    """Resolve every open field of a valid spec.
+    """Resolve every open field of a valid spec, then tag every field.
 
     Missing speeds become 10 m/s, the ego model defaults to
     vehicle.lincoln.mkz_2017 (trucks always map to the HGV model), npc
-    models resolve through the seeded pool, missing heading relations
-    become opposite_direction, and "not mentioned" environment values
-    become daytime/sunny.  Explicit values are never overwritten.
+    models resolve through the seeded pool (drawn only for a missing
+    model), missing heading relations become opposite_direction,
+    "not mentioned" environment values become daytime/sunny, a
+    "not mentioned" marker becomes broken_line and "not mentioned" signs
+    are dropped.  Explicit values are never overwritten.
+
+    Every field the resolved spec holds (``dsl.field_values``, None
+    values excepted) is tagged ``defaulted`` if it was filled here, else
+    ``explicit``.  ``scenario_id`` is not tagged, and ``traffic_signs`` is
+    one tag, given even to an empty list.
     """
-    prov: dict[str, str] = {}
+    filled: set[str] = set()
 
-    def keep(path: str, value, tag: str = EXPLICIT):
-        prov[path] = tag
-        return value
+    def fill(path: str, value, default, open_value=None):
+        if value != open_value:
+            return value
+        filled.add(path)
+        return default
 
-    env = spec.environment
-    weather = env.weather
-    time_of_day = env.time_of_day
-    if weather == "not_mentioned":
-        weather = keep("/environment/weather", DEFAULT_WEATHER, DEFAULTED)
-    else:
-        keep("/environment/weather", weather)
-    if time_of_day == "not_mentioned":
-        time_of_day = keep("/environment/time_of_day", DEFAULT_TIME, DEFAULTED)
-    else:
-        keep("/environment/time_of_day", time_of_day)
-
-    road = spec.road_network
-    keep("/road_network/road_type", road.road_type)
-    keep("/road_network/number_of_ways", road.number_of_ways)
-    keep("/road_network/number_of_lanes", road.number_of_lanes)
-    markers = road.road_markers
-    if markers == "not_mentioned":
-        markers = keep("/road_network/road_markers", DEFAULT_MARKER, DEFAULTED)
-    else:
-        keep("/road_network/road_markers", markers)
+    env, road = spec.environment, spec.road_network
     signs = tuple(s for s in road.traffic_signs if s != "not_mentioned")
-    keep("/road_network/traffic_signs", signs,
-         EXPLICIT if signs == road.traffic_signs else DEFAULTED)
-    if road.speed_limit_value is not None:
-        keep("/road_network/speed_limit_value", road.speed_limit_value)
+    if signs != road.traffic_signs:
+        filled.add(_SIGNS)
 
     def resolve_actor(actor: ActorSpec, path: str, index: int | None) -> ActorSpec:
-        keep(f"{path}/actor_id", actor.actor_id)
-        keep(f"{path}/actor_type", actor.actor_type)
-        keep(f"{path}/behavior", actor.behavior)
-        speed = actor.speed_mps
-        if speed is None:
-            speed = keep(f"{path}/speed_mps", DEFAULT_SPEED_MPS, DEFAULTED)
-        else:
-            keep(f"{path}/speed_mps", speed)
         model = actor.model_id
         if model is None:
+            filled.add(f"{path}/model_id")
             if index is None:
                 model = TRUCK_MODEL if actor.actor_type == "truck" else DEFAULT_EGO_MODEL
             else:
                 model = resolve_actor_model(actor.actor_type, seed, index)
-            keep(f"{path}/model_id", model, DEFAULTED)
-        else:
-            keep(f"{path}/model_id", model)
         position = actor.position
         if position is not None:
-            keep(f"{path}/position/reference", position.reference)
-            keep(f"{path}/position/spatial_relation", position.spatial_relation)
-            heading = position.heading_relation
-            if heading is None:
-                heading = keep(f"{path}/position/heading_relation", DEFAULT_HEADING, DEFAULTED)
-            else:
-                keep(f"{path}/position/heading_relation", heading)
-            position = PositionSpec(position.reference, position.spatial_relation, heading)
-        return ActorSpec(
-            actor_id=actor.actor_id,
-            actor_type=actor.actor_type,
-            behavior=actor.behavior,
-            speed_mps=speed,
-            position=position,
-            model_id=model,
-        )
+            position = replace(position, heading_relation=fill(
+                f"{path}/position/heading_relation", position.heading_relation, DEFAULT_HEADING))
+        return replace(actor, speed_mps=fill(f"{path}/speed_mps", actor.speed_mps, DEFAULT_SPEED_MPS),
+                       position=position, model_id=model)
 
-    ego = resolve_actor(spec.actors.ego, "/actors/ego", None)
-    npcs = tuple(
-        resolve_actor(npc, f"/actors/npcs/{i}", i)
-        for i, npc in enumerate(spec.actors.npcs)
+    resolved = replace(
+        spec,
+        environment=Environment(
+            weather=fill("/environment/weather", env.weather, DEFAULT_WEATHER, "not_mentioned"),
+            time_of_day=fill("/environment/time_of_day", env.time_of_day, DEFAULT_TIME,
+                             "not_mentioned")),
+        road_network=replace(road, traffic_signs=signs, road_markers=fill(
+            "/road_network/road_markers", road.road_markers, DEFAULT_MARKER, "not_mentioned")),
+        actors=ActorSet(
+            ego=resolve_actor(spec.actors.ego, "/actors/ego", None),
+            npcs=tuple(resolve_actor(npc, f"/actors/npcs/{i}", i)
+                       for i, npc in enumerate(spec.actors.npcs))),
     )
-
-    for i, entry in enumerate(spec.oracle):
-        keep(f"/oracle/{i}/rule", entry.rule_id)
-        keep(f"/oracle/{i}/violation_type", entry.violation_type)
-        keep(f"/oracle/{i}/description", entry.description)
-        keep(f"/oracle/{i}/violating_actor", entry.violating_actor)
-
-    resolved = ScenarioSpec(
-        scenario_id=spec.scenario_id,
-        environment=Environment(weather=weather, time_of_day=time_of_day),
-        road_network=RoadNetwork(
-            road_type=road.road_type,
-            number_of_ways=road.number_of_ways,
-            number_of_lanes=road.number_of_lanes,
-            road_markers=markers,
-            traffic_signs=signs,
-            speed_limit_value=road.speed_limit_value,
-        ),
-        actors=ActorSet(ego=ego, npcs=npcs),
-        oracle=spec.oracle,
-    )
-    return NormalizedSpec(spec=resolved, provenance=prov)
+    tagged = [path for path, value in dsl.field_values(resolved).items()
+              if value is not None and path != "/scenario_id"
+              and not path.startswith(_SIGNS + "/")]
+    provenance = {path: DEFAULTED if path in filled else EXPLICIT for path in tagged + [_SIGNS]}
+    return NormalizedSpec(spec=resolved, provenance=provenance)
 
 
 def normalize_document(source_text: str, seed: int,
@@ -256,8 +214,9 @@ def normalize_document(source_text: str, seed: int,
     Each enum value outside its vocabulary folds through ``normalize_field``
     (``road_type``, which has no synonyms, folds case, spaces and hyphens
     only).  Fields whose value folded carry the ``normalized`` provenance
-    tag, every occurrence of an aliased node included; fields filled
-    afterwards carry ``defaulted``.
+    tag, every occurrence of an aliased node included, unless
+    ``apply_defaults`` then filled them (``defaulted``).  A folded sign
+    leaves the sign list's one tag as ``apply_defaults`` gave it.
     """
     normalized_paths: list[str] = []
 

@@ -944,7 +944,6 @@ class _Mover:
     incursion: bool = False
     trigger_gap: float | None = None
     trigger_t: float | None = None
-    ramp_target: float = LANE_WIDTH
     # stop behavior
     stop_s: float | None = None
     lane: int = 0  # lane index in the last frame, the hint for the next lane search
@@ -1244,7 +1243,7 @@ def _run_mover(m: _Mover, point, ego_xs: list[float], ego_ys: list[float], start
         if m.stop_s is not None or (m.incursion and m.trigger_t is not None):
             if m.incursion:
                 progress = min((_FRAME_TIMES[k] - m.trigger_t) / RAMP_DURATION_S, 1.0)
-                m.lateral = m.ramp_target * progress
+                m.lateral = LANE_WIDTH * progress
                 m.incursion = progress < 1.0
             states.append(point(m.s, m.lateral))
             speeds.append(m.speed)

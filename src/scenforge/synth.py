@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 
 from .digests import digest64_json, digest64_text, to_data
-from .dsl import ACTOR_TYPES, MAX_LANES, OracleEntry
+from .dsl import ACTOR_TYPES, KNOWN_RULE_IDS, MAX_LANES, OracleEntry
 from .normalize import DEFAULT_SPEED_MPS, TRUCK_MODEL, NormalizedSpec
 
 log = logging.getLogger(__name__)
@@ -127,6 +127,16 @@ class ScenarioTemplate:
             if npc.actor_id in (p.ego_id, *(other.actor_id for other in p.npcs[:i])):
                 raise ValueError(f"/params/npcs/{i}/actor_id: {npc.actor_id!r} is already "
                                  "another actor's id")
+        if not p.oracle:
+            raise ValueError("/params/oracle: the oracle must not be empty")
+        actors = (p.ego_id, *(npc.actor_id for npc in p.npcs))
+        for i, entry in enumerate(p.oracle):
+            if entry.rule_id not in KNOWN_RULE_IDS:
+                raise ValueError(f"/params/oracle/{i}/rule_id: {entry.rule_id!r} is not a rule "
+                                 "the monitor evaluates")
+            if entry.violating_actor not in actors:
+                raise ValueError(f"/params/oracle/{i}/violating_actor: "
+                                 f"{entry.violating_actor!r} is not an actor of the template")
 
     def digest(self) -> str:
         cached = self.__dict__.get("_digest")

@@ -299,7 +299,7 @@ def test_criterion_9_sampler_statistics():
 
 def test_criterion_10_offline_extraction_loop():
     transcripts = FIXTURES / "transcripts"
-    config = extract.ClientConfig(max_retries=2)
+    config = extract.ClientConfig()
 
     transport = extract.FixtureTransport.from_file(transcripts / "success.json")
     report = extract.CrashReport(case_id="case-success", summary_text="head-on crash")

@@ -224,6 +224,23 @@ def test_offline_extraction_through_cli(tmp_path):
     assert (tmp_path / "docs" / "straight-1.yaml").is_file()
 
 
+@pytest.mark.parametrize("command", ["extract", "pipeline"])
+@pytest.mark.parametrize("content, named", [
+    ([], "expected a crash-report object, got list"),
+    ({"case_id": "case-success"}, "/summary_text: required field absent"),
+    ({"case_id": "case-success", "summary_text": "crash", "rule_context": "CVC 21460"},
+     "/rule_context: expected a list of strings, got str"),
+])
+def test_a_malformed_crash_report_is_named_by_its_file_and_field(tmp_path, capsys, command,
+                                                                 content, named):
+    report = tmp_path / "case.json"
+    report.write_text(json.dumps(content), encoding="utf-8")
+    status = cli.main([command, str(report), "--out", str(tmp_path / "out"), "--offline",
+                       "--transcripts", str(FIXTURES / "transcripts" / "success.json")])
+    assert status == cli.EXIT_PARTIAL
+    assert f"error: {report}: {named}\n" in capsys.readouterr().err
+
+
 def test_offline_pipeline_from_crash_report(tmp_path):
     report = tmp_path / "case.json"
     report.write_text(json.dumps({"case_id": "case-success", "summary_text": "crash"}),

@@ -67,14 +67,22 @@ def test_fixed_tuples_and_optional_values():
     ("/params/lanes", 0),
     ("/params/npcs/0/actor_type", "bus"),
     ("/params/npcs/0/actor_id", "ego"),
+    ("/params/oracle", []),
+    ("/params/oracle/0/rule_id", "99999"),
+    ("/params/oracle/0/violating_actor", "nobody"),
 ])
 def test_a_template_that_simulate_cannot_run_is_refused_at_load(tmp_path, capsys, pointer, value):
-    """Each value once crashed staged `simulate` or made it write a trace that
-    staged `monitor` refuses; now every stage that loads the template refuses it."""
+    """Each value once crashed staged `simulate`, made it write a trace that
+    staged `monitor` refuses, made `monitor` fail on every seed, or gave
+    `targeted_hit` false on every seed; now every stage that loads the
+    template refuses it."""
     path = tmp_path / "straight-1.template.json"
     data = to_data(load_document_template("straight-1"))
     path.write_text(json.dumps(data), encoding="utf-8")
     assert cli.main(["sample", str(path), "--samples", "2", "--out", str(tmp_path)]) == cli.EXIT_OK
+    manifest = tmp_path / "instances.jsonl"
+    assert cli.main(["simulate", str(path), str(manifest), "--out", str(tmp_path)]) == cli.EXIT_OK
+    traces = sorted(map(str, (tmp_path / "traces").iterdir()))
     *parents, key = pointer.split("/")[1:]
     target = data
     for part in parents:
@@ -82,12 +90,12 @@ def test_a_template_that_simulate_cannot_run_is_refused_at_load(tmp_path, capsys
     target[key] = value
     path.write_text(json.dumps(data), encoding="utf-8")
     capsys.readouterr()
-    manifest = tmp_path / "instances.jsonl"
     out = tmp_path / "staged"
     assert cli.main(["sample", str(path), "--samples", "2", "--out", str(out)]) == cli.EXIT_CONFIG
     assert cli.main(["simulate", str(path), str(manifest), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert cli.main(["monitor", str(path), *traces, "--out", str(out)]) == cli.EXIT_CONFIG
     errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 2
+    assert len(errors) == 3
     assert all(line.startswith(f"error: {path}: {pointer}: ") for line in errors)
     assert not out.exists()
 

@@ -74,9 +74,34 @@ def test_validation_prompt_deterministic():
     assert a == b
 
 
+def test_a_crash_report_file_is_read_into_its_report(tmp_path):
+    path = tmp_path / "case-7.json"
+    path.write_text(json.dumps({
+        "summary_text": "Two vehicles collided head-on on a rural two-lane road.",
+        "sketch_base64": base64.b64encode(b"\x89PNG fake bytes").decode("ascii"),
+        "rule_context": ["CVC 21460: driving left of double parallel solid lines."],
+    }), encoding="utf-8")
+    assert extract.read_crash_report(path) == _report("case-7", sketch=True)
+
+
+@pytest.mark.parametrize("content, reason", [
+    ({"summary_text": 3}, "/summary_text: expected a string, got int"),
+    ({"summary_text": "crash", "rule_context": ["CVC 21460", 21461]},
+     "/rule_context/1: expected a string, got int"),
+    ({"summary_text": "crash", "case_id": 7}, "/case_id: expected a string, got int"),
+    ({"summary_text": "crash", "sketch_base64": "abc"}, "/sketch_base64: "),
+])
+def test_a_malformed_crash_report_file_names_the_field(tmp_path, content, reason):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        extract.read_crash_report(path)
+    assert str(excinfo.value).startswith(reason)
+
+
 def test_fixture_success_path():
     transport = extract.FixtureTransport.from_file(TRANSCRIPTS / "success.json")
-    config = extract.ClientConfig(max_retries=2)
+    config = extract.ClientConfig()
     report = extract.CrashReport(case_id="case-success", summary_text="head-on crash")
     outcome = extract.run_extraction(report, config, transport)
     assert outcome.spec.scenario_id == "straight-1"
@@ -86,7 +111,7 @@ def test_fixture_success_path():
 
 def test_fixture_retry_then_success():
     transport = extract.FixtureTransport.from_file(TRANSCRIPTS / "retry_then_success.json")
-    config = extract.ClientConfig(max_retries=2)
+    config = extract.ClientConfig()
     report = extract.CrashReport(case_id="case-retry", summary_text="head-on crash")
     outcome = extract.run_extraction(report, config, transport)
     assert outcome.retries == 1
@@ -95,11 +120,11 @@ def test_fixture_retry_then_success():
 
 def test_fixture_exhaustion_after_max_retries():
     transport = extract.FixtureTransport.from_file(TRANSCRIPTS / "always_malformed.json")
-    config = extract.ClientConfig(max_retries=2)
+    config = extract.ClientConfig()
     report = extract.CrashReport(case_id="case-exhaust", summary_text="useless")
     with pytest.raises(extract.ExtractionError) as excinfo:
         extract.run_extraction(report, config, transport)
-    assert transport.calls == 3  # 1 + max_retries attempts
+    assert transport.calls == 3  # 1 + MAX_RETRIES attempts
     assert excinfo.value.case_id == "case-exhaust"
     assert excinfo.value.issues
 
@@ -131,11 +156,6 @@ def test_code_fence_stripping():
     report = extract.CrashReport(case_id="case-fenced", summary_text="curve crash")
     outcome = extract.run_extraction(report, extract.ClientConfig(), transport)
     assert outcome.spec.scenario_id == "curve"
-
-
-def test_client_config_rejects_negative_retries():
-    with pytest.raises(ValueError):
-        extract.ClientConfig(max_retries=-1)
 
 
 class _ChatHandler(http.server.BaseHTTPRequestHandler):
@@ -184,7 +204,7 @@ def chat_server(monkeypatch):
 
 
 def _chat_config(endpoint: str) -> extract.ClientConfig:
-    return extract.ClientConfig(endpoint_url=endpoint, model_name="small-model", timeout_s=10.0)
+    return extract.ClientConfig(endpoint_url=endpoint, model_name="small-model")
 
 
 def test_http_transport_posts_the_chat_request(chat_server):

@@ -410,9 +410,8 @@ def _edge_pairs() -> dict[str, tuple[dsl.ScenarioSpec, dsl.ScenarioSpec]]:
     npc = golden.actors.npcs[0]
     open_heading = replace(golden, actors=replace(golden.actors, npcs=(
         replace(npc, position=replace(npc.position, heading_relation=None)),)))
-    signs = golden.road_network
     more_signs = replace(golden, road_network=replace(
-        signs, traffic_signs=("stop_sign", "traffic_light", "speed_limit_sign"),
+        golden.road_network, traffic_signs=("stop_sign", "traffic_light", "speed_limit_sign"),
         speed_limit_value=12.0))
     return {
         "missing-npc": (no_npc, golden),

@@ -281,7 +281,7 @@ def _frame_major_simulate(instance: sampling.ScenarioInstance, geometry: sim.Roa
                         m.trigger_t = t
                 if m.trigger_t is not None:
                     progress = min((t - m.trigger_t) / sim.RAMP_DURATION_S, 1.0)
-                    m.lateral = m.ramp_target * progress
+                    m.lateral = sim.LANE_WIDTH * progress
 
         frame = []
         for n, (m, point, (xs, ys, headings, speeds, lane_ids)) in enumerate(
@@ -1206,13 +1206,14 @@ def test_trace_writer_round_trips_columns_with_runs_and_repeats(trace):
 def _lane_search_geometries() -> list[sim.RoadGeometry]:
     """Straight and curve roads with one or two ways and one or two lanes each way."""
     spec = load_spec("straight-2")
+    oracle = tuple(dataclasses.replace(entry, violating_actor="ego") for entry in spec.oracle)
     geometries = []
     for road_type in ("straight", "curve"):
         for ways in (1, 2):
             for lanes in (1, 2):
                 road = dsl.RoadNetwork(road_type, ways, lanes, "solid_line")
                 solo = dataclasses.replace(spec, road_network=road, actors=dsl.ActorSet(
-                    spec.actors.ego))
+                    spec.actors.ego), oracle=oracle)
                 geometries.append(sim.build_geometry(_template_from(solo)))
     return geometries
 

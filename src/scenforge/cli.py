@@ -13,12 +13,11 @@ staging directory and no new `<sid>/`.  Before the instances run, a forked
 directory as an empty placeholder, so creating files runs beside the
 instances; the writers fill the placeholders, and the child is reaped before
 the rename or the removal.  If the fork fails, the writers create the files
-themselves.  Staged `simulate` writes its traces into `.traces.partial/`
-beside `traces/` and moves them in once every seed has succeeded.  Staged
-`simulate` and `monitor` remove an earlier run's traces or reports of other
-seeds only once every new file is in place.  Other single files, staged
-`monitor`'s reports included, are written atomically (temp-then-rename),
-with the mode a plain `open()` gives.
+themselves.  Staged `simulate` and `monitor` write their traces or reports
+alike: into `.traces.partial/` or `.reports.partial/`, moved into `traces/`
+or `reports/` once all are written, and only then is an earlier run's file of
+another seed removed.  Other single files are written atomically
+(temp-then-rename), with the mode a plain `open()` gives.
 
 Importing this module loads every module that `pipeline` runs over DSL
 documents in one process.  The extraction client (`extract`) is imported
@@ -43,6 +42,7 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterable
 
 from . import dsl, normalize, rules, sampling, sim, synth
 from .digests import from_data, to_data
@@ -109,19 +109,21 @@ def _write_manifest(out_dir: Path, instances: list[sampling.ScenarioInstance],
     return path
 
 
-def _trace_name(seed: int) -> str:
-    return f"trace_{seed:05d}.jsonl"
+# A seed's trace and report file names, as formats of the seed
+TRACE_NAME, REPORT_NAME = "trace_{:05d}.jsonl", "report_{:05d}.json"
 
 
-def _report_name(seed: int) -> str:
-    return f"report_{seed:05d}.json"
+def _glob(name_format: str) -> str:
+    """The glob of every file name of `name_format`, whatever its seed."""
+    return name_format.replace("{:05d}", "*")
 
 
 def _write_staged(path: Path, data: str) -> None:
     """A plain write of `data` as UTF-8: the staging directory it lands in moves
     into place whole.  The open does not truncate, since every file in a
     staging directory is new (`_staged` empties the directory first) or an
-    empty placeholder of the creator child, and each is written once."""
+    empty placeholder of the creator child, and each is written once (a
+    batch's seeds are distinct; `_publish` refuses a repeated one)."""
     raw = memoryview(data.encode("utf-8"))
     # O_BINARY (Windows only): no newline translation, as the bytes are final
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
@@ -144,16 +146,26 @@ def _staged(staging: Path):
         raise
 
 
-def _clear(directory: Path, pattern: str, keep: set[str]) -> None:
-    """Removes an earlier run's traces or reports not named in `keep`, once the
-    new ones are in place, so a rerun leaves no stale seed."""
-    for path in directory.glob(pattern):
-        if path.name not in keep:
+def _publish(directory: Path, name_format: str, texts: Iterable[tuple[int, str]]) -> None:
+    """Writes each `(seed, text)` into `.<directory>.partial/`, named by
+    `name_format`, moves every file into `directory` once all are written, and
+    only then removes an earlier run's files of other seeds; other files stay.
+    A seed given twice raises ValueError before its second write."""
+    names: set[str] = set()
+    with _staged(directory.with_name(f".{directory.name}.partial")) as staging:
+        for seed, text in texts:
+            name = name_format.format(seed)
+            if name in names:
+                raise ValueError(f"seed {seed} is listed more than once")
+            names.add(name)
+            _write_staged(staging / name, text)
+        directory.mkdir(exist_ok=True)
+        for name in sorted(names):
+            os.replace(staging / name, directory / name)
+        staging.rmdir()
+    for path in directory.glob(_glob(name_format)):
+        if path.name not in names:
             path.unlink()
-
-
-def _write_summary(out_dir: Path, reports: list[rules.ViolationReport]) -> None:
-    _atomic_write(out_dir / "summary.csv", rules.summary_csv(reports))
 
 
 def _print_issues(path, issues: list[dsl.ValidationIssue]) -> int:
@@ -226,8 +238,8 @@ def _run_chunk(template: synth.ScenarioTemplate, geometry: sim.RoadGeometry, sta
     texts = [_simulate_step(instance, geometry) for instance in instances]
     reports = [_monitor_step(text, template.params.oracle, geometry) for text in texts]
     for text, report in zip(texts, reports):
-        _write_staged(staging / "traces" / _trace_name(report.instance_seed), text)
-        _write_staged(staging / "reports" / _report_name(report.instance_seed),
+        _write_staged(staging / "traces" / TRACE_NAME.format(report.instance_seed), text)
+        _write_staged(staging / "reports" / REPORT_NAME.format(report.instance_seed),
                       report.to_json() + "\n")
     return reports
 
@@ -260,7 +272,7 @@ def _placeholders(staging: Path, instances: list[sampling.ScenarioInstance]):
             traces, reports = f"{staging}/traces/", f"{staging}/reports/"
             for instance in instances:
                 seed = instance.instance_seed
-                for path in (traces + _trace_name(seed), reports + _report_name(seed)):
+                for path in (traces + TRACE_NAME.format(seed), reports + REPORT_NAME.format(seed)):
                     try:
                         os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
                     except OSError:
@@ -347,7 +359,7 @@ def run_pipeline(args) -> int:
         except Exception as exc:
             failures.append(f"{input_path}: {exc}")
 
-    _write_summary(args.out, all_reports)
+    _atomic_write(args.out / "summary.csv", rules.summary_csv(all_reports))
     if failures:
         _atomic_write(args.out / "failures.txt", "\n".join(failures) + "\n")
         for line in failures:
@@ -433,29 +445,16 @@ def _cmd_sample(args) -> int:
 def _cmd_simulate(args) -> int:
     template = _load(synth.ScenarioTemplate, args.template)
     geometry = sim.build_geometry(template)
+    out_dir = args.out or Path(args.instances).parent
     try:
         instances = sampling.read_manifest(Path(args.instances).read_text(encoding="utf-8"))
+        _publish(out_dir / "traces", TRACE_NAME,
+                 ((instance.instance_seed, _simulate_step(instance, geometry))
+                  for instance in instances))
     except ValueError as exc:
         raise ValueError(f"{args.instances}: {exc}") from exc
-    out_dir = args.out or Path(args.instances).parent
-    traces = out_dir / "traces"
-    names = {_trace_name(instance.instance_seed) for instance in instances}
-    if len(names) < len(instances):  # one trace file per seed
-        seeds = [instance.instance_seed for instance in instances]
-        repeated = next(seed for n, seed in enumerate(seeds) if seed in seeds[:n])
-        raise ValueError(f"{args.instances}: seed {repeated} is listed more than once")
-    try:
-        with _staged(out_dir / ".traces.partial") as staging:
-            for instance in instances:
-                _write_staged(staging / _trace_name(instance.instance_seed),
-                              _simulate_step(instance, geometry))
-            traces.mkdir(exist_ok=True)
-            for name in sorted(names):
-                (staging / name).replace(traces / name)
     except RuntimeError as exc:
         return _failed(args.instances, exc)
-    staging.rmdir()
-    _clear(traces, "trace_*.jsonl", names)
     print(f"{args.instances}: {len(instances)} traces -> {out_dir}")
     return EXIT_OK
 
@@ -464,21 +463,18 @@ def _cmd_monitor(args) -> int:
     template = _load(synth.ScenarioTemplate, args.template)
     geometry = sim.build_geometry(template)
     reports = []
-    try:
-        for trace_path in args.traces:
-            try:
-                reports.append(_monitor_step(Path(trace_path).read_text(encoding="utf-8"),
-                                             template.params.oracle, geometry))
-            except ValueError as exc:  # a malformed file is a configuration error
-                raise ValueError(f"{trace_path}: {exc}") from exc
-    except RuntimeError as exc:
-        return _failed(trace_path, exc)
+    for trace_path in args.traces:
+        try:
+            reports.append(_monitor_step(Path(trace_path).read_text(encoding="utf-8"),
+                                         template.params.oracle, geometry))
+        except ValueError as exc:  # a malformed file is a configuration error
+            raise ValueError(f"{trace_path}: {exc}") from exc
+        except RuntimeError as exc:
+            return _failed(trace_path, exc)
     out_dir = args.out or Path(args.traces[0]).parent.parent
-    names = [_report_name(report.instance_seed) for report in reports]
-    for name, report in zip(names, reports):
-        _atomic_write(out_dir / "reports" / name, report.to_json() + "\n")
-    _write_summary(out_dir, reports)
-    _clear(out_dir / "reports", "report_*.json", set(names))
+    _publish(out_dir / "reports", REPORT_NAME,
+             [(report.instance_seed, report.to_json() + "\n") for report in reports])
+    _atomic_write(out_dir / "summary.csv", rules.summary_csv(reports))
     print(f"{len(reports)} reports -> {out_dir}")
     return EXIT_OK
 
@@ -538,10 +534,10 @@ def _cmd_eval_counts(args) -> int:
     expected = _load(dict[str, int], args.expected)
     grouped: dict[str, list[rules.ViolationReport]] = {}
     root = Path(args.reports_dir)
-    for report_path in sorted(root.rglob("report_*.json")):
+    for report_path in sorted(root.rglob(_glob(REPORT_NAME))):
         if any(part.startswith(".") and part.endswith(".partial")
                for part in report_path.relative_to(root).parts[:-1]):
-            continue  # a staging directory, `.<sid>.partial/` or `.<sid>.old.partial/`
+            continue  # a staging directory, such as `.<sid>.partial/` or `.reports.partial/`
         report = _load(rules.ViolationReport, report_path)
         grouped.setdefault(report.scenario_id, []).append(report)
     table = evaluate.compare_violation_counts(grouped, expected)

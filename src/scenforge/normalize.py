@@ -216,7 +216,8 @@ def normalize_document(source_text: str, seed: int,
     only).  Fields whose value folded carry the ``normalized`` provenance
     tag, every occurrence of an aliased node included, unless
     ``apply_defaults`` then filled them (``defaulted``).  A folded sign
-    leaves the sign list's one tag as ``apply_defaults`` gave it.
+    tags the sign list, which has one tag, ``normalized`` in place of
+    ``explicit``.
     """
     normalized_paths: list[str] = []
 
@@ -240,6 +241,8 @@ def normalize_document(source_text: str, seed: int,
     result = apply_defaults(parsed, seed)
     provenance = dict(result.provenance)
     for path in normalized_paths:
+        if path.startswith(_SIGNS + "/"):
+            path = _SIGNS
         if provenance.get(path) == EXPLICIT:
             provenance[path] = NORMALIZED
     return NormalizedSpec(spec=result.spec, provenance=provenance)

@@ -25,7 +25,6 @@ class ScenarioInstance:
     template_digest: str
     instance_seed: int
     bindings: dict[str, float]
-    fixed: dict[str, float]
 
 
 def sample_instance(template: ScenarioTemplate, seed: int) -> ScenarioInstance:
@@ -38,7 +37,6 @@ def sample_instance(template: ScenarioTemplate, seed: int) -> ScenarioInstance:
         template_digest=template.digest(),
         instance_seed=seed,
         bindings=bindings,
-        fixed=dict(template.fixed_parameters),
     )
 
 
@@ -56,7 +54,8 @@ def write_manifest(instances: Iterable[ScenarioInstance]) -> str:
 
 
 def read_manifest(text: str) -> list[ScenarioInstance]:
-    """The instances of `write_manifest` output; a malformed line raises ValueError naming it."""
+    """The instances of `write_manifest` output.  A malformed line raises
+    ValueError naming it; a text with no instance line raises ValueError."""
     instances = []
     for n, line in enumerate(text.split("\n"), 1):
         line = line.strip()
@@ -65,4 +64,6 @@ def read_manifest(text: str) -> list[ScenarioInstance]:
                 instances.append(from_data(ScenarioInstance, json.loads(line)))
             except ValueError as exc:
                 raise ValueError(f"line {n}: {exc}") from exc
+    if not instances:
+        raise ValueError("no instance line")
     return instances

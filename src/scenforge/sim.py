@@ -1128,11 +1128,10 @@ def _build_movers(instance: ScenarioInstance, geometry: RoadGeometry) -> list[_M
     for npc in p.npcs:
         if adversary is not None and npc.actor_id == adversary.actor_id:
             continue
-        speed = instance.fixed.get(f"{npc.actor_id}_speed", npc.speed_mps)
         ego_s0 = movers[0].s
         offset = 25.0 if npc.spatial_relation == "front" else -25.0
         mover = _Mover(npc.actor_id, npc.actor_type, npc.behavior, movers[0].path,
-                       ego_s0 + offset, 0.0 if npc.behavior == "static" else speed)
+                       ego_s0 + offset, 0.0 if npc.behavior == "static" else npc.speed_mps)
         if npc.spatial_relation in ("left", "right"):
             mover.s = ego_s0
             mover.lateral = LANE_WIDTH if npc.spatial_relation == "left" else -LANE_WIDTH

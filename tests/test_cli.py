@@ -556,6 +556,7 @@ def test_a_failed_staged_write_keeps_every_earlier_file(tmp_path, monkeypatch, c
         cli.main([command, str(template), *inputs])
     assert before <= set(_tree_hash(tmp_path))
     assert not (tmp_path / ".traces.partial").exists()
+    assert not (tmp_path / ".reports.partial").exists()
 
 
 def _monitor_with_second_trace(tmp_path, capsys, edit) -> tuple[int, str, Path]:
@@ -760,6 +761,19 @@ def test_pipeline_renames_a_temp_file_only_for_its_summary(tmp_path, monkeypatch
     assert cli.main(["pipeline", str(STRAIGHT1), str(CURVE), "--out", str(out),
                      "--samples", "2"]) == cli.EXIT_OK
     assert made == [out]
+
+
+def test_staged_monitor_renames_a_temp_file_only_for_its_summary(tmp_path, monkeypatch):
+    """Staged `monitor` writes its reports into `.reports.partial/` with plain
+    writes, so only `summary.csv` goes through `mkstemp` and a rename."""
+    template, manifest = _staged_manifest(tmp_path)
+    assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_OK
+    traces = sorted((tmp_path / "traces").glob("trace_*.jsonl"))
+    made, mkstemp = [], tempfile.mkstemp
+    monkeypatch.setattr(tempfile, "mkstemp", lambda **kw: made.append(kw) or mkstemp(**kw))
+    assert cli.main(["monitor", str(template), *map(str, traces)]) == cli.EXIT_OK
+    assert [(kw["dir"], kw["suffix"]) for kw in made] == [(tmp_path, ".csv")]
+    assert len(list((tmp_path / "reports").glob("report_*.json"))) == 4
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
@@ -1111,6 +1125,34 @@ def test_a_manifest_that_repeats_a_seed_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {manifest}: seed 1 is listed more than once\n"
     assert not (tmp_path / "traces").exists()
     assert not (tmp_path / ".traces.partial").exists()
+
+
+def test_a_trace_listed_twice_is_refused(tmp_path, capsys):
+    """Each seed has one report file, so staged `monitor` refuses a seed given
+    twice and writes nothing."""
+    template, manifest = _staged_manifest(tmp_path)
+    assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_OK
+    trace = tmp_path / "traces" / "trace_00001.jsonl"
+    capsys.readouterr()
+    assert cli.main(["monitor", str(template), str(trace), str(trace)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: seed 1 is listed more than once\n"
+    assert not (tmp_path / "reports").exists()
+    assert not (tmp_path / "summary.csv").exists()
+    assert not (tmp_path / ".reports.partial").exists()
+
+
+def test_an_empty_manifest_is_refused_and_keeps_the_earlier_traces(tmp_path, capsys):
+    template, manifest = _staged_manifest(tmp_path)
+    assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_OK
+    before = _tree_hash(tmp_path / "traces")
+    assert len(before) == 4
+    for text in ("", "\n \n"):
+        manifest.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["simulate", str(template), str(manifest)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {manifest}: no instance line\n"
+        assert _tree_hash(tmp_path / "traces") == before
+        assert not (tmp_path / ".traces.partial").exists()
 
 
 def test_a_template_that_is_not_json_is_named(tmp_path, capsys):

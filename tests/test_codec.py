@@ -149,10 +149,10 @@ def test_a_template_field_of_another_type_is_named_by_its_path(tmp_path, capsys)
     (tuple[tuple[str, float], ...], [["a", 1], ["b", None]],
      "/1/1: expected a number, got NoneType"),
     (dict[str, tuple[int, ...]] | None, {"x": [1, 2.5]}, "/x/1: expected an int, got float"),
-    (sampling.ScenarioInstance, {"template_digest": "d", "instance_seed": 1, "bindings": {},
-                                 "fixed": []}, "/fixed: expected an object, got list"),
+    (sampling.ScenarioInstance, {"template_digest": "d", "instance_seed": 1, "bindings": []},
+     "/bindings: expected an object, got list"),
     (tuple[sampling.ScenarioInstance, ...], [{"instance_seed": 1}],
-     "/0: ScenarioInstance: missing key(s) template_digest, bindings, fixed"),
+     "/0: ScenarioInstance: missing key(s) template_digest, bindings"),
 ])
 def test_a_nested_value_of_another_type_is_named_by_its_json_pointer(cls, data, reason):
     with pytest.raises(ValueError) as caught:

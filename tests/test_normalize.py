@@ -196,6 +196,20 @@ oracle:
     assert result.provenance["/actors/ego/behavior"] == normalize.NORMALIZED
 
 
+def test_a_folded_sign_tags_the_sign_list_normalized():
+    """The sign list has one tag, at its own pointer, so a folded sign moves that
+    tag and every other tag stays as the canonical spelling gives it."""
+    canonical = SCENARIO_FILES["intersection-1"].read_text(encoding="utf-8")
+    folded = canonical.replace("    - traffic_light\n", "    - Traffic Light\n")
+    assert folded != canonical
+    got = normalize.normalize_document(folded, seed=0)
+    expected = normalize.normalize_document(canonical, seed=0)
+    assert got.spec == expected.spec
+    assert expected.provenance["/road_network/traffic_signs"] == normalize.EXPLICIT
+    assert got.provenance == {**expected.provenance,
+                              "/road_network/traffic_signs": normalize.NORMALIZED}
+
+
 def test_normalize_document_reports_issues():
     result = normalize.normalize_document("environment: {weather: plasma}", seed=0)
     assert isinstance(result, list)
@@ -273,7 +287,7 @@ def _reference_canonicalize(doc: dict, table, normalized_paths: list[str]) -> No
                     token = normalize_field("sign", sign, table)
                     if token is not None and token.value != sign:
                         signs[i] = token.value
-                        normalized_paths.append(f"/road_network/traffic_signs/{i}")
+                        normalized_paths.append("/road_network/traffic_signs")
 
     def fold_actor(node, path: str) -> None:
         if not isinstance(node, dict):

@@ -136,3 +136,22 @@ def test_manifest_lines_break_at_newline_only():
     text = sampling.write_manifest([odd]).replace("\\u2028", "\u2028")
     assert "\u2028" in text
     assert sampling.read_manifest(text + text.replace("\n", "\r\n")) == [odd, odd]
+
+
+@pytest.mark.parametrize("text", ["", "\n", "  \n\r\n"])
+def test_a_manifest_with_no_instance_line_is_refused(text):
+    with pytest.raises(ValueError, match="^no instance line$"):
+        sampling.read_manifest(text)
+
+
+def test_an_earlier_manifest_line_with_a_fixed_member_still_loads():
+    """Manifest lines once copied the template's `fixed_parameters` as `fixed`;
+    the reader ignores that member."""
+    template = load_template("straight-1")
+    batch = sampling.sample_batch(template, n=3)
+    earlier = "".join(
+        digests.canonical_json({**digests.to_data(instance),
+                                "fixed": dict(template.fixed_parameters)}) + "\n"
+        for instance in batch)
+    assert '"fixed":{"time_hour":' in earlier
+    assert sampling.read_manifest(earlier) == batch

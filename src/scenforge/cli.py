@@ -180,6 +180,12 @@ def _failed(path, error) -> int:
     return EXIT_PARTIAL
 
 
+def _note_snap(path, template: synth.ScenarioTemplate) -> None:
+    """Prints synth's note on the template of `path`, if its lane count was snapped."""
+    if note := synth.snap_note(template):
+        print(f"note: {path}: {note}", file=sys.stderr)
+
+
 def _seed_failure(seed: int, exc: Exception) -> RuntimeError:
     """A failure of one instance's work as `seed <n>: <message>`, or the type's
     name in place of an empty message (a bare `StopIteration`)."""
@@ -196,9 +202,9 @@ def _document_from_input(path: Path, args) -> str:
         return path.read_text(encoding="utf-8")
     from . import extract
     report = extract.read_crash_report(path)
-    client = extract.ClientConfig(endpoint_url=args.endpoint, model_name=args.model)
-    transport = extract.FixtureTransport.from_file(args.transcripts) if args.offline else None
-    return dsl.serialize_dsl(extract.extract_and_validate(report, client, transport))
+    transport = (extract.FixtureTransport.from_file(args.transcripts, report.case_id)
+                 if args.offline else extract.HttpTransport(args.endpoint, args.model))
+    return dsl.serialize_dsl(extract.run_extraction(report, transport).spec)
 
 
 def _simulate_step(instance: sampling.ScenarioInstance, geometry: sim.RoadGeometry) -> str:
@@ -350,6 +356,7 @@ def run_pipeline(args) -> int:
                 details = "; ".join(f"{i.path}: {i.message}" for i in normalized)
                 raise ValueError(f"document rejected: {details}")
             template = synth.build_template(normalized)
+            _note_snap(input_path, template)
             scenario_id = template.params.scenario_id
             if scenario_id in written:
                 raise ValueError(f"scenario id {scenario_id!r} was already written by "
@@ -396,7 +403,8 @@ def _cmd_validate(args) -> int:
 
 
 def _normalize_each(args, stage) -> int:
-    """Normalizes every input; `stage(path, normalized, out_dir)` takes each one that passes."""
+    """Normalizes every input; `stage(path, normalized, out_dir)` takes each one that
+    passes, and returns EXIT_PARTIAL if it fails that input."""
     table = normalize.load_synonym_table(args.synonyms) if args.synonyms else None
     status = EXIT_OK
     for path in args.inputs:
@@ -405,7 +413,7 @@ def _normalize_each(args, stage) -> int:
         if isinstance(result, list):
             status = _print_issues(path, result)
         else:
-            stage(path, result, args.out or Path(path).parent)
+            status = stage(path, result, args.out or Path(path).parent) or status
     return status
 
 
@@ -418,7 +426,11 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_synth(args) -> int:
     def stage(path, normalized, out_dir):
-        template = synth.build_template(normalized)
+        try:
+            template = synth.build_template(normalized)
+        except synth.CompatibilityError as exc:
+            return _failed(path, exc)
+        _note_snap(path, template)
         _write_template(out_dir, template)
         print(f"{path}: synthesized -> {template.params.scenario_id}.scenic")
     return _normalize_each(args, stage)

@@ -71,10 +71,10 @@ def from_data(cls: Any, data: Any) -> Any:
     """Rebuild a value of type `cls` from `to_data` output or its JSON reading.
 
     Handles dataclasses (from an object in which every init field is a
-    required key; extra keys are ignored), `tuple[X, ...]` and fixed tuples
-    (from a list), `dict[str, X]`, `X | None`, `Any`, and the scalars `bool`,
-    `int` (not a bool), `float` (an int or a float, not a bool, widened to a
-    float) and `str`.  A value of another JSON type raises ValueError.  A
+    required key; extra keys are ignored), `tuple[X, ...]` (from a list),
+    `dict[str, X]`, `X | None`, `Any`, and the scalars `bool`, `int` (not a
+    bool), `float` (an int or a float, not a bool, widened to a float) and
+    `str`.  A value of another JSON type raises ValueError.  A
     failure below the top-level value names the JSON pointer of the value at
     fault, as in `/params/oracle/0/rule_id: expected a string, got int`; one
     at the top level is the bare reason.
@@ -139,11 +139,6 @@ def _decoder(tp: Any) -> Callable[[Any], Any]:
         item = _decoder(args[0])
         return _checked("a list", (list,),
                         lambda data: tuple(_at(i, item, v) for i, v in enumerate(data)))
-    if origin is tuple:
-        items = tuple(_decoder(a) for a in args)
-        return _checked("a list", (list,),
-                        lambda data: tuple(_at(i, d, v) for i, (d, v)
-                                           in enumerate(zip(items, data, strict=True))))
     if origin is dict:
         value = _decoder(args[1])
         return _checked("an object", (dict,),

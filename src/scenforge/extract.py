@@ -3,9 +3,10 @@
 Two prompt builders (extraction, then a field-by-field validation pass)
 plus a driver loop that refuses to return anything the strict parser and
 validator do not accept: parse issues feed back into a retry prompt up
-to `MAX_RETRIES` times per pass.  The transport is abstract; the HTTP client
-speaks the common chat-completions JSON shape, and fixture playback
-replays canned replies for fully offline runs.
+to `MAX_RETRIES` times per pass.  `run_extraction(report, transport)` is
+the one entry point, and the caller picks the transport: `HttpTransport`
+speaks the common chat-completions JSON shape, and `FixtureTransport`
+replays one case's canned replies for fully offline runs.
 """
 
 from __future__ import annotations
@@ -96,12 +97,6 @@ API_KEY_ENV = "SCENFORGE_API_KEY"
 # Failed attempts allowed per pass before extraction gives up.
 MAX_RETRIES = 2
 TIMEOUT_S = 60.0
-
-
-@dataclass(frozen=True)
-class ClientConfig:
-    endpoint_url: str = ""
-    model_name: str = ""
 
 
 class ExtractionError(RuntimeError):
@@ -204,34 +199,46 @@ def build_validation_prompt(draft: ScenarioSpec, report: CrashReport) -> PromptB
 
 
 class FixtureTransport:
-    """Replays canned replies keyed by case id; never touches the network.
+    """Replays one case's canned replies; never touches the network.
 
-    When a case's reply list runs out, the last reply repeats, so a
-    single-reply transcript serves both pipeline passes.
+    When the replies run out, the last one repeats, so a single-reply
+    transcript serves both pipeline passes.
     """
 
-    def __init__(self, transcripts: dict[str, list[str]]):
-        self._transcripts = {k: list(v) for k, v in transcripts.items()}
-        self._cursor: dict[str, int] = {}
+    def __init__(self, replies: list[str]):
+        self._replies = list(replies)
         self.calls = 0
-        self._active_case: str | None = None
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "FixtureTransport":
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
-
-    def bind_case(self, case_id: str) -> None:
-        self._active_case = case_id
+    def from_file(cls, path: str | Path, case_id: str) -> "FixtureTransport":
+        """The replies of `case_id` in a transcript file, a JSON object that maps
+        each case id to a non-empty list of reply strings.  A case that the file
+        does not hold raises ExtractionError; a malformed file raises ValueError
+        naming the file and the JSON pointer of the value at fault, as in
+        ``<file>: /c1/0: expected a string, got int``."""
+        try:
+            transcripts = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        if not isinstance(transcripts, dict):
+            raise ValueError(f"{path}: expected an object of case ids, "
+                             f"got {type(transcripts).__name__}")
+        if case_id not in transcripts:
+            raise ExtractionError(case_id, "no transcript for case")
+        pointer = "/" + case_id.replace("~", "~0").replace("/", "~1")  # RFC 6901 escapes
+        replies = transcripts[case_id]
+        if not isinstance(replies, list) or not replies:
+            got = "an empty list" if replies == [] else type(replies).__name__
+            raise ValueError(f"{path}: {pointer}: expected a non-empty list of strings, got {got}")
+        for i, reply in enumerate(replies):
+            if not isinstance(reply, str):
+                raise ValueError(f"{path}: {pointer}/{i}: expected a string, "
+                                 f"got {type(reply).__name__}")
+        return cls(replies)
 
     def complete(self, system_text: str, user_parts: tuple[PromptPart, ...]) -> str:
+        reply = self._replies[min(self.calls, len(self._replies) - 1)]
         self.calls += 1
-        case_id = self._active_case
-        if case_id is None or case_id not in self._transcripts:
-            raise ExtractionError(case_id or "<unbound>", "no transcript for case")
-        replies = self._transcripts[case_id]
-        index = self._cursor.get(case_id, 0)
-        reply = replies[min(index, len(replies) - 1)]
-        self._cursor[case_id] = index + 1
         return reply
 
 
@@ -241,8 +248,9 @@ class HttpTransport:
     The token is an unredirected header, so no redirect target receives it.
     """
 
-    def __init__(self, config: ClientConfig):
-        self._config = config
+    def __init__(self, endpoint_url: str, model_name: str):
+        self.endpoint_url = endpoint_url
+        self.model_name = model_name
 
     def complete(self, system_text: str, user_parts: tuple[PromptPart, ...]) -> str:
         import urllib.error
@@ -258,18 +266,18 @@ class HttpTransport:
                     "image_url": {"url": f"data:{part.media_type};base64,{part.data_base64}"},
                 })
         body = {
-            "model": self._config.model_name,
+            "model": self.model_name,
             "messages": [
                 {"role": "system", "content": system_text},
                 {"role": "user", "content": content},
             ],
         }
-        request = urllib.request.Request(self._config.endpoint_url,
+        request = urllib.request.Request(self.endpoint_url,
                                          data=json.dumps(body).encode("utf-8"),
                                          headers={"Content-Type": "application/json"},
                                          method="POST")
         if request.type not in ("http", "https"):
-            raise ValueError(f"endpoint {self._config.endpoint_url!r} is not an http or https URL")
+            raise ValueError(f"endpoint {self.endpoint_url!r} is not an http or https URL")
         key = os.environ.get(API_KEY_ENV, "")
         if key:
             request.add_unredirected_header("Authorization", f"Bearer {key}")
@@ -319,14 +327,8 @@ def _converse(transport: ChatTransport, bundle: PromptBundle,
     raise ExtractionError(case_id, f"no conforming document after {MAX_RETRIES + 1} attempts", issues)
 
 
-def run_extraction(report: CrashReport, client: ClientConfig,
-                   transport: ChatTransport | None = None) -> ExtractionOutcome:
+def run_extraction(report: CrashReport, transport: ChatTransport) -> ExtractionOutcome:
     """Extraction pass, retry-on-issues loop, then the validation pass."""
-    if transport is None:
-        transport = HttpTransport(client)
-    if isinstance(transport, FixtureTransport):
-        transport.bind_case(report.case_id)
-
     try:
         draft, draft_retries = _converse(transport, build_extraction_prompt(report),
                                          report.case_id)
@@ -337,9 +339,3 @@ def run_extraction(report: CrashReport, client: ClientConfig,
     except Exception as exc:  # transport failures surface with the case id
         raise ExtractionError(report.case_id, f"transport failure: {exc}") from exc
     return ExtractionOutcome(final, draft_retries + final_retries)
-
-
-def extract_and_validate(report: CrashReport, client: ClientConfig,
-                         transport: ChatTransport | None = None) -> ScenarioSpec:
-    """Extract, enforce the schema, run the validation pass; returns the final spec."""
-    return run_extraction(report, client, transport).spec

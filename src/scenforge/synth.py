@@ -9,14 +9,11 @@ of the same intermediate, so the two outputs cannot diverge.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .digests import digest64_json, digest64_text, to_data
 from .dsl import ACTOR_TYPES, KNOWN_RULE_IDS, MAX_LANES, OracleEntry
 from .normalize import DEFAULT_SPEED_MPS, TRUCK_MODEL, NormalizedSpec
-
-log = logging.getLogger(__name__)
 
 INIT_DIST_RANGE = (15.0, 20.0)    # initial-distance parameters in meters
 
@@ -171,27 +168,40 @@ def map_weather(weather_token: str, time_token: str) -> str:
     return night if time_token == "nighttime" else day
 
 
+def _supported_lanes(road_type: str, lanes: int) -> int:
+    """The total lane count of the configuration that `lanes` lands in: any count
+    on a junction, 2 on a curve, and on a straight road 2 or 4, whichever is
+    nearer (ties snap down)."""
+    if road_type in ("intersection", "t_intersection"):
+        return lanes
+    if road_type == "curve":
+        return 2
+    return 2 if abs(lanes - 2) <= abs(lanes - 4) else 4
+
+
 def select_map(road_type: str, lanes: int) -> str:
     """Pick the town asset for a road type and total lane count.
 
     Junctions always land in Town05; 2-lane straights and curves in
     Town02; 4-lane straights in Town04.  Unsupported lane counts snap to
-    the nearest supported configuration (ties snap down) with a logged
-    warning.
+    the nearest supported configuration (ties snap down); `snap_note`
+    words the snap for the user.
     """
     if road_type in ("intersection", "t_intersection"):
         return "Town05"
-    if road_type == "curve":
-        if lanes != 2:
-            log.warning("curve with %d lanes snapped to the 2-lane Town02 configuration", lanes)
-        return "Town02"
-    if lanes == 2:
-        return "Town02"
-    if lanes == 4:
-        return "Town04"
-    snapped = 2 if abs(lanes - 2) <= abs(lanes - 4) else 4
-    log.warning("straight road with %d lanes snapped to the %d-lane configuration", lanes, snapped)
-    return "Town02" if snapped == 2 else "Town04"
+    return "Town02" if _supported_lanes(road_type, lanes) == 2 else "Town04"
+
+
+def snap_note(template: ScenarioTemplate) -> str | None:
+    """The note on a template whose total lane count `select_map` snapped, else None."""
+    p = template.params
+    lanes = p.number_of_ways * p.lanes
+    snapped = _supported_lanes(p.topology, lanes)
+    if snapped == lanes:
+        return None
+    if p.topology == "curve":
+        return f"curve with {lanes} lanes snapped to the 2-lane Town02 configuration"
+    return f"straight road with {lanes} lanes snapped to the {snapped}-lane configuration"
 
 
 def widen_to_range(base: float, kind: str, name: str | None = None) -> ParamRange:

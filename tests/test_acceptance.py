@@ -299,23 +299,24 @@ def test_criterion_9_sampler_statistics():
 
 def test_criterion_10_offline_extraction_loop():
     transcripts = FIXTURES / "transcripts"
-    config = extract.ClientConfig()
 
-    transport = extract.FixtureTransport.from_file(transcripts / "success.json")
+    transport = extract.FixtureTransport.from_file(transcripts / "success.json", "case-success")
     report = extract.CrashReport(case_id="case-success", summary_text="head-on crash")
-    outcome = extract.run_extraction(report, config, transport)
+    outcome = extract.run_extraction(report, transport)
     assert outcome.retries == 0
     assert dsl.validate_spec(outcome.spec) == []
 
-    transport = extract.FixtureTransport.from_file(transcripts / "retry_then_success.json")
+    transport = extract.FixtureTransport.from_file(transcripts / "retry_then_success.json",
+                                                   "case-retry")
     report = extract.CrashReport(case_id="case-retry", summary_text="head-on crash")
-    outcome = extract.run_extraction(report, config, transport)
+    outcome = extract.run_extraction(report, transport)
     assert outcome.retries == 1
     assert dsl.validate_spec(outcome.spec) == []
 
-    transport = extract.FixtureTransport.from_file(transcripts / "always_malformed.json")
+    transport = extract.FixtureTransport.from_file(transcripts / "always_malformed.json",
+                                                   "case-exhaust")
     report = extract.CrashReport(case_id="case-exhaust", summary_text="malformed")
     with pytest.raises(extract.ExtractionError):
-        extract.run_extraction(report, config, transport)
+        extract.run_extraction(report, transport)
     assert transport.calls == 3
     _announce("10 offline extraction loop", "success, retry, and exhaustion paths")

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import shutil
@@ -163,6 +165,10 @@ def test_fuzzed_documents_are_rejected_at_synth_or_compose_end_to_end(spec):
                              "--samples", "2"]) == cli.EXIT_PARTIAL
             failures = (out / "failures.txt").read_text(encoding="utf-8")
             assert failures == f"{document}: {exc}\n" and failures.startswith(f"{document}: /")
+            with contextlib.redirect_stderr(io.StringIO()) as stderr:
+                status = cli.main(["synth", str(document), "--out", str(root / "staged")])
+            assert status == cli.EXIT_PARTIAL
+            assert stderr.getvalue() == f"error: {failures}"
             return
         assert_program_keeps_the_template_lines(template)
         sid = normalized.spec.scenario_id
@@ -177,6 +183,43 @@ def test_fuzzed_documents_are_rejected_at_synth_or_compose_end_to_end(spec):
                                          geometry).to_json() + "\n"
             name = Path("reports") / f"report_{seed:05d}.json"
             assert (piped / name).read_text(encoding="utf-8") == expected
+
+
+def test_staged_synth_names_a_rejected_input_and_goes_on_to_the_next(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(STRAIGHT1.read_text(encoding="utf-8").replace(
+        "number_of_ways: 2", "number_of_ways: 1"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["synth", str(bad), str(CURVE), "--out", str(out)]) == cli.EXIT_PARTIAL
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: /road_network/number_of_ways: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == f"{CURVE}: synthesized -> curve.scenic\n"
+    assert sorted(path.name for path in out.iterdir()) == ["curve.scenic", "curve.template.json"]
+
+
+def _snapped_documents(tmp_path: Path) -> tuple[Path, Path]:
+    """A straight road with 6 lanes and a curve with 4, whose maps both snap."""
+    straight, curve = tmp_path / "straight.yaml", tmp_path / "curve.yaml"
+    straight.write_text(STRAIGHT1.read_text(encoding="utf-8").replace(
+        "number_of_lanes: 1", "number_of_lanes: 3").replace(
+        "scenario_id: straight-1", "scenario_id: straight-6"), encoding="utf-8")
+    curve.write_text(CURVE.read_text(encoding="utf-8").replace(
+        "number_of_lanes: 1", "number_of_lanes: 2").replace(
+        "scenario_id: curve", "scenario_id: curve-4"), encoding="utf-8")
+    return straight, curve
+
+
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+def test_a_snapped_lane_count_is_noted_once_under_its_input(tmp_path, capsys, command):
+    straight, curve = _snapped_documents(tmp_path)
+    extra = ["--samples", "1"] if command == "pipeline" else []
+    status = cli.main([command, str(straight), str(curve), str(STRAIGHT1),
+                       "--out", str(tmp_path / "out"), *extra])
+    assert status == cli.EXIT_OK
+    assert capsys.readouterr().err == (
+        f"note: {straight}: straight road with 6 lanes snapped to the 4-lane configuration\n"
+        f"note: {curve}: curve with 4 lanes snapped to the 2-lane Town02 configuration\n")
 
 
 def test_pipeline_partial_failure_exit_code(tmp_path):
@@ -252,6 +295,27 @@ def test_offline_pipeline_from_crash_report(tmp_path):
     ])
     assert status == cli.EXIT_OK
     assert len(list((out / "straight-1" / "reports").glob("*.json"))) == 3
+
+
+@pytest.mark.parametrize("command", ["extract", "pipeline"])
+@pytest.mark.parametrize("case_id, text, named", [
+    ("c1", '{"c1": "abc"}', "/c1: expected a non-empty list of strings, got str"),
+    ("c1", '["x"]', "expected an object of case ids, got list"),
+    ("c1", '{"c1": []}', "/c1: expected a non-empty list of strings, got an empty list"),
+    ("c1", '{"c1": ["a reply", 3]}', "/c1/1: expected a string, got int"),
+    ("a/b~c", '{"a/b~c": null}', "/a~1b~0c: expected a non-empty list of strings, got NoneType"),
+    ("c1", '{"c1": [', "Expecting value: line 1 column 9 (char 8)"),
+])
+def test_a_malformed_transcript_file_is_named_before_any_reply_is_used(tmp_path, capsys, command,
+                                                                      case_id, text, named):
+    report = tmp_path / "case.json"
+    report.write_text(json.dumps({"case_id": case_id, "summary_text": "crash"}), encoding="utf-8")
+    transcripts = tmp_path / "transcripts.json"
+    transcripts.write_text(text, encoding="utf-8")
+    status = cli.main([command, str(report), "--out", str(tmp_path / "out"), "--offline",
+                       "--transcripts", str(transcripts)])
+    assert status == cli.EXIT_PARTIAL
+    assert capsys.readouterr().err == f"error: {report}: {transcripts}: {named}\n"
 
 
 def test_parse_subcommand_reports_issues(tmp_path, capsys):

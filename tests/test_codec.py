@@ -53,13 +53,10 @@ def test_integer_ranges_decode_to_the_float_template():
     assert decoded.digest() == expected.digest()
 
 
-def test_fixed_tuples_and_optional_values():
-    assert from_data(tuple[str, float], ["a", 1]) == ("a", 1.0)
+def test_nested_tuples_and_optional_values():
     assert from_data(tuple[tuple[int, ...], ...], [[1, 2], [3]]) == ((1, 2), (3,))
     assert from_data(dict[str, float] | None, None) is None
     assert from_data(dict[str, float] | None, {"x": 2}) == {"x": 2.0}
-    with pytest.raises(ValueError):
-        from_data(tuple[str, float], ["a", 1, 2])
 
 
 @pytest.mark.parametrize("pointer, value", [
@@ -102,7 +99,7 @@ def test_a_template_that_simulate_cannot_run_is_refused_at_load(tmp_path, capsys
 
 @pytest.mark.parametrize("cls, data, reason", [
     (tuple[str, ...], "ab", "expected a list, got str"),
-    (tuple[str, float], {"a": 1}, "expected a list, got dict"),
+    (tuple[float, ...], {"a": 1}, "expected a list, got dict"),
     (bool, "false", "expected a bool, got str"),
     (int, 2.7, "expected an int, got float"),
     (int, True, "expected an int, got bool"),
@@ -146,7 +143,7 @@ def test_a_template_field_of_another_type_is_named_by_its_path(tmp_path, capsys)
 
 @pytest.mark.parametrize("cls, data, reason", [
     (dict[str, int], {"a/b~c": "1"}, "/a~1b~0c: expected an int, got str"),
-    (tuple[tuple[str, float], ...], [["a", 1], ["b", None]],
+    (tuple[tuple[float, ...], ...], [[1], [2, None]],
      "/1/1: expected a number, got NoneType"),
     (dict[str, tuple[int, ...]] | None, {"x": [1, 2.5]}, "/x/1: expected an int, got float"),
     (sampling.ScenarioInstance, {"template_digest": "d", "instance_seed": 1, "bindings": []},

@@ -100,30 +100,29 @@ def test_a_malformed_crash_report_file_names_the_field(tmp_path, content, reason
 
 
 def test_fixture_success_path():
-    transport = extract.FixtureTransport.from_file(TRANSCRIPTS / "success.json")
-    config = extract.ClientConfig()
+    transport = extract.FixtureTransport.from_file(TRANSCRIPTS / "success.json", "case-success")
     report = extract.CrashReport(case_id="case-success", summary_text="head-on crash")
-    outcome = extract.run_extraction(report, config, transport)
+    outcome = extract.run_extraction(report, transport)
     assert outcome.spec.scenario_id == "straight-1"
     assert outcome.retries == 0
     assert dsl.validate_spec(outcome.spec) == []
 
 
 def test_fixture_retry_then_success():
-    transport = extract.FixtureTransport.from_file(TRANSCRIPTS / "retry_then_success.json")
-    config = extract.ClientConfig()
+    transport = extract.FixtureTransport.from_file(TRANSCRIPTS / "retry_then_success.json",
+                                                   "case-retry")
     report = extract.CrashReport(case_id="case-retry", summary_text="head-on crash")
-    outcome = extract.run_extraction(report, config, transport)
+    outcome = extract.run_extraction(report, transport)
     assert outcome.retries == 1
     assert outcome.spec.scenario_id == "straight-1"
 
 
 def test_fixture_exhaustion_after_max_retries():
-    transport = extract.FixtureTransport.from_file(TRANSCRIPTS / "always_malformed.json")
-    config = extract.ClientConfig()
+    transport = extract.FixtureTransport.from_file(TRANSCRIPTS / "always_malformed.json",
+                                                   "case-exhaust")
     report = extract.CrashReport(case_id="case-exhaust", summary_text="useless")
     with pytest.raises(extract.ExtractionError) as excinfo:
-        extract.run_extraction(report, config, transport)
+        extract.run_extraction(report, transport)
     assert transport.calls == 3  # 1 + MAX_RETRIES attempts
     assert excinfo.value.case_id == "case-exhaust"
     assert excinfo.value.issues
@@ -135,26 +134,23 @@ def test_offline_mode_never_touches_the_network(monkeypatch):
 
     monkeypatch.setattr(socket, "socket", forbidden)
     monkeypatch.setattr(socket, "create_connection", forbidden)
-    transport = extract.FixtureTransport.from_file(TRANSCRIPTS / "success.json")
+    transport = extract.FixtureTransport.from_file(TRANSCRIPTS / "success.json", "case-success")
     report = extract.CrashReport(case_id="case-success", summary_text="head-on crash")
-    spec = extract.extract_and_validate(report, extract.ClientConfig(), transport)
+    spec = extract.run_extraction(report, transport).spec
     assert isinstance(spec, dsl.ScenarioSpec)
 
 
 def test_missing_transcript_surfaces_case_id():
-    transport = extract.FixtureTransport({})
-    report = extract.CrashReport(case_id="case-unknown", summary_text="whatever")
     with pytest.raises(extract.ExtractionError) as excinfo:
-        extract.run_extraction(report, extract.ClientConfig(), transport)
+        extract.FixtureTransport.from_file(TRANSCRIPTS / "success.json", "case-unknown")
     assert "case-unknown" in str(excinfo.value)
 
 
 def test_code_fence_stripping():
     curve_doc = (FIXTURES / "scenarios" / "curve.yaml").read_text()
-    transcript = {"case-fenced": [f"```yaml\n{curve_doc}```"]}
-    transport = extract.FixtureTransport(transcript)
+    transport = extract.FixtureTransport([f"```yaml\n{curve_doc}```"])
     report = extract.CrashReport(case_id="case-fenced", summary_text="curve crash")
-    outcome = extract.run_extraction(report, extract.ClientConfig(), transport)
+    outcome = extract.run_extraction(report, transport)
     assert outcome.spec.scenario_id == "curve"
 
 
@@ -203,13 +199,13 @@ def chat_server(monkeypatch):
     assert not thread.is_alive()
 
 
-def _chat_config(endpoint: str) -> extract.ClientConfig:
-    return extract.ClientConfig(endpoint_url=endpoint, model_name="small-model")
+def _chat_transport(endpoint: str) -> extract.HttpTransport:
+    return extract.HttpTransport(endpoint, "small-model")
 
 
 def test_http_transport_posts_the_chat_request(chat_server):
     chat_server.routes[CHAT_PATH] = CHAT_REPLY
-    transport = extract.HttpTransport(_chat_config(chat_server.url + CHAT_PATH))
+    transport = _chat_transport(chat_server.url + CHAT_PATH)
     bundle = extract.build_extraction_prompt(_report(sketch=True))
     assert transport.complete(bundle.system_text, bundle.user_parts) == "a reply"
 
@@ -234,7 +230,7 @@ def test_an_http_error_or_a_redirected_post_is_a_transport_failure(chat_server, 
     chat_server.routes[CHAT_PATH] = (status, {"Location": chat_server.url + "/elsewhere"}, b"")
     chat_server.routes["/elsewhere"] = CHAT_REPLY
     with pytest.raises(extract.ExtractionError) as excinfo:
-        extract.run_extraction(_report(), _chat_config(chat_server.url + CHAT_PATH))
+        extract.run_extraction(_report(), _chat_transport(chat_server.url + CHAT_PATH))
     assert excinfo.value.case_id == "case-1"
     assert str(excinfo.value).startswith(f"case-1: transport failure: HTTP Error {status}")
     assert [path for _, path, _, _ in chat_server.seen] == [CHAT_PATH]
@@ -243,7 +239,7 @@ def test_an_http_error_or_a_redirected_post_is_a_transport_failure(chat_server, 
 def test_a_redirect_target_never_receives_the_token(chat_server):
     chat_server.routes[CHAT_PATH] = (302, {"Location": chat_server.url + "/elsewhere"}, b"")
     chat_server.routes["/elsewhere"] = CHAT_REPLY
-    transport = extract.HttpTransport(_chat_config(chat_server.url + CHAT_PATH))
+    transport = _chat_transport(chat_server.url + CHAT_PATH)
     assert transport.complete("system", (extract.PromptPart("text", text="hi"),)) == "a reply"
     (_, first, asked, _), (_, second, redirected, _) = chat_server.seen
     assert (first, second) == (CHAT_PATH, "/elsewhere")
@@ -259,7 +255,7 @@ def test_an_endpoint_that_is_not_http_is_refused_unopened(tmp_path, monkeypatch)
     reply = tmp_path / "reply.json"
     reply.write_bytes(CHAT_REPLY[2])
     with pytest.raises(extract.ExtractionError) as excinfo:
-        extract.run_extraction(_report(), _chat_config(reply.as_uri()))
+        extract.run_extraction(_report(), _chat_transport(reply.as_uri()))
     assert str(excinfo.value) == (
         f"case-1: transport failure: endpoint {reply.as_uri()!r} is not an http or https URL")
 

@@ -5,6 +5,8 @@ import random
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenforge import dsl, normalize
 from scenforge.normalize import (
@@ -17,6 +19,7 @@ from scenforge.normalize import (
 )
 
 from .conftest import FIXTURES, SCENARIO_FILES, load_spec
+from .test_dsl import scenario_specs
 
 
 def _strip_optionals(spec: dsl.ScenarioSpec) -> dsl.ScenarioSpec:
@@ -449,3 +452,66 @@ def test_an_aliased_node_is_tagged_at_every_occurrence():
     assert got.provenance[second] == normalize.NORMALIZED
     assert {p: t for p, t in got.provenance.items() if p != second} == \
         {p: t for p, t in reference.provenance.items() if p != second}
+
+
+# -- provenance over generated specs and folded spellings ---------------------
+
+SIGNS = "/road_network/traffic_signs"
+
+
+def _respell_tokens(rng: random.Random, doc: dict) -> list[str]:
+    """Respells the enum values of a loaded document in place, each as a case,
+    space, hyphen or padding variant of its own token; returns the pointer of
+    every value that changed."""
+    respelled = []
+
+    def respell(node, key, pointer: str) -> None:
+        spelled = _spellings(rng, node[key], [])
+        if spelled != node[key]:
+            node[key] = spelled
+            respelled.append(pointer)
+
+    for section, keys in (("environment", ("weather", "time_of_day")),
+                          ("road_network", ("road_type", "road_markers"))):
+        for key in keys:
+            respell(doc[section], key, f"/{section}/{key}")
+    for i in range(len(doc["road_network"]["traffic_signs"])):
+        respell(doc["road_network"]["traffic_signs"], i, f"{SIGNS}/{i}")
+    actors = doc["actors"]
+    for path, actor in [("/actors/ego", actors["ego"])] + [
+            (f"/actors/npcs/{i}", npc) for i, npc in enumerate(actors.get("npcs") or [])]:
+        for key in ("actor_type", "behavior"):
+            respell(actor, key, f"{path}/{key}")
+        position = actor.get("position") or {}
+        for key in ("spatial_relation", "heading_relation"):
+            if key in position:
+                respell(position, key, f"{path}/position/{key}")
+    return respelled
+
+
+@given(scenario_specs(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_provenance_tags_every_resolved_field_and_every_fold(spec, rng):
+    """Over generated specs with folded spellings: the provenance keys are the
+    non-None pointers of `dsl.field_values(resolved)`, less `/scenario_id`, with
+    one key for the sign list in place of one per sign; and every value that
+    the fold recorded is tagged `normalized` (a sign at its list's pointer),
+    unless `apply_defaults` filled it."""
+    doc = yaml.safe_load(dsl.serialize_dsl(spec))
+    respelled = _respell_tokens(rng, doc)
+    got = normalize.normalize_document(yaml.safe_dump(doc, sort_keys=False), seed=0)
+    assert isinstance(got, normalize.NormalizedSpec), got
+    expected = apply_defaults(spec, seed=0)
+    assert got.spec == expected.spec
+
+    fields = {path for path, value in dsl.field_values(got.spec).items()
+              if value is not None and path != "/scenario_id" and not path.startswith(SIGNS + "/")}
+    assert set(got.provenance) == fields | {SIGNS}
+
+    folded = {SIGNS if path.startswith(SIGNS + "/") else path for path in respelled}
+    for path in folded:
+        assert got.provenance[path] == (normalize.DEFAULTED
+                                        if expected.provenance[path] == normalize.DEFAULTED
+                                        else normalize.NORMALIZED), path
+    assert {path: tag for path, tag in got.provenance.items() if path not in folded} == \
+        {path: tag for path, tag in expected.provenance.items() if path not in folded}
